@@ -25,15 +25,30 @@ terms through m's dependence on theta vanish because m minimizes E
 
 with r = z - Phi m and u = delta asinh(y) - eps.
 
-Each region fits twice: once with the warp pinned to identity, once with all
-four hyperparameters free, and keeps whichever reaches the lower NLL. That
-guarantees the warped model never loses to the plain Gaussian one.
+The fit works in the eigenbasis of G = Phi^T Phi = U diag(s) U^T, computed
+once per design with s clipped at 0. There A = U diag(alpha + beta s) U^T,
+so log|A|, tr A^{-1} and m need no factorization, and A stays positive
+definite even when round-off leaves a rank-deficient G with a tiny negative
+eigenvalue. With gamma = sum_j beta s_j / (alpha + beta s_j) the first two
+gradients read (alpha m^T m - gamma)/2 and (beta ||r||^2 - (N - gamma))/2.
+
+Each region is fitted twice and keeps whichever reaches the lower NLL, so
+the warped model never loses to the plain Gaussian one:
+
+- with the warp pinned to identity, by MacKay's fixed point
+  alpha <- gamma / m^T m, beta <- (N - gamma) / ||r||^2 (MacKay 1992,
+  "Bayesian Interpolation"), run for all regions of a design at once;
+- with all four hyperparameters free, by L-BFGS-B, one region at a time.
+
+The warped fit must beat the identity fit by more than a margin (see
+_warp_engagement_margin) before it is kept. _EvidenceProblem evaluates the
+same evidence through a Cholesky factor of A; it is the reference that the
+public neg_log_evidence functions expose.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -48,7 +63,7 @@ from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
 from .serialize import dump_json, load_json
-from .warp import WarpParams, warp_forward, warp_inverse, warp_log_jacobian
+from .warp import WarpParams, warp_forward, warp_inverse
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +71,6 @@ LN_2PI = float(np.log(2.0 * np.pi))
 
 # box constraints keeping the evidence finite during optimization
 _BOUNDS_FREE = ((-20.0, 20.0), (-20.0, 20.0), (-5.0, 5.0), (-3.0, 3.0))
-_BOUNDS_IDENTITY = ((-20.0, 20.0), (-20.0, 20.0), (0.0, 0.0), (0.0, 0.0))
 _PENALTY = 1e300
 
 
@@ -107,7 +121,13 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """L-BFGS stopping rules: relative NLL change, gradient norm, iteration cap."""
+    """Stopping rules of both fits, in L-BFGS-B's terms.
+
+    A run stops once one iteration changes the NLL by at most `tol` relative
+    to max(|NLL|, 1), once no projected-gradient component exceeds
+    `grad_tol`, or after `max_iter` iterations. L-BFGS-B only ever lowers
+    the NLL; the fixed point keeps iterating after a larger rise.
+    """
 
     tol: float = 1e-6
     grad_tol: float = 1e-6
@@ -127,9 +147,13 @@ class _EvidenceState:
 
 
 class _EvidenceProblem:
-    """Caches design products and asinh(y) so repeated evaluations stay cheap."""
+    """Reference evidence of one region through a Cholesky factor of A.
 
-    def __init__(self, phi: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None):
+    The fit itself uses the spectral engine below; this class backs the
+    public neg_log_evidence functions and the tests that check the engine.
+    """
+
+    def __init__(self, phi: np.ndarray, y: np.ndarray):
         self.phi = np.asarray(phi, dtype=float)
         self.y = np.asarray(y, dtype=float)
         if self.phi.ndim != 2 or self.y.ndim != 1:
@@ -139,7 +163,7 @@ class _EvidenceProblem:
                 f"design has {self.phi.shape[0]} rows but responses have {self.y.shape[0]}"
             )
         self.n, self.m_dim = self.phi.shape
-        self.gram = self.phi.T @ self.phi if gram is None else gram
+        self.gram = self.phi.T @ self.phi
         self.asinh_y = np.arcsinh(self.y)
         self.log1p_y2 = np.log1p(np.square(self.y))
         self.eye = np.eye(self.m_dim)
@@ -183,28 +207,6 @@ class _EvidenceProblem:
             z=z, m=m, chol=chol, residual=residual, rss=rss, nll=float(nll)
         )
 
-    def value(self, theta: np.ndarray) -> float:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = self.state(Hyperparams.from_vector(theta)).nll
-        except NumericalError:
-            return _PENALTY
-        return v if np.isfinite(v) else _PENALTY
-
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        h = Hyperparams.from_vector(theta)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                st = self.state(h)
-                if not np.isfinite(st.nll):
-                    return _PENALTY, np.zeros(4)
-                grad = self._grad(h, st)
-                if not np.all(np.isfinite(grad)):
-                    return _PENALTY, np.zeros(4)
-        except NumericalError:
-            return _PENALTY, np.zeros(4)
-        return st.nll, grad
-
     def _grad(self, h: Hyperparams, st: _EvidenceState) -> np.ndarray:
         alpha, beta = h.alpha, h.beta
         a_inv = sla.cho_solve((st.chol, True), self.eye)
@@ -239,7 +241,11 @@ def neg_log_evidence_grad(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> np.
 
 @dataclass(eq=False)
 class RegionModel:
-    """Fitted posterior for one region; chol_precision is lower-Cholesky of A."""
+    """Fitted posterior for one region; chol_precision is lower-Cholesky of A.
+
+    fit_region documents how `converged` and `nll_path` are set. Only the
+    fields written by to_dict survive a bundle round trip.
+    """
 
     region: str
     weights: np.ndarray
@@ -281,7 +287,95 @@ class RegionModel:
         )
 
 
-def _warp_engagement_margin(problem: _EvidenceProblem, x_identity: np.ndarray) -> float:
+@dataclass(frozen=True)
+class _Spectrum:
+    """Eigenbasis of G = Phi^T Phi, shared by every region fitted on one design."""
+
+    s: np.ndarray  # (M,) eigenvalues of G, clipped at 0
+    u: np.ndarray  # (M, M) eigenvectors as columns
+    phi_u: np.ndarray  # (N, M) the design in the eigenbasis, Phi U
+
+    @classmethod
+    def of(cls, phi: np.ndarray) -> "_Spectrum":
+        s, u = np.linalg.eigh(phi.T @ phi)
+        return cls(s=np.maximum(s, 0.0), u=u, phi_u=phi @ u)
+
+
+@dataclass
+class _SpectralState:
+    """Identity-warp evidence pieces of D regions at once, one row per region.
+
+    nll leaves out the warp's Jacobian term; grad is (d/dlog_alpha,
+    d/dlog_beta). weights is the posterior mean in the eigenbasis (U^T m) and
+    lam the eigenvalues of A.
+    """
+
+    nll: np.ndarray  # (D,)
+    grad: np.ndarray  # (D, 2)
+    weights: np.ndarray  # (D, M)
+    lam: np.ndarray  # (D, M)
+    residual: np.ndarray  # (D, N)
+    rss: np.ndarray  # (D,)
+    ww: np.ndarray  # (D,) m^T m
+    gamma: np.ndarray  # (D,) effective number of weights
+    log_det: np.ndarray  # (D,) log|A|
+
+
+def _spectral_state(
+    spectrum: _Spectrum, z: np.ndarray, log_alpha: np.ndarray, log_beta: np.ndarray
+) -> _SpectralState:
+    """Evidence of the latent rows z (D, N) at per-row (log_alpha, log_beta)."""
+    n, m_dim = spectrum.phi_u.shape
+    alpha = np.exp(log_alpha)[:, None]
+    beta = np.exp(log_beta)[:, None]
+    lam = alpha + beta * spectrum.s
+    weights = beta * (z @ spectrum.phi_u) / lam
+    residual = z - weights @ spectrum.phi_u.T
+    rss = np.einsum("dn,dn->d", residual, residual)
+    ww = np.einsum("dm,dm->d", weights, weights)
+    gamma = np.einsum("dm->d", beta * spectrum.s / lam)
+    log_det = np.einsum("dm->d", np.log(lam))
+    alpha, beta = alpha[:, 0], beta[:, 0]
+    nll = (
+        0.5 * (beta * rss + alpha * ww)
+        + 0.5 * log_det
+        + 0.5 * n * LN_2PI
+        - 0.5 * m_dim * log_alpha
+        - 0.5 * n * log_beta
+    )
+    grad = np.column_stack(
+        [0.5 * (alpha * ww - gamma), 0.5 * (beta * rss - (n - gamma))]
+    )
+    return _SpectralState(
+        nll=nll,
+        grad=grad,
+        weights=weights,
+        lam=lam,
+        residual=residual,
+        rss=rss,
+        ww=ww,
+        gamma=gamma,
+        log_det=log_det,
+    )
+
+
+def _projected_gradient(x: np.ndarray, grad: np.ndarray, bounds) -> np.ndarray:
+    """Zero the components that point out of the box at an active bound."""
+    lo, hi = np.asarray(bounds, dtype=float).T
+    blocked = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
+    return np.where(blocked, 0.0, grad)
+
+
+# A projected gradient above this many nats per observation is far from
+# stationary: on log(beta) it means a 20% error in the noise variance. Runs
+# that stall near their start point end at 0.4-2 per observation; L-BFGS-B
+# stops by its `tol` rule below 0.03 on well-behaved regions.
+_STATIONARY_GRAD_PER_OBS = 0.1
+
+
+def _warp_engagement_margin(
+    spectrum: _Spectrum, state: _SpectralState, log_alpha: np.ndarray
+) -> np.ndarray:
     """Evidence gain the free warp must clear before it replaces the identity fit.
 
     With epsilon and delta free, the warp can absorb the identity solution's
@@ -289,19 +383,199 @@ def _warp_engagement_margin(problem: _EvidenceProblem, x_identity: np.ndarray) -
     recovers the weight-complexity part of the evidence without changing the
     fitted distribution of y. That bookkeeping gain is bounded by the identity
     fit's own complexity term, 0.5*ln|A| - (M/2)*ln(alpha), plus the prior
-    shrinkage cost of about half the effective weight count. Requiring the
-    free fit to beat the identity fit by more than that (plus a flat 3 nat
-    allowance for two shape parameters chasing sample moments) keeps the warp
-    disengaged on Gaussian data while leaving genuinely skewed responses,
-    whose gain grows linearly with N, far above the bar.
+    shrinkage cost of about half the effective weight count,
+    M - alpha tr A^{-1} = gamma. Requiring the free fit to beat the identity
+    fit by more than that (plus a flat 3 nat allowance for two shape
+    parameters chasing sample moments) keeps the warp disengaged on Gaussian
+    data while leaving genuinely skewed responses, whose gain grows linearly
+    with N, far above the bar. Evaluated for every row of `state` at once.
     """
-    h = Hyperparams.from_vector(x_identity)
-    st = problem.state(h)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(st.chol))))
-    complexity = 0.5 * logdet - 0.5 * problem.m_dim * h.log_alpha
-    a_inv = sla.cho_solve((st.chol, True), problem.eye)
-    eff_dof = problem.m_dim - h.alpha * float(np.trace(a_inv))
-    return complexity + 0.5 * eff_dof + 3.0
+    complexity = 0.5 * state.log_det - 0.5 * spectrum.s.size * log_alpha
+    return complexity + 0.5 * state.gamma + 3.0
+
+
+def _fit_identity(
+    spectrum: _Spectrum, y: np.ndarray, x0: np.ndarray, opts: OptimizerSettings
+) -> tuple[np.ndarray, _SpectralState, np.ndarray, list[list[float]]]:
+    """Identity-warp fits of the rows of y (D, N) by MacKay's fixed point.
+
+    Each iteration sets alpha = gamma / m^T m and beta = (N - gamma) / ||r||^2
+    for every region still running, clipped to the box; both updates are
+    where the evidence gradient vanishes. A region stops under the rules of
+    `opts`. Returns (log_alpha, log_beta) per row, the final state, whether
+    each row stopped before max_iter, and each row's NLL per iterate.
+    """
+    bounds = _BOUNDS_FREE[:2]
+    lo, hi = np.asarray(bounds, dtype=float).T
+    n = spectrum.phi_u.shape[0]
+    theta = np.clip(x0, lo, hi)
+    state = _spectral_state(spectrum, y, theta[:, 0], theta[:, 1])
+    paths = [[f] for f in state.nll.tolist()]
+    running = np.ones(y.shape[0], dtype=bool)
+    for _ in range(opts.max_iter):
+        if not running.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = np.log(
+                np.column_stack([state.gamma / state.ww, (n - state.gamma) / state.rss])
+            )
+        theta = np.where(running[:, None], np.clip(target, lo, hi), theta)
+        new = _spectral_state(spectrum, y, theta[:, 0], theta[:, 1])
+        scale = np.maximum(np.maximum(np.abs(state.nll), np.abs(new.nll)), 1.0)
+        pg = _projected_gradient(theta, new.grad, bounds)
+        done = (np.abs(state.nll - new.nll) <= opts.tol * scale) | (
+            np.max(np.abs(pg), axis=1) <= opts.grad_tol
+        )
+        for d in np.flatnonzero(running):
+            paths[d].append(float(new.nll[d]))
+        running &= ~done
+        state = new
+    return theta, state, ~running, paths
+
+
+class _WarpedEvidence:
+    """Evidence and gradient of one region over all four hyperparameters.
+
+    Each evaluation warps y and scores it with _spectral_state as a single
+    row: two matrix-vector products, no factorization. Every evaluation that
+    lowers the best NLL so far is appended to `path`.
+    """
+
+    def __init__(self, spectrum: _Spectrum, y: np.ndarray):
+        self.spectrum = spectrum
+        self.asinh_y = np.arcsinh(y)
+        self.half_log1p_y2 = 0.5 * float(np.sum(np.log1p(np.square(y))))
+        self.path: list[float] = []
+
+    def evaluate(self, theta: np.ndarray):
+        """(state, z, cosh(u), NLL) at theta; overflow yields non-finite values."""
+        log_delta = float(theta[3])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u = np.exp(log_delta) * self.asinh_y - float(theta[2])
+            exp_u = np.exp(u)
+            exp_neg_u = 1.0 / exp_u
+            z = 0.5 * (exp_u - exp_neg_u)
+            cosh_u = 0.5 * (exp_u + exp_neg_u)
+            log_jac = (
+                z.size * log_delta + float(np.sum(np.log(cosh_u))) - self.half_log1p_y2
+            )
+            state = _spectral_state(
+                self.spectrum, z[None, :], theta[0:1], theta[1:2]
+            )
+            nll = float(state.nll[0]) - log_jac
+        return state, z, cosh_u, nll
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        state, z, cosh_u, nll = self.evaluate(theta)
+        beta, delta = float(np.exp(theta[1])), float(np.exp(theta[3]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_cosh = state.residual[0] * cosh_u
+            tanh_u = z / cosh_u
+            d_eps = -beta * float(np.sum(r_cosh)) + float(np.sum(tanh_u))
+            d_log_delta = (
+                beta * delta * float(r_cosh @ self.asinh_y)
+                - z.size
+                - delta * float(self.asinh_y @ tanh_u)
+            )
+        grad = np.array([state.grad[0, 0], state.grad[0, 1], d_eps, d_log_delta])
+        if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
+            return _PENALTY, np.zeros(4)
+        if not self.path or nll < self.path[-1]:
+            self.path.append(nll)
+        return nll, grad
+
+
+def _precision_cholesky(spectrum: _Spectrum, lam: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A = U diag(lam) U^T, from a QR of diag(sqrt lam) U^T.
+
+    A = R^T R for the QR's R, so R^T with its diagonal made positive is the
+    factor; unlike a Cholesky of the assembled A it cannot fail when A is
+    badly conditioned.
+    """
+    r = np.linalg.qr(np.sqrt(lam)[:, None] * spectrum.u.T, mode="r")
+    return (r * np.sign(np.diag(r))[:, None]).T
+
+
+def _fit_regions(
+    phi: np.ndarray,
+    responses: np.ndarray,
+    regions: Sequence[str],
+    opts: OptimizerSettings,
+    init: Hyperparams | None = None,
+) -> tuple[RegionModel, ...]:
+    """Fit each column of responses (N, D) on the design phi (N, M); see fit_region."""
+    n = responses.shape[0]
+    if phi.shape[0] != n:
+        raise SchemaError(f"design has {phi.shape[0]} rows but responses have {n}")
+    y_rows = np.ascontiguousarray(responses.T)
+    for region, y in zip(regions, y_rows):
+        if n < 2:
+            raise InputError(f"region '{region}': need at least 2 observations")
+        if float(np.ptp(y)) == 0.0:
+            raise InputError(f"region '{region}': constant response cannot be fit")
+    spectrum = _Spectrum.of(phi)
+
+    if init is not None:
+        x0 = np.tile(init.to_vector(), (len(regions), 1))
+    else:
+        x0 = np.zeros((len(regions), 4))
+        x0[:, 1] = -np.log(np.var(y_rows, axis=1))
+    theta_id, state, met, paths = _fit_identity(spectrum, y_rows, x0[:, :2], opts)
+    margin = _warp_engagement_margin(spectrum, state, theta_id[:, 0])
+    pg_id = np.max(
+        np.abs(_projected_gradient(theta_id, state.grad, _BOUNDS_FREE[:2])), axis=1
+    )
+    stationary = _STATIONARY_GRAD_PER_OBS * n
+
+    models = []
+    for d, region in enumerate(regions):
+        problem = _WarpedEvidence(spectrum, y_rows[d])
+        res = minimize(
+            problem.value_and_grad,
+            x0[d],
+            jac=True,
+            method="L-BFGS-B",
+            bounds=_BOUNDS_FREE,
+            options={"maxiter": opts.max_iter, "ftol": opts.tol, "gtol": opts.grad_tol},
+        )
+        if res.fun < state.nll[d] - margin[d]:
+            free, z, _, nll = problem.evaluate(res.x)
+            theta, weights, lam, path = res.x, free.weights[0], free.lam[0], problem.path
+            pg = np.max(np.abs(_projected_gradient(res.x, res.jac, _BOUNDS_FREE)))
+            converged = bool(res.success and pg <= stationary)
+            reason = str(res.message)
+        else:
+            # exact identity warp on fallback
+            theta = np.array([theta_id[d, 0], theta_id[d, 1], 0.0, 0.0])
+            z, nll = y_rows[d], float(state.nll[d])
+            weights, lam, path = state.weights[d], state.lam[d], paths[d]
+            pg = pg_id[d]
+            converged = bool(met[d] and pg <= stationary)
+            reason = "fixed point " + ("met its tolerance" if met[d] else "hit max_iter")
+        if not converged:
+            log.warning(
+                "region '%s': evidence optimization stopped without convergence "
+                "(%s; projected gradient %.3g)",
+                region,
+                reason,
+                pg,
+            )
+        models.append(
+            RegionModel(
+                region=region,
+                weights=spectrum.u @ weights,
+                chol_precision=_precision_cholesky(spectrum, lam),
+                hyperparams=Hyperparams.from_vector(theta),
+                train_z_mean=float(np.mean(z)),
+                train_z_var=float(np.var(z)),
+                n_train=n,
+                converged=converged,
+                nll=nll,
+                nll_identity=float(state.nll[d]),
+                nll_path=tuple(path),
+            )
+        )
+    return tuple(models)
 
 
 def fit_region(
@@ -310,81 +584,30 @@ def fit_region(
     region: str = "region",
     init: Hyperparams | None = None,
     opts: OptimizerSettings | None = None,
-    gram: np.ndarray | None = None,
 ) -> RegionModel:
     """Fit one region by evidence minimization with an identity-warp fallback.
 
-    Two L-BFGS runs share the starting point (log_alpha = 0,
-    log_beta = -log Var(y), identity warp, unless `init` overrides it): one
-    with the warp coordinates pinned at identity, one fully free. The free
-    run wins only when it beats the identity optimum by more than the
-    reparametrization margin (see _warp_engagement_margin); otherwise the
-    identity solution is returned.
+    Both fits start at log_alpha = 0, log_beta = -log Var(y) and the identity
+    warp, unless `init` overrides it. The identity fit runs MacKay's fixed
+    point on (log_alpha, log_beta); the free fit runs L-BFGS-B on all four
+    hyperparameters. The free fit wins only when it beats the identity
+    optimum by more than the reparametrization margin (see
+    _warp_engagement_margin); otherwise the identity solution is returned.
+
+    `converged` is True only if the chosen fit met its stopping rule (for
+    L-BFGS-B, scipy's success flag) and its largest projected-gradient
+    component is at most 0.1 nat per observation. `nll_path` is the chosen
+    fit's descent: the NLL of each fixed-point iterate, or each L-BFGS-B
+    evaluation that lowered the best NLL so far. This is the one-region case
+    of the batched engine behind fit_normative.
     """
-    opts = opts or OptimizerSettings()
-    y = np.asarray(y, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if y.shape[0] < 2:
-        raise InputError(f"region '{region}': need at least 2 observations")
-    if float(np.ptp(y)) == 0.0:
-        raise InputError(f"region '{region}': constant response cannot be fit")
-    problem = _EvidenceProblem(phi, y, gram=gram)
-
-    if init is not None:
-        x0 = init.to_vector()
-    else:
-        x0 = np.array([0.0, -np.log(float(np.var(y))), 0.0, 0.0])
-    x0_identity = np.array([x0[0], x0[1], 0.0, 0.0])
-
-    def run(x_start: np.ndarray, bounds) -> tuple:
-        path = [problem.value(x_start)]
-        res = minimize(
-            problem.value_and_grad,
-            x_start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=lambda xk: path.append(problem.value(xk)),
-            options={
-                "maxiter": opts.max_iter,
-                "ftol": opts.tol,
-                "gtol": opts.grad_tol,
-            },
-        )
-        return res, path
-
-    res_id, path_id = run(x0_identity, _BOUNDS_IDENTITY)
-    res_free, path_free = run(x0, _BOUNDS_FREE)
-    margin = _warp_engagement_margin(problem, res_id.x)
-    if res_free.fun < res_id.fun - margin:
-        chosen, path = res_free, path_free
-    else:
-        chosen, path = res_id, path_id
-        # exact identity warp on fallback
-        chosen.x[2:] = 0.0
-    if not chosen.success:
-        log.warning(
-            "region '%s': evidence optimization stopped without convergence (%s)",
-            region,
-            getattr(chosen, "message", ""),
-        )
-
-    h = Hyperparams.from_vector(chosen.x)
-    st = problem.state(h)
-    z = st.z
-    return RegionModel(
-        region=region,
-        weights=st.m,
-        chol_precision=st.chol,
-        hyperparams=h,
-        train_z_mean=float(np.mean(z)),
-        train_z_var=float(np.var(z)),
-        n_train=int(y.shape[0]),
-        converged=bool(chosen.success),
-        nll=float(st.nll),
-        nll_identity=float(res_id.fun),
-        nll_path=tuple(float(v) for v in path),
-    )
+    y = np.asarray(y, dtype=float)
+    if phi.ndim != 2 or y.ndim != 1:
+        raise InputError("design must be 2-d and responses 1-d")
+    return _fit_regions(
+        phi, y[:, None], (region,), opts or OptimizerSettings(), init=init
+    )[0]
 
 
 @dataclass
@@ -446,23 +669,19 @@ def fit_normative(
     workers: int = 1,
     seed: int | None = None,
 ) -> NormativeModel:
-    """Fit every region independently; results do not depend on worker count."""
+    """Fit every region of the training cohort on one shared design.
+
+    Regions are independent models, but they share the design's eigenbasis:
+    all identity-warp fits run together as one batched fixed point, then each
+    region gets its own free-warp L-BFGS-B run (see fit_region for the rule
+    that picks between them). `workers` is accepted for compatibility and
+    ignored; results never depended on it.
+    """
     config = config or ModelConfig()
     dm = fit_design(train, config)
-    phi = dm.values
-    gram = phi.T @ phi
-
-    def fit_one(d: int) -> RegionModel:
-        return fit_region(
-            phi, train.responses[:, d], region=train.regions[d], opts=opts, gram=gram
-        )
-
-    indices = range(train.n_regions)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            region_models = tuple(pool.map(fit_one, indices))
-    else:
-        region_models = tuple(fit_one(d) for d in indices)
+    region_models = _fit_regions(
+        dm.values, train.responses, train.regions, opts or OptimizerSettings()
+    )
     provenance = {
         "cohort_hash": train.content_hash(),
         "seed": seed,

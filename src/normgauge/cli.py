@@ -707,7 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-race fractions, e.g. A=0.02,B=0.05,W=0.93")
     p.add_argument("--default-train-frac", dest="default_train_frac", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument(
+        "--workers", type=int, help="accepted for compatibility; has no effect"
+    )
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("evaluate", help="score a cohort against a fitted bundle")

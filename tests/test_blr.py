@@ -19,6 +19,7 @@ from normgauge import (
     RegionModel,
     SchemaError,
     Subject,
+    SynthSpec,
     WarpParams,
     deviations,
     explained_variance,
@@ -26,6 +27,7 @@ from normgauge import (
     fit_metrics,
     fit_normative,
     fit_region,
+    generate,
     load_bundle,
     neg_log_evidence,
     neg_log_evidence_grad,
@@ -36,7 +38,15 @@ from normgauge import (
     warp_inverse,
     warp_log_jacobian,
 )
-from normgauge.blr import _EvidenceProblem
+from normgauge.blr import (
+    _EvidenceProblem,
+    _precision_cholesky,
+    _Spectrum,
+    _spectral_state,
+    _warp_engagement_margin,
+    _WarpedEvidence,
+)
+from normgauge.errors import NumericalError
 
 
 def make_cohort(ages, responses, sexes=None, races=None, regions=None):
@@ -220,6 +230,20 @@ class TestFitRegion:
             assert path.size >= 1
             assert np.all(np.diff(path) <= 1e-9)
 
+    def test_iteration_cap_flags_regions(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        x = rng.uniform(-1, 1, n)
+        phi = np.column_stack([np.ones(n), x, x * x])
+        gauss = 1.5 - 0.7 * x + rng.normal(0.0, 0.3, n)
+        skewed = np.asarray(
+            warp_inverse(0.8 + 0.6 * x + rng.normal(0.0, 1.0, n), WarpParams(0.5, -0.3))
+        )
+        capped = OptimizerSettings(max_iter=1)
+        for y in (gauss, skewed):
+            assert fit_region(phi, y, region="r").converged
+            assert not fit_region(phi, y, region="r", opts=capped).converged
+
     def test_held_out_deviation_calibration(self):
         # fit on draws from a known process, score fresh draws from it
         rng = np.random.default_rng(100)
@@ -233,6 +257,139 @@ class TestFitRegion:
         dev = deviations(model, test)
         assert abs(float(dev.Z.mean())) < 0.08
         assert 0.85 < float(dev.Z.var()) < 1.15
+
+
+class TestSpectralEngine:
+    """The fit's Cholesky-free evidence against the _EvidenceProblem reference."""
+
+    @staticmethod
+    def design_and_response(kind):
+        rng = np.random.default_rng(5)
+        n = 300
+        if kind == "full-rank":
+            phi = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        else:
+            ages = rng.uniform(20, 70, n)
+            phi = fit_design(make_cohort(ages, np.zeros(n)), ModelConfig()).values
+        y = phi @ rng.normal(0.0, 0.5, phi.shape[1]) + rng.normal(0.3, 0.4, n)
+        return phi, y
+
+    @pytest.mark.parametrize("kind", ["full-rank", "default"])
+    def test_matches_cholesky_reference_at_random_theta(self, kind):
+        phi, y = self.design_and_response(kind)
+        if kind == "default":
+            # the linear-age column lies in the span of the cubic B-splines,
+            # so G has a numerically zero eigenvalue
+            assert phi.shape[1] == 9 and np.linalg.matrix_rank(phi) == 8
+        problem = _EvidenceProblem(phi, y)
+        spectrum = _Spectrum.of(phi)
+        warped = _WarpedEvidence(spectrum, y)
+        rng = np.random.default_rng(11)
+        compared = 0
+        for _ in range(25):
+            theta = np.array(
+                [
+                    rng.uniform(-3, 3),
+                    rng.uniform(-3, 3),
+                    rng.uniform(-0.8, 0.8),
+                    rng.uniform(-0.5, 0.5),
+                ]
+            )
+            h = Hyperparams.from_vector(theta)
+            try:
+                st = problem.state(h)
+            except NumericalError:
+                continue
+            value, grad = warped.value_and_grad(theta)
+            assert value == pytest.approx(st.nll, rel=1e-9)
+            np.testing.assert_allclose(grad, problem._grad(h, st), rtol=1e-9)
+
+            # identity warp: evidence, gradient, margin and Cholesky factor
+            h_id = Hyperparams(log_alpha=theta[0], log_beta=theta[1])
+            st_id = problem.state(h_id)
+            state = _spectral_state(spectrum, y[None, :], theta[0:1], theta[1:2])
+            assert state.nll[0] == pytest.approx(st_id.nll, rel=1e-9)
+            np.testing.assert_allclose(
+                state.grad[0], problem._grad(h_id, st_id)[:2], rtol=1e-9
+            )
+            logdet = 2.0 * float(np.sum(np.log(np.diag(st_id.chol))))
+            a_inv = sla.cho_solve((st_id.chol, True), np.eye(phi.shape[1]))
+            reference_margin = (
+                0.5 * logdet
+                - 0.5 * phi.shape[1] * h_id.log_alpha
+                + 0.5 * (phi.shape[1] - h_id.alpha * float(np.trace(a_inv)))
+                + 3.0
+            )
+            margin = _warp_engagement_margin(spectrum, state, theta[0:1])
+            assert margin[0] == pytest.approx(reference_margin, rel=1e-9)
+            np.testing.assert_allclose(
+                _precision_cholesky(spectrum, state.lam[0]),
+                st_id.chol,
+                rtol=1e-9,
+                atol=1e-9 * float(np.max(np.abs(st_id.chol))),
+            )
+            compared += 1
+        assert compared >= 20
+
+    def test_identity_fit_is_stationary_for_the_reference(self):
+        phi, y = self.design_and_response("full-rank")
+        tight = OptimizerSettings(tol=1e-15, grad_tol=1e-10)
+        model = fit_region(phi, y, region="gauss", opts=tight)
+        assert model.hyperparams.warp.is_identity()
+        grad = neg_log_evidence_grad(phi, y, model.hyperparams)
+        assert np.max(np.abs(grad[:2])) < 1e-8
+        assert model.nll == pytest.approx(
+            neg_log_evidence(phi, y, model.hyperparams), rel=1e-12
+        )
+
+    def test_batched_fit_matches_single_region_fits(self):
+        rng = np.random.default_rng(21)
+        n = 200
+        ages = rng.uniform(20, 70, n)
+        responses = np.column_stack(
+            [0.02 * ages + rng.normal(0, s, n) for s in (0.1, 0.3, 1.0)]
+        )
+        cohort = make_cohort(ages, responses)
+        model = fit_normative(cohort, ModelConfig())
+        phi = fit_design(cohort, ModelConfig()).values
+        for d, batched in enumerate(model.region_models):
+            single = fit_region(phi, responses[:, d], region=batched.region)
+            assert single.nll == pytest.approx(batched.nll, rel=1e-10)
+            np.testing.assert_allclose(single.weights, batched.weights, rtol=1e-8)
+
+
+@pytest.fixture(scope="module")
+def affine_cohort():
+    cohort, _ = generate(
+        SynthSpec(n_per_group={"W": 3000}, n_regions=2, noise_sd=0.25, seed=3)
+    )
+    return cohort
+
+
+class TestAffineInvariance:
+    """Shifting or rescaling the responses must not break calibration.
+
+    The default design is rank-deficient; a Cholesky-based fit could stall at
+    its start point on shifted data and still report convergence, leaving
+    held-out Z variances near 0.13.
+    """
+
+    @pytest.mark.parametrize(
+        "shift,scale",
+        [(0.0, 1.0), (10.0, 1.0), (100.0, 1.0), (1000.0, 1.0), (0.0, 1000.0), (0.0, 0.001)],
+    )
+    def test_held_out_z_variance(self, affine_cohort, shift, scale):
+        cohort = Cohort(
+            subjects=affine_cohort.subjects,
+            regions=affine_cohort.regions,
+            responses=affine_cohort.responses * scale + shift,
+        )
+        train = cohort.subset(np.arange(1500))
+        test = cohort.subset(np.arange(1500, 3000))
+        model = fit_normative(train, ModelConfig())
+        assert all(rm.converged for rm in model.region_models)
+        z_var = float(deviations(model, test).Z.var())
+        assert 0.9 <= z_var <= 1.1, f"held-out Z variance {z_var:.3f}"
 
 
 class TestPredictRegion:

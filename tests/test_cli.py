@@ -1,12 +1,16 @@
 """End-to-end tests for the normgauge command line."""
 
 import filecmp
+import functools
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normgauge.cli
+from normgauge import OptimizerSettings, fit_normative
 from normgauge.cli import main
 
 
@@ -216,6 +220,32 @@ class TestDeterminism:
         assert run_cli("synth", "--spec", spec, "--out", out) == 0
         for name in ("covariates.csv", "features.csv"):
             assert filecmp.cmp(out / name, pipeline["data"] / name, shallow=False)
+
+
+class TestConvergenceFlag:
+    def test_iteration_cap_flags_every_region(self, pipeline, tmp_path, monkeypatch, caplog):
+        capped = functools.partial(fit_normative, opts=OptimizerSettings(max_iter=1))
+        monkeypatch.setattr(normgauge.cli, "fit_normative", capped)
+        out = tmp_path / "fit_capped"
+        with caplog.at_level(logging.WARNING, logger="normgauge"):
+            assert (
+                run_cli(
+                    "fit",
+                    "--covariates", pipeline["data"] / "covariates.csv",
+                    "--features", pipeline["data"] / "features.csv",
+                    "--out", out,
+                    "--default-train-frac", "0.8",
+                    "--seed", "3",
+                )
+                == 0
+            )
+        regions = json.loads((out / "regions.json").read_text())["regions"]
+        assert not any(r["converged"] for r in regions)
+        assert f"{len(regions)} region(s) flagged as not converged" in caplog.text
+
+    def test_default_fit_flags_nothing(self, pipeline):
+        regions = json.loads((pipeline["fit"] / "regions.json").read_text())["regions"]
+        assert all(r["converged"] for r in regions)
 
 
 class TestConfigFile:
