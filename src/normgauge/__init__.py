@@ -14,6 +14,7 @@ from .audit import (
     WelchResult,
     bh_fdr,
     group_difference,
+    group_parity,
     group_summary,
     parity_report,
     significant_fraction,
@@ -35,6 +36,7 @@ from .blr import (
     neg_log_evidence,
     neg_log_evidence_grad,
     predict_region,
+    region_metrics,
     save_bundle,
     standardized_log_loss,
 )

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .blr import NormativeModel, deviations, fit_metrics
+from .blr import DeviationMatrix, NormativeModel, deviations, explained_variance
 from .cohort import Cohort
 from .errors import InputError
 
@@ -201,15 +201,66 @@ def significant_fraction(flags: np.ndarray) -> float:
 
 @dataclass
 class ParityReport:
-    """Per-group aggregate performance plus max-min gaps across groups."""
+    """Per-group aggregate performance plus max-min gaps across groups.
+
+    A metric no group has (EV and MSLL without a model) has gap None.
+    """
 
     groups: tuple[str, ...]
     per_group: dict[str, dict]
-    gaps: dict[str, float]
+    gaps: dict[str, float | None]
     threshold: float
 
 
 _PARITY_METRICS = ("explained_variance", "msll", "mean_abs_deviation", "extreme_rate")
+
+
+def group_parity(
+    z_matrix: np.ndarray,
+    groups: Sequence[str],
+    threshold: float = DEFAULT_EXTREME_THRESHOLD,
+    scored: DeviationMatrix | None = None,
+) -> ParityReport:
+    """Per-group parity as reductions over each group's rows.
+
+    Mean |Z|, mean Z and the extreme rate pool all of a group's cells of
+    z_matrix. EV and MSLL need the model's scoring pass of the same rows,
+    `scored`: each is the mean over regions of the per-region metric on the
+    group's rows. Without it they are None.
+    """
+    z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
+    group_arr = np.asarray(list(groups))
+    if group_arr.shape[0] != z_matrix.shape[0]:
+        raise InputError(
+            f"{group_arr.shape[0]} group labels for {z_matrix.shape[0]} deviation rows"
+        )
+    labels = tuple(sorted(set(group_arr.tolist())))
+    per_group: dict[str, dict] = {}
+    for label in labels:
+        mask = group_arr == label
+        z = z_matrix[mask]
+        entry: dict = {"n": int(z.shape[0]), "explained_variance": None, "msll": None}
+        if scored is not None:
+            regions = range(scored.y.shape[1])
+            evs = [
+                explained_variance(scored.y[mask, j], scored.yhat[mask, j])
+                for j in regions
+            ]
+            evs = [ev for ev in evs if ev is not None]
+            entry["explained_variance"] = float(np.mean(evs)) if evs else None
+            entry["msll"] = float(
+                np.mean([np.mean(scored.log_loss[mask, j]) for j in regions])
+            )
+        entry["mean_abs_deviation"] = float(np.mean(np.abs(z)))
+        entry["mean_deviation"] = float(np.mean(z))
+        entry["extreme_rate"] = float(np.mean(np.abs(z) > threshold))
+        per_group[label] = entry
+
+    gaps: dict[str, float | None] = {}
+    for metric in _PARITY_METRICS:
+        vals = [e[metric] for e in per_group.values() if e[metric] is not None]
+        gaps[metric] = float(max(vals) - min(vals)) if vals else None
+    return ParityReport(groups=labels, per_group=per_group, gaps=gaps, threshold=threshold)
 
 
 def parity_report(
@@ -218,44 +269,10 @@ def parity_report(
     threshold: float = DEFAULT_EXTREME_THRESHOLD,
     groups: Sequence[str] | None = None,
 ) -> ParityReport:
-    """Evaluate the model per race group and report between-group gaps.
+    """Score the cohort once and report parity across race groups.
 
-    EV and MSLL are means over regions of the per-region metrics on that
-    group's subjects; mean |Z| and the extreme rate pool all group cells.
+    `groups` overrides the cohort's race labels; see group_parity.
     """
+    scored = deviations(model, cohort)
     group_of = list(groups) if groups is not None else list(cohort.races())
-    if len(group_of) != cohort.n_subjects:
-        raise InputError(
-            f"{len(group_of)} group labels for {cohort.n_subjects} subjects"
-        )
-    labels = tuple(sorted(set(group_of)))
-    group_arr = np.asarray(group_of)
-    per_group: dict[str, dict] = {}
-    for label in labels:
-        idx = np.nonzero(group_arr == label)[0]
-        entry: dict = {"n": int(idx.size)}
-        if idx.size == 0:
-            entry.update({m: None for m in _PARITY_METRICS})
-            entry["mean_deviation"] = None
-            per_group[label] = entry
-            continue
-        sub = cohort.subset(idx)
-        metrics = fit_metrics(model, sub)
-        evs = [m.explained_variance for m in metrics if m.explained_variance is not None]
-        entry["explained_variance"] = float(np.mean(evs)) if evs else None
-        entry["msll"] = float(np.mean([m.msll for m in metrics]))
-        dm = deviations(model, sub)
-        entry["mean_abs_deviation"] = float(np.mean(np.abs(dm.Z)))
-        entry["mean_deviation"] = float(np.mean(dm.Z))
-        entry["extreme_rate"] = float(np.mean(np.abs(dm.Z) > threshold))
-        per_group[label] = entry
-
-    gaps: dict[str, float] = {}
-    for metric in _PARITY_METRICS:
-        vals = [
-            per_group[g][metric]
-            for g in labels
-            if per_group[g][metric] is not None
-        ]
-        gaps[metric] = float(max(vals) - min(vals)) if vals else float("nan")
-    return ParityReport(groups=labels, per_group=per_group, gaps=gaps, threshold=threshold)
+    return group_parity(scored.Z, group_of, threshold, scored)

@@ -698,13 +698,23 @@ def fit_normative(
 
 @dataclass
 class DeviationMatrix:
-    """Standardized latent deviations Z and original-unit errors E = y - yhat."""
+    """One scoring pass of a cohort against the reference model.
+
+    Columns follow the model's region order. Z = (z - zhat) / sqrt(noise
+    variance + model variance) on the latent scale, E = y - yhat in original
+    units, and log_loss is the per-cell log loss of the model minus that of
+    the training-baseline Gaussian, so its column means are the MSLL. y holds
+    the responses, a view of the cohort's when the region orders agree. Fit
+    metrics and parity are reductions of this result over rows and columns.
+    """
 
     ids: tuple[str, ...]
     regions: tuple[str, ...]
     Z: np.ndarray
     E: np.ndarray
     yhat: np.ndarray
+    log_loss: np.ndarray
+    y: np.ndarray
 
 
 def _check_regions(model: NormativeModel, cohort: Cohort) -> list[int]:
@@ -720,32 +730,53 @@ def _check_regions(model: NormativeModel, cohort: Cohort) -> list[int]:
     return [cohort_idx[r] for r in model.region_names]
 
 
-def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
-    """Score a cohort against the reference model.
+def _log_loss_terms(
+    z: np.ndarray,
+    zhat: np.ndarray,
+    var_pred: np.ndarray,
+    baseline_mean: float,
+    baseline_var: float,
+) -> np.ndarray:
+    model_ll = 0.5 * np.log(2.0 * np.pi * var_pred) + np.square(z - zhat) / (
+        2.0 * var_pred
+    )
+    base_ll = 0.5 * np.log(2.0 * np.pi * baseline_var) + np.square(
+        z - baseline_mean
+    ) / (2.0 * baseline_var)
+    return model_ll - base_ll
 
-    Z = (z - zhat) / sqrt(noise_variance + model_variance) on the latent scale,
-    E = y - yhat in original units.
+
+def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
+    """Score a cohort against the reference model: the one scoring pass.
+
+    Builds the design once and predicts each region once; fit_metrics and
+    parity reduce the result instead of scoring again.
     """
     cols = _check_regions(model, cohort)
     phi = apply_design(cohort.subjects, model.schema).values
-    n, d_count = cohort.n_subjects, len(cols)
-    z_scores = np.empty((n, d_count))
-    errors = np.empty((n, d_count))
-    yhats = np.empty((n, d_count))
-    for j, (rm, col) in enumerate(zip(model.region_models, cols)):
-        y = cohort.responses[:, col]
+    responses = cohort.responses
+    if cols != list(range(cohort.n_regions)):
+        responses = responses[:, cols]
+    z_scores, errors, yhats, log_loss = (np.empty(responses.shape) for _ in range(4))
+    for j, rm in enumerate(model.region_models):
+        y = responses[:, j]
         pred = predict_region(rm, phi)
         z = warp_forward(y, rm.hyperparams.warp)
-        denom = np.sqrt(pred.noise_variance + pred.model_variance)
-        z_scores[:, j] = (z - pred.zhat) / denom
+        var_pred = pred.noise_variance + pred.model_variance
+        z_scores[:, j] = (z - pred.zhat) / np.sqrt(var_pred)
         errors[:, j] = y - pred.yhat
         yhats[:, j] = pred.yhat
+        log_loss[:, j] = _log_loss_terms(
+            z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var
+        )
     return DeviationMatrix(
         ids=cohort.ids,
         regions=model.region_names,
         Z=z_scores,
         E=errors,
         yhat=yhats,
+        log_loss=log_loss,
+        y=responses,
     )
 
 
@@ -771,13 +802,8 @@ def standardized_log_loss(
     scoring the baseline against itself gives exactly 0.
     """
     z = np.asarray(z, dtype=float)
-    model_ll = 0.5 * np.log(2.0 * np.pi * var_pred) + np.square(z - zhat) / (
-        2.0 * var_pred
-    )
-    base_ll = 0.5 * np.log(2.0 * np.pi * baseline_var) + np.square(
-        z - baseline_mean
-    ) / (2.0 * baseline_var)
-    return float(np.mean(model_ll - base_ll))
+    terms = _log_loss_terms(z, zhat, var_pred, baseline_mean, baseline_var)
+    return float(np.mean(terms))
 
 
 @dataclass
@@ -789,29 +815,26 @@ class RegionFitMetrics:
     kurtosis: float
 
 
-def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]:
-    """Per-region fit quality on a cohort: EV, MSLL, and Z-moment diagnostics."""
-    cols = _check_regions(model, cohort)
-    phi = apply_design(cohort.subjects, model.schema).values
-    out = []
-    for rm, col in zip(model.region_models, cols):
-        y = cohort.responses[:, col]
-        pred = predict_region(rm, phi)
-        z = warp_forward(y, rm.hyperparams.warp)
-        var_pred = pred.noise_variance + pred.model_variance
-        z_dev = (z - pred.zhat) / np.sqrt(var_pred)
-        out.append(
-            RegionFitMetrics(
-                region=rm.region,
-                explained_variance=explained_variance(y, pred.yhat),
-                msll=standardized_log_loss(
-                    z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var
-                ),
-                skew=float(stats.skew(z_dev)),
-                kurtosis=float(stats.kurtosis(z_dev)),
-            )
+def region_metrics(dm: DeviationMatrix) -> list[RegionFitMetrics]:
+    """Per-region fit quality: EV, MSLL, and Z-moment diagnostics.
+
+    Each field is a reduction of one column of the scoring pass.
+    """
+    return [
+        RegionFitMetrics(
+            region=region,
+            explained_variance=explained_variance(dm.y[:, j], dm.yhat[:, j]),
+            msll=float(np.mean(dm.log_loss[:, j])),
+            skew=float(stats.skew(dm.Z[:, j])),
+            kurtosis=float(stats.kurtosis(dm.Z[:, j])),
         )
-    return out
+        for j, region in enumerate(dm.regions)
+    ]
+
+
+def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]:
+    """Per-region fit quality on a cohort: region_metrics of one deviations() pass."""
+    return region_metrics(deviations(model, cohort))
 
 
 MODEL_FILE = "model.json"

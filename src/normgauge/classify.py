@@ -226,37 +226,6 @@ class ClassifierReport:
         return float(np.mean([self.class_mean(name, c) for c in self.classes]))
 
 
-def _evaluate_split(
-    x: np.ndarray,
-    labels: np.ndarray,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    config: ClassifierConfig,
-    classes: tuple[str, ...],
-    fold: int,
-    report_rows: dict,
-) -> None:
-    model = fit_ovr_logistic(x[train_idx], labels[train_idx], config)
-    scores = decision_scores(model, x[test_idx])
-    test_labels = labels[test_idx]
-    preds = np.asarray(model.classes)[np.argmax(scores, axis=1)]
-    for ci, cls in enumerate(classes):
-        true_mask = test_labels == cls
-        if true_mask.any() and (~true_mask).any():
-            col = model.classes.index(cls)
-            fpr, tpr, auc = roc_points(scores[:, col], true_mask.astype(int))
-            report_rows["auc"][ci, fold] = auc
-            report_rows["roc"][(cls, fold)] = (fpr, tpr)
-            p, r, f = _binary_prf(true_mask, preds == cls)
-            report_rows["precision"][ci, fold] = p
-            report_rows["recall"][ci, fold] = r
-            report_rows["f"][ci, fold] = f
-        else:
-            log.warning("fold %d: class '%s' missing from test set", fold, cls)
-    for true_label, pred_label in zip(test_labels, preds):
-        report_rows["counts"][classes.index(true_label), classes.index(pred_label)] += 1
-
-
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     counts = counts.astype(float)
     sums = counts.sum(axis=1, keepdims=True)
@@ -266,12 +235,65 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _report(
+    x: np.ndarray,
+    labels: np.ndarray,
+    classes: tuple[str, ...],
+    test_folds: list[np.ndarray],
+    config: ClassifierConfig,
+) -> ClassifierReport:
+    """Fit on all rows outside each test-index array and score that array.
+
+    Each array is one fold column of the report.
+    """
+    shape = (len(classes), len(test_folds))
+    auc, precision, recall, f_score = (np.full(shape, np.nan) for _ in range(4))
+    roc: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+    counts = np.zeros((len(classes), len(classes)), dtype=int)
+    for fold, test_idx in enumerate(test_folds):
+        train_mask = np.ones(len(labels), dtype=bool)
+        train_mask[test_idx] = False
+        model = fit_ovr_logistic(x[train_mask], labels[train_mask], config)
+        scores = decision_scores(model, x[test_idx])
+        test_labels = labels[test_idx]
+        preds = np.asarray(model.classes)[np.argmax(scores, axis=1)]
+        for ci, cls in enumerate(classes):
+            true_mask = test_labels == cls
+            if true_mask.any() and (~true_mask).any():
+                col = model.classes.index(cls)
+                fpr, tpr, auc[ci, fold] = roc_points(
+                    scores[:, col], true_mask.astype(int)
+                )
+                roc[(cls, fold)] = (fpr, tpr)
+                precision[ci, fold], recall[ci, fold], f_score[ci, fold] = _binary_prf(
+                    true_mask, preds == cls
+                )
+            else:
+                log.warning("fold %d: class '%s' missing from test set", fold, cls)
+        for true_label, pred_label in zip(test_labels, preds):
+            counts[classes.index(true_label), classes.index(pred_label)] += 1
+    return ClassifierReport(
+        classes=classes,
+        n_folds=len(test_folds),
+        auc=auc,
+        precision=precision,
+        recall=recall,
+        f_score=f_score,
+        roc_curves=roc,
+        confusion_counts=counts,
+        confusion_pooled=_normalize_rows(counts),
+        config=config,
+    )
+
+
 def cross_validate(
     x: np.ndarray, labels: Sequence[str], config: ClassifierConfig | None = None
 ) -> ClassifierReport:
-    """Stratified k-fold evaluation of the one-vs-rest classifier."""
+    """Stratified k-fold evaluation of the one-vs-rest classifier.
+
+    The report has one column per fold (see stratified_folds).
+    """
     config = config or ClassifierConfig()
-    x = np.asarray(x, dtype=float)
     labels = np.asarray(list(labels))
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
@@ -284,34 +306,7 @@ def cross_validate(
                 f"{config.n_folds} folds"
             )
     folds = stratified_folds(labels, config.n_folds, config.seed)
-    shape = (len(classes), config.n_folds)
-    rows = {
-        "auc": np.full(shape, np.nan),
-        "precision": np.full(shape, np.nan),
-        "recall": np.full(shape, np.nan),
-        "f": np.full(shape, np.nan),
-        "roc": {},
-        "counts": np.zeros((len(classes), len(classes)), dtype=int),
-    }
-    all_idx = np.arange(len(labels))
-    for fold, test_idx in enumerate(folds):
-        train_mask = np.ones(len(labels), dtype=bool)
-        train_mask[test_idx] = False
-        _evaluate_split(
-            x, labels, all_idx[train_mask], test_idx, config, classes, fold, rows
-        )
-    return ClassifierReport(
-        classes=classes,
-        n_folds=config.n_folds,
-        auc=rows["auc"],
-        precision=rows["precision"],
-        recall=rows["recall"],
-        f_score=rows["f"],
-        roc_curves=rows["roc"],
-        confusion_counts=rows["counts"],
-        confusion_pooled=_normalize_rows(rows["counts"]),
-        config=config,
-    )
+    return _report(np.asarray(x, dtype=float), labels, classes, folds, config)
 
 
 def evaluate_holdout(
@@ -320,54 +315,27 @@ def evaluate_holdout(
     config: ClassifierConfig | None = None,
     test_fraction: float = 0.2,
 ) -> ClassifierReport:
-    """Single stratified holdout evaluation; report has one fold column."""
+    """Single stratified holdout evaluation; report has one fold column.
+
+    The holdout is the one test-index array of the same report builder that
+    cross_validate uses. Each class gives floor(test_fraction * size) of its
+    members, at least one, drawn by its own stream keyed on (seed, class index).
+    """
     config = config or ClassifierConfig()
     if not (0.0 < test_fraction < 1.0):
         raise InputError(f"test fraction must be in (0, 1), got {test_fraction}")
-    labels_arr = np.asarray(list(labels))
-    classes = tuple(sorted(set(labels_arr.tolist())))
+    labels = np.asarray(list(labels))
+    classes = tuple(sorted(set(labels.tolist())))
     test_parts = []
     for ci, cls in enumerate(classes):
-        idx = np.nonzero(labels_arr == cls)[0]
+        idx = np.nonzero(labels == cls)[0]
         if idx.size < 2:
             raise InputError(f"class '{cls}' has fewer than 2 members")
         k = max(1, int(np.floor(test_fraction * idx.size + 1e-9)))
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, ci]))
         test_parts.append(rng.permutation(idx)[:k])
     test_idx = np.array(sorted(int(i) for i in np.concatenate(test_parts)))
-    train_mask = np.ones(len(labels_arr), dtype=bool)
-    train_mask[test_idx] = False
-    shape = (len(classes), 1)
-    rows = {
-        "auc": np.full(shape, np.nan),
-        "precision": np.full(shape, np.nan),
-        "recall": np.full(shape, np.nan),
-        "f": np.full(shape, np.nan),
-        "roc": {},
-        "counts": np.zeros((len(classes), len(classes)), dtype=int),
-    }
-    _evaluate_split(
-        np.asarray(x, dtype=float),
-        labels_arr,
-        np.arange(len(labels_arr))[train_mask],
-        test_idx,
-        config,
-        classes,
-        0,
-        rows,
-    )
-    return ClassifierReport(
-        classes=classes,
-        n_folds=1,
-        auc=rows["auc"],
-        precision=rows["precision"],
-        recall=rows["recall"],
-        f_score=rows["f"],
-        roc_curves=rows["roc"],
-        confusion_counts=rows["counts"],
-        confusion_pooled=_normalize_rows(rows["counts"]),
-        config=config,
-    )
+    return _report(np.asarray(x, dtype=float), labels, classes, [test_idx], config)
 
 
 def permutation_null_auc(

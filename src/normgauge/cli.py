@@ -23,11 +23,18 @@ from ._version import __version__
 from .audit import (
     bh_fdr,
     group_difference,
+    group_parity,
     group_summary,
-    parity_report,
     significant_fraction,
 )
-from .blr import fit_metrics, fit_normative, deviations, load_bundle, save_bundle
+from .blr import (
+    deviations,
+    fit_metrics,
+    fit_normative,
+    load_bundle,
+    region_metrics,
+    save_bundle,
+)
 from .cohort import (
     CohortSchema,
     SplitSpec,
@@ -266,12 +273,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if cohort.n_subjects == 0:
         raise InputError("no subjects to evaluate")
     dm = deviations(model, cohort)
-    metrics = fit_metrics(model, cohort)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "deviations.csv", list(dm.ids), list(dm.regions), dm.Z)
     write_matrix_csv(out / "errors.csv", list(dm.ids), list(dm.regions), dm.E)
-    write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(metrics))
+    write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(region_metrics(dm)))
     _write_run_config(out, "evaluate", cfg)
     log.info("scored %d subjects x %d regions", dm.Z.shape[0], dm.Z.shape[1])
     return 0
@@ -305,6 +311,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _resolve(
         args, defaults, required=("deviations", "errors", "covariates", "out", "contrasts")
     )
+    if (cfg["bundle"] is None) != (cfg["features"] is None):
+        raise InputError("provide both --bundle and --features or neither")
     ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"])
     ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"])
     if ids_z != ids_e or regions_z != regions_e:
@@ -393,39 +401,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         out / "table4.csv", ["contrast", "metric", "pct_significant"], table4_rows
     )
 
-    if cfg["bundle"] is not None and cfg["features"] is not None:
+    scored = None
+    if cfg["bundle"] is not None:
         model = load_bundle(cfg["bundle"])
         cohort, _ = load_cohort(cfg["covariates"], cfg["features"], schema)
         cohort = cohort.subset_by_ids(list(ids_z))
-        parity = parity_report(model, cohort, threshold)
-        per_group = parity.per_group
-        gaps = parity.gaps
-    else:
-        # without the model, parity covers the deviation-based metrics only
-        per_group = {}
-        group_arr = np.asarray(groups)
-        for label in sorted(present):
-            rows_g = z_matrix[group_arr == label]
-            per_group[label] = {
-                "n": int(rows_g.shape[0]),
-                "explained_variance": None,
-                "msll": None,
-                "mean_abs_deviation": float(np.mean(np.abs(rows_g))),
-                "mean_deviation": float(np.mean(rows_g)),
-                "extreme_rate": float(np.mean(np.abs(rows_g) > threshold)),
-            }
-        gaps = {}
-        for metric in ("explained_variance", "msll", "mean_abs_deviation", "extreme_rate"):
-            vals = [
-                per_group[g][metric]
-                for g in per_group
-                if per_group[g][metric] is not None
-            ]
-            gaps[metric] = float(max(vals) - min(vals)) if vals else None
-    gaps = {
-        k: (None if isinstance(v, float) and math.isnan(v) else v)
-        for k, v in gaps.items()
-    }
+        scored = deviations(model, cohort)
+    parity = group_parity(z_matrix, groups, threshold, scored)
     dump_json(
         {
             "threshold": threshold,
@@ -434,8 +416,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "test": "welch_two_sample",
                 "correction": "benjamini_hochberg",
             },
-            "per_group": per_group,
-            "gaps": gaps,
+            "per_group": parity.per_group,
+            "gaps": parity.gaps,
         },
         out / "parity.json",
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import stats
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
@@ -21,6 +22,7 @@ from normgauge import (
     Subject,
     SynthSpec,
     WarpParams,
+    apply_design,
     deviations,
     explained_variance,
     fit_design,
@@ -524,6 +526,37 @@ class TestFitMetrics:
         assert metrics.msll < -0.5
         assert abs(metrics.skew) < 0.3
         assert abs(metrics.kurtosis) < 0.6
+
+    def test_matches_per_region_scoring(self):
+        # The reference is the former algorithm: predict each region on its
+        # own and apply the public metric functions to it.
+        cohort, _ = generate(
+            SynthSpec(
+                n_per_group={"W": 400},
+                n_regions=3,
+                noise_sd=0.5,
+                noise_skew=WarpParams(epsilon=0.5, log_delta=-0.3),
+                seed=4,
+            )
+        )
+        model = fit_normative(cohort.subset(np.arange(250)))
+        assert any(not rm.hyperparams.warp.is_identity() for rm in model.region_models)
+        test = cohort.subset(np.arange(250, 400))
+        phi = apply_design(test.subjects, model.schema).values
+        metrics = fit_metrics(model, test)
+        for j, (rm, got) in enumerate(zip(model.region_models, metrics)):
+            y = test.responses[:, j]
+            pred = predict_region(rm, phi)
+            z = warp_forward(y, rm.hyperparams.warp)
+            var_pred = pred.noise_variance + pred.model_variance
+            z_dev = (z - pred.zhat) / np.sqrt(var_pred)
+            assert got.region == rm.region
+            assert got.explained_variance == explained_variance(y, pred.yhat)
+            assert got.msll == standardized_log_loss(
+                z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var
+            )
+            assert got.skew == float(stats.skew(z_dev))
+            assert got.kurtosis == float(stats.kurtosis(z_dev))
 
 
 class TestNormativeModel:

@@ -361,6 +361,87 @@ class TestExitCodes:
         assert "'Q'" in capsys.readouterr().err
 
 
+class TestAuditParity:
+    def audit(self, pipeline, out, *extra):
+        return run_cli(
+            "audit",
+            "--deviations", pipeline["eval"] / "deviations.csv",
+            "--errors", pipeline["eval"] / "errors.csv",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", out,
+            "--contrasts", "W:A", "W:B",
+            *extra,
+        )
+
+    def test_deviation_metrics_do_not_depend_on_the_model(self, pipeline, tmp_path):
+        assert self.audit(pipeline, tmp_path / "bare") == 0
+        bare = json.loads((tmp_path / "bare" / "parity.json").read_text())
+        full = json.loads((pipeline["audit"] / "parity.json").read_text())
+        assert set(bare["per_group"]) == set(full["per_group"]) == {"A", "B", "W"}
+        for label, entry in bare["per_group"].items():
+            for key in ("n", "mean_abs_deviation", "mean_deviation", "extreme_rate"):
+                assert entry[key] == full["per_group"][label][key], (label, key)
+            assert entry["explained_variance"] is None
+            assert entry["msll"] is None
+        for key in ("mean_abs_deviation", "extreme_rate"):
+            assert bare["gaps"][key] == full["gaps"][key]
+        assert bare["gaps"]["explained_variance"] is None
+        assert bare["gaps"]["msll"] is None
+
+    @pytest.mark.parametrize("given", ["--bundle", "--features"])
+    def test_half_given_model_exit_two(self, pipeline, tmp_path, capsys, given):
+        source = {
+            "--bundle": pipeline["fit"],
+            "--features": pipeline["data"] / "features.csv",
+        }
+        assert self.audit(pipeline, tmp_path / "out", given, source[given]) == 2
+        err = capsys.readouterr().err
+        assert "provide both --bundle and --features or neither" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestClampWarning:
+    def test_logged_once_per_scoring_command(self, pipeline, tmp_path, caplog):
+        data, fit, ev = pipeline["data"], tmp_path / "fit", tmp_path / "eval"
+        # synthetic ages span 20-70, so a 30-60 knot range clamps some of them
+        assert (
+            run_cli(
+                "fit",
+                "--covariates", data / "covariates.csv",
+                "--features", data / "features.csv",
+                "--out", fit,
+                "--default-train-frac", "0.8",
+                "--knot-lo", "30",
+                "--knot-hi", "60",
+            )
+            == 0
+        )
+        commands = {
+            "evaluate": [
+                "--bundle", fit,
+                "--covariates", data / "covariates.csv",
+                "--features", data / "features.csv",
+                "--ids", fit / "test_ids.txt",
+                "--out", ev,
+            ],
+            "audit": [
+                "--deviations", ev / "deviations.csv",
+                "--errors", ev / "errors.csv",
+                "--covariates", data / "covariates.csv",
+                "--out", tmp_path / "audit",
+                "--contrasts", "W:A", "W:B",
+                "--bundle", fit,
+                "--features", data / "features.csv",
+            ],
+        }
+        for command, argv in commands.items():
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="normgauge"):
+                assert run_cli(command, *argv) == 0
+            clamped = [r for r in caplog.records if "clamped" in r.getMessage()]
+            assert len(clamped) == 1, command
+
+
 class TestReportResilience:
     def test_missing_audit_noted_but_exit_zero(self, pipeline, tmp_path):
         run_dir = tmp_path / "partial"
