@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .blr import DeviationMatrix, NormativeModel, deviations, explained_variance
 from .cohort import Cohort
@@ -153,7 +153,8 @@ def group_difference(
     ok = ~degenerate
     t[ok] = t_reg[ok]
     df[ok] = df_reg[ok]
-    p[ok] = 2.0 * stats.t.sf(np.abs(t_reg[ok]), df_reg[ok])
+    # two-sided p from Student's t survival function, as scipy.stats.t.sf does
+    p[ok] = 2.0 * special.stdtr(df_reg[ok], -np.abs(t_reg[ok]))
     # zero variance in both groups: equal means are a perfect null, unequal
     # means are an unambiguous difference
     for j in np.nonzero(degenerate)[0]:

@@ -55,12 +55,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
 from scipy.optimize import minimize
 
 from ._version import __version__
 from .cohort import Cohort
-from .design import DesignSchema, ModelConfig, apply_design, fit_design
+from .design import DesignMatrix, DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
 from .serialize import dump_json, load_json
 from .warp import WarpParams, warp_forward, warp_inverse
@@ -668,6 +667,7 @@ def fit_normative(
     opts: OptimizerSettings | None = None,
     workers: int = 1,
     seed: int | None = None,
+    design: DesignMatrix | None = None,
 ) -> NormativeModel:
     """Fit every region of the training cohort on one shared design.
 
@@ -675,10 +675,12 @@ def fit_normative(
     all identity-warp fits run together as one batched fixed point, then each
     region gets its own free-warp L-BFGS-B run (see fit_region for the rule
     that picks between them). `workers` is accepted for compatibility and
-    ignored; results never depended on it.
+    ignored; results never depended on it. `design` is fit_design(train,
+    config) when the caller has built it already, so that it can score the
+    training cohort on the same design; otherwise it is built here.
     """
     config = config or ModelConfig()
-    dm = fit_design(train, config)
+    dm = design if design is not None else fit_design(train, config)
     region_models = _fit_regions(
         dm.values, train.responses, train.regions, opts or OptimizerSettings()
     )
@@ -746,14 +748,22 @@ def _log_loss_terms(
     return model_ll - base_ll
 
 
-def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
+def deviations(
+    model: NormativeModel, cohort: Cohort, design: DesignMatrix | None = None
+) -> DeviationMatrix:
     """Score a cohort against the reference model: the one scoring pass.
 
-    Builds the design once and predicts each region once; fit_metrics and
-    parity reduce the result instead of scoring again.
+    Builds the design once, unless `design` (the cohort's rows under
+    model.schema, such as the training design of a fit) is given, and predicts
+    each region once; fit_metrics and parity reduce the result instead of
+    scoring again.
     """
     cols = _check_regions(model, cohort)
-    phi = apply_design(cohort.subjects, model.schema).values
+    if design is None:
+        design = apply_design(cohort.subjects, model.schema)
+    elif design.schema != model.schema or design.values.shape[0] != cohort.n_subjects:
+        raise ValueError("design does not belong to this model and cohort")
+    phi = design.values
     responses = cohort.responses
     if cols != list(range(cohort.n_regions)):
         responses = responses[:, cols]
@@ -815,26 +825,48 @@ class RegionFitMetrics:
     kurtosis: float
 
 
+def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
+    """Biased skew and excess kurtosis of one column, as scipy.stats computes them.
+
+    The central moments are formed in scipy's order of operations, so the
+    results are bitwise equal to scipy.stats.skew and scipy.stats.kurtosis;
+    a column whose variance is zero to within rounding of its mean gives NaN.
+    """
+    mean = z.mean(keepdims=True)
+    d = z - mean
+    d2 = d**2
+    m2, m3, m4 = np.mean(d2), np.mean(d2 * d), np.mean(d2**2)
+    with np.errstate(all="ignore"):
+        if m2 <= (np.finfo(float).eps * mean[0]) ** 2:
+            return np.nan, np.nan
+        return float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)
+
+
 def region_metrics(dm: DeviationMatrix) -> list[RegionFitMetrics]:
     """Per-region fit quality: EV, MSLL, and Z-moment diagnostics.
 
     Each field is a reduction of one column of the scoring pass.
     """
-    return [
-        RegionFitMetrics(
-            region=region,
-            explained_variance=explained_variance(dm.y[:, j], dm.yhat[:, j]),
-            msll=float(np.mean(dm.log_loss[:, j])),
-            skew=float(stats.skew(dm.Z[:, j])),
-            kurtosis=float(stats.kurtosis(dm.Z[:, j])),
+    metrics = []
+    for j, region in enumerate(dm.regions):
+        skew, kurtosis = _skew_kurtosis(dm.Z[:, j])
+        metrics.append(
+            RegionFitMetrics(
+                region=region,
+                explained_variance=explained_variance(dm.y[:, j], dm.yhat[:, j]),
+                msll=float(np.mean(dm.log_loss[:, j])),
+                skew=skew,
+                kurtosis=kurtosis,
+            )
         )
-        for j, region in enumerate(dm.regions)
-    ]
+    return metrics
 
 
-def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]:
+def fit_metrics(
+    model: NormativeModel, cohort: Cohort, design: DesignMatrix | None = None
+) -> list[RegionFitMetrics]:
     """Per-region fit quality on a cohort: region_metrics of one deviations() pass."""
-    return region_metrics(deviations(model, cohort))
+    return region_metrics(deviations(model, cohort, design))
 
 
 MODEL_FILE = "model.json"

@@ -54,7 +54,7 @@ from .classify import (
     write_confusion,
     write_roc_points,
 )
-from .design import BasisConfig, ModelConfig
+from .design import BasisConfig, ModelConfig, fit_design
 from .errors import InputError, NormgaugeError, SchemaError
 from .serialize import dump_json, load_json, read_matrix_csv, write_csv, write_matrix_csv
 from .synth import SynthSpec, generate
@@ -209,10 +209,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         ),
         race_reference_level=str(cfg["race_reference"]),
     )
+    design = fit_design(train, model_config)
     model = fit_normative(
-        train, model_config, workers=int(cfg["workers"]), seed=int(cfg["seed"])
+        train,
+        model_config,
+        workers=int(cfg["workers"]),
+        seed=int(cfg["seed"]),
+        design=design,
     )
-    metrics = fit_metrics(model, train)
+    metrics = fit_metrics(model, train, design)
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

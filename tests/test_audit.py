@@ -141,6 +141,20 @@ class TestGroupDifference:
         assert res.t[0] == pytest.approx(ref.statistic, rel=1e-12)
         assert res.p[0] == pytest.approx(ref.pvalue, rel=1e-10)
 
+    def test_p_is_scipy_t_survival_function(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(9)
+        d = 400
+        shift = np.concatenate([np.zeros(d // 2), rng.uniform(0, 3, d // 2)])
+        scale = 10.0 ** rng.uniform(-3, 3, d)
+        x = rng.normal(shift, 1.0, (23, d)) * scale
+        y = rng.standard_t(4, (91, d)) * rng.uniform(0.2, 5, d) * scale
+        labels = ["a"] * 23 + ["b"] * 91
+        res = group_difference(np.vstack([x, y]), labels, ("a", "b"))
+        assert np.all(np.isfinite(res.p)) and res.p.min() < 1e-12
+        np.testing.assert_array_equal(res.p, 2.0 * stats.t.sf(np.abs(res.t), res.df))
+
     def test_single_member_group_untestable(self, caplog):
         values = np.arange(8.0).reshape(4, 2)
         with caplog.at_level("WARNING"):

@@ -1,6 +1,7 @@
 """Tests for the warped Bayesian regression core: evidence, fits, deviations, metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.stats import multivariate_normal
 from normgauge import (
     BasisConfig,
     Cohort,
+    DeviationMatrix,
     Hyperparams,
     InputError,
     ModelConfig,
@@ -34,6 +36,7 @@ from normgauge import (
     neg_log_evidence,
     neg_log_evidence_grad,
     predict_region,
+    region_metrics,
     save_bundle,
     standardized_log_loss,
     warp_forward,
@@ -486,6 +489,21 @@ class TestDeviations:
         with pytest.raises(SchemaError, match="r0"):
             deviations(model, other)
 
+    def test_training_design_reused_by_fit_and_metrics(self):
+        rng = np.random.default_rng(7)
+        ages = rng.uniform(20, 70, 200)
+        cohort = make_cohort(ages, 1.0 + 0.02 * ages[:, None] + rng.normal(0, 0.3, (200, 3)))
+        config = ModelConfig()
+        design = fit_design(cohort, config)
+        model = fit_normative(cohort, config, design=design)
+        reference = fit_normative(cohort, config)
+        for got, ref in zip(model.region_models, reference.region_models):
+            np.testing.assert_array_equal(got.weights, ref.weights)
+            assert got.hyperparams == ref.hyperparams
+        assert fit_metrics(model, cohort, design) == fit_metrics(reference, cohort)
+        with pytest.raises(ValueError, match="design does not belong"):
+            deviations(model, cohort.subset(np.arange(100)), design)
+
 
 class TestFitMetrics:
     def test_perfect_prediction_ev_one(self):
@@ -557,6 +575,87 @@ class TestFitMetrics:
             )
             assert got.skew == float(stats.skew(z_dev))
             assert got.kurtosis == float(stats.kurtosis(z_dev))
+
+
+class TestZMomentsMatchScipy:
+    """region_metrics skew and kurtosis are bitwise scipy.stats.skew/kurtosis."""
+
+    @staticmethod
+    def scipy_moments(column):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return float(stats.skew(column)), float(stats.kurtosis(column))
+
+    @staticmethod
+    def assert_same(got, expected):
+        for a, b in zip(got, expected):
+            assert a == b or (math.isnan(a) and math.isnan(b)), (got, expected)
+
+    @pytest.mark.parametrize(
+        "noise_skew",
+        [None, WarpParams(epsilon=0.5, log_delta=-0.3)],
+        ids=["gauss", "skewed"],
+    )
+    def test_fitted_models(self, noise_skew):
+        cohort, _ = generate(
+            SynthSpec(
+                n_per_group={"W": 500},
+                n_regions=6,
+                noise_sd=0.5,
+                noise_skew=noise_skew,
+                seed=8,
+            )
+        )
+        model = fit_normative(cohort.subset(np.arange(300)))
+        warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
+        assert any(warped) == (noise_skew is not None)
+        dm = deviations(model, cohort.subset(np.arange(300, 500)))
+        for j, got in enumerate(region_metrics(dm)):
+            expected = self.scipy_moments(dm.Z[:, j])
+            self.assert_same((got.skew, got.kurtosis), expected)
+
+    @staticmethod
+    def column_metrics(column):
+        n = column.size
+        dm = DeviationMatrix(
+            ids=tuple(f"s{i}" for i in range(n)),
+            regions=("r0",),
+            Z=column[:, None],
+            E=np.zeros((n, 1)),
+            yhat=np.zeros((n, 1)),
+            log_loss=np.zeros((n, 1)),
+            y=np.ones((n, 1)),
+        )
+        (metrics,) = region_metrics(dm)
+        return metrics.skew, metrics.kurtosis
+
+    def test_constant_columns_are_nan(self):
+        for column in (np.full(40, 0.7), np.zeros(5), np.array([3.0]), np.full(9, -1e300)):
+            skew, kurtosis = self.column_metrics(column)
+            assert math.isnan(skew) and math.isnan(kurtosis)
+            self.assert_same((skew, kurtosis), self.scipy_moments(column))
+
+    def test_random_and_near_constant_columns(self):
+        rng = np.random.default_rng(11)
+        columns = [
+            1e8 + rng.normal(0, 1e-9, 50),
+            1e8 + rng.normal(0, 1e-6, 50),
+            np.array([1.0, 1.0, 1.0 + 2e-16]),
+            np.array([0.0, 1.0]),
+        ]
+        for k in range(300):
+            n = int(rng.integers(2, 400))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            columns.append(rng.standard_t(3 + k % 5, n) * scale + rng.normal() * scale)
+        for column in columns:
+            self.assert_same(self.column_metrics(column), self.scipy_moments(column))
+
+    def test_near_constant_column_warns_nothing(self):
+        # scipy.stats warns "Precision loss" here; the metrics do not
+        column = 1e8 + np.random.default_rng(2).normal(0, 1e-9, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.column_metrics(column)
 
 
 class TestNormativeModel:

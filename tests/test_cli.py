@@ -4,6 +4,9 @@ import filecmp
 import functools
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +443,38 @@ class TestClampWarning:
                 assert run_cli(command, *argv) == 0
             clamped = [r for r in caplog.records if "clamped" in r.getMessage()]
             assert len(clamped) == 1, command
+
+    def test_fit_logged_once(self, pipeline, tmp_path, caplog):
+        # fit scores its training cohort on the design it fitted on
+        data = pipeline["data"]
+        with caplog.at_level(logging.WARNING, logger="normgauge"):
+            assert (
+                run_cli(
+                    "fit",
+                    "--covariates", data / "covariates.csv",
+                    "--features", data / "features.csv",
+                    "--out", tmp_path / "fit",
+                    "--default-train-frac", "0.8",
+                    "--knot-lo", "30",
+                    "--knot-hi", "60",
+                )
+                == 0
+            )
+        clamped = [r for r in caplog.records if "clamped" in r.getMessage()]
+        assert len(clamped) == 1
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone adds about 0.45 s to every command's start-up
+        src = str(Path(normgauge.cli.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, normgauge.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestReportResilience:
