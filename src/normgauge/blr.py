@@ -680,7 +680,12 @@ def fit_normative(
     training cohort on the same design; otherwise it is built here.
     """
     config = config or ModelConfig()
-    dm = design if design is not None else fit_design(train, config)
+    if design is None:
+        dm = fit_design(train, config)
+    elif design.subjects != train.subjects:
+        raise ValueError("design was not built from the training cohort")
+    else:
+        dm = design
     region_models = _fit_regions(
         dm.values, train.responses, train.regions, opts or OptimizerSettings()
     )
@@ -756,12 +761,13 @@ def deviations(
     Builds the design once, unless `design` (the cohort's rows under
     model.schema, such as the training design of a fit) is given, and predicts
     each region once; fit_metrics and parity reduce the result instead of
-    scoring again.
+    scoring again. A design built from other subjects or under another schema
+    raises ValueError.
     """
     cols = _check_regions(model, cohort)
     if design is None:
         design = apply_design(cohort.subjects, model.schema)
-    elif design.schema != model.schema or design.values.shape[0] != cohort.n_subjects:
+    elif design.schema != model.schema or design.subjects != cohort.subjects:
         raise ValueError("design does not belong to this model and cohort")
     phi = design.values
     responses = cohort.responses
@@ -862,11 +868,9 @@ def region_metrics(dm: DeviationMatrix) -> list[RegionFitMetrics]:
     return metrics
 
 
-def fit_metrics(
-    model: NormativeModel, cohort: Cohort, design: DesignMatrix | None = None
-) -> list[RegionFitMetrics]:
+def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]:
     """Per-region fit quality on a cohort: region_metrics of one deviations() pass."""
-    return region_metrics(deviations(model, cohort, design))
+    return region_metrics(deviations(model, cohort))
 
 
 MODEL_FILE = "model.json"

@@ -29,7 +29,6 @@ from .audit import (
 )
 from .blr import (
     deviations,
-    fit_metrics,
     fit_normative,
     load_bundle,
     region_metrics,
@@ -217,7 +216,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=int(cfg["seed"]),
         design=design,
     )
-    metrics = fit_metrics(model, train, design)
+    metrics = region_metrics(deviations(model, train, design))
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

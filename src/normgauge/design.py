@@ -167,6 +167,9 @@ class DesignMatrix:
     values: np.ndarray
     schema: DesignSchema
     clamp_count: int = 0
+    # the subjects the rows were built from, so a caller handed a design can
+    # check that it belongs to a cohort
+    subjects: tuple[Subject, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -222,7 +225,9 @@ def apply_design(subjects: Sequence[Subject], schema: DesignSchema) -> DesignMat
                 np.array([1.0 if s.race == level else 0.0 for s in subjects])[:, None]
             )
     values = np.hstack(cols) if subjects else np.empty((0, schema.n_columns))
-    return DesignMatrix(values=values, schema=schema, clamp_count=clamp_count)
+    return DesignMatrix(
+        values=values, schema=schema, clamp_count=clamp_count, subjects=tuple(subjects)
+    )
 
 
 def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:

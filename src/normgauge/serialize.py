@@ -8,10 +8,13 @@ form). Nothing here writes timestamps or other run-dependent noise.
 CSV contract. Written files are exactly what `csv.writer` (lineterminator
 "\n") writes for the `format_cell` text of each cell: a missing value or NaN
 is an empty cell, and only a cell containing a comma, a double quote or a line
-break is quoted. `read_matrix_csv` accepts what `csv.reader` splits and what
-`float()` parses: blank lines are skipped, CRLF and quoted cells are allowed,
-and `1_0` or ` 1.5 ` parse as float() parses them. Rows are formatted and
-parsed a whole row or file at a time, not cell by cell.
+break is quoted. The one exception is csv.writer's own: on Python 3.11 it
+leaves a cell that holds a CR but no LF unquoted, so such an id or name is
+written bare and the file does not read back. `read_matrix_csv` accepts what
+`csv.reader` splits and what `float()` parses: blank lines are skipped, CRLF
+and quoted cells are allowed, and `1_0` or ` 1.5 ` parse as float() parses
+them. Rows are formatted and parsed a whole row or file at a time, not cell by
+cell.
 """
 
 from __future__ import annotations
@@ -100,9 +103,9 @@ def format_cell(value: Any) -> str:
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """Write a header and rows; bytes equal csv.writer over format_cell text.
 
-    A row whose text holds no comma, quote or line break inside a cell is
-    joined directly. The rest, and a row of one empty cell, go through
-    csv.writer, which decides how to quote them.
+    csv.writer changes a row only when a cell holds a comma, a quote or a
+    line break, or when the row is one empty cell; every other row is joined
+    directly, which costs far less than csv.writer's per-cell quoting scan.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -110,11 +113,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
             cells = [format_cell(v) for v in row]
             line = ",".join(cells)
             if (
-                line.count(",") == len(cells) - 1
-                and (line or not cells)
-                and '"' not in line
-                and "\n" not in line
-                and "\r" not in line
+                line
+                and line.count(",") == len(cells) - 1
+                and not any(c in line for c in '"\r\n')
             ):
                 fh.write(line + "\n")
             else:
@@ -180,7 +181,6 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
     del lines
     ids = [sid for sid, _, _ in split]
     tails = [tail for _, _, tail in split]
-    del split
     if columns and tails and "" not in tails:
         try:
             values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)

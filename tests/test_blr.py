@@ -489,7 +489,7 @@ class TestDeviations:
         with pytest.raises(SchemaError, match="r0"):
             deviations(model, other)
 
-    def test_training_design_reused_by_fit_and_metrics(self):
+    def test_training_design_reused_by_fit_and_scoring(self):
         rng = np.random.default_rng(7)
         ages = rng.uniform(20, 70, 200)
         cohort = make_cohort(ages, 1.0 + 0.02 * ages[:, None] + rng.normal(0, 0.3, (200, 3)))
@@ -500,9 +500,30 @@ class TestDeviations:
         for got, ref in zip(model.region_models, reference.region_models):
             np.testing.assert_array_equal(got.weights, ref.weights)
             assert got.hyperparams == ref.hyperparams
-        assert fit_metrics(model, cohort, design) == fit_metrics(reference, cohort)
+        assert region_metrics(deviations(model, cohort, design)) == fit_metrics(
+            reference, cohort
+        )
         with pytest.raises(ValueError, match="design does not belong"):
             deviations(model, cohort.subset(np.arange(100)), design)
+
+    def test_design_of_another_cohort_is_rejected(self):
+        # same size and schema, other subjects: the rows would score the
+        # wrong people against this cohort's responses
+        rng = np.random.default_rng(8)
+        ages = rng.uniform(20, 70, 200)
+        cohort = make_cohort(ages, 1.0 + 0.02 * ages[:, None] + rng.normal(0, 0.3, (200, 3)))
+        other = make_cohort(rng.uniform(20, 70, 200), cohort.responses)
+        model = fit_normative(cohort, ModelConfig())
+        foreign = apply_design(other.subjects, model.schema)
+        with pytest.raises(ValueError, match="design does not belong"):
+            deviations(model, cohort, foreign)
+        with pytest.raises(ValueError, match="not built from the training cohort"):
+            fit_normative(cohort, ModelConfig(), design=fit_design(other, ModelConfig()))
+        # a design built from equal subjects is accepted
+        same = apply_design(make_cohort(ages, cohort.responses).subjects, model.schema)
+        np.testing.assert_array_equal(
+            deviations(model, cohort, same).Z, deviations(model, cohort).Z
+        )
 
 
 class TestFitMetrics:
