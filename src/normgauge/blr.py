@@ -59,10 +59,10 @@ from scipy.optimize import minimize
 
 from ._version import __version__
 from .cohort import Cohort
-from .design import DesignMatrix, DesignSchema, ModelConfig, apply_design, fit_design
+from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
 from .serialize import dump_json, load_json
-from .warp import WarpParams, warp_forward, warp_inverse
+from .warp import WarpParams, warp_forward, warp_inverse, warp_log_jacobian
 
 log = logging.getLogger(__name__)
 
@@ -88,11 +88,6 @@ class Hyperparams:
     @property
     def beta(self) -> float:
         return float(np.exp(self.log_beta))
-
-    def to_vector(self) -> np.ndarray:
-        return np.array(
-            [self.log_alpha, self.log_beta, self.warp.epsilon, self.warp.log_delta]
-        )
 
     @classmethod
     def from_vector(cls, theta: np.ndarray) -> "Hyperparams":
@@ -150,6 +145,8 @@ class _EvidenceProblem:
 
     The fit itself uses the spectral engine below; this class backs the
     public neg_log_evidence functions and the tests that check the engine.
+    It warps through warp_forward and warp_log_jacobian, so those tests
+    check the engine's inlined warp against the warp module as well.
     """
 
     def __init__(self, phi: np.ndarray, y: np.ndarray):
@@ -164,22 +161,12 @@ class _EvidenceProblem:
         self.n, self.m_dim = self.phi.shape
         self.gram = self.phi.T @ self.phi
         self.asinh_y = np.arcsinh(self.y)
-        self.log1p_y2 = np.log1p(np.square(self.y))
         self.eye = np.eye(self.m_dim)
-
-    def _warp_pieces(self, eps: float, log_delta: float):
-        if eps == 0.0 and log_delta == 0.0:
-            return self.y.copy(), 0.0
-        delta = np.exp(log_delta)
-        u = delta * self.asinh_y - eps
-        z = np.sinh(u)
-        log_cosh = np.logaddexp(u, -u) - np.log(2.0)
-        log_jac = log_delta + log_cosh - 0.5 * self.log1p_y2
-        return z, float(np.sum(log_jac))
 
     def state(self, h: Hyperparams) -> _EvidenceState:
         alpha, beta = h.alpha, h.beta
-        z, log_jac_sum = self._warp_pieces(h.warp.epsilon, h.warp.log_delta)
+        z = warp_forward(self.y, h.warp)
+        log_jac_sum = float(np.sum(warp_log_jacobian(self.y, h.warp)))
         a_mat = alpha * self.eye + beta * self.gram
         try:
             chol = sla.cholesky(a_mat, lower=True)
@@ -495,14 +482,20 @@ def _precision_cholesky(spectrum: _Spectrum, lam: np.ndarray) -> np.ndarray:
     return (r * np.sign(np.diag(r))[:, None]).T
 
 
+# regions named in the not-converged warning; the rest are only counted
+_FLAGGED_SHOWN = 5
+
+
 def _fit_regions(
     phi: np.ndarray,
     responses: np.ndarray,
     regions: Sequence[str],
     opts: OptimizerSettings,
-    init: Hyperparams | None = None,
 ) -> tuple[RegionModel, ...]:
-    """Fit each column of responses (N, D) on the design phi (N, M); see fit_region."""
+    """Fit each column of responses (N, D) on the design phi (N, M); see fit_region.
+
+    Regions flagged as not converged are reported in one warning at the end.
+    """
     n = responses.shape[0]
     if phi.shape[0] != n:
         raise SchemaError(f"design has {phi.shape[0]} rows but responses have {n}")
@@ -514,11 +507,8 @@ def _fit_regions(
             raise InputError(f"region '{region}': constant response cannot be fit")
     spectrum = _Spectrum.of(phi)
 
-    if init is not None:
-        x0 = np.tile(init.to_vector(), (len(regions), 1))
-    else:
-        x0 = np.zeros((len(regions), 4))
-        x0[:, 1] = -np.log(np.var(y_rows, axis=1))
+    x0 = np.zeros((len(regions), 4))
+    x0[:, 1] = -np.log(np.var(y_rows, axis=1))
     theta_id, state, met, paths = _fit_identity(spectrum, y_rows, x0[:, :2], opts)
     margin = _warp_engagement_margin(spectrum, state, theta_id[:, 0])
     pg_id = np.max(
@@ -527,6 +517,7 @@ def _fit_regions(
     stationary = _STATIONARY_GRAD_PER_OBS * n
 
     models = []
+    flagged = []
     for d, region in enumerate(regions):
         problem = _WarpedEvidence(spectrum, y_rows[d])
         res = minimize(
@@ -552,13 +543,7 @@ def _fit_regions(
             converged = bool(met[d] and pg <= stationary)
             reason = "fixed point " + ("met its tolerance" if met[d] else "hit max_iter")
         if not converged:
-            log.warning(
-                "region '%s': evidence optimization stopped without convergence "
-                "(%s; projected gradient %.3g)",
-                region,
-                reason,
-                pg,
-            )
+            flagged.append(f"'{region}' ({reason}; projected gradient {pg:.3g})")
         models.append(
             RegionModel(
                 region=region,
@@ -574,6 +559,13 @@ def _fit_regions(
                 nll_path=tuple(path),
             )
         )
+    if flagged:
+        log.warning(
+            "%d region(s) flagged as not converged: %s%s",
+            len(flagged),
+            ", ".join(flagged[:_FLAGGED_SHOWN]),
+            ", ..." if len(flagged) > _FLAGGED_SHOWN else "",
+        )
     return tuple(models)
 
 
@@ -581,32 +573,31 @@ def fit_region(
     phi: np.ndarray,
     y: np.ndarray,
     region: str = "region",
-    init: Hyperparams | None = None,
     opts: OptimizerSettings | None = None,
 ) -> RegionModel:
     """Fit one region by evidence minimization with an identity-warp fallback.
 
-    Both fits start at log_alpha = 0, log_beta = -log Var(y) and the identity
-    warp, unless `init` overrides it. The identity fit runs MacKay's fixed
-    point on (log_alpha, log_beta); the free fit runs L-BFGS-B on all four
-    hyperparameters. The free fit wins only when it beats the identity
-    optimum by more than the reparametrization margin (see
-    _warp_engagement_margin); otherwise the identity solution is returned.
+    Both fits start at log_alpha = 0, log_beta = -log Var(y) and the
+    identity warp. The identity fit runs MacKay's fixed point on (log_alpha,
+    log_beta); the free fit runs L-BFGS-B on all four hyperparameters. The
+    free fit wins only when it beats the identity optimum by more than the
+    reparametrization margin (see _warp_engagement_margin); otherwise the
+    identity solution is returned.
 
     `converged` is True only if the chosen fit met its stopping rule (for
     L-BFGS-B, scipy's success flag) and its largest projected-gradient
     component is at most 0.1 nat per observation. `nll_path` is the chosen
     fit's descent: the NLL of each fixed-point iterate, or each L-BFGS-B
-    evaluation that lowered the best NLL so far. This is the one-region case
-    of the batched engine behind fit_normative.
+    evaluation that lowered the best NLL so far. A fit that is not
+    converged is logged as a warning with its stop reason and projected
+    gradient. This is the one-region case of the batched engine behind
+    fit_normative, which logs one such warning for all its regions.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
     if phi.ndim != 2 or y.ndim != 1:
         raise InputError("design must be 2-d and responses 1-d")
-    return _fit_regions(
-        phi, y[:, None], (region,), opts or OptimizerSettings(), init=init
-    )[0]
+    return _fit_regions(phi, y[:, None], (region,), opts or OptimizerSettings())[0]
 
 
 @dataclass
@@ -667,7 +658,6 @@ def fit_normative(
     opts: OptimizerSettings | None = None,
     workers: int = 1,
     seed: int | None = None,
-    design: DesignMatrix | None = None,
 ) -> NormativeModel:
     """Fit every region of the training cohort on one shared design.
 
@@ -675,17 +665,13 @@ def fit_normative(
     all identity-warp fits run together as one batched fixed point, then each
     region gets its own free-warp L-BFGS-B run (see fit_region for the rule
     that picks between them). `workers` is accepted for compatibility and
-    ignored; results never depended on it. `design` is fit_design(train,
-    config) when the caller has built it already, so that it can score the
-    training cohort on the same design; otherwise it is built here.
+    ignored; results never depended on it. Regions that did not converge
+    are reported in one warning. Clamped ages are not reported here:
+    deviations counts them for each cohort it scores, so
+    fit_metrics(model, train) reports the training cohort's.
     """
     config = config or ModelConfig()
-    if design is None:
-        dm = fit_design(train, config)
-    elif design.subjects != train.subjects:
-        raise ValueError("design was not built from the training cohort")
-    else:
-        dm = design
+    dm = fit_design(train, config)
     region_models = _fit_regions(
         dm.values, train.responses, train.regions, opts or OptimizerSettings()
     )
@@ -753,22 +739,18 @@ def _log_loss_terms(
     return model_ll - base_ll
 
 
-def deviations(
-    model: NormativeModel, cohort: Cohort, design: DesignMatrix | None = None
-) -> DeviationMatrix:
+def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     """Score a cohort against the reference model: the one scoring pass.
 
-    Builds the design once, unless `design` (the cohort's rows under
-    model.schema, such as the training design of a fit) is given, and predicts
-    each region once; fit_metrics and parity reduce the result instead of
-    scoring again. A design built from other subjects or under another schema
-    raises ValueError.
+    Builds the design once and predicts each region once; fit_metrics and
+    parity reduce the result instead of scoring again. Ages outside the
+    model's knot range are clamped, and their count is logged here, once per
+    pass, as a warning.
     """
     cols = _check_regions(model, cohort)
-    if design is None:
-        design = apply_design(cohort.subjects, model.schema)
-    elif design.schema != model.schema or design.subjects != cohort.subjects:
-        raise ValueError("design does not belong to this model and cohort")
+    design = apply_design(cohort.subjects, model.schema)
+    if design.clamp_count:
+        log.warning("clamped %d age(s) outside the fitted range", design.clamp_count)
     phi = design.values
     responses = cohort.responses
     if cols != list(range(cohort.n_regions)):

@@ -28,14 +28,22 @@ from .serialize import write_csv
 
 log = logging.getLogger(__name__)
 
+# L-BFGS iteration cap of each binary fit; a fit that reaches it is logged
+_MAX_ITER = 1000
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
+    """L2 strength, fold count, fold seed, and whether features are z-scored.
+
+    Each setting maps to one `normgauge classify` flag (--l2, --folds, --seed,
+    --standardize); the optimizer's iteration cap is fixed.
+    """
+
     l2_strength: float = 1.0
     n_folds: int = 5
     seed: int = 0
     standardize: bool = False
-    max_iter: int = 1000
 
     def __post_init__(self) -> None:
         if self.l2_strength < 0:
@@ -56,7 +64,7 @@ class OvrLogisticModel:
 
 
 def _fit_binary(
-    x: np.ndarray, target: np.ndarray, lam: float, max_iter: int
+    x: np.ndarray, target: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
     n, d = x.shape
 
@@ -75,7 +83,7 @@ def _fit_binary(
         np.zeros(d + 1),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": 1e-6},
+        options={"maxiter": _MAX_ITER, "gtol": 1e-6},
     )
     if not res.success:
         log.warning("logistic fit stopped without convergence: %s", res.message)
@@ -101,9 +109,7 @@ def fit_ovr_logistic(
     intercepts = np.empty(len(classes))
     for ci, cls in enumerate(classes):
         target = np.where(labels == cls, 1.0, -1.0)
-        weights[ci], intercepts[ci] = _fit_binary(
-            x, target, config.l2_strength, config.max_iter
-        )
+        weights[ci], intercepts[ci] = _fit_binary(x, target, config.l2_strength)
     return OvrLogisticModel(
         classes=classes,
         weights=weights,
@@ -216,11 +222,6 @@ class ClassifierReport:
     def class_mean(self, name: str, cls: str) -> float:
         row = self._metric(name)[self.classes.index(cls)]
         return float(np.nanmean(row))
-
-    def class_sd(self, name: str, cls: str) -> float:
-        row = self._metric(name)[self.classes.index(cls)]
-        row = row[np.isfinite(row)]
-        return float(np.std(row, ddof=1)) if row.size > 1 else float("nan")
 
     def macro_mean(self, name: str) -> float:
         return float(np.mean([self.class_mean(name, c) for c in self.classes]))

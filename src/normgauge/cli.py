@@ -29,6 +29,7 @@ from .audit import (
 )
 from .blr import (
     deviations,
+    fit_metrics,
     fit_normative,
     load_bundle,
     region_metrics,
@@ -53,7 +54,7 @@ from .classify import (
     write_confusion,
     write_roc_points,
 )
-from .design import BasisConfig, ModelConfig, fit_design
+from .design import BasisConfig, ModelConfig
 from .errors import InputError, NormgaugeError, SchemaError
 from .serialize import dump_json, load_json, read_matrix_csv, write_csv, write_matrix_csv
 from .synth import SynthSpec, generate
@@ -208,15 +209,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         ),
         race_reference_level=str(cfg["race_reference"]),
     )
-    design = fit_design(train, model_config)
     model = fit_normative(
-        train,
-        model_config,
-        workers=int(cfg["workers"]),
-        seed=int(cfg["seed"]),
-        design=design,
+        train, model_config, workers=int(cfg["workers"]), seed=int(cfg["seed"])
     )
-    metrics = region_metrics(deviations(model, train, design))
+    metrics = fit_metrics(model, train)
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -243,9 +239,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         for path in created:
             path.unlink(missing_ok=True)
         raise
-    n_flagged = sum(1 for rm in model.region_models if not rm.converged)
-    if n_flagged:
-        log.warning("%d region(s) flagged as not converged", n_flagged)
     log.info(
         "fit %d regions on %d training subjects (%d held out)",
         train.n_regions,

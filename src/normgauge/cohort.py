@@ -143,10 +143,6 @@ class LoadReport:
     dropped_unmatched: int = 0
     dropped_incomplete: int = 0
 
-    @property
-    def warning_count(self) -> int:
-        return self.dropped_unmatched + self.dropped_incomplete
-
 
 def _parse_float(cell: str, path: Path, line_no: int, column: str) -> float:
     try:
@@ -313,19 +309,16 @@ def qc_filter(cohort: Cohort, min_qc: float | None) -> Cohort:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Per-race train fractions, a seed, and optional extra stratification keys."""
+    """Per-race train fractions, with a default for unlisted races, and a seed.
+
+    The split is stratified by race only.
+    """
 
     fractions: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
     default_fraction: float | None = None
-    stratify_keys: tuple[str, ...] = ("race",)
 
     def __post_init__(self) -> None:
-        for key in self.stratify_keys:
-            if key not in ("race", "sex", "site"):
-                raise InputError(f"unsupported stratify key '{key}'")
-        if "race" not in self.stratify_keys:
-            raise InputError("stratify_keys must include 'race'")
         for label, frac in self.fractions.items():
             if not (0.0 <= frac <= 1.0):
                 raise InputError(
@@ -337,22 +330,12 @@ class SplitSpec:
             )
 
 
-def _subject_stratum(subject: Subject, keys: tuple[str, ...]) -> tuple:
-    parts = []
-    if "sex" in keys:
-        parts.append(subject.sex)
-    if "site" in keys:
-        parts.append(subject.site or "")
-    return tuple(parts)
-
-
 def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     """Deterministic per-race split: train gets floor(f * n), at least 1 when f > 0.
 
-    Membership within a race group is drawn from a seeded stream keyed by
-    (seed, group index in sorted label order), so it is independent of the
-    other groups. Extra stratify keys balance the draw across sub-strata
-    (sex, site) inside each race group without changing the race-level counts.
+    Membership within a race group is the first k of a permutation drawn
+    from a seeded stream keyed by (seed, group index in sorted label order),
+    so it is independent of the other groups.
     """
     groups: dict[str, list[int]] = {}
     for i, s in enumerate(cohort.subjects):
@@ -361,7 +344,6 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
         if label not in groups:
             raise InputError(f"train fraction given for absent race label '{label}'")
 
-    extra_keys = tuple(k for k in spec.stratify_keys if k != "race")
     train_idx: list[int] = []
     for gi, label in enumerate(sorted(groups)):
         members = groups[label]
@@ -374,23 +356,7 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
             k = 1
         k = min(k, len(members))
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, gi]))
-        if extra_keys:
-            strata: dict[tuple, list[int]] = {}
-            for i in members:
-                strata.setdefault(
-                    _subject_stratum(cohort.subjects[i], extra_keys), []
-                ).append(i)
-            shuffled = [
-                list(rng.permutation(strata[key])) for key in sorted(strata)
-            ]
-            order: list[int] = []
-            depth = max(len(s) for s in shuffled)
-            for d in range(depth):
-                for stratum in shuffled:
-                    if d < len(stratum):
-                        order.append(int(stratum[d]))
-        else:
-            order = [int(i) for i in rng.permutation(members)]
+        order = [int(i) for i in rng.permutation(members)]
         train_idx.extend(order[:k])
         if k == len(members):
             log.warning("race group '%s' has an empty test split", label)

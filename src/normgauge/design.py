@@ -11,7 +11,6 @@ The fitted schema is serializable so train and test expansions are identical.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,8 +19,6 @@ from scipy.interpolate import BSpline
 
 from .cohort import Cohort, Subject
 from .errors import InputError, SchemaError
-
-log = logging.getLogger(__name__)
 
 ALLOWED_COVARIATE_SETS = (
     ("age", "sex"),
@@ -167,9 +164,6 @@ class DesignMatrix:
     values: np.ndarray
     schema: DesignSchema
     clamp_count: int = 0
-    # the subjects the rows were built from, so a caller handed a design can
-    # check that it belongs to a cohort
-    subjects: tuple[Subject, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -192,12 +186,12 @@ def apply_design(subjects: Sequence[Subject], schema: DesignSchema) -> DesignMat
     """Expand subjects into design rows under a fitted schema.
 
     Ages outside the knot range are clamped (spline and linear column alike)
-    and counted. Unseen site or race levels raise a schema error naming them.
+    and counted in clamp_count; the warning about them comes from
+    blr.deviations, once per scoring pass. Unseen site or race levels raise a
+    schema error naming them.
     """
     ages = np.array([s.age for s in subjects], dtype=float)
     basis, clamp_count = spline_basis(ages, schema)
-    if clamp_count:
-        log.warning("clamped %d age(s) outside the fitted range", clamp_count)
     cols = [basis]
     if schema.include_linear_age:
         cols.append(np.clip(ages, schema.knot_lo, schema.knot_hi)[:, None])
@@ -225,9 +219,7 @@ def apply_design(subjects: Sequence[Subject], schema: DesignSchema) -> DesignMat
                 np.array([1.0 if s.race == level else 0.0 for s in subjects])[:, None]
             )
     values = np.hstack(cols) if subjects else np.empty((0, schema.n_columns))
-    return DesignMatrix(
-        values=values, schema=schema, clamp_count=clamp_count, subjects=tuple(subjects)
-    )
+    return DesignMatrix(values=values, schema=schema, clamp_count=clamp_count)
 
 
 def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:

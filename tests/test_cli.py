@@ -1,7 +1,9 @@
 """End-to-end tests for the normgauge command line."""
 
+import csv
 import filecmp
 import functools
+import importlib.util
 import json
 import logging
 import os
@@ -246,9 +248,62 @@ class TestConvergenceFlag:
         assert not any(r["converged"] for r in regions)
         assert f"{len(regions)} region(s) flagged as not converged" in caplog.text
 
+    def test_capped_fit_warns_once(self, pipeline, tmp_path, monkeypatch, caplog):
+        capped = functools.partial(fit_normative, opts=OptimizerSettings(max_iter=1))
+        monkeypatch.setattr(normgauge.cli, "fit_normative", capped)
+        with caplog.at_level(logging.WARNING, logger="normgauge"):
+            assert (
+                run_cli(
+                    "fit",
+                    "--covariates", pipeline["data"] / "covariates.csv",
+                    "--features", pipeline["data"] / "features.csv",
+                    "--out", tmp_path / "fit_capped",
+                    "--default-train-frac", "0.8",
+                )
+                == 0
+            )
+        # one record for the whole fit, naming regions with their stop reason
+        (record,) = [r for r in caplog.records if "converge" in r.getMessage()]
+        message = record.getMessage()
+        assert message.startswith("4 region(s) flagged as not converged: 'region_000' (")
+        assert "; projected gradient " in message
+
     def test_default_fit_flags_nothing(self, pipeline):
         regions = json.loads((pipeline["fit"] / "regions.json").read_text())["regions"]
         assert all(r["converged"] for r in regions)
+
+
+class TestClassifyOptions:
+    def classify(self, pipeline, out, *flags):
+        return run_cli(
+            "classify",
+            "--deviations", pipeline["eval"] / "deviations.csv",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", out,
+            *flags,
+        )
+
+    def test_holdout_fraction_one_fold_per_class(self, pipeline, tmp_path):
+        outs = [tmp_path / "clf_a", tmp_path / "clf_b"]
+        for out in outs:
+            assert self.classify(pipeline, out, "--holdout-fraction", "0.2") == 0
+        with open(outs[0] / "clf_metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["class"], r["fold"]) for r in rows] == [
+            ("A", "0"), ("B", "0"), ("W", "0")
+        ]
+        for name in ("clf_metrics.csv", "roc_points.csv", "confusion.csv"):
+            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+    def test_svg(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "clf_svg"
+        code = self.classify(pipeline, out, "--folds", "4", "--svg")
+        if importlib.util.find_spec("matplotlib") is None:
+            assert code == 2
+            assert "install the 'plots' extra" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert (out / "roc.svg").stat().st_size > 0
 
 
 class TestConfigFile:
