@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .blr import DeviationMatrix, NormativeModel, deviations, explained_variance
 from .cohort import Cohort
@@ -120,6 +119,8 @@ def group_difference(
     contrast: tuple[str, str],
 ) -> WelchResult:
     """Welch two-sample test per region (column) for group_one vs group_two."""
+    from scipy.special import stdtr
+
     values = np.atleast_2d(np.asarray(values, dtype=float))
     group_arr = np.asarray(list(groups))
     if group_arr.shape[0] != values.shape[0]:
@@ -154,7 +155,7 @@ def group_difference(
     t[ok] = t_reg[ok]
     df[ok] = df_reg[ok]
     # two-sided p from Student's t survival function, as scipy.stats.t.sf does
-    p[ok] = 2.0 * special.stdtr(df_reg[ok], -np.abs(t_reg[ok]))
+    p[ok] = 2.0 * stdtr(df_reg[ok], -np.abs(t_reg[ok]))
     # zero variance in both groups: equal means are a perfect null, unequal
     # means are an unambiguous difference
     for j in np.nonzero(degenerate)[0]:

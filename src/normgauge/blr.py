@@ -54,8 +54,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.optimize import minimize
 
 from ._version import __version__
 from .cohort import Cohort
@@ -71,6 +69,14 @@ LN_2PI = float(np.log(2.0 * np.pi))
 # box constraints keeping the evidence finite during optimization
 _BOUNDS_FREE = ((-20.0, 20.0), (-20.0, 20.0), (-5.0, 5.0), (-3.0, 3.0))
 _PENALTY = 1e300
+
+
+def minimize(fun, x0, *args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: only fit and classify
+    optimize, and the import is the largest part of a command's start-up."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,8 @@ class _EvidenceProblem:
         self.eye = np.eye(self.m_dim)
 
     def state(self, h: Hyperparams) -> _EvidenceState:
+        from scipy import linalg as sla
+
         alpha, beta = h.alpha, h.beta
         z = warp_forward(self.y, h.warp)
         log_jac_sum = float(np.sum(warp_log_jacobian(self.y, h.warp)))
@@ -194,8 +202,10 @@ class _EvidenceProblem:
         )
 
     def _grad(self, h: Hyperparams, st: _EvidenceState) -> np.ndarray:
+        from scipy.linalg import cho_solve
+
         alpha, beta = h.alpha, h.beta
-        a_inv = sla.cho_solve((st.chol, True), self.eye)
+        a_inv = cho_solve((st.chol, True), self.eye)
         tr_a_inv = float(np.trace(a_inv))
         tr_a_inv_gram = float(np.sum(a_inv * self.gram))
         d_log_alpha = -0.5 * self.m_dim + 0.5 * alpha * (float(st.m @ st.m) + tr_a_inv)
@@ -611,6 +621,8 @@ class RegionPrediction:
 
 
 def predict_region(model: RegionModel, phi_star: np.ndarray) -> RegionPrediction:
+    from scipy.linalg import cho_solve
+
     phi_star = np.atleast_2d(np.asarray(phi_star, dtype=float))
     if phi_star.shape[1] != model.weights.shape[0]:
         raise SchemaError(
@@ -618,7 +630,7 @@ def predict_region(model: RegionModel, phi_star: np.ndarray) -> RegionPrediction
             f"but the model expects {model.weights.shape[0]}"
         )
     zhat = phi_star @ model.weights
-    solved = sla.cho_solve((model.chol_precision, True), phi_star.T)
+    solved = cho_solve((model.chol_precision, True), phi_star.T)
     model_variance = np.maximum(np.einsum("ij,ij->j", phi_star.T, solved), 0.0)
     noise_variance = 1.0 / model.hyperparams.beta
     yhat = warp_inverse(zhat, model.hyperparams.warp)

@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
+from .blr import minimize  # scipy's, imported on first call
 from .errors import InputError
 from .serialize import write_csv
 
@@ -66,6 +65,8 @@ class OvrLogisticModel:
 def _fit_binary(
     x: np.ndarray, target: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
+    from scipy.special import expit
+
     n, d = x.shape
 
     def objective(wb: np.ndarray) -> tuple[float, np.ndarray]:

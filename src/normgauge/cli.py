@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import logging
 import math
 import sys
@@ -436,6 +437,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "race_labels": "A,B,W",
     }
     cfg = _resolve(args, defaults, required=("deviations", "covariates", "out"))
+    if cfg["svg"] and importlib.util.find_spec("matplotlib") is None:
+        # fail before any output is written, not after the cross-validation
+        raise InputError(
+            "matplotlib is required to render roc.svg (install the 'plots' extra)"
+        )
     ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"])
     schema = _schema_from(cfg)
     cov_map, _ = read_covariates(Path(cfg["covariates"]), schema)

@@ -4,8 +4,12 @@ The age basis is a clamped B-spline: `degree` repeated boundary knots around
 `n_knots` evenly spaced interior anchors, giving n_knots + degree - 1 columns
 that sum to 1 at every age in range (partition of unity). Ages outside the
 fitted range are clamped to the nearest boundary rather than extrapolated,
-and the clamp count is reported. Categorical covariates enter as one-hot
-columns with a dropped reference level; sex is a single indicator (M = 1).
+and the clamp count is reported. The basis is evaluated in numpy by de Boor's
+recursion (de Boor 1978, *A Practical Guide to Splines*), with its operations
+in the order scipy's `BSpline.design_matrix` runs them, so the columns are
+bitwise equal to scipy's without importing `scipy.interpolate`. Categorical
+covariates enter as one-hot columns with a dropped reference level; sex is a
+single indicator (M = 1).
 The fitted schema is serializable so train and test expansions are identical.
 """
 
@@ -15,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .cohort import Cohort, Subject
 from .errors import InputError, SchemaError
@@ -147,9 +150,27 @@ class DesignSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DesignSchema":
+        knots = tuple(float(k) for k in d["knots"])
+        degree = int(d["degree"])
+        # spline_basis trusts its knots, so a read schema's are checked here
+        t = np.array(knots)
+        if degree < 1 or len(knots) < 2 * degree + 2:
+            raise SchemaError(
+                f"design schema knots {list(knots)} do not fit degree {degree}: "
+                "need degree >= 1 and at least 2 * degree + 2 knots"
+            )
+        if not (np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1])):
+            raise SchemaError(
+                f"design schema knots must be finite and non-decreasing, got {list(knots)}"
+            )
+        if not t[degree] < t[-(degree + 1)]:
+            raise SchemaError(
+                f"design schema knots {list(knots)} leave an empty age range "
+                f"[{t[degree]}, {t[-(degree + 1)]}]"
+            )
         return cls(
-            knots=tuple(float(k) for k in d["knots"]),
-            degree=int(d["degree"]),
+            knots=knots,
+            degree=degree,
             include_linear_age=bool(d["include_linear_age"]),
             sex_positive_label=d.get("sex_positive_label", "M"),
             site_reference=d.get("site_reference"),
@@ -171,14 +192,38 @@ class DesignMatrix:
 
 
 def spline_basis(ages: np.ndarray, schema: DesignSchema) -> tuple[np.ndarray, int]:
-    """Evaluate the clamped spline columns; returns (basis, clamp count)."""
+    """Evaluate the clamped spline columns; returns (basis, clamp count).
+
+    Each age is clamped into [knot_lo, knot_hi] and placed in the last knot
+    span [t[l], t[l+1]) that holds it, l in [degree, n_spline - 1], so knot_hi
+    falls in the last span. The degree + 1 non-zero B-splines of that span,
+    columns l - degree .. l, come from de Boor's recursion on degree, with
+    each step's operations in the order of scipy's `_deBoor_D`: the result is
+    bitwise equal to `BSpline.design_matrix(...).toarray()`. An empty `ages`
+    gives a (0, n_spline) basis.
+    """
     ages = np.asarray(ages, dtype=float)
+    t = np.asarray(schema.knots, dtype=float)
+    k = schema.degree
     lo, hi = schema.knot_lo, schema.knot_hi
     clamp_count = int(np.count_nonzero((ages < lo) | (ages > hi)))
-    clamped = np.clip(ages, lo, hi)
-    basis = BSpline.design_matrix(
-        clamped, np.asarray(schema.knots, dtype=float), schema.degree
-    ).toarray()
+    x = np.clip(ages, lo, hi)
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, k, schema.n_spline - 1)
+    h = np.zeros((x.size, k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            xb = t[span + n]
+            xa = t[span + n - j]
+            # a zero-width knot interval contributes nothing
+            live = xb != xa
+            w = np.divide(hh[:, n - 1], xb - xa, out=np.zeros(x.size), where=live)
+            h[:, n - 1] = np.where(live, h[:, n - 1] + w * (xb - x), h[:, n - 1])
+            h[:, n] = np.where(live, w * (x - xa), 0.0)
+    basis = np.zeros((x.size, schema.n_spline))
+    np.put_along_axis(basis, span[:, None] - k + np.arange(k + 1), h, axis=1)
     return basis, clamp_count
 
 
@@ -218,7 +263,7 @@ def apply_design(subjects: Sequence[Subject], schema: DesignSchema) -> DesignMat
             cols.append(
                 np.array([1.0 if s.race == level else 0.0 for s in subjects])[:, None]
             )
-    values = np.hstack(cols) if subjects else np.empty((0, schema.n_columns))
+    values = np.hstack(cols)
     return DesignMatrix(values=values, schema=schema, clamp_count=clamp_count)
 
 

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -301,6 +302,7 @@ class TestClassifyOptions:
         if importlib.util.find_spec("matplotlib") is None:
             assert code == 2
             assert "install the 'plots' extra" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
         else:
             assert code == 0
             assert (out / "roc.svg").stat().st_size > 0
@@ -374,6 +376,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_reversed_knots_in_bundle_exit_three(self, pipeline, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["fit"], bundle)
+        meta = json.loads((bundle / "model.json").read_text())
+        knots = meta["design_schema"]["knots"]
+        meta["design_schema"]["knots"] = knots[::-1]
+        (bundle / "model.json").write_text(json.dumps(meta))
+        code = run_cli(
+            "evaluate",
+            "--bundle", bundle,
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert "knots" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_region_mismatch_exit_three(self, pipeline, tmp_path, capsys):
         renamed = tmp_path / "features.csv"
@@ -519,17 +539,81 @@ class TestClampWarning:
         assert len(clamped) == 1
 
 
+# run in a fresh interpreter: the exit code, then the public scipy subpackages
+# loaded at exit, one line of JSON
+_SCIPY_PROBE = """
+import json, sys
+from normgauge.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded = {n.split(".")[1] for n in sys.modules if n.startswith("scipy.")}
+print(json.dumps([code, sorted(p for p in loaded if p[0] != "_" and p != "version")]))
+"""
+
+
+def _scipy_after(*argv):
+    src = str(Path(normgauge.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    return code, set(loaded)
+
+
 class TestImportCost:
-    def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy.stats alone adds about 0.45 s to every command's start-up
-        src = str(Path(normgauge.cli.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, normgauge.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+    """Each command imports only the scipy parts it calls: importing scipy is
+    most of a command's start-up."""
+
+    def test_package_import_loads_no_scipy(self):
+        assert _scipy_after() == (0, set())
+
+    # public scipy subpackages a command may load; None for the commands that
+    # optimize, where what scipy.optimize pulls in depends on the scipy version
+    ALLOWED = {
+        "synth": set(),
+        "report": set(),
+        "evaluate": {"linalg"},
+        "audit": {"linalg", "special"},
+        "fit": None,
+        "classify": None,
+    }
+
+    @pytest.mark.parametrize("command", sorted(ALLOWED))
+    def test_command_loads_only_what_it_calls(self, pipeline, tmp_path, command):
+        allowed = self.ALLOWED[command]
+        data, fit, ev = pipeline["data"], pipeline["fit"], pipeline["eval"]
+        argv = {
+            "synth": ["--spec", pipeline["root"] / "spec.json"],
+            "report": ["--run-dir", pipeline["root"], "--out", tmp_path / "report.md"],
+            "evaluate": [
+                "--bundle", fit, "--covariates", data / "covariates.csv",
+                "--features", data / "features.csv", "--ids", fit / "test_ids.txt",
+            ],
+            "audit": [
+                "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
+                "--covariates", data / "covariates.csv", "--contrasts", "W:A",
+                "--bundle", fit, "--features", data / "features.csv",
+            ],
+            "fit": [
+                "--covariates", data / "covariates.csv",
+                "--features", data / "features.csv", "--default-train-frac", "0.8",
+            ],
+            "classify": [
+                "--deviations", ev / "deviations.csv",
+                "--covariates", data / "covariates.csv", "--folds", "4",
+            ],
+        }[command]
+        if command != "report":
+            argv += ["--out", tmp_path / "out"]
+        code, loaded = _scipy_after(command, *argv)
+        assert code == 0
+        if allowed is None:
+            assert "optimize" in loaded
+        else:
+            assert loaded <= allowed, f"{command} loaded {sorted(loaded - allowed)}"
+        assert "stats" not in loaded and "interpolate" not in loaded
 
 
 class TestReportResilience:

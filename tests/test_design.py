@@ -6,6 +6,7 @@ import pytest
 from normgauge import (
     BasisConfig,
     Cohort,
+    DesignSchema,
     InputError,
     ModelConfig,
     SchemaError,
@@ -86,6 +87,62 @@ class TestSplineBasis:
         assert len(spline_names) == 4 + 3 - 1
         assert design.schema.knots[0] == 20.0
         assert design.schema.knots[-1] == 80.0
+
+
+def oracle_schemas():
+    """Knot layouts of degree 1, 2 and 3, and two with repeated interior knots:
+    a double knot in a cubic, and one in a linear basis, which jumps there."""
+    layouts = [
+        BasisConfig(n_knots=4, degree=1, knot_range=(0.0, 1.0)),
+        BasisConfig(n_knots=7, degree=2, knot_range=(18.3, 91.7)),
+        BasisConfig(),
+        BasisConfig(n_knots=2, degree=3, knot_range=(-3.0, 1e3)),
+    ]
+    cohort = build_cohort([20.0, 33.3, 70.0])
+    schemas = [fit_design(cohort, ModelConfig(basis=b)).schema for b in layouts]
+    repeated = (0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0)
+    schemas.append(DesignSchema(knots=repeated, degree=3, include_linear_age=True))
+    jump = (0.0, 0.0, 1.0, 1.0, 2.0, 2.0)
+    schemas.append(DesignSchema(knots=jump, degree=1, include_linear_age=True))
+    return schemas
+
+
+class TestScipyOracle:
+    """spline_basis is bitwise equal to scipy's BSpline.design_matrix."""
+
+    @pytest.mark.parametrize(
+        "schema", oracle_schemas(), ids=lambda s: f"degree{s.degree}-{len(s.knots)}knots"
+    )
+    def test_bitwise_equal_to_design_matrix(self, schema):
+        from scipy.interpolate import BSpline
+
+        knots = np.asarray(schema.knots)
+        lo, hi = schema.knot_lo, schema.knot_hi
+        width = hi - lo
+        rng = np.random.default_rng(0)
+        ages = np.concatenate(
+            [
+                rng.uniform(lo - 0.2 * width, hi + 0.2 * width, 20000),
+                knots,
+                np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf),
+                [lo - width, hi + width],
+            ]
+        )
+        basis, clamp_count = spline_basis(ages, schema)
+        clamped = np.clip(ages, lo, hi)
+        expected = BSpline.design_matrix(clamped, knots, schema.degree).toarray()
+        assert basis.shape == expected.shape
+        assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
+        assert clamp_count == np.count_nonzero(clamped != ages) > 0
+        np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_empty_ages_give_empty_basis(self):
+        # scipy raises here; no command scores an empty cohort
+        schema = oracle_schemas()[2]
+        basis, clamp_count = spline_basis(np.array([]), schema)
+        assert basis.shape == (0, schema.n_spline)
+        assert clamp_count == 0
 
 
 class TestEncodings:
@@ -181,6 +238,23 @@ class TestValidation:
     def test_unknown_covariate_set_rejected(self):
         with pytest.raises(InputError):
             ModelConfig(covariates=("age", "sex", "height"))
+
+    @pytest.mark.parametrize(
+        "knots, degree, match",
+        [
+            ([70.0] * 4 + [57.5, 45.0, 32.5] + [20.0] * 4, 3, "non-decreasing"),
+            ([20.0] * 4 + [float("nan"), 45.0] + [70.0] * 4, 3, "finite"),
+            ([20.0] * 4 + [45.0, float("inf")] + [70.0] * 4, 3, "finite"),
+            ([20.0, 20.0, 70.0, 70.0, 70.0], 2, "at least 2 \\* degree \\+ 2"),
+            ([20.0, 70.0], 0, "degree >= 1"),
+            ([20.0] * 5 + [40.0] * 3, 3, "empty age range"),
+        ],
+    )
+    def test_bad_knots_read_from_a_bundle_rejected(self, knots, degree, match):
+        schema = fit_design(build_cohort([20.0, 45.0, 70.0]), ModelConfig()).schema
+        doc = dict(schema.to_dict(), knots=knots, degree=degree)
+        with pytest.raises(SchemaError, match=match):
+            DesignSchema.from_dict(doc)
 
     def test_race_reference_must_be_declared(self):
         from normgauge import CohortSchema
