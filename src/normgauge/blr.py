@@ -41,9 +41,10 @@ the warped model never loses to the plain Gaussian one:
 - with all four hyperparameters free, by L-BFGS-B, one region at a time.
 
 The warped fit must beat the identity fit by more than a margin (see
-_warp_engagement_margin) before it is kept. _EvidenceProblem evaluates the
-same evidence through a Cholesky factor of A; it is the reference that the
-public neg_log_evidence functions expose.
+_warp_engagement_margin) before it is kept. The public neg_log_evidence
+functions evaluate the same engine that the fit optimizes. A Cholesky
+reference of the evidence, independent of the engine, lives with the tests
+(tests/evidence_reference.py) as their oracle.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
 from .serialize import dump_json, load_json
-from .warp import WarpParams, warp_forward, warp_inverse, warp_log_jacobian
+from .warp import WarpParams, warp_forward, warp_inverse
 
 log = logging.getLogger(__name__)
 
@@ -134,105 +135,37 @@ class OptimizerSettings:
     max_iter: int = 500
 
 
-@dataclass
-class _EvidenceState:
-    """Posterior and evidence pieces at one hyperparameter setting."""
-
-    z: np.ndarray
-    m: np.ndarray
-    chol: np.ndarray
-    residual: np.ndarray
-    rss: float
-    nll: float
-
-
-class _EvidenceProblem:
-    """Reference evidence of one region through a Cholesky factor of A.
-
-    The fit itself uses the spectral engine below; this class backs the
-    public neg_log_evidence functions and the tests that check the engine.
-    It warps through warp_forward and warp_log_jacobian, so those tests
-    check the engine's inlined warp against the warp module as well.
-    """
-
-    def __init__(self, phi: np.ndarray, y: np.ndarray):
-        self.phi = np.asarray(phi, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        if self.phi.ndim != 2 or self.y.ndim != 1:
-            raise InputError("design must be 2-d and responses 1-d")
-        if self.phi.shape[0] != self.y.shape[0]:
-            raise SchemaError(
-                f"design has {self.phi.shape[0]} rows but responses have {self.y.shape[0]}"
-            )
-        self.n, self.m_dim = self.phi.shape
-        self.gram = self.phi.T @ self.phi
-        self.asinh_y = np.arcsinh(self.y)
-        self.eye = np.eye(self.m_dim)
-
-    def state(self, h: Hyperparams) -> _EvidenceState:
-        from scipy import linalg as sla
-
-        alpha, beta = h.alpha, h.beta
-        z = warp_forward(self.y, h.warp)
-        log_jac_sum = float(np.sum(warp_log_jacobian(self.y, h.warp)))
-        a_mat = alpha * self.eye + beta * self.gram
-        try:
-            chol = sla.cholesky(a_mat, lower=True)
-        except sla.LinAlgError:
-            raise NumericalError(
-                f"posterior precision not positive definite "
-                f"(alpha={alpha:.3g}, beta={beta:.3g}, "
-                f"cond={np.linalg.cond(a_mat):.3g})"
-            ) from None
-        m = beta * sla.cho_solve((chol, True), self.phi.T @ z)
-        residual = z - self.phi @ m
-        rss = float(residual @ residual)
-        e_m = 0.5 * (beta * rss + alpha * float(m @ m))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        nll = (
-            e_m
-            + 0.5 * logdet
-            + 0.5 * self.n * LN_2PI
-            - 0.5 * self.m_dim * h.log_alpha
-            - 0.5 * self.n * h.log_beta
-            - log_jac_sum
+def _region_arrays(phi, y) -> tuple[np.ndarray, np.ndarray]:
+    """One region's design (N, M) and responses (N,) as float arrays, checked."""
+    phi = np.asarray(phi, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if phi.ndim != 2 or y.ndim != 1:
+        raise InputError("design must be 2-d and responses 1-d")
+    if phi.shape[0] != y.shape[0]:
+        raise SchemaError(
+            f"design has {phi.shape[0]} rows but responses have {y.shape[0]}"
         )
-        return _EvidenceState(
-            z=z, m=m, chol=chol, residual=residual, rss=rss, nll=float(nll)
-        )
+    return phi, y
 
-    def _grad(self, h: Hyperparams, st: _EvidenceState) -> np.ndarray:
-        from scipy.linalg import cho_solve
 
-        alpha, beta = h.alpha, h.beta
-        a_inv = cho_solve((st.chol, True), self.eye)
-        tr_a_inv = float(np.trace(a_inv))
-        tr_a_inv_gram = float(np.sum(a_inv * self.gram))
-        d_log_alpha = -0.5 * self.m_dim + 0.5 * alpha * (float(st.m @ st.m) + tr_a_inv)
-        d_log_beta = -0.5 * self.n + 0.5 * beta * (st.rss + tr_a_inv_gram)
-
-        eps, log_delta = h.warp.epsilon, h.warp.log_delta
-        delta = np.exp(log_delta)
-        u = delta * self.asinh_y - eps
-        cosh_u = np.cosh(u)
-        tanh_u = np.tanh(u)
-        d_eps = -beta * float(st.residual @ cosh_u) + float(np.sum(tanh_u))
-        d_log_delta = beta * delta * float(
-            st.residual @ (cosh_u * self.asinh_y)
-        ) - float(np.sum(1.0 + delta * self.asinh_y * tanh_u))
-        return np.array([d_log_alpha, d_log_beta, d_eps, d_log_delta])
+def _evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> tuple[float, np.ndarray]:
+    """NLL and gradient of one region at h, from the engine that fits."""
+    phi, y = _region_arrays(phi, y)
+    theta = np.array([h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta])
+    nll, grad = _WarpedEvidence(_Spectrum.of(phi), y).value_and_grad(theta)
+    if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
+        raise NumericalError(f"evidence is not finite at {h}")
+    return nll, grad
 
 
 def neg_log_evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> float:
     """Negative log marginal likelihood of one region's data."""
-    return _EvidenceProblem(phi, y).state(h).nll
+    return _evidence(phi, y, h)[0]
 
 
 def neg_log_evidence_grad(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> np.ndarray:
     """Analytic gradient wrt (log_alpha, log_beta, epsilon, log_delta)."""
-    problem = _EvidenceProblem(phi, y)
-    st = problem.state(h)
-    return problem._grad(h, st)
+    return _evidence(phi, y, h)[1]
 
 
 @dataclass(eq=False)
@@ -433,15 +366,14 @@ class _WarpedEvidence:
     """Evidence and gradient of one region over all four hyperparameters.
 
     Each evaluation warps y and scores it with _spectral_state as a single
-    row: two matrix-vector products, no factorization. Every evaluation that
-    lowers the best NLL so far is appended to `path`.
+    row: two matrix-vector products, no factorization. Overflow is not
+    caught: it shows as a non-finite NLL or gradient, left to the caller.
     """
 
     def __init__(self, spectrum: _Spectrum, y: np.ndarray):
         self.spectrum = spectrum
         self.asinh_y = np.arcsinh(y)
         self.half_log1p_y2 = 0.5 * float(np.sum(np.log1p(np.square(y))))
-        self.path: list[float] = []
 
     def evaluate(self, theta: np.ndarray):
         """(state, z, cosh(u), NLL) at theta; overflow yields non-finite values."""
@@ -473,12 +405,20 @@ class _WarpedEvidence:
                 - z.size
                 - delta * float(self.asinh_y @ tanh_u)
             )
-        grad = np.array([state.grad[0, 0], state.grad[0, 1], d_eps, d_log_delta])
-        if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
-            return _PENALTY, np.zeros(4)
-        if not self.path or nll < self.path[-1]:
-            self.path.append(nll)
-        return nll, grad
+        return nll, np.array([state.grad[0, 0], state.grad[0, 1], d_eps, d_log_delta])
+
+
+def _lbfgsb_objective(
+    theta: np.ndarray, problem: _WarpedEvidence, path: list[float]
+) -> tuple[float, np.ndarray]:
+    """problem.value_and_grad as L-BFGS-B sees it: a non-finite evaluation is
+    a _PENALTY wall with zero gradient, and each new best NLL joins `path`."""
+    nll, grad = problem.value_and_grad(theta)
+    if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
+        return _PENALTY, np.zeros(4)
+    if not path or nll < path[-1]:
+        path.append(nll)
+    return nll, grad
 
 
 def _precision_cholesky(spectrum: _Spectrum, lam: np.ndarray) -> np.ndarray:
@@ -507,8 +447,6 @@ def _fit_regions(
     Regions flagged as not converged are reported in one warning at the end.
     """
     n = responses.shape[0]
-    if phi.shape[0] != n:
-        raise SchemaError(f"design has {phi.shape[0]} rows but responses have {n}")
     y_rows = np.ascontiguousarray(responses.T)
     for region, y in zip(regions, y_rows):
         if n < 2:
@@ -530,9 +468,11 @@ def _fit_regions(
     flagged = []
     for d, region in enumerate(regions):
         problem = _WarpedEvidence(spectrum, y_rows[d])
+        free_path: list[float] = []
         res = minimize(
-            problem.value_and_grad,
+            _lbfgsb_objective,
             x0[d],
+            args=(problem, free_path),
             jac=True,
             method="L-BFGS-B",
             bounds=_BOUNDS_FREE,
@@ -540,7 +480,7 @@ def _fit_regions(
         )
         if res.fun < state.nll[d] - margin[d]:
             free, z, _, nll = problem.evaluate(res.x)
-            theta, weights, lam, path = res.x, free.weights[0], free.lam[0], problem.path
+            theta, weights, lam, path = res.x, free.weights[0], free.lam[0], free_path
             pg = np.max(np.abs(_projected_gradient(res.x, res.jac, _BOUNDS_FREE)))
             converged = bool(res.success and pg <= stationary)
             reason = str(res.message)
@@ -603,10 +543,7 @@ def fit_region(
     gradient. This is the one-region case of the batched engine behind
     fit_normative, which logs one such warning for all its regions.
     """
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if phi.ndim != 2 or y.ndim != 1:
-        raise InputError("design must be 2-d and responses 1-d")
+    phi, y = _region_arrays(phi, y)
     return _fit_regions(phi, y[:, None], (region,), opts or OptimizerSettings())[0]
 
 
@@ -652,11 +589,13 @@ class NormativeModel:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        m_dim = self.schema.n_columns
         for rm in self.region_models:
-            if rm.weights.shape[0] != self.schema.n_columns:
+            if rm.weights.shape != (m_dim,) or rm.chol_precision.shape != (m_dim, m_dim):
                 raise SchemaError(
-                    f"region '{rm.region}' has {rm.weights.shape[0]} weights "
-                    f"but the schema defines {self.schema.n_columns} columns"
+                    f"region '{rm.region}' has weights of shape {rm.weights.shape} and "
+                    f"chol_precision of shape {rm.chol_precision.shape}, but the schema "
+                    f"defines {m_dim} columns"
                 )
 
     @property
@@ -894,18 +833,32 @@ def save_bundle(model: NormativeModel, out_dir: str | Path) -> None:
 
 
 def load_bundle(bundle_dir: str | Path) -> NormativeModel:
-    """Inverse of save_bundle; numeric state is restored bit-for-bit."""
+    """Inverse of save_bundle; numeric state is restored bit-for-bit.
+
+    A missing key or a bad value in a bundle file raises SchemaError naming it.
+    """
     bundle = Path(bundle_dir)
-    meta = load_json(bundle / MODEL_FILE)
-    if meta.get("format") != _BUNDLE_FORMAT:
-        raise SchemaError(f"{bundle / MODEL_FILE}: not a model bundle")
-    regions_doc = load_json(bundle / REGIONS_FILE)
-    region_models = tuple(RegionModel.from_dict(d) for d in regions_doc["regions"])
-    if list(meta.get("regions", [])) != [rm.region for rm in region_models]:
+    read = bundle / MODEL_FILE  # the file being read when an error is raised
+    meta = load_json(read)
+    try:
+        if meta.get("format") != _BUNDLE_FORMAT:
+            raise SchemaError(f"{read}: not a model bundle")
+        config = ModelConfig.from_dict(meta["config"])
+        schema = DesignSchema.from_dict(meta["design_schema"])
+        listed = list(meta.get("regions", []))
+        read = bundle / REGIONS_FILE
+        region_models = tuple(
+            RegionModel.from_dict(d) for d in load_json(read)["regions"]
+        )
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise SchemaError(
+            f"{read}: malformed model bundle ({type(exc).__name__}: {exc})"
+        ) from None
+    if listed != [rm.region for rm in region_models]:
         raise SchemaError(f"{bundle}: region lists disagree between bundle files")
     return NormativeModel(
         region_models=region_models,
-        config=ModelConfig.from_dict(meta["config"]),
-        schema=DesignSchema.from_dict(meta["design_schema"]),
+        config=config,
+        schema=schema,
         provenance=meta.get("provenance", {}),
     )

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from evidence_reference import CholeskyEvidence
 from scipy import stats
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
@@ -44,7 +45,6 @@ from normgauge import (
     warp_log_jacobian,
 )
 from normgauge.blr import (
-    _EvidenceProblem,
     _precision_cholesky,
     _Spectrum,
     _spectral_state,
@@ -126,6 +126,25 @@ class TestEvidenceValue:
         )
         assert warped != pytest.approx(base, abs=1e-6)
 
+    def test_non_finite_evidence_raises(self):
+        # delta * asinh(1e6) - epsilon is about 800 here, so sinh overflows
+        y = np.linspace(1.0, 1e6, 50)
+        phi = np.column_stack([np.ones(y.size), np.linspace(-1.0, 1.0, y.size)])
+        h = Hyperparams(warp=WarpParams(epsilon=-5.0, log_delta=4.0))
+        for evidence in (neg_log_evidence, neg_log_evidence_grad):
+            with pytest.raises(NumericalError, match="not finite"):
+                evidence(phi, y, h)
+
+    def test_input_shapes_checked(self):
+        phi, y = np.ones((3, 1)), np.ones(3)
+        for evidence in (neg_log_evidence, neg_log_evidence_grad):
+            with pytest.raises(InputError):
+                evidence(phi[:, 0], y, Hyperparams())
+            with pytest.raises(InputError):
+                evidence(phi, y[:, None], Hyperparams())
+            with pytest.raises(SchemaError, match="3 rows but responses have 2"):
+                evidence(phi, y[:2], Hyperparams())
+
 
 class TestEvidenceGradient:
     def test_matches_central_differences(self):
@@ -158,6 +177,8 @@ class TestEvidenceGradient:
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
     def test_posterior_mean_is_ridge_solution(self):
+        # the engine's posterior mean, rotated back from the eigenbasis, solves
+        # the ridge problem on the warped responses
         rng = np.random.default_rng(31)
         for _ in range(10):
             n, m = 40, 5
@@ -168,11 +189,14 @@ class TestEvidenceGradient:
                 log_beta=rng.uniform(-1, 1),
                 warp=WarpParams(epsilon=rng.uniform(-0.5, 0.5), log_delta=rng.uniform(-0.3, 0.3)),
             )
-            st = _EvidenceProblem(phi, y).state(h)
+            theta = np.array([h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta])
+            spectrum = _Spectrum.of(phi)
+            state, _, _, _ = _WarpedEvidence(spectrum, y).evaluate(theta)
+            z = warp_forward(y, h.warp)
             ridge = np.linalg.solve(
-                phi.T @ phi + (h.alpha / h.beta) * np.eye(m), phi.T @ st.z
+                phi.T @ phi + (h.alpha / h.beta) * np.eye(m), phi.T @ z
             )
-            np.testing.assert_allclose(st.m, ridge, atol=1e-10)
+            np.testing.assert_allclose(spectrum.u @ state.weights[0], ridge, atol=1e-10)
 
 
 class TestFitRegion:
@@ -265,7 +289,8 @@ class TestFitRegion:
 
 
 class TestSpectralEngine:
-    """The fit's Cholesky-free evidence against the _EvidenceProblem reference."""
+    """The fit's Cholesky-free evidence against the Cholesky reference in
+    evidence_reference.py."""
 
     @staticmethod
     def design_and_response(kind):
@@ -286,7 +311,7 @@ class TestSpectralEngine:
             # the linear-age column lies in the span of the cubic B-splines,
             # so G has a numerically zero eigenvalue
             assert phi.shape[1] == 9 and np.linalg.matrix_rank(phi) == 8
-        problem = _EvidenceProblem(phi, y)
+        problem = CholeskyEvidence(phi, y)
         spectrum = _Spectrum.of(phi)
         warped = _WarpedEvidence(spectrum, y)
         rng = np.random.default_rng(11)
@@ -307,7 +332,7 @@ class TestSpectralEngine:
                 continue
             value, grad = warped.value_and_grad(theta)
             assert value == pytest.approx(st.nll, rel=1e-9)
-            np.testing.assert_allclose(grad, problem._grad(h, st), rtol=1e-9)
+            np.testing.assert_allclose(grad, problem.grad(h, st), rtol=1e-9)
 
             # identity warp: evidence, gradient, margin and Cholesky factor
             h_id = Hyperparams(log_alpha=theta[0], log_beta=theta[1])
@@ -315,7 +340,7 @@ class TestSpectralEngine:
             state = _spectral_state(spectrum, y[None, :], theta[0:1], theta[1:2])
             assert state.nll[0] == pytest.approx(st_id.nll, rel=1e-9)
             np.testing.assert_allclose(
-                state.grad[0], problem._grad(h_id, st_id)[:2], rtol=1e-9
+                state.grad[0], problem.grad(h_id, st_id)[:2], rtol=1e-9
             )
             logdet = 2.0 * float(np.sum(np.log(np.diag(st_id.chol))))
             a_inv = sla.cho_solve((st_id.chol, True), np.eye(phi.shape[1]))

@@ -377,13 +377,45 @@ class TestExitCodes:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
-    def test_reversed_knots_in_bundle_exit_three(self, pipeline, tmp_path, capsys):
+    # hand edits of a fitted bundle: (file, key path, new value from the old
+    # one or None to delete the key, text the error message must contain);
+    # an empty key path edits the whole document
+    BUNDLE_EDITS = {
+        "model-not-an-object": ("model.json", [], lambda doc: [doc], "model.json"),
+        "region-list-not-a-list": ("model.json", ["regions"], lambda r: 5, "model.json"),
+        "reversed-knots": ("model.json", ["design_schema", "knots"], lambda k: k[::-1], "knots"),
+        "text-knot": ("model.json", ["design_schema", "knots", 0], lambda k: "abc", "model.json"),
+        "text-degree": ("model.json", ["design_schema", "degree"], lambda d: "x", "model.json"),
+        "no-design-schema": ("model.json", ["design_schema"], None, "design_schema"),
+        "no-config": ("model.json", ["config"], None, "config"),
+        "no-weights": ("regions.json", ["regions", 0, "weights"], None, "regions.json"),
+        "chol-not-square": (
+            "regions.json",
+            ["regions", 0, "chol_precision"],
+            lambda c: [row[:-1] for row in c],
+            "chol_precision",
+        ),
+        "nan-warp": (
+            "regions.json",
+            ["regions", 0, "hyperparams", "warp", "epsilon"],
+            lambda e: "nan",
+            "regions.json",
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(BUNDLE_EDITS))
+    def test_reversed_knots_in_bundle_exit_three(self, pipeline, tmp_path, capsys, edit):
+        name, keys, change, named = self.BUNDLE_EDITS[edit]
         bundle = tmp_path / "bundle"
         shutil.copytree(pipeline["fit"], bundle)
-        meta = json.loads((bundle / "model.json").read_text())
-        knots = meta["design_schema"]["knots"]
-        meta["design_schema"]["knots"] = knots[::-1]
-        (bundle / "model.json").write_text(json.dumps(meta))
+        root = [json.loads((bundle / name).read_text())]
+        keys = [0, *keys]
+        parent = functools.reduce(lambda d, k: d[k], keys[:-1], root)
+        if change is None:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = change(parent[keys[-1]])
+        (bundle / name).write_text(json.dumps(root[0]))
         code = run_cli(
             "evaluate",
             "--bundle", bundle,
@@ -392,7 +424,7 @@ class TestExitCodes:
             "--out", tmp_path / "out",
         )
         assert code == 3
-        assert "knots" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_region_mismatch_exit_three(self, pipeline, tmp_path, capsys):
@@ -550,15 +582,33 @@ print(json.dumps([code, sorted(p for p in loaded if p[0] != "_" and p != "versio
 """
 
 
-def _scipy_after(*argv):
+# imports the package and evaluates the evidence and its gradient, then
+# prints every scipy module loaded, one line of JSON
+_EVIDENCE_PROBE = """
+import json, sys
+import numpy as np
+from normgauge import Hyperparams, neg_log_evidence, neg_log_evidence_grad
+phi, y = np.column_stack([np.ones(5), np.arange(5.0)]), np.array([0.5, 1.0, 2.5, 3.0, 4.5])
+neg_log_evidence(phi, y, Hyperparams())
+neg_log_evidence_grad(phi, y, Hyperparams())
+print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
+"""
+
+
+def _probe(source, *argv):
+    """Run source in a fresh interpreter; its last line of output, parsed as JSON."""
     src = str(Path(normgauge.cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *map(str, argv)],
+        [sys.executable, "-c", source, *map(str, argv)],
         env=env, capture_output=True, text=True, check=True,
     )
-    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _scipy_after(*argv):
+    code, loaded = _probe(_SCIPY_PROBE, *argv)
     return code, set(loaded)
 
 
@@ -568,6 +618,9 @@ class TestImportCost:
 
     def test_package_import_loads_no_scipy(self):
         assert _scipy_after() == (0, set())
+
+    def test_evidence_functions_load_no_scipy(self):
+        assert _probe(_EVIDENCE_PROBE) == []
 
     # public scipy subpackages a command may load; None for the commands that
     # optimize, where what scipy.optimize pulls in depends on the scipy version
