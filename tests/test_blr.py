@@ -1,5 +1,6 @@
 """Tests for the warped Bayesian regression core: evidence, fits, deviations, metrics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -44,7 +45,10 @@ from normgauge import (
     warp_inverse,
     warp_log_jacobian,
 )
+from normgauge import blr
 from normgauge.blr import (
+    _fit_regions,
+    _normality_statistic,
     _precision_cholesky,
     _Spectrum,
     _spectral_state,
@@ -386,6 +390,126 @@ class TestSpectralEngine:
             single = fit_region(phi, responses[:, d], region=batched.region)
             assert single.nll == pytest.approx(batched.nll, rel=1e-10)
             np.testing.assert_allclose(single.weights, batched.weights, rtol=1e-8)
+
+
+class TestNormalityScreen:
+    """A region skips its free-warp run when its identity residuals look
+    Gaussian. Oracle: the same fit with the screen switched off (share 0)
+    runs every free run, and must give the same region models."""
+
+    N = 400
+
+    @classmethod
+    def ages_and_design(cls):
+        rng = np.random.default_rng(0)
+        ages = rng.uniform(20, 70, cls.N)
+        return ages, fit_design(make_cohort(ages, np.zeros(cls.N)), ModelConfig()).values
+
+    @classmethod
+    def responses(cls, kind):
+        """Four regions of one noise family about an age trend centred on 0.
+        The warp acts on y itself: about a mean near 2, symmetric noise does
+        not engage it at all, and the oracle would check nothing."""
+        ages, phi = cls.ages_and_design()
+        rng = np.random.default_rng(1)
+        n = cls.N
+        trend = 0.2 * (ages - 45.0) / 25.0
+        if kind == "student-t":
+            noise = [rng.standard_t(df, n) for df in (3, 5, 10, 30)]
+        elif kind == "laplace":
+            noise = [rng.laplace(0.0, 1.0, n) for _ in range(4)]
+        elif kind == "bimodal":
+            noise = [
+                rng.choice([-s, s], n) + rng.normal(0.0, 1.0, n) for s in (0.8, 1.2, 1.6, 2.0)
+            ]
+        elif kind == "age-band-skew":
+            # skewed noise only between ages 60 and 70, Gaussian elsewhere
+            band = ages > 60.0
+            noise = [
+                np.where(
+                    band,
+                    warp_inverse(rng.normal(0.0, 1.0, n), WarpParams(eps, -0.3)),
+                    rng.normal(0.0, 1.0, n),
+                )
+                for eps in (0.3, 0.5, 1.0, 2.0)
+            ]
+        elif kind == "skewed-warp":
+            noise = [
+                warp_inverse(rng.normal(0.0, 1.0, n), WarpParams(eps, -0.3))
+                for eps in (0.1, 0.3, 0.5, 0.8)
+            ]
+        else:
+            noise = [rng.normal(0.0, 1.0, n) for _ in range(4)]
+        return phi, np.column_stack([trend + 0.25 * np.asarray(e) for e in noise])
+
+    @staticmethod
+    def fit(phi, responses):
+        regions = tuple(f"r{d}" for d in range(responses.shape[1]))
+        return _fit_regions(phi, responses, regions, OptimizerSettings())
+
+    @staticmethod
+    def assert_same_models(screened, unscreened):
+        for a, b in zip(screened, unscreened, strict=True):
+            for f in dataclasses.fields(RegionModel):
+                if f.name == "screened":
+                    continue
+                got, expected = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(got, np.ndarray):
+                    np.testing.assert_array_equal(got, expected, err_msg=f.name)
+                else:
+                    assert got == expected, (a.region, f.name)
+
+    @pytest.mark.parametrize(
+        "kind", ["student-t", "laplace", "bimodal", "age-band-skew", "skewed-warp"]
+    )
+    def test_screen_never_changes_the_fit(self, monkeypatch, kind):
+        phi, responses = self.responses(kind)
+        screened = self.fit(phi, responses)
+        monkeypatch.setattr(blr, "_SCREEN_SHARE", 0.0)
+        unscreened = self.fit(phi, responses)
+        assert not any(rm.screened for rm in unscreened)
+        # the free run decides the result somewhere, so a wrong skip would show
+        assert any(not rm.hyperparams.warp.is_identity() for rm in unscreened)
+        self.assert_same_models(screened, unscreened)
+
+    def test_gaussian_regions_skip_the_free_run(self, monkeypatch):
+        phi, responses = self.responses("gaussian")
+        calls = []
+        minimize = blr.minimize
+        monkeypatch.setattr(
+            blr, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k)
+        )
+        screened = self.fit(phi, responses)
+        assert calls == []
+        assert all(rm.screened for rm in screened)
+        monkeypatch.setattr(blr, "_SCREEN_SHARE", 0.0)
+        unscreened = self.fit(phi, responses)
+        assert len(calls) == responses.shape[1]
+        self.assert_same_models(screened, unscreened)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_statistic_never_skips(self, monkeypatch, value):
+        phi, responses = self.responses("gaussian")
+        monkeypatch.setattr(
+            blr, "_normality_statistic", lambda r: np.full(r.shape[0], value)
+        )
+        assert not any(rm.screened for rm in self.fit(phi, responses))
+
+    def test_statistic_is_half_jarque_bera(self):
+        rng = np.random.default_rng(4)
+        rows = np.vstack(
+            [rng.normal(size=300), rng.standard_t(4, 300), rng.exponential(size=300)]
+        )
+        expected = [stats.jarque_bera(row).statistic / 2.0 for row in rows]
+        np.testing.assert_allclose(_normality_statistic(rows), expected, rtol=1e-12)
+        assert np.isnan(_normality_statistic(np.ones((1, 10)))[0])
+
+    def test_screened_flag_stays_out_of_the_bundle(self):
+        phi, responses = self.responses("gaussian")
+        (model, *_) = self.fit(phi, responses)
+        assert model.screened
+        assert "screened" not in model.to_dict()
+        assert not RegionModel.from_dict(model.to_dict()).screened
 
 
 @pytest.fixture(scope="module")

@@ -401,6 +401,36 @@ class TestExitCodes:
             lambda e: "nan",
             "regions.json",
         ),
+        "nan-log-alpha": (
+            "regions.json",
+            ["regions", 0, "hyperparams", "log_alpha"],
+            lambda v: "nan",
+            "log_alpha",
+        ),
+        "nan-log-beta": (
+            "regions.json",
+            ["regions", 0, "hyperparams", "log_beta"],
+            lambda v: "nan",
+            "log_beta",
+        ),
+        "nan-weight": (
+            "regions.json", ["regions", 0, "weights", 1], lambda v: "nan", "weights"
+        ),
+        "inf-chol-precision": (
+            "regions.json",
+            ["regions", 0, "chol_precision", 0, 0],
+            lambda v: "inf",
+            "chol_precision",
+        ),
+        "nan-train-z-mean": (
+            "regions.json", ["regions", 0, "train_z_mean"], lambda v: "nan", "train_z_mean"
+        ),
+        "nan-train-z-var": (
+            "regions.json", ["regions", 0, "train_z_var"], lambda v: "nan", "train_z_var"
+        ),
+        "zero-train-z-var": (
+            "regions.json", ["regions", 0, "train_z_var"], lambda v: 0.0, "train_z_var"
+        ),
     }
 
     @pytest.mark.parametrize("edit", sorted(BUNDLE_EDITS))
@@ -622,14 +652,16 @@ class TestImportCost:
     def test_evidence_functions_load_no_scipy(self):
         assert _probe(_EVIDENCE_PROBE) == []
 
-    # public scipy subpackages a command may load; None for the commands that
-    # optimize, where what scipy.optimize pulls in depends on the scipy version
+    # public scipy subpackages a command may load; None for classify, which
+    # always optimizes, and what scipy.optimize pulls in depends on the scipy
+    # version. The fixture's noise is Gaussian, so every region's free-warp run
+    # is screened out and fit only scores.
     ALLOWED = {
         "synth": set(),
         "report": set(),
         "evaluate": {"linalg"},
         "audit": {"linalg", "special"},
-        "fit": None,
+        "fit": {"linalg"},
         "classify": None,
     }
 
@@ -666,6 +698,23 @@ class TestImportCost:
             assert "optimize" in loaded
         else:
             assert loaded <= allowed, f"{command} loaded {sorted(loaded - allowed)}"
+        assert "stats" not in loaded and "interpolate" not in loaded
+
+    def test_fit_with_a_free_warp_run_loads_optimize(self, tmp_path):
+        spec = write_spec(
+            tmp_path / "spec.json",
+            noise_sd=0.5,
+            noise_skew={"epsilon": 0.5, "log_delta": -0.3},
+        )
+        assert run_cli("synth", "--spec", spec, "--out", tmp_path / "data") == 0
+        code, loaded = _scipy_after(
+            "fit",
+            "--covariates", tmp_path / "data" / "covariates.csv",
+            "--features", tmp_path / "data" / "features.csv",
+            "--out", tmp_path / "fit",
+        )
+        assert code == 0
+        assert "optimize" in loaded
         assert "stats" not in loaded and "interpolate" not in loaded
 
 
