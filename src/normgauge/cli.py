@@ -1,11 +1,14 @@
 """Command-line entry points.
 
-Subcommands: synth, fit, evaluate, audit, classify, report. Every command
-accepts --config pointing at a JSON object of option values; explicit flags
-override the file. The fully resolved configuration is echoed to
-run_config.json in the output directory, and outputs contain no timestamps,
-so reruns with the same inputs are byte-identical. Exit codes: 0 success,
-2 input/configuration problems, 3 schema mismatches, 4 numerical failures.
+Subcommands: synth, fit, evaluate, audit, classify, report. Each option is
+declared once, as a flag with its default and type. Every command accepts
+--config pointing at a JSON object of option values keyed by dest name; the
+file's values, typed as the flags type their text, become the command's
+defaults, so the precedence is default < file < flag. The fully resolved
+configuration is echoed to run_config.json in the output directory, and
+outputs contain no timestamps, so reruns with the same inputs are
+byte-identical. Exit codes: 0 success, 2 input/configuration problems,
+3 schema mismatches, 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.util
+import json
 import logging
 import math
 import sys
@@ -63,23 +67,57 @@ from .synth import SynthSpec, generate
 log = logging.getLogger(__name__)
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, required: tuple[str, ...]) -> dict:
-    """Defaults, overlaid by the --config file, overlaid by explicit flags."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_cfg = load_json(config_path)
-        if not isinstance(file_cfg, dict):
-            raise InputError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+class _ConfigFile(argparse.Action):
+    """--config FILE: the file's values become the command's defaults.
+
+    The first parse sets them; `main` then parses again, so a flag still
+    beats the file and the file beats the flag's own default.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        doc = load_json(path)
+        if not isinstance(doc, dict):
+            raise InputError(f"{path}: config must be a JSON object")
+        options = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+        unknown = sorted(set(doc) - set(options))
         if unknown:
-            raise InputError(f"{config_path}: unknown config key(s) {unknown}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    missing = [k for k in required if cfg.get(k) is None]
+            raise InputError(f"{path}: unknown config key(s) {unknown}")
+        for key, value in doc.items():
+            try:
+                parser.set_defaults(**{key: _typed(options[key], value)})
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"{path}: config key '{key}' has a bad value {json.dumps(value)}"
+                ) from None
+        namespace.config = path
+
+
+def _typed(action: argparse.Action, value):
+    """A config value as its flag would set it; ValueError if no flag could."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # on/off flags take only true or false
+        if isinstance(value, bool):
+            return value
+    elif action.nargs == "+":
+        if isinstance(value, list) and value:
+            return [_typed_text(action, v) for v in value]
+    else:
+        return _typed_text(action, value)
+    raise ValueError(value)
+
+
+def _typed_text(action: argparse.Action, value):
+    # a JSON number stands for its text, so "knots": 5.5 fails as --knots 5.5 does
+    if isinstance(value, str) or (action.type and type(value) in (int, float)):
+        return action.type(str(value)) if action.type else value
+    raise ValueError(value)
+
+
+def _resolve(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
+    """The command's options from the parsed flags; each `required` one must be set."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    missing = [k for k in required if cfg[k] is None]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise InputError(f"missing required option(s): {flags}")
@@ -87,16 +125,13 @@ def _resolve(args: argparse.Namespace, defaults: dict, required: tuple[str, ...]
 
 
 def _write_run_config(out_dir: Path, command: str, cfg: dict) -> None:
-    doc = {"command": command, "version": __version__}
-    for key in sorted(cfg):
-        val = cfg[key]
-        doc[key] = str(val) if isinstance(val, Path) else val
+    doc = {"command": command, "version": __version__, **dict(sorted(cfg.items()))}
     dump_json(doc, out_dir / "run_config.json")
 
 
 def _schema_from(cfg: dict) -> CohortSchema:
     labels = tuple(
-        sorted(s.strip() for s in str(cfg["race_labels"]).split(",") if s.strip())
+        sorted(s.strip() for s in cfg["race_labels"].split(",") if s.strip())
     )
     if not labels:
         raise InputError("race_labels must name at least one label")
@@ -121,6 +156,18 @@ def _parse_fractions(text: str) -> dict[str, float]:
     return out
 
 
+def _races(ids: list[str], covariates: str, schema: CohortSchema) -> list[str]:
+    """The race of each scored id, read from the covariates file."""
+    cov_map, _ = read_covariates(Path(covariates), schema)
+    missing = [sid for sid in ids if sid not in cov_map]
+    if missing:
+        raise InputError(
+            f"{len(missing)} scored id(s) missing from covariates "
+            f"(first few: {missing[:5]})"
+        )
+    return [cov_map[sid].race for sid in ids]
+
+
 def _metrics_rows(metrics) -> list[list]:
     return [
         [m.region, m.explained_variance, m.msll, m.skew, m.kurtosis] for m in metrics
@@ -131,14 +178,12 @@ _METRICS_HEADER = ["region", "explained_variance", "msll", "skew", "kurtosis"]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args, {"spec": None, "out": None, "seed": None}, required=("spec", "out")
-    )
+    cfg = _resolve(args, required=("spec", "out"))
     spec_doc = load_json(cfg["spec"])
     if not isinstance(spec_doc, dict):
         raise InputError(f"{cfg['spec']}: spec must be a JSON object")
     if cfg["seed"] is not None:
-        spec_doc["seed"] = int(cfg["seed"])
+        spec_doc["seed"] = cfg["seed"]
     spec = SynthSpec.from_dict(spec_doc)
     cohort, truth = generate(spec)
     out = Path(cfg["out"])
@@ -153,28 +198,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIT_DEFAULTS = {
-    "covariates": None,
-    "features": None,
-    "out": None,
-    "covariate_set": "age,sex",
-    "race_reference": "W",
-    "race_labels": "A,B,W",
-    "knots": 5,
-    "degree": 3,
-    "include_linear_age": True,
-    "knot_lo": None,
-    "knot_hi": None,
-    "min_qc": None,
-    "train_frac": None,
-    "default_train_frac": None,
-    "seed": 0,
-    "workers": 1,
-}
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _FIT_DEFAULTS, required=("covariates", "features", "out"))
+    cfg = _resolve(args, required=("covariates", "features", "out"))
     schema = _schema_from(cfg)
     cohort, _report = load_cohort(cfg["covariates"], cfg["features"], schema)
     cohort = qc_filter(cohort, cfg["min_qc"])
@@ -185,7 +210,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fractions = _parse_fractions(cfg["train_frac"] or "")
         split = SplitSpec(
             fractions=fractions,
-            seed=int(cfg["seed"]),
+            seed=cfg["seed"],
             default_fraction=cfg["default_train_frac"],
         )
         train, test = stratified_split(cohort, split)
@@ -194,24 +219,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     knot_range = None
     if cfg["knot_lo"] is not None and cfg["knot_hi"] is not None:
-        knot_range = (float(cfg["knot_lo"]), float(cfg["knot_hi"]))
+        knot_range = (cfg["knot_lo"], cfg["knot_hi"])
     elif (cfg["knot_lo"] is None) != (cfg["knot_hi"] is None):
         raise InputError("provide both --knot-lo and --knot-hi or neither")
     covariate_set = tuple(
-        s.strip() for s in str(cfg["covariate_set"]).split(",") if s.strip()
+        s.strip() for s in cfg["covariate_set"].split(",") if s.strip()
     )
     model_config = ModelConfig(
         covariates=covariate_set,
         basis=BasisConfig(
-            n_knots=int(cfg["knots"]),
-            degree=int(cfg["degree"]),
+            n_knots=cfg["knots"],
+            degree=cfg["degree"],
             knot_range=knot_range,
-            include_linear_age=bool(cfg["include_linear_age"]),
+            include_linear_age=cfg["include_linear_age"],
         ),
-        race_reference_level=str(cfg["race_reference"]),
+        race_reference_level=cfg["race_reference"],
     )
     model = fit_normative(
-        train, model_config, workers=int(cfg["workers"]), seed=int(cfg["seed"])
+        train, model_config, workers=cfg["workers"], seed=cfg["seed"]
     )
     metrics = fit_metrics(model, train)
 
@@ -250,15 +275,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    defaults = {
-        "bundle": None,
-        "covariates": None,
-        "features": None,
-        "out": None,
-        "ids": None,
-        "race_labels": "A,B,W",
-    }
-    cfg = _resolve(args, defaults, required=("bundle", "covariates", "features", "out"))
+    cfg = _resolve(args, required=("bundle", "covariates", "features", "out"))
     model = load_bundle(cfg["bundle"])
     schema = _schema_from(cfg)
     cohort, _report = load_cohort(cfg["covariates"], cfg["features"], schema)
@@ -284,7 +301,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
     contrasts = []
     for item in raw:
-        g1, sep, g2 = str(item).partition(":")
+        g1, sep, g2 = item.partition(":")
         if not sep or not g1 or not g2 or g1 == g2:
             raise InputError(
                 f"bad contrast '{item}' (expected GROUP_ONE:GROUP_TWO)"
@@ -294,20 +311,8 @@ def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    defaults = {
-        "deviations": None,
-        "errors": None,
-        "covariates": None,
-        "out": None,
-        "contrasts": None,
-        "q": 0.05,
-        "threshold": 2.0,
-        "bundle": None,
-        "features": None,
-        "race_labels": "A,B,W",
-    }
     cfg = _resolve(
-        args, defaults, required=("deviations", "errors", "covariates", "out", "contrasts")
+        args, required=("deviations", "errors", "covariates", "out", "contrasts")
     )
     if (cfg["bundle"] is None) != (cfg["features"] is None):
         raise InputError("provide both --bundle and --features or neither")
@@ -316,23 +321,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if ids_z != ids_e or regions_z != regions_e:
         raise SchemaError("deviations and errors files disagree on ids or regions")
     schema = _schema_from(cfg)
-    cov_map, _ = read_covariates(Path(cfg["covariates"]), schema)
-    missing = [sid for sid in ids_z if sid not in cov_map]
-    if missing:
-        raise InputError(
-            f"{len(missing)} scored id(s) missing from covariates "
-            f"(first few: {missing[:5]})"
-        )
-    groups = [cov_map[sid].race for sid in ids_z]
+    groups = _races(ids_z, cfg["covariates"], schema)
     present = set(groups)
-    contrasts = _parse_contrasts(list(cfg["contrasts"]))
+    contrasts = _parse_contrasts(cfg["contrasts"])
     for g1, g2 in contrasts:
         for g in (g1, g2):
             if g not in present:
                 raise InputError(f"contrast group '{g}' absent from the scored cohort")
 
-    q = float(cfg["q"])
-    threshold = float(cfg["threshold"])
+    q = cfg["q"]
+    threshold = cfg["threshold"]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -424,43 +422,23 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    defaults = {
-        "deviations": None,
-        "covariates": None,
-        "out": None,
-        "folds": 5,
-        "l2": 1.0,
-        "seed": 0,
-        "standardize": False,
-        "holdout_fraction": None,
-        "svg": False,
-        "race_labels": "A,B,W",
-    }
-    cfg = _resolve(args, defaults, required=("deviations", "covariates", "out"))
+    cfg = _resolve(args, required=("deviations", "covariates", "out"))
     if cfg["svg"] and importlib.util.find_spec("matplotlib") is None:
         # fail before any output is written, not after the cross-validation
         raise InputError(
             "matplotlib is required to render roc.svg (install the 'plots' extra)"
         )
     ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"])
-    schema = _schema_from(cfg)
-    cov_map, _ = read_covariates(Path(cfg["covariates"]), schema)
-    missing = [sid for sid in ids if sid not in cov_map]
-    if missing:
-        raise InputError(
-            f"{len(missing)} scored id(s) missing from covariates "
-            f"(first few: {missing[:5]})"
-        )
-    labels = [cov_map[sid].race for sid in ids]
+    labels = _races(ids, cfg["covariates"], _schema_from(cfg))
     clf_config = ClassifierConfig(
-        l2_strength=float(cfg["l2"]),
-        n_folds=int(cfg["folds"]),
-        seed=int(cfg["seed"]),
-        standardize=bool(cfg["standardize"]),
+        l2_strength=cfg["l2"],
+        n_folds=cfg["folds"],
+        seed=cfg["seed"],
+        standardize=cfg["standardize"],
     )
     if cfg["holdout_fraction"] is not None:
         report = evaluate_holdout(
-            z_matrix, labels, clf_config, test_fraction=float(cfg["holdout_fraction"])
+            z_matrix, labels, clf_config, test_fraction=cfg["holdout_fraction"]
         )
     else:
         report = cross_validate(z_matrix, labels, clf_config)
@@ -632,7 +610,7 @@ def _classifier_section(path: Path | None) -> list[str]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"run_dir": None, "out": None}, required=("run_dir",))
+    cfg = _resolve(args, required=("run_dir",))
     run_dir = Path(cfg["run_dir"])
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
@@ -661,82 +639,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--config", action=_ConfigFile, help="JSON file of option values; flags override"
+    )
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file of option values; flags override")
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[common])
 
-    p = sub.add_parser("synth", help="generate a synthetic cohort")
-    add_common(p)
+    def add_race_labels(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--race-labels", dest="race_labels", default="A,B,W")
+
+    p = add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--spec", help="JSON generator spec")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="override the spec seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="fit a normative model")
-    add_common(p)
+    p = add_parser("fit", help="fit a normative model")
     p.add_argument("--covariates", help="covariates CSV")
     p.add_argument("--features", help="features CSV")
     p.add_argument("--out", help="bundle output directory")
-    p.add_argument("--covariate-set", dest="covariate_set",
+    p.add_argument("--covariate-set", dest="covariate_set", default="age,sex",
                    help="age,sex | age,sex,site | age,sex,race")
-    p.add_argument("--race-reference", dest="race_reference")
-    p.add_argument("--race-labels", dest="race_labels")
-    p.add_argument("--knots", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--no-linear-age", dest="include_linear_age",
-                   action="store_const", const=False)
+    p.add_argument("--race-reference", dest="race_reference", default="W")
+    add_race_labels(p)
+    p.add_argument("--knots", type=int, default=5)
+    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--no-linear-age", dest="include_linear_age", action="store_false")
     p.add_argument("--knot-lo", dest="knot_lo", type=float)
     p.add_argument("--knot-hi", dest="knot_hi", type=float)
     p.add_argument("--min-qc", dest="min_qc", type=float)
     p.add_argument("--train-frac", dest="train_frac",
                    help="per-race fractions, e.g. A=0.02,B=0.05,W=0.93")
     p.add_argument("--default-train-frac", dest="default_train_frac", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--workers", type=int, help="accepted for compatibility; has no effect"
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
     )
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("evaluate", help="score a cohort against a fitted bundle")
-    add_common(p)
+    p = add_parser("evaluate", help="score a cohort against a fitted bundle")
     p.add_argument("--bundle", help="model bundle directory")
     p.add_argument("--covariates")
     p.add_argument("--features")
     p.add_argument("--out")
     p.add_argument("--ids", help="file with one subject id per line")
-    p.add_argument("--race-labels", dest="race_labels")
+    add_race_labels(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("audit", help="test deviations for group differences")
-    add_common(p)
+    p = add_parser("audit", help="test deviations for group differences")
     p.add_argument("--deviations")
     p.add_argument("--errors")
     p.add_argument("--covariates")
     p.add_argument("--out")
     p.add_argument("--contrasts", nargs="+", help="pairs like W:A W:B")
-    p.add_argument("--q", type=float, help="FDR level")
-    p.add_argument("--threshold", type=float, help="|Z| extreme threshold")
+    p.add_argument("--q", type=float, default=0.05, help="FDR level")
+    p.add_argument("--threshold", type=float, default=2.0, help="|Z| extreme threshold")
     p.add_argument("--bundle", help="optional bundle for per-group EV/MSLL")
     p.add_argument("--features", help="optional features CSV for per-group EV/MSLL")
-    p.add_argument("--race-labels", dest="race_labels")
+    add_race_labels(p)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("classify", help="predict race from deviation profiles")
-    add_common(p)
+    p = add_parser("classify", help="predict race from deviation profiles")
     p.add_argument("--deviations")
     p.add_argument("--covariates")
     p.add_argument("--out")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--standardize", action="store_const", const=True)
+    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--l2", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--standardize", action="store_true")
     p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--svg", action="store_const", const=True)
-    p.add_argument("--race-labels", dest="race_labels")
+    p.add_argument("--svg", action="store_true")
+    add_race_labels(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("report", help="assemble a markdown report from run outputs")
-    add_common(p)
+    p = add_parser("report", help="assemble a markdown report from run outputs")
     p.add_argument("--run-dir", dest="run_dir")
     p.add_argument("--out", help="report path (default RUN_DIR/report.md)")
     p.set_defaults(func=cmd_report)
@@ -744,11 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # parse again now that the file's values are the command's defaults
+            args = parser.parse_args(argv)
         return args.func(args)
     except NormgaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,12 +5,12 @@ is written with enough decimal digits to reconstruct the exact IEEE-754 double:
 JSON values use 17 significant digits, CSV cells use repr() (shortest exact
 form). Nothing here writes timestamps or other run-dependent noise.
 
-CSV contract. Written files are exactly what `csv.writer` (lineterminator
-"\n") writes for the `format_cell` text of each cell: a missing value or NaN
-is an empty cell, and only a cell containing a comma, a double quote or a line
-break is quoted. The one exception is csv.writer's own: on Python 3.11 it
-leaves a cell that holds a CR but no LF unquoted, so such an id or name is
-written bare and the file does not read back. `read_matrix_csv` accepts what
+CSV contract. Written files are what `csv.writer` (lineterminator "\n")
+writes for the `format_cell` text of each cell: a missing value or NaN is an
+empty cell, and only a cell containing a comma, a double quote, a CR or an LF
+is quoted. The one difference is a cell that holds a CR but no LF: Python
+3.11's csv.writer leaves it bare, so its file would not read back, and here it
+is quoted like any other line break. `read_matrix_csv` accepts what
 `csv.reader` splits and what `float()` parses: blank lines are skipped, CRLF
 and quoted cells are allowed, and `1_0` or ` 1.5 ` parse as float() parses
 them. Rows are formatted and parsed a whole row or file at a time, not cell by
@@ -101,25 +101,27 @@ def format_cell(value: Any) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write a header and rows; bytes equal csv.writer over format_cell text.
+    """Write a header and rows of format_cell text, quoting as csv.writer does.
 
-    csv.writer changes a row only when a cell holds a comma, a quote or a
-    line break, or when the row is one empty cell; every other row is joined
-    directly, which costs far less than csv.writer's per-cell quoting scan.
+    A cell holding a comma, a quote, a CR or an LF is quoted, its quotes
+    doubled, and a row of one empty cell is written `""` so that it does not
+    read back as a blank line. Rows without such cells are joined directly.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         for row in itertools.chain([header], rows):
             cells = [format_cell(v) for v in row]
             line = ",".join(cells)
-            if (
-                line
-                and line.count(",") == len(cells) - 1
-                and not any(c in line for c in '"\r\n')
-            ):
-                fh.write(line + "\n")
-            else:
-                writer.writerow(cells)
+            if line.count(",") != len(cells) - 1 or any(c in line for c in '"\r\n'):
+                line = ",".join(map(_quoted, cells))
+            elif cells == [""]:
+                line = '""'
+            fh.write(line + "\n")
+
+
+def _quoted(cell: str) -> str:
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def write_matrix_csv(

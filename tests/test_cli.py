@@ -308,10 +308,56 @@ class TestClassifyOptions:
             assert (out / "roc.svg").stat().st_size > 0
 
 
+def required_flags(pipeline, command, out):
+    """Only the required flags of a command, on the pipeline's files."""
+    data, ev = pipeline["data"], pipeline["eval"]
+    return {
+        "synth": ["--spec", pipeline["root"] / "spec.json", "--out", out],
+        "fit": ["--covariates", data / "covariates.csv",
+                "--features", data / "features.csv", "--out", out],
+        "evaluate": ["--bundle", pipeline["fit"], "--covariates", data / "covariates.csv",
+                     "--features", data / "features.csv", "--out", out],
+        "audit": ["--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
+                  "--covariates", data / "covariates.csv", "--out", out,
+                  "--contrasts", "W:A"],
+        "classify": ["--deviations", ev / "deviations.csv",
+                     "--covariates", data / "covariates.csv", "--out", out],
+        "report": ["--run-dir", pipeline["root"], "--out", out / "report.md"],
+    }[command]
+
+
+# every option each command echoes to run_config.json, at its default
+DEFAULT_OPTIONS = {
+    "synth": {"seed": 0},  # the seed of the spec, echoed
+    "fit": {
+        "covariate_set": "age,sex", "race_reference": "W", "race_labels": "A,B,W",
+        "knots": 5, "degree": 3, "include_linear_age": True, "knot_lo": None,
+        "knot_hi": None, "min_qc": None, "train_frac": None,
+        "default_train_frac": None, "seed": 0, "workers": 1,
+    },
+    "evaluate": {"ids": None, "race_labels": "A,B,W"},
+    "audit": {"q": 0.05, "threshold": 2.0, "bundle": None, "features": None,
+              "race_labels": "A,B,W"},
+    "classify": {"folds": 5, "l2": 1.0, "seed": 0, "standardize": False,
+                 "holdout_fraction": None, "svg": False, "race_labels": "A,B,W"},
+}
+
+
 class TestConfigFile:
-    def test_flag_overrides_config_file(self, pipeline, tmp_path):
+    @pytest.mark.parametrize(
+        "file_values, flags, expected",
+        [
+            ({"knots": 6, "seed": 9}, ["--knots", "4"], {"knots": 4, "seed": 9}),
+            # a flag equal to its default still beats the file
+            ({"knots": 6}, ["--knots", "5"], {"knots": 5}),
+            ({"include_linear_age": True}, ["--no-linear-age"],
+             {"include_linear_age": False}),
+        ],
+    )
+    def test_flag_overrides_config_file(self, pipeline, tmp_path, file_values, flags,
+                                        expected):
         config = tmp_path / "fit.json"
-        config.write_text(json.dumps({"knots": 6, "seed": 9}), encoding="utf-8")
+        config.write_text(json.dumps(file_values), encoding="utf-8")
         out = tmp_path / "fit_cfg"
         assert (
             run_cli(
@@ -320,13 +366,12 @@ class TestConfigFile:
                 "--covariates", pipeline["data"] / "covariates.csv",
                 "--features", pipeline["data"] / "features.csv",
                 "--out", out,
-                "--knots", "4",
+                *flags,
             )
             == 0
         )
         cfg = json.loads((out / "run_config.json").read_text())
-        assert cfg["knots"] == 4
-        assert cfg["seed"] == 9
+        assert {key: cfg[key] for key in expected} == expected
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -340,6 +385,43 @@ class TestConfigFile:
         )
         assert code == 2
         assert "knotz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("classify", "standardize", "false"),
+            ("fit", "knots", [3]),
+            ("audit", "q", "high"),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, pipeline, tmp_path, capsys,
+                                            command, key, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "x"
+        code = run_cli(command, "--config", config, *required_flags(pipeline, command, out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and f"'{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_OPTIONS))
+    def test_run_config_echoes_every_default(self, pipeline, tmp_path, command):
+        out = tmp_path / "out"
+        flags = required_flags(pipeline, command, out)
+        assert run_cli(command, *flags) == 0
+        expected = {"command": command, "version": normgauge.__version__}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            expected[flag[2:].replace("-", "_")] = str(value)
+        if command == "audit":
+            expected["contrasts"] = ["W:A"]
+        expected.update(DEFAULT_OPTIONS[command])
+        assert json.loads((out / "run_config.json").read_text()) == expected
+
+    def test_report_writes_no_run_config(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("report", *required_flags(pipeline, "report", out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.md"]
 
 
 class TestRaceIncludedFit:

@@ -44,6 +44,8 @@ class TestWriter:
         expected = reference_bytes(
             ["id", *columns], ([sid, *row] for sid, row in zip(ids, values.tolist()))
         )
+        # csv.writer of Python 3.11 leaves a lone CR bare; it is quoted here
+        expected = expected.replace(b"\ncr\rid,", b'\n"cr\rid",')
         assert path.read_bytes() == expected
 
     def test_nan_and_none_are_empty_cells(self, tmp_path):
@@ -63,7 +65,18 @@ class TestWriter:
         path = tmp_path / "t.csv"
         header = ["a", "b", "c", "d", "e", "f"]
         write_csv(path, header, rows)
-        assert path.read_bytes() == reference_bytes(header, rows)
+        expected = reference_bytes(header, rows).replace(
+            ",é,\r\n".encode(), ',é,"\r"\n'.encode()
+        )
+        assert path.read_bytes() == expected
+
+    def test_lone_cr_in_id_round_trips(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, ["cr\rid", "x"], ["a"], np.array([[1.5], [2.0]]))
+        assert path.read_bytes() == b'id,a\n"cr\rid",1.5\nx,2.0\n'
+        ids, columns, values = read_matrix_csv(path)
+        assert ids == ["cr\rid", "x"] and columns == ["a"]
+        np.testing.assert_array_equal(values, [[1.5], [2.0]])
 
     def test_single_cell_rows_match_csv_writer(self, tmp_path):
         rows = [[""], [None], ["x"], [1.0], ['"'], []]
