@@ -344,18 +344,8 @@ DEFAULT_OPTIONS = {
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize(
-        "file_values, flags, expected",
-        [
-            ({"knots": 6, "seed": 9}, ["--knots", "4"], {"knots": 4, "seed": 9}),
-            # a flag equal to its default still beats the file
-            ({"knots": 6}, ["--knots", "5"], {"knots": 5}),
-            ({"include_linear_age": True}, ["--no-linear-age"],
-             {"include_linear_age": False}),
-        ],
-    )
-    def test_flag_overrides_config_file(self, pipeline, tmp_path, file_values, flags,
-                                        expected):
+    @staticmethod
+    def _fit_with_config(pipeline, tmp_path, file_values, flags):
         config = tmp_path / "fit.json"
         config.write_text(json.dumps(file_values), encoding="utf-8")
         out = tmp_path / "fit_cfg"
@@ -370,7 +360,26 @@ class TestConfigFile:
             )
             == 0
         )
-        cfg = json.loads((out / "run_config.json").read_text())
+        return json.loads((out / "run_config.json").read_text())
+
+    def test_flag_overrides_config_file(self, pipeline, tmp_path):
+        cfg = self._fit_with_config(pipeline, tmp_path, {"knots": 6, "seed": 9},
+                                    ["--knots", "4"])
+        assert cfg["knots"] == 4
+        assert cfg["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "file_values, flags, expected",
+        [
+            # a flag equal to its default still beats the file
+            ({"knots": 6}, ["--knots", "5"], {"knots": 5}),
+            ({"include_linear_age": True}, ["--no-linear-age"],
+             {"include_linear_age": False}),
+        ],
+    )
+    def test_default_valued_flag_overrides_config_file(self, pipeline, tmp_path,
+                                                       file_values, flags, expected):
+        cfg = self._fit_with_config(pipeline, tmp_path, file_values, flags)
         assert {key: cfg[key] for key in expected} == expected
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys):
