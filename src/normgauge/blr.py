@@ -76,8 +76,8 @@ _PENALTY = 1e300
 
 
 def minimize(fun, x0, *args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: only fit and classify
-    optimize, and the import is the largest part of a command's start-up."""
+    """scipy.optimize.minimize, imported on first call: only fit's free-warp
+    runs optimize, and the import is the largest part of a command's start-up."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, *args, **kwargs)
@@ -605,8 +605,8 @@ class RegionPrediction:
 
 
 def predict_region(model: RegionModel, phi_star: np.ndarray) -> RegionPrediction:
-    from scipy.linalg import cho_solve
-
+    """Predict rows phi_star; the posterior variance phi^T A^-1 phi is ||L^-1 phi||^2
+    for the bundle's lower Cholesky factor L of A, so it cannot go negative."""
     phi_star = np.atleast_2d(np.asarray(phi_star, dtype=float))
     if phi_star.shape[1] != model.weights.shape[0]:
         raise SchemaError(
@@ -614,8 +614,8 @@ def predict_region(model: RegionModel, phi_star: np.ndarray) -> RegionPrediction
             f"but the model expects {model.weights.shape[0]}"
         )
     zhat = phi_star @ model.weights
-    solved = cho_solve((model.chol_precision, True), phi_star.T)
-    model_variance = np.maximum(np.einsum("ij,ij->j", phi_star.T, solved), 0.0)
+    half_solved = np.linalg.solve(model.chol_precision, phi_star.T)
+    model_variance = np.einsum("ij,ij->j", half_solved, half_solved)
     noise_variance = 1.0 / model.hyperparams.beta
     yhat = warp_inverse(zhat, model.hyperparams.warp)
     return RegionPrediction(

@@ -6,10 +6,10 @@ module measures that with one-vs-rest L2-regularized logistic regression:
 
     loss(w, b) = sum_i log(1 + exp(-t_i (w^T x_i + b))) + lambda/2 ||w||^2
 
-with t in {-1, +1} and the bias b unpenalized, minimized by L-BFGS. Decisions
-take the argmax over per-class scores (ties broken by class order). Evaluation
-is stratified k-fold cross-validation with per-class AUC from the raw
-one-vs-rest scores.
+with t in {-1, +1} and the bias b unpenalized, minimized by damped Newton steps
+(see _fit_binary). Decisions take the argmax over per-class scores (ties broken
+by class order). Evaluation is stratified k-fold cross-validation with
+per-class AUC from the raw one-vs-rest scores.
 """
 
 from __future__ import annotations
@@ -21,14 +21,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .blr import minimize  # scipy's, imported on first call
 from .errors import InputError
 from .serialize import write_csv
 
 log = logging.getLogger(__name__)
 
-# L-BFGS iteration cap of each binary fit; a fit that reaches it is logged
+# Newton step cap of each binary fit; a fit that reaches it counts as not
+# converged, as does one whose step halvings all fail
 _MAX_ITER = 1000
+_MAX_HALVINGS = 60
+# largest |gradient| entry at which a binary fit counts as converged
+_GTOL = 1e-6
+# relative rounding error of the summed loss: a rise below it is no rise
+_LOSS_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -64,39 +69,65 @@ class OvrLogisticModel:
 
 def _fit_binary(
     x: np.ndarray, target: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
-    from scipy.special import expit
+) -> tuple[np.ndarray, float, bool]:
+    """Weights, bias and whether max |gradient| fell to _GTOL.
 
+    Damped Newton from zero: each step solves H s = g, with H formed as the
+    syrk xs^T xs plus the ridge, and is halved until the loss does not rise
+    by more than its rounding error. At lam = 0 the Hessian can be singular
+    (collinear features), so the step is the minimum-norm least-squares one;
+    on separable data the loss then falls geometrically and the gradient test
+    stops the fit at finite weights.
+    """
     n, d = x.shape
+    xb = np.column_stack([x, np.ones(n)])
+    ridge = np.full(d + 1, lam)
+    ridge[d] = 0.0
 
-    def objective(wb: np.ndarray) -> tuple[float, np.ndarray]:
-        w, b = wb[:d], wb[d]
-        margins = target * (x @ w + b)
-        loss = float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(w @ w)
-        coeff = -target * expit(-margins)
-        grad = np.empty(d + 1)
-        grad[:d] = x.T @ coeff + lam * w
-        grad[d] = float(np.sum(coeff))
-        return loss, grad
+    def evaluate(wb: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Loss, gradient and log Hessian weight log(sigma(m) sigma(-m))."""
+        margins = target * (xb @ wb)
+        softplus_neg = np.logaddexp(0.0, -margins)
+        softplus_pos = np.logaddexp(0.0, margins)
+        loss = float(np.sum(softplus_neg)) + 0.5 * lam * float(wb[:d] @ wb[:d])
+        # exp(-softplus(m)) is sigma(-m), the chance of the wrong label
+        grad = xb.T @ (-target * np.exp(-softplus_pos)) + ridge * wb
+        return loss, grad, -(softplus_pos + softplus_neg)
 
-    res = minimize(
-        objective,
-        np.zeros(d + 1),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": _MAX_ITER, "gtol": 1e-6},
-    )
-    if not res.success:
-        log.warning("logistic fit stopped without convergence: %s", res.message)
-    return res.x[:d], float(res.x[d])
+    wb = np.zeros(d + 1)
+    loss, grad, log_weight = evaluate(wb)
+    for _ in range(_MAX_ITER):
+        grad_max = np.max(np.abs(grad))
+        if grad_max <= _GTOL:
+            return wb[:d], float(wb[d]), True
+        xs = xb * np.exp(0.5 * log_weight)[:, None]
+        hess = xs.T @ xs
+        hess.flat[:: d + 2] += ridge
+        if lam > 0.0:
+            step = np.linalg.solve(hess, grad)
+        else:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        for _ in range(_MAX_HALVINGS):
+            cand = wb - step
+            cand_loss, cand_grad, cand_log_weight = evaluate(cand)
+            # near the optimum the loss changes by less than its rounding
+            # error; there a smaller gradient decides instead
+            if cand_loss <= loss or (
+                cand_loss - loss <= _LOSS_ROUNDING * abs(loss)
+                and np.max(np.abs(cand_grad)) < grad_max
+            ):
+                break
+            step *= 0.5
+        else:
+            break  # no step lowers the loss or, within rounding, the gradient
+        wb, loss, grad, log_weight = cand, cand_loss, cand_grad, cand_log_weight
+    return wb[:d], float(wb[d]), False
 
 
-def fit_ovr_logistic(
-    x: np.ndarray, labels: Sequence[str], config: ClassifierConfig | None = None
-) -> OvrLogisticModel:
-    config = config or ClassifierConfig()
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(list(labels))
+def _fit_ovr(
+    x: np.ndarray, labels: np.ndarray, config: ClassifierConfig
+) -> tuple[OvrLogisticModel, int]:
+    """The one-vs-rest model and how many of its binary fits did not converge."""
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise InputError("need at least 2 classes to fit a classifier")
@@ -108,16 +139,38 @@ def fit_ovr_logistic(
         x = (x - means) / scales
     weights = np.empty((len(classes), x.shape[1]))
     intercepts = np.empty(len(classes))
+    unconverged = 0
     for ci, cls in enumerate(classes):
         target = np.where(labels == cls, 1.0, -1.0)
-        weights[ci], intercepts[ci] = _fit_binary(x, target, config.l2_strength)
-    return OvrLogisticModel(
+        weights[ci], intercepts[ci], converged = _fit_binary(
+            x, target, config.l2_strength
+        )
+        unconverged += not converged
+    model = OvrLogisticModel(
         classes=classes,
         weights=weights,
         intercepts=intercepts,
         feature_means=means,
         feature_scales=scales,
     )
+    return model, unconverged
+
+
+def _warn_unconverged(unconverged: int, fits: int) -> None:
+    if unconverged:
+        log.warning(
+            "%d of %d logistic fits stopped without convergence", unconverged, fits
+        )
+
+
+def fit_ovr_logistic(
+    x: np.ndarray, labels: Sequence[str], config: ClassifierConfig | None = None
+) -> OvrLogisticModel:
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(list(labels))
+    model, unconverged = _fit_ovr(x, labels, config or ClassifierConfig())
+    _warn_unconverged(unconverged, len(model.classes))
+    return model
 
 
 def decision_scores(model: OvrLogisticModel, x: np.ndarray) -> np.ndarray:
@@ -252,10 +305,13 @@ def _report(
     auc, precision, recall, f_score = (np.full(shape, np.nan) for _ in range(4))
     roc: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     counts = np.zeros((len(classes), len(classes)), dtype=int)
+    fits = unconverged = 0
     for fold, test_idx in enumerate(test_folds):
         train_mask = np.ones(len(labels), dtype=bool)
         train_mask[test_idx] = False
-        model = fit_ovr_logistic(x[train_mask], labels[train_mask], config)
+        model, fold_unconverged = _fit_ovr(x[train_mask], labels[train_mask], config)
+        fits += len(model.classes)
+        unconverged += fold_unconverged
         scores = decision_scores(model, x[test_idx])
         test_labels = labels[test_idx]
         preds = np.asarray(model.classes)[np.argmax(scores, axis=1)]
@@ -274,6 +330,7 @@ def _report(
                 log.warning("fold %d: class '%s' missing from test set", fold, cls)
         for true_label, pred_label in zip(test_labels, preds):
             counts[classes.index(true_label), classes.index(pred_label)] += 1
+    _warn_unconverged(unconverged, fits)
     return ClassifierReport(
         classes=classes,
         n_folds=len(test_folds),

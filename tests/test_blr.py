@@ -578,6 +578,35 @@ class TestPredictRegion:
         with pytest.raises(SchemaError):
             predict_region(self.worked_model(), np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "noise_skew",
+        [None, WarpParams(epsilon=0.5, log_delta=-0.3)],
+        ids=["gauss", "skewed"],
+    )
+    def test_variance_matches_two_sided_cholesky_solve(self, noise_skew):
+        # oracle: phi^T A^-1 phi by scipy's cho_solve, on fitted bundles of the
+        # rank-deficient default design (condition of A up to 4e6 here)
+        cohort, _ = generate(
+            SynthSpec(
+                n_per_group={"W": 400},
+                n_regions=2,
+                noise_sd=0.5,
+                noise_skew=noise_skew,
+                seed=8,
+            )
+        )
+        model = fit_normative(cohort.subset(np.arange(300)))
+        warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
+        assert any(warped) == (noise_skew is not None)
+        held_out = cohort.subset(np.arange(300, 400))
+        phi = apply_design(held_out.subjects, model.schema).values
+        for rm in model.region_models:
+            oracle = np.einsum(
+                "ij,ji->i", phi, sla.cho_solve((rm.chol_precision, True), phi.T)
+            )
+            got = predict_region(rm, phi).model_variance
+            np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+
 
 def pinned_config():
     return ModelConfig(basis=BasisConfig(knot_range=(20.0, 70.0)))

@@ -1,7 +1,10 @@
 """Tests for attribute-predictability classification: logistic heads, ROC, CV."""
 
+import logging
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from normgauge import (
@@ -15,6 +18,7 @@ from normgauge import (
     roc_points,
     stratified_folds,
 )
+from normgauge import classify
 from normgauge.classify import evaluate_holdout, write_clf_metrics, write_confusion
 
 
@@ -25,6 +29,29 @@ def blob_data(rng, n_per_class, centers, sd=1.0):
         xs.append(rng.normal(0, sd, (n, len(center))) + np.asarray(center))
         labels.extend([cls] * n)
     return np.vstack(xs), labels
+
+
+def one_hot(labels):
+    """One column per class: with the bias, the columns are collinear."""
+    classes = sorted(set(labels))
+    x = np.zeros((len(labels), len(classes)))
+    for i, lab in enumerate(labels):
+        x[i, classes.index(lab)] = 1.0
+    return x
+
+
+def logistic_loss_grad(wb, x, target, lam):
+    """The binary fit's loss and full gradient, bias last and unpenalized."""
+    w, b = wb[:-1], wb[-1]
+    margins = target * (x @ w + b)
+    coeff = -target * expit(-margins)
+    loss = float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(w @ w)
+    return loss, np.r_[x.T @ coeff + lam * w, np.sum(coeff)]
+
+
+def training_auc(model, x, labels, cls):
+    scores = decision_scores(model, x)[:, model.classes.index(cls)]
+    return roc_points(scores, (np.asarray(labels) == cls).astype(int))[2]
 
 
 class TestRocPoints:
@@ -160,19 +187,116 @@ class TestOvrLogistic:
                 rate, abs=1e-4
             )
 
+    def test_unpenalized_fit_on_separable_data_stops_finite(self, caplog):
+        # at l2 = 0 the optimum lies at infinity; the gradient test must stop
+        # the fit while the weights are finite
+        rng = np.random.default_rng(0)
+        x, labels = blob_data(
+            rng, {"A": 40, "W": 40}, {"A": (-3.0, -3.0), "W": (3.0, 3.0)}, sd=0.5
+        )
+        with caplog.at_level(logging.WARNING, logger="normgauge.classify"):
+            model = fit_ovr_logistic(x, labels, ClassifierConfig(l2_strength=0.0))
+        assert not caplog.records
+        assert np.isfinite(model.weights).all() and np.isfinite(model.intercepts).all()
+        assert training_auc(model, x, labels, "A") == 1.0
+
+    def test_unpenalized_fit_on_collinear_features(self):
+        # one-hot columns sum to the bias column, so the Hessian is singular
+        labels = ["A"] * 20 + ["B"] * 30 + ["W"] * 50
+        x = one_hot(labels)
+        model = fit_ovr_logistic(x, labels, ClassifierConfig(l2_strength=0.0))
+        assert np.isfinite(model.weights).all() and np.isfinite(model.intercepts).all()
+        for cls in model.classes:
+            assert training_auc(model, x, labels, cls) == 1.0
+
+    def test_large_unstandardized_features_converge(self, caplog):
+        # at features near 1e4 a Newton step changes the loss by less than
+        # its rounding error while the gradient is still above tolerance
+        rng = np.random.default_rng(3)
+        x, labels = blob_data(
+            rng, {"A": 150, "W": 150}, {"A": (0.3,) * 30, "W": (0.0,) * 30}
+        )
+        x = 5000.0 * x + 15000.0
+        with caplog.at_level(logging.WARNING, logger="normgauge.classify"):
+            model = fit_ovr_logistic(x, labels, ClassifierConfig(l2_strength=3.0))
+        assert not caplog.records
+        for ci, cls in enumerate(model.classes):
+            target = np.where(np.asarray(labels) == cls, 1.0, -1.0)
+            wb = np.r_[model.weights[ci], model.intercepts[ci]]
+            assert np.max(np.abs(logistic_loss_grad(wb, x, target, 3.0)[1])) <= 1e-6
+
+
+class TestNewtonMatchesLbfgs:
+    """Oracle: scipy's L-BFGS-B on the same loss, run far past the fit's
+    tolerance, reaches the same weights."""
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_weights_and_gradient(self, standardize):
+        rng = np.random.default_rng(15)
+        x, labels = blob_data(
+            rng,
+            {"A": 30, "B": 40, "W": 60},
+            {"A": (-1.0, 0.5, 0.0), "B": (1.0, -0.5, 0.0), "W": (0.0, 0.0, 1.0)},
+        )
+        x[:, 2] = 40.0 * x[:, 2] + 7.0
+        config = ClassifierConfig(l2_strength=0.5, standardize=standardize)
+        model = fit_ovr_logistic(x, labels, config)
+        if standardize:
+            x = (x - model.feature_means) / model.feature_scales
+        for ci, cls in enumerate(model.classes):
+            target = np.where(np.asarray(labels) == cls, 1.0, -1.0)
+            args = (x, target, config.l2_strength)
+            oracle = minimize(
+                logistic_loss_grad, np.zeros(x.shape[1] + 1), args=args, jac=True,
+                method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-10},
+            ).x
+            got = np.r_[model.weights[ci], model.intercepts[ci]]
+            assert np.max(np.abs(got - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+            assert np.max(np.abs(logistic_loss_grad(got, *args)[1])) <= 1e-6
+
+
+class TestNonConvergenceWarning:
+    """Each call logs one record that counts its fits that did not converge."""
+
+    @pytest.mark.parametrize(
+        "call, fits",
+        [
+            (fit_ovr_logistic, 3),
+            (cross_validate, 15),
+            (evaluate_holdout, 3),
+        ],
+        ids=["fit_ovr_logistic", "cross_validate", "evaluate_holdout"],
+    )
+    def test_one_record_per_call(self, monkeypatch, caplog, call, fits):
+        monkeypatch.setattr(classify, "_MAX_ITER", 1)
+        rng = np.random.default_rng(2)
+        x, labels = blob_data(
+            rng,
+            {"A": 25, "B": 25, "W": 50},
+            {"A": (-1.0, 0.0), "B": (1.0, 0.0), "W": (0.0, 1.0)},
+        )
+        with caplog.at_level(logging.WARNING, logger="normgauge.classify"):
+            call(x, labels)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{fits} of {fits} logistic fits stopped without convergence"
+        ]
+
 
 class TestCrossValidate:
     def test_perfect_features_score_one(self):
         labels = ["A"] * 20 + ["B"] * 30 + ["W"] * 50
-        classes = sorted(set(labels))
-        x = np.zeros((100, 3))
-        for i, lab in enumerate(labels):
-            x[i, classes.index(lab)] = 1.0
-        report = cross_validate(x, labels, ClassifierConfig(l2_strength=1e-3))
+        config = ClassifierConfig(l2_strength=1e-3)
+        report = cross_validate(one_hot(labels), labels, config)
         assert np.nanmin(report.auc) == 1.0
         assert np.nanmin(report.precision) == 1.0
         assert np.nanmin(report.recall) == 1.0
         assert np.nanmin(report.f_score) == 1.0
+        assert report.macro_mean("auc") == 1.0
+
+    def test_unpenalized_collinear_features_score_one(self):
+        labels = ["A"] * 20 + ["B"] * 30 + ["W"] * 50
+        config = ClassifierConfig(l2_strength=0.0)
+        report = cross_validate(one_hot(labels), labels, config)
         assert report.macro_mean("auc") == 1.0
 
     def test_pooled_confusion_rows_sum_to_one(self):

@@ -743,17 +743,16 @@ class TestImportCost:
     def test_evidence_functions_load_no_scipy(self):
         assert _probe(_EVIDENCE_PROBE) == []
 
-    # public scipy subpackages a command may load; None for classify, which
-    # always optimizes, and what scipy.optimize pulls in depends on the scipy
-    # version. The fixture's noise is Gaussian, so every region's free-warp run
-    # is screened out and fit only scores.
+    # public scipy subpackages a command may load. The fixture's noise is
+    # Gaussian, so every region's free-warp run is screened out and fit only
+    # scores.
     ALLOWED = {
         "synth": set(),
         "report": set(),
-        "evaluate": {"linalg"},
-        "audit": {"linalg", "special"},
-        "fit": {"linalg"},
-        "classify": None,
+        "evaluate": set(),
+        "audit": {"special"},
+        "fit": set(),
+        "classify": set(),
     }
 
     @pytest.mark.parametrize("command", sorted(ALLOWED))
@@ -785,10 +784,7 @@ class TestImportCost:
             argv += ["--out", tmp_path / "out"]
         code, loaded = _scipy_after(command, *argv)
         assert code == 0
-        if allowed is None:
-            assert "optimize" in loaded
-        else:
-            assert loaded <= allowed, f"{command} loaded {sorted(loaded - allowed)}"
+        assert loaded <= allowed, f"{command} loaded {sorted(loaded - allowed)}"
         assert "stats" not in loaded and "interpolate" not in loaded
 
     def test_fit_with_a_free_warp_run_loads_optimize(self, tmp_path):
