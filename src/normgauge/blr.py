@@ -38,16 +38,18 @@ the warped model never loses to the plain Gaussian one:
 - with the warp pinned to identity, by MacKay's fixed point
   alpha <- gamma / m^T m, beta <- (N - gamma) / ||r||^2 (MacKay 1992,
   "Bayesian Interpolation"), run for all regions of a design at once;
-- with all four hyperparameters free, by L-BFGS-B, one region at a time.
+- with all four hyperparameters free, by projected Newton steps on the
+  analytic Hessian, each region inside its own trust region, run for all
+  regions that need it at once (see _fit_free).
 
 The warped fit must beat the identity fit by more than a margin (see
 _warp_engagement_margin) before it is kept. A region whose identity
 residuals pass a normality screen (half their Jarque-Bera statistic below
-_SCREEN_SHARE of the margin) skips the free run and keeps its identity fit;
-scipy.optimize is imported only once some region runs it. The public
-neg_log_evidence functions evaluate the same engine that the fit optimizes. A Cholesky
-reference of the evidence, independent of the engine, lives with the tests
-(tests/evidence_reference.py) as their oracle.
+_SCREEN_SHARE of the margin) skips the free run and keeps its identity fit.
+Fitting needs numpy only. The public neg_log_evidence functions evaluate the
+same engine that the fit optimizes. A Cholesky reference of the evidence,
+independent of the engine, lives with the tests (tests/evidence_reference.py)
+as their oracle.
 """
 
 from __future__ import annotations
@@ -72,15 +74,6 @@ LN_2PI = float(np.log(2.0 * np.pi))
 
 # box constraints keeping the evidence finite during optimization
 _BOUNDS_FREE = ((-20.0, 20.0), (-20.0, 20.0), (-5.0, 5.0), (-3.0, 3.0))
-_PENALTY = 1e300
-
-
-def minimize(fun, x0, *args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: only fit's free-warp
-    runs optimize, and the import is the largest part of a command's start-up."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, *args, **kwargs)
 
 
 def _finite(d: dict, key: str, owner: str, positive: bool = False) -> np.ndarray:
@@ -135,12 +128,15 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Stopping rules of both fits, in L-BFGS-B's terms.
+    """Stopping rules of both fits.
 
-    A run stops once one iteration changes the NLL by at most `tol` relative
-    to max(|NLL|, 1), once no projected-gradient component exceeds
-    `grad_tol`, or after `max_iter` iterations. L-BFGS-B only ever lowers
-    the NLL; the fixed point keeps iterating after a larger rise.
+    A region's fit stops once no projected-gradient component exceeds
+    `grad_tol`, once the NLL change in view is at most `tol` relative to
+    max(|NLL|, 1), or after `max_iter` iterations. For the identity fit that
+    change is the one its last iteration made. For the free fit it is both
+    the drop of its last step and the Newton decrement 1/2 g^T |H|^-1 g, the
+    drop a full Newton step predicts. The free fit only ever lowers the NLL;
+    the fixed point keeps iterating after a larger rise.
     """
 
     tol: float = 1e-6
@@ -164,11 +160,11 @@ def _region_arrays(phi, y) -> tuple[np.ndarray, np.ndarray]:
 def _evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> tuple[float, np.ndarray]:
     """NLL and gradient of one region at h, from the engine that fits."""
     phi, y = _region_arrays(phi, y)
-    theta = np.array([h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta])
-    nll, grad = _WarpedEvidence(_Spectrum.of(phi), y).value_and_grad(theta)
-    if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
+    theta = np.array([[h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta]])
+    nll, grad = _WarpedEvidence(_Spectrum.of(phi), y[None, :]).value_and_grad(theta)
+    if not (np.isfinite(nll[0]) and np.all(np.isfinite(grad))):
         raise NumericalError(f"evidence is not finite at {h}")
-    return nll, grad
+    return float(nll[0]), grad[0]
 
 
 def neg_log_evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> float:
@@ -266,16 +262,34 @@ class _SpectralState:
     log_det: np.ndarray  # (D,) log|A|
 
 
+def _rowwise(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b as one product per row of a, so a row's result is bitwise the same
+    whatever rows stand beside it; one matrix product over all rows is not."""
+    stacked = None if out is None else out[:, None, :]
+    return np.matmul(a[:, None, :], np.ascontiguousarray(b), out=stacked)[:, 0, :]
+
+
 def _spectral_state(
-    spectrum: _Spectrum, z: np.ndarray, log_alpha: np.ndarray, log_beta: np.ndarray
+    spectrum: _Spectrum,
+    z: np.ndarray,
+    log_alpha: np.ndarray,
+    log_beta: np.ndarray,
+    product=np.matmul,
+    residual: np.ndarray | None = None,
 ) -> _SpectralState:
-    """Evidence of the latent rows z (D, N) at per-row (log_alpha, log_beta)."""
+    """Evidence of the latent rows z (D, N) at per-row (log_alpha, log_beta).
+
+    `product` multiplies a block of rows by a matrix; _rowwise makes each
+    row's result independent of the others. The residual is written to
+    `residual` when given.
+    """
     n, m_dim = spectrum.phi_u.shape
     alpha = np.exp(log_alpha)[:, None]
     beta = np.exp(log_beta)[:, None]
     lam = alpha + beta * spectrum.s
-    weights = beta * (z @ spectrum.phi_u) / lam
-    residual = z - weights @ spectrum.phi_u.T
+    weights = beta * product(z, spectrum.phi_u) / lam
+    residual = product(weights, spectrum.phi_u.T, out=residual)
+    np.subtract(z, residual, out=residual)
     rss = np.einsum("dn,dn->d", residual, residual)
     ww = np.einsum("dm,dm->d", weights, weights)
     gamma = np.einsum("dm->d", beta * spectrum.s / lam)
@@ -304,17 +318,21 @@ def _spectral_state(
     )
 
 
+def _blocked(x: np.ndarray, grad: np.ndarray, bounds) -> np.ndarray:
+    """Where a descent step would leave the box: at a bound, gradient pointing out."""
+    lo, hi = np.asarray(bounds, dtype=float).T
+    return ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
+
+
 def _projected_gradient(x: np.ndarray, grad: np.ndarray, bounds) -> np.ndarray:
     """Zero the components that point out of the box at an active bound."""
-    lo, hi = np.asarray(bounds, dtype=float).T
-    blocked = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
-    return np.where(blocked, 0.0, grad)
+    return np.where(_blocked(x, grad, bounds), 0.0, grad)
 
 
 # A projected gradient above this many nats per observation is far from
 # stationary: on log(beta) it means a 20% error in the noise variance. Runs
-# that stall near their start point end at 0.4-2 per observation; L-BFGS-B
-# stops by its `tol` rule below 0.03 on well-behaved regions.
+# that stall near their start point end at 0.4-2 per observation; free fits
+# that meet their `tol` rule end below 0.02 (skewed seeds 0 and 5).
 _STATIONARY_GRAD_PER_OBS = 0.1
 
 
@@ -378,63 +396,412 @@ def _fit_identity(
     return theta, state, ~running, paths
 
 
-class _WarpedEvidence:
-    """Evidence and gradient of one region over all four hyperparameters.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a (D, N) with the same row of b."""
+    return np.einsum("dn,dn->d", a, b)
 
-    Each evaluation warps y and scores it with _spectral_state as a single
-    row: two matrix-vector products, no factorization. Overflow is not
-    caught: it shows as a non-finite NLL or gradient, left to the caller.
+
+class _WarpedEvidence:
+    """Evidence of D regions on one design over all four hyperparameters.
+
+    Row d of y (D, N) holds region d's responses and row d of theta (D, 4)
+    its (log_alpha, log_beta, epsilon, log_delta). Each evaluation warps the
+    rows and scores them with _spectral_state; `rows` picks a subset of the
+    regions, in the order of theta's rows. Every quantity is computed row by
+    row, bitwise independent of the other rows evaluated with it. Overflow
+    is not caught: it shows as a non-finite NLL or derivative in that row
+    only, left to the caller.
+
+    The (rows, N) arrays an evaluation returns live in work arrays that the
+    next evaluation overwrites: at these sizes, touching fresh memory for
+    each temporary costs more than the arithmetic.
     """
 
     def __init__(self, spectrum: _Spectrum, y: np.ndarray):
         self.spectrum = spectrum
         self.asinh_y = np.arcsinh(y)
-        self.half_log1p_y2 = 0.5 * float(np.sum(np.log1p(np.square(y))))
+        self.half_log1p_y2 = 0.5 * np.sum(np.log1p(np.square(y)), axis=1)
+        self._work: dict[str, np.ndarray] = {}
 
-    def evaluate(self, theta: np.ndarray):
+    def _scratch(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Work array `key` with `shape`, grown when a block needs more rows."""
+        buf = self._work.get(key)
+        if buf is None or len(buf) < shape[0]:
+            buf = self._work[key] = np.empty(shape)
+        return buf[: shape[0]]
+
+    def _warp(self, theta: np.ndarray, rows):
+        """asinh(y), z = sinh(u), cosh(u) and the log Jacobian of the rows.
+
+        cosh(u) sits in slot 0 of the "pair" work array, whose slot 1
+        derivatives() fills with dz/dlog(delta).
+        """
+        d, n = len(theta), self.asinh_y.shape[1]
+        if isinstance(rows, slice):
+            s = self.asinh_y[rows]
+        else:
+            s = np.take(self.asinh_y, rows, axis=0, out=self._scratch("s", (d, n)))
+        log_delta = theta[:, 3]
+        tmp = self._scratch("tmp", (d, n))
+        u = np.multiply(np.exp(log_delta)[:, None], s, out=tmp)
+        u -= theta[:, 2:3]
+        exp_u = np.exp(u, out=self._scratch("pair", (d, 2, n))[:, 0])
+        exp_neg_u = np.divide(1.0, exp_u, out=tmp)
+        z = np.subtract(exp_u, exp_neg_u, out=self._scratch("z", (d, n)))
+        z *= 0.5
+        cosh_u = np.add(exp_u, exp_neg_u, out=exp_u)
+        cosh_u *= 0.5
+        log_jac = (
+            n * log_delta
+            + np.sum(np.log(cosh_u, out=tmp), axis=1)
+            - self.half_log1p_y2[rows]
+        )
+        return s, z, cosh_u, log_jac
+
+    def _state(self, theta: np.ndarray, z: np.ndarray) -> _SpectralState:
+        residual = self._scratch("residual", z.shape)
+        return _spectral_state(
+            self.spectrum, z, theta[:, 0], theta[:, 1], _rowwise, residual
+        )
+
+    def evaluate(self, theta: np.ndarray, rows=slice(None)):
         """(state, z, cosh(u), NLL) at theta; overflow yields non-finite values."""
-        log_delta = float(theta[3])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            u = np.exp(log_delta) * self.asinh_y - float(theta[2])
-            exp_u = np.exp(u)
-            exp_neg_u = 1.0 / exp_u
-            z = 0.5 * (exp_u - exp_neg_u)
-            cosh_u = 0.5 * (exp_u + exp_neg_u)
-            log_jac = (
-                z.size * log_delta + float(np.sum(np.log(cosh_u))) - self.half_log1p_y2
-            )
-            state = _spectral_state(
-                self.spectrum, z[None, :], theta[0:1], theta[1:2]
-            )
-            nll = float(state.nll[0]) - log_jac
+            _, z, cosh_u, log_jac = self._warp(theta, rows)
+            state = self._state(theta, z)
+            nll = state.nll - log_jac
         return state, z, cosh_u, nll
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        state, z, cosh_u, nll = self.evaluate(theta)
-        beta, delta = float(np.exp(theta[1])), float(np.exp(theta[3]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_cosh = state.residual[0] * cosh_u
-            tanh_u = z / cosh_u
-            d_eps = -beta * float(np.sum(r_cosh)) + float(np.sum(tanh_u))
-            d_log_delta = (
-                beta * delta * float(r_cosh @ self.asinh_y)
-                - z.size
-                - delta * float(self.asinh_y @ tanh_u)
+    def value_and_grad(
+        self, theta: np.ndarray, rows=slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """NLL (D,) and gradient (D, 4) at theta."""
+        return self.derivatives(theta, rows, hessian=False)[:2]
+
+    def derivatives(self, theta: np.ndarray, rows=slice(None), hessian: bool = True):
+        """NLL (D,), gradient (D, 4) and, with `hessian`, Hessian (D, 4, 4) at theta.
+
+        With s = asinh(y) and u = delta s - eps, the latent z = sinh(u) has
+        dz/deps = -cosh(u) and dz/dlog(delta) = delta s cosh(u). The Gaussian
+        part of the NLL is z^T Q z / 2 plus terms free of z, with
+        Q = beta (I - beta Phi A^-1 Phi^T) and Q z = beta r, so the warp's
+        second derivatives are Q-products of those two z derivatives plus
+        beta r against the second derivatives of z. Moving log(alpha) or
+        log(beta) moves the weights by -+ v, v = m alpha / lam in the
+        eigenbasis, which gives the cross terms (Jones & Pewsey 2009 for the
+        warp's derivatives, Fraza et al. 2021 for the warped evidence).
+        """
+        alpha, beta = np.exp(theta[:, 0]), np.exp(theta[:, 1])
+        delta = np.exp(theta[:, 3])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s, z, cosh_u, log_jac = self._warp(theta, rows)
+            state = self._state(theta, z)
+            nll = state.nll - log_jac
+            n = s.shape[1]
+            r = state.residual
+            pair = self._scratch("pair", (len(z), 2, n))
+            z_t = np.multiply(cosh_u, s, out=pair[:, 1])  # dz/dlog(delta)
+            z_t *= delta[:, None]
+            tanh_u = np.divide(z, cosh_u, out=self._scratch("tmp", z.shape))
+            r_c, r_zt = _rowdot(r, cosh_u), _rowdot(r, z_t)
+            s_tanh = _rowdot(s, tanh_u)
+            grad = np.column_stack(
+                [
+                    state.grad,
+                    -beta * r_c + np.sum(tanh_u, axis=1),
+                    beta * r_zt - n - delta * s_tanh,
+                ]
             )
-        return nll, np.array([state.grad[0, 0], state.grad[0, 1], d_eps, d_log_delta])
+            if not hessian:
+                return nll, grad, None
+
+            lam = state.lam
+            shrink = beta[:, None] * self.spectrum.s / lam  # beta s_j / lam_j
+            keep = alpha[:, None] / lam  # 1 - shrink
+            w = state.weights
+            v = w * keep
+            k = 0.5 * np.sum(shrink * keep, axis=1)
+            w_v = np.sum(w * v, axis=1)
+            proj = pair @ self.spectrum.phi_u
+            p_c, p_t = proj[:, 0], proj[:, 1]
+            v_c, v_t = np.sum(v * p_c, axis=1), np.sum(v * p_t, axis=1)
+
+            def q_form(x, y, p_x, p_y):
+                return beta * _rowdot(x, y) - beta**2 * np.sum(p_x * p_y / lam, axis=1)
+
+            sech2 = np.divide(1.0, cosh_u, out=tanh_u)
+            sech2 *= sech2
+            hess = np.empty((len(nll), 4, 4))
+            hess[:, 0, 0] = alpha * (0.5 * state.ww - w_v) + k
+            hess[:, 0, 1] = alpha * w_v - k
+            hess[:, 1, 1] = (
+                0.5 * beta * state.rss
+                - alpha * state.ww
+                + beta * np.sum(self.spectrum.s * w * v, axis=1)
+                + k
+            )
+            hess[:, 0, 2] = -beta * v_c
+            hess[:, 0, 3] = beta * v_t
+            hess[:, 1, 2] = beta * (v_c - r_c)
+            hess[:, 1, 3] = beta * (r_zt - v_t)
+            hess[:, 2, 2] = (
+                q_form(cosh_u, cosh_u, p_c, p_c)
+                + beta * _rowdot(r, z)
+                - np.sum(sech2, axis=1)
+            )
+            hess[:, 2, 3] = (
+                -q_form(cosh_u, z_t, p_c, p_t)
+                - beta * delta * np.einsum("dn,dn,dn->d", r, s, z)
+                + delta * _rowdot(s, sech2)
+            )
+            hess[:, 3, 3] = (
+                q_form(z_t, z_t, p_t, p_t)
+                + beta * r_zt
+                + beta * delta**2 * np.einsum("dn,dn,dn,dn->d", r, s, s, z)
+                - delta * s_tanh
+                - delta**2 * np.einsum("dn,dn,dn->d", s, s, sech2)
+            )
+            lower = np.tril_indices(4, -1)
+            hess[:, lower[0], lower[1]] = hess[:, lower[1], lower[0]]
+        return nll, grad, hess
 
 
-def _lbfgsb_objective(
-    theta: np.ndarray, problem: _WarpedEvidence, path: list[float]
-) -> tuple[float, np.ndarray]:
-    """problem.value_and_grad as L-BFGS-B sees it: a non-finite evaluation is
-    a _PENALTY wall with zero gradient, and each new best NLL joins `path`."""
-    nll, grad = problem.value_and_grad(theta)
-    if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
-        return _PENALTY, np.zeros(4)
-    if not path or nll < path[-1]:
-        path.append(nll)
-    return nll, grad
+# Trust-region settings of the free fit. Every run starts with a radius of
+# 1 (log-scale units); a step that achieves under a quarter of its predicted
+# drop shrinks the radius to a quarter of the step, and one that achieves over
+# three quarters from the radius's edge doubles it. A step is kept when it
+# achieves more than _MIN_RATIO of its predicted drop.
+_FIRST_RADIUS = 1.0
+_MIN_RATIO = 1e-4
+# once a run's radius is below this, no step changes its NLL
+_MIN_RADIUS = 1e-10
+# Hessian eigenvalues are replaced by their absolute values, floored at this
+# share of the largest, so that every step descends
+_EIGEN_FLOOR = 1e-8
+# Newton iterations on the trust-region shift; a few reach the radius to
+# well within 1%, and a step still outside it is scaled back onto it
+_SHIFT_ITER = 8
+# log_alpha of each region's ridge run, far out where the warp absorbs the
+# weights
+_RIDGE_LOG_ALPHA = 15.0
+# |epsilon| of the warp that a region's second run starts from, leaning
+# against the skew of its identity residuals
+_LEAN_EPSILON = 2.0
+
+# how a fit stopped: the stop reasons of the not-converged warning
+_MET = "met its tolerance"
+_HIT_MAX_ITER = "hit max_iter"
+_STALLED = "no step lowers the NLL"
+_NOT_FINITE = "evidence not finite"
+
+
+def _trust_region_steps(
+    g_eig: np.ndarray, eig: np.ndarray, vec: np.ndarray, radius: np.ndarray
+) -> np.ndarray:
+    """Minimizer of g^T s + s^T B s / 2 over ||s|| <= radius, one per row.
+
+    B = vec diag(eig) vec^T is positive definite and g_eig = vec^T g. The step
+    is s = -vec (g_eig / (eig + mu)) with the smallest shift mu >= 0 that
+    keeps it inside the radius, found by Newton's method on
+    1/||s(mu)|| = 1/radius (Nocedal & Wright 2006, algorithm 4.3).
+    """
+    mu = np.zeros(len(eig))
+    for _ in range(_SHIFT_ITER):
+        coef = g_eig / (eig + mu[:, None])
+        norm = np.sqrt(np.sum(coef * coef, axis=1))
+        curve = np.sum(coef * coef / (eig + mu[:, None]), axis=1)
+        shift = (norm / radius - 1.0) * norm**2 / curve
+        mu = np.where(norm > radius, mu + shift, mu)
+    step = -np.einsum("dij,dj->di", vec, g_eig / (eig + mu[:, None]))
+    norm = np.linalg.norm(step, axis=1)
+    return step * np.minimum(1.0, radius / np.maximum(norm, np.finfo(float).tiny))[:, None]
+
+
+def _centred(theta: np.ndarray) -> np.ndarray:
+    """theta with epsilon replaced by eta = epsilon / delta, so u = delta (asinh y - eta)."""
+    return np.column_stack([theta[:, :2], theta[:, 2] / np.exp(theta[:, 3]), theta[:, 3]])
+
+
+def _uncentred(phi: np.ndarray) -> np.ndarray:
+    """Inverse of _centred."""
+    return np.column_stack([phi[:, :2], phi[:, 2] * np.exp(phi[:, 3]), phi[:, 3]])
+
+
+def _all_derivatives(problem: _WarpedEvidence, theta: np.ndarray, rows):
+    """NLL, then gradient and Hessian over theta and over phi = _centred(theta).
+
+    In the linear limit of the warp, scaling z by k while alpha and beta fall
+    by k^2 leaves the NLL unchanged. Over theta that valley bends, epsilon
+    moving with delta; over phi it is a straight line, which Newton steps
+    follow where they zigzag across a bent one.
+    """
+    nll, grad, hess = problem.derivatives(theta, rows)
+    delta, eps, g_eps = np.exp(theta[:, 3]), theta[:, 2], grad[:, 2]
+    jac = np.zeros_like(hess)  # d theta / d phi
+    jac[:, np.arange(4), np.arange(4)] = 1.0
+    jac[:, 2, 2], jac[:, 2, 3] = delta, eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_phi = np.einsum("dki,dk->di", jac, grad)
+        hess_phi = np.einsum("dki,dkl,dlj->dij", jac, hess, jac)
+        hess_phi[:, 2, 3] += g_eps * delta
+        hess_phi[:, 3, 2] += g_eps * delta
+        hess_phi[:, 3, 3] += g_eps * eps
+    return nll, grad, hess, grad_phi, hess_phi
+
+
+def _finite_rows(*arrays: np.ndarray) -> np.ndarray:
+    """Whether every value of each row is finite, over arrays with rows first."""
+    ok = np.ones(len(arrays[0]), dtype=bool)
+    for a in arrays:
+        ok &= np.all(np.isfinite(a.reshape(len(a), -1)), axis=1)
+    return ok
+
+
+def _newton_steps(theta, grad, hess, grad_phi, hess_phi, centred, nll, last_drop, radius, opts):
+    """One trust-region Newton step per run, and which runs stop instead.
+
+    Returns the step and the point, gradient, floored |H| eigenpairs and
+    coordinate choice it was taken over (see _fit_free), then two masks: the
+    runs that met their stopping rule, and the runs whose step is not finite.
+    """
+    diag = np.arange(4)
+    # a centred run steps over theta while epsilon is held at its bound,
+    # whose face is flat over theta only
+    blocked = _blocked(theta, grad, _BOUNDS_FREE)
+    plain = blocked[:, 2:3] | ~centred
+    blocked = np.where(plain, blocked, _blocked(theta, grad_phi, _BOUNDS_FREE))
+    x = np.where(plain, theta, _centred(theta))
+    g = np.where(blocked, 0.0, np.where(plain, grad, grad_phi))
+    h = np.where(plain[:, :, None], hess, hess_phi)
+    # blocked coordinates decouple: zero rows and columns, unit diagonal
+    h = np.where(blocked[:, :, None] | blocked[:, None, :], 0.0, h)
+    h[:, diag, diag] += blocked
+    eig, vec = np.linalg.eigh(h)
+    eig = np.abs(eig)
+    eig = np.maximum(eig, _EIGEN_FLOOR * np.max(eig, axis=1, keepdims=True))
+    eig = np.maximum(eig, np.finfo(float).tiny)
+    g_eig = np.einsum("dji,dj->di", vec, g)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        decrement = 0.5 * np.sum(g_eig * g_eig / eig, axis=1)
+        step = _trust_region_steps(g_eig, eig, vec, radius)
+    small = opts.tol * np.maximum(np.abs(nll), 1.0)
+    met = ((decrement <= small) & (last_drop <= small)) | (
+        np.max(np.abs(g), axis=1) <= opts.grad_tol
+    )
+    broken = ~met & ~(np.isfinite(decrement) & np.all(np.isfinite(step), axis=1))
+    return step, x, g, eig, vec, plain, met, broken
+
+
+def _leaning_start(theta_id: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Second start of each region's free fit: its identity optimum (D, 2)
+    with a warp of |epsilon| = _LEAN_EPSILON whose sign is that of the
+    skewness of its identity residuals (D, N)."""
+    d = residual - residual.mean(axis=1, keepdims=True)
+    skew_sign = np.sign(np.einsum("dn,dn,dn->d", d, d, d))
+    lean = _LEAN_EPSILON * skew_sign
+    return np.column_stack([theta_id, lean, np.zeros_like(lean)])
+
+
+def _fit_free(
+    problem: _WarpedEvidence, x0: np.ndarray, leaning: np.ndarray, opts: OptimizerSettings
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[list[float]]]:
+    """Free-warp fits of every region (row) of problem, all at once.
+
+    The free NLL has several kinds of local minimum: with fitted weights near
+    the identity fit, out on the ridge where alpha is large and the warp
+    absorbs the weights, and strongly skewing warps at the epsilon bound. A
+    local search ends in whichever its path reaches, so each region runs
+    three times and keeps the lowest: from x0 (D, 4), from `leaning` (D, 4;
+    see _leaning_start), and from x0 with log_alpha at _RIDGE_LOG_ALPHA. The
+    ridge run steps over _centred coordinates, where its valley is
+    straight, unless epsilon is held at its bound; the others step over
+    theta.
+
+    Each run takes projected Newton steps inside its own trust region.
+    Coordinates held at a bound of _BOUNDS_FREE by their gradient drop out
+    of the step; the rest follow -|H|^-1 g, where |H| is the Hessian with its
+    eigenvalues replaced by their floored absolute values, shifted toward the
+    gradient when that step leaves the radius. The trial point is clipped to
+    the box. A run stops once no projected-gradient component exceeds
+    `grad_tol`, or once both its Newton decrement 1/2 g^T |H|^-1 g and its
+    last step's drop are at most `tol` relative to max(|NLL|, 1); after
+    `max_iter` iterations; or when its radius collapses. The runs still going
+    share each evaluation, but no run's arithmetic depends on another's.
+
+    Returns theta, NLL and gradient over theta per region, each region's stop
+    reason, and the NLL after every step its run kept.
+    """
+    lo, hi = np.asarray(_BOUNDS_FREE, dtype=float).T
+    n_regions = len(x0)
+    ridge = x0.copy()
+    ridge[:, 0] = _RIDGE_LOG_ALPHA
+    theta = np.clip(np.vstack([x0, leaning, ridge]), lo, hi)
+    region = np.tile(np.arange(n_regions), 3)  # problem row of each run
+    centred = np.repeat([False, False, True], n_regions)[:, None]
+    nll, grad, hess, grad_phi, hess_phi = _all_derivatives(problem, theta, region)
+    finite = _finite_rows(nll, grad, hess, grad_phi, hess_phi)
+    stop = [_HIT_MAX_ITER if ok else _NOT_FINITE for ok in finite]
+    paths = [[f] for f in nll.tolist()]
+    radius = np.full(len(theta), _FIRST_RADIUS)
+    last_drop = np.full(len(theta), np.inf)
+    running = finite.copy()
+    for iteration in range(opts.max_iter + 1):
+        runs = np.flatnonzero(running)
+        if runs.size == 0:
+            break
+        step, x, g, eig, vec, plain, met, broken = _newton_steps(
+            theta[runs], grad[runs], hess[runs], grad_phi[runs], hess_phi[runs],
+            centred[runs], nll[runs], last_drop[runs], radius[runs], opts,
+        )
+        for reason, mask in ((_MET, met), (_NOT_FINITE, broken)):
+            for r in runs[mask]:
+                stop[r] = reason
+        go = ~(met | broken)
+        running[runs[~go]] = False
+        if iteration == opts.max_iter or not go.any():
+            continue
+        runs, f = runs[go], nll[runs[go]]
+        step, x, g, eig, vec, plain = step[go], x[go], g[go], eig[go], vec[go], plain[go]
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = np.clip(np.where(plain, x + step, _uncentred(x + step)), lo, hi)
+            moved = np.where(plain, trial, _centred(trial)) - x
+            moved_eig = np.einsum("dji,dj->di", vec, moved)
+            predicted = -(
+                np.sum(g * moved, axis=1) + 0.5 * np.sum(eig * moved_eig**2, axis=1)
+            )
+        t_nll, *t_derivatives = _all_derivatives(problem, trial, region[runs])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = (f - t_nll) / predicted
+        keep = (predicted > 0) & (ratio > _MIN_RATIO) & _finite_rows(*t_derivatives)
+        length = np.linalg.norm(moved, axis=1)
+        edge = np.linalg.norm(step, axis=1) >= 0.99 * radius[runs]
+        radius[runs] = np.where(
+            ~keep | ~(ratio >= 0.25),
+            0.25 * np.where(np.isfinite(length), length, radius[runs]),
+            np.where((ratio > 0.75) & edge, 2.0 * radius[runs], radius[runs]),
+        )
+        kept = runs[keep]
+        last_drop[kept] = f[keep] - t_nll[keep]
+        theta[kept], nll[kept] = trial[keep], t_nll[keep]
+        for state, new in zip((grad, hess, grad_phi, hess_phi), t_derivatives):
+            state[kept] = new[keep]
+        for r, value in zip(kept, t_nll[keep].tolist()):
+            paths[r].append(value)
+        stalled = runs[radius[runs] < _MIN_RADIUS]
+        for r in stalled:
+            stop[r] = _STALLED
+        running[stalled] = False
+
+    # per region, the lowest run; one not finite at its start never wins
+    lowest = np.argmin(np.where(finite, nll, np.inf).reshape(3, n_regions), axis=0)
+    best = lowest * n_regions + np.arange(n_regions)
+    return (
+        theta[best],
+        nll[best],
+        grad[best],
+        [stop[r] for r in best],
+        [paths[r] for r in best],
+    )
 
 
 def _precision_cholesky(spectrum: _Spectrum, lam: np.ndarray) -> np.ndarray:
@@ -504,36 +871,37 @@ def _fit_regions(
     # a NaN or inf statistic compares False, so it never skips a run
     screened = _normality_statistic(state.residual) < _SCREEN_SHARE * margin
 
+    # one free fit for every region the screen lets through
+    won = {}
+    rows = np.flatnonzero(~screened)
+    if rows.size:
+        problem = _WarpedEvidence(spectrum, y_rows[rows])
+        leaning = _leaning_start(theta_id[rows], state.residual[rows])
+        theta_free, nll_free, grad_free, stop_free, paths_free = _fit_free(
+            problem, x0[rows], leaning, opts
+        )
+        pg_free = np.max(
+            np.abs(_projected_gradient(theta_free, grad_free, _BOUNDS_FREE)), axis=1
+        )
+        wins = np.flatnonzero(nll_free < state.nll[rows] - margin[rows])
+        free, z_free, _, nll_won = problem.evaluate(theta_free[wins], wins)
+        won = {rows[k]: (k, i) for i, k in enumerate(wins)}
+
     models = []
     flagged = []
     for d, region in enumerate(regions):
-        problem = _WarpedEvidence(spectrum, y_rows[d])
-        free_path: list[float] = []
-        res = None
-        if not screened[d]:
-            res = minimize(
-                _lbfgsb_objective,
-                x0[d],
-                args=(problem, free_path),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=_BOUNDS_FREE,
-                options={"maxiter": opts.max_iter, "ftol": opts.tol, "gtol": opts.grad_tol},
-            )
-        if res is not None and res.fun < state.nll[d] - margin[d]:
-            free, z, _, nll = problem.evaluate(res.x)
-            theta, weights, lam, path = res.x, free.weights[0], free.lam[0], free_path
-            pg = np.max(np.abs(_projected_gradient(res.x, res.jac, _BOUNDS_FREE)))
-            converged = bool(res.success and pg <= stationary)
-            reason = str(res.message)
+        if d in won:
+            k, i = won[d]
+            theta, z, nll = theta_free[k], z_free[i], float(nll_won[i])
+            weights, lam, path = free.weights[i], free.lam[i], paths_free[k]
+            pg, reason = pg_free[k], stop_free[k]
         else:
             # exact identity warp on fallback
             theta = np.array([theta_id[d, 0], theta_id[d, 1], 0.0, 0.0])
             z, nll = y_rows[d], float(state.nll[d])
             weights, lam, path = state.weights[d], state.lam[d], paths[d]
-            pg = pg_id[d]
-            converged = bool(met[d] and pg <= stationary)
-            reason = "fixed point " + ("met its tolerance" if met[d] else "hit max_iter")
+            pg, reason = pg_id[d], _MET if met[d] else _HIT_MAX_ITER
+        converged = bool(reason == _MET and pg <= stationary)
         if not converged:
             flagged.append(f"'{region}' ({reason}; projected gradient {pg:.3g})")
         models.append(
@@ -572,20 +940,25 @@ def fit_region(
 
     Both fits start at log_alpha = 0, log_beta = -log Var(y) and the
     identity warp. The identity fit runs MacKay's fixed point on (log_alpha,
-    log_beta); the free fit runs L-BFGS-B on all four hyperparameters. The
-    free fit wins only when it beats the identity optimum by more than the
-    reparametrization margin (see _warp_engagement_margin); otherwise the
-    identity solution is returned. The free fit is skipped, and `screened`
-    set, when half the Jarque-Bera statistic of the identity fit's residuals,
-    N/12 (S^2 + K^2/4) with S the skew and K the excess kurtosis, is below a
-    quarter of the margin: on residuals that close to Gaussian the free fit
-    gains far less than the margin. A non-finite statistic never skips it.
+    log_beta); the free fit runs projected trust-region Newton steps on all
+    four hyperparameters from that start, from the identity optimum with a
+    warp that leans against the skew of its residuals, and from far out on
+    the ridge where the warp absorbs the weights, and keeps the lowest of
+    the three (see _fit_free). The free fit wins only when it
+    beats the identity optimum by more than the reparametrization margin
+    (see _warp_engagement_margin); otherwise the identity solution is
+    returned. The free fit is skipped, and `screened` set, when half the
+    Jarque-Bera statistic of the identity fit's residuals, N/12 (S^2 + K^2/4)
+    with S the skew and K the excess kurtosis, is below a quarter of the
+    margin: on residuals that close to Gaussian the free fit gains far less
+    than the margin. A non-finite statistic never skips it.
 
-    `converged` is True only if the chosen fit met its stopping rule (for
-    L-BFGS-B, scipy's success flag) and its largest projected-gradient
-    component is at most 0.1 nat per observation. `nll_path` is the chosen
-    fit's descent: the NLL of each fixed-point iterate, or each L-BFGS-B
-    evaluation that lowered the best NLL so far. A fit that is not
+    `converged` is True only if the chosen fit met its stopping rule and its
+    largest projected-gradient component is at most 0.1 nat per
+    observation; a free fit that hit max_iter, or whose trust region
+    collapsed first, is not converged. `nll_path` is the chosen fit's
+    descent: the NLL of each fixed-point iterate, or of the kept run's start
+    and each Newton step it kept, so it falls strictly. A fit that is not
     converged is logged as a warning with its stop reason and projected
     gradient. This is the one-region case of the batched engine behind
     fit_normative, which logs one such warning for all its regions.
@@ -660,11 +1033,12 @@ def fit_normative(
     """Fit every region of the training cohort on one shared design.
 
     Regions are independent models, but they share the design's eigenbasis:
-    all identity-warp fits run together as one batched fixed point, then each
-    region whose identity residuals fail the normality screen gets its own
-    free-warp L-BFGS-B run (see fit_region for the screen and for the rule
-    that picks between the fits). scipy.optimize is imported only if some
-    region is not screened. `workers` is accepted for compatibility and
+    all identity-warp fits run together as one batched fixed point, then all
+    regions whose identity residuals fail the normality screen run their
+    free-warp fits together as one batched Newton solve, where no region's
+    arithmetic depends on another's (see fit_region for the screen, for what
+    `converged` and `nll_path` mean, and for the rule that picks between the
+    fits). `workers` is accepted for compatibility and
     ignored; results never depended on it. Regions that did not converge
     are reported in one warning. Clamped ages are not reported here:
     deviations counts them for each cohort it scores, so

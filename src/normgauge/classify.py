@@ -75,53 +75,67 @@ def _fit_binary(
     Damped Newton from zero: each step solves H s = g, with H formed as the
     syrk xs^T xs plus the ridge, and is halved until the loss does not rise
     by more than its rounding error. At lam = 0 the Hessian can be singular
-    (collinear features), so the step is the minimum-norm least-squares one;
-    on separable data the loss then falls geometrically and the gradient test
-    stops the fit at finite weights.
+    (collinear features), so the fit runs in an orthonormal basis of the row
+    space of the bias-augmented features, found once: the loss depends on
+    the weights only through that space, the Hessian there is nonsingular,
+    and each step is the minimum-norm one. On separable data the loss then
+    falls geometrically and the gradient test stops the fit at finite
+    weights.
     """
     n, d = x.shape
     xb = np.column_stack([x, np.ones(n)])
     ridge = np.full(d + 1, lam)
     ridge[d] = 0.0
+    basis = None
+    if lam == 0.0:
+        # eigenvectors of xb^T xb whose eigenvalues are not rounding error
+        eig, vec = np.linalg.eigh(xb.T @ xb)
+        basis = vec[:, eig > eig[-1] * max(xb.shape) * np.finfo(float).eps]
+        xb = xb @ basis
+        ridge = np.zeros(basis.shape[1])
+    k = xb.shape[1]
 
-    def evaluate(wb: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Loss, gradient and log Hessian weight log(sigma(m) sigma(-m))."""
+    def evaluate(wb: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """Loss, gradient, log Hessian weight log(sigma(m) sigma(-m)) and the
+        largest |gradient| entry over the original weights."""
         margins = target * (xb @ wb)
         softplus_neg = np.logaddexp(0.0, -margins)
         softplus_pos = np.logaddexp(0.0, margins)
         loss = float(np.sum(softplus_neg)) + 0.5 * lam * float(wb[:d] @ wb[:d])
         # exp(-softplus(m)) is sigma(-m), the chance of the wrong label
         grad = xb.T @ (-target * np.exp(-softplus_pos)) + ridge * wb
-        return loss, grad, -(softplus_pos + softplus_neg)
+        full = grad if basis is None else basis @ grad
+        return loss, grad, -(softplus_pos + softplus_neg), float(np.max(np.abs(full)))
 
-    wb = np.zeros(d + 1)
-    loss, grad, log_weight = evaluate(wb)
+    wb = np.zeros(k)
+    loss, grad, log_weight, grad_max = evaluate(wb)
+    converged = False
     for _ in range(_MAX_ITER):
-        grad_max = np.max(np.abs(grad))
         if grad_max <= _GTOL:
-            return wb[:d], float(wb[d]), True
+            converged = True
+            break
         xs = xb * np.exp(0.5 * log_weight)[:, None]
         hess = xs.T @ xs
-        hess.flat[:: d + 2] += ridge
-        if lam > 0.0:
-            step = np.linalg.solve(hess, grad)
-        else:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        hess.flat[:: k + 1] += ridge
+        step = np.linalg.solve(hess, grad)
         for _ in range(_MAX_HALVINGS):
             cand = wb - step
-            cand_loss, cand_grad, cand_log_weight = evaluate(cand)
+            cand_loss, cand_grad, cand_log_weight, cand_grad_max = evaluate(cand)
             # near the optimum the loss changes by less than its rounding
             # error; there a smaller gradient decides instead
             if cand_loss <= loss or (
-                cand_loss - loss <= _LOSS_ROUNDING * abs(loss)
-                and np.max(np.abs(cand_grad)) < grad_max
+                cand_loss - loss <= _LOSS_ROUNDING * abs(loss) and cand_grad_max < grad_max
             ):
                 break
             step *= 0.5
         else:
             break  # no step lowers the loss or, within rounding, the gradient
-        wb, loss, grad, log_weight = cand, cand_loss, cand_grad, cand_log_weight
-    return wb[:d], float(wb[d]), False
+        wb, loss, grad, log_weight, grad_max = (
+            cand, cand_loss, cand_grad, cand_log_weight, cand_grad_max
+        )
+    if basis is not None:
+        wb = basis @ wb
+    return wb[:d], float(wb[d]), converged
 
 
 def _fit_ovr(

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from evidence_reference import CholeskyEvidence
 from scipy import stats
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
 from normgauge import (
@@ -195,7 +196,7 @@ class TestEvidenceGradient:
             )
             theta = np.array([h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta])
             spectrum = _Spectrum.of(phi)
-            state, _, _, _ = _WarpedEvidence(spectrum, y).evaluate(theta)
+            state, _, _, _ = _WarpedEvidence(spectrum, y[None, :]).evaluate(theta[None, :])
             z = warp_forward(y, h.warp)
             ridge = np.linalg.solve(
                 phi.T @ phi + (h.alpha / h.beta) * np.eye(m), phi.T @ z
@@ -317,7 +318,7 @@ class TestSpectralEngine:
             assert phi.shape[1] == 9 and np.linalg.matrix_rank(phi) == 8
         problem = CholeskyEvidence(phi, y)
         spectrum = _Spectrum.of(phi)
-        warped = _WarpedEvidence(spectrum, y)
+        warped = _WarpedEvidence(spectrum, y[None, :])
         rng = np.random.default_rng(11)
         compared = 0
         for _ in range(25):
@@ -334,9 +335,9 @@ class TestSpectralEngine:
                 st = problem.state(h)
             except NumericalError:
                 continue
-            value, grad = warped.value_and_grad(theta)
-            assert value == pytest.approx(st.nll, rel=1e-9)
-            np.testing.assert_allclose(grad, problem.grad(h, st), rtol=1e-9)
+            value, grad = warped.value_and_grad(theta[None, :])
+            assert value[0] == pytest.approx(st.nll, rel=1e-9)
+            np.testing.assert_allclose(grad[0], problem.grad(h, st), rtol=1e-9)
 
             # identity warp: evidence, gradient, margin and Cholesky factor
             h_id = Hyperparams(log_alpha=theta[0], log_beta=theta[1])
@@ -474,17 +475,19 @@ class TestNormalityScreen:
 
     def test_gaussian_regions_skip_the_free_run(self, monkeypatch):
         phi, responses = self.responses("gaussian")
-        calls = []
-        minimize = blr.minimize
+        rows = []  # rows sent to the batched free fit, per call
+        fit_free = blr._fit_free
         monkeypatch.setattr(
-            blr, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k)
+            blr,
+            "_fit_free",
+            lambda problem, x0, *rest: rows.append(len(x0)) or fit_free(problem, x0, *rest),
         )
         screened = self.fit(phi, responses)
-        assert calls == []
+        assert sum(rows) == 0
         assert all(rm.screened for rm in screened)
         monkeypatch.setattr(blr, "_SCREEN_SHARE", 0.0)
         unscreened = self.fit(phi, responses)
-        assert len(calls) == responses.shape[1]
+        assert rows == [responses.shape[1]]
         self.assert_same_models(screened, unscreened)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -510,6 +513,131 @@ class TestNormalityScreen:
         assert model.screened
         assert "screened" not in model.to_dict()
         assert not RegionModel.from_dict(model.to_dict()).screened
+
+
+class TestFreeFit:
+    """The batched free-warp fit: its analytic Hessian, its optimum against a
+    tightly converged scipy L-BFGS-B, and the independence of its rows."""
+
+    N = 300
+
+    @pytest.mark.parametrize("kind", ["full-rank", "default"])
+    def test_hessian_matches_central_differences_of_gradient(self, kind):
+        phi, y = TestSpectralEngine.design_and_response(kind)
+        warped = _WarpedEvidence(_Spectrum.of(phi), y[None, :])
+        rng = np.random.default_rng(17)
+        step = 1e-5
+        for _ in range(20):
+            theta = np.array(
+                [[rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.8, 0.8),
+                  rng.uniform(-0.5, 0.5)]]
+            )
+            hess = warped.derivatives(theta)[2][0]
+            fd = np.empty((4, 4))
+            for k in range(4):
+                hi, lo = theta.copy(), theta.copy()
+                hi[0, k] += step
+                lo[0, k] -= step
+                fd[:, k] = (
+                    warped.value_and_grad(hi)[1][0] - warped.value_and_grad(lo)[1][0]
+                ) / (2 * step)
+            np.testing.assert_allclose(
+                hess, fd, rtol=1e-6, atol=1e-6 * float(np.max(np.abs(fd)))
+            )
+            np.testing.assert_array_equal(hess, hess.T)
+
+    @classmethod
+    def regions(cls, kind):
+        """Four regions of one noise family on the default design."""
+        rng = np.random.default_rng(2)
+        n = cls.N
+        ages = rng.uniform(20, 70, n)
+        phi = fit_design(make_cohort(ages, np.zeros(n)), ModelConfig()).values
+        trend = 0.3 * (ages - 45.0) / 25.0
+        if kind == "gaussian":
+            noise = [rng.normal(0.0, s, n) for s in (0.2, 0.5, 1.0, 2.0)]
+        elif kind == "skewed":
+            noise = [
+                0.5 * warp_inverse(rng.normal(0.0, 1.0, n), WarpParams(eps, -0.3))
+                for eps in (0.2, 0.5, 1.0, 1.5)
+            ]
+        elif kind == "student-t":
+            noise = [0.5 * rng.standard_t(df, n) for df in (2, 3, 5, 10)]
+        elif kind == "bimodal":
+            noise = [
+                0.3 * (rng.choice([-s, s], n) + rng.normal(0.0, 1.0, n))
+                for s in (1.0, 1.5, 2.0, 3.0)
+            ]
+        else:
+            # skewed noise that the design explains none of: the free fit
+            # heads out along the ridge, log_alpha toward its bound
+            trend = 0.0
+            noise = [
+                warp_inverse(rng.normal(0.0, s, n), WarpParams(0.5, -0.3))
+                for s in (0.5, 1.0, 1.5, 2.0)
+            ]
+        return phi, np.vstack([1.0 + trend + np.asarray(e) for e in noise])
+
+    @staticmethod
+    def fit_free(phi, rows, problem=None):
+        spectrum = _Spectrum.of(phi)
+        x0 = np.zeros((len(rows), 4))
+        x0[:, 1] = -np.log(np.var(rows, axis=1))
+        theta_id, state, _, _ = blr._fit_identity(
+            spectrum, rows, x0[:, :2], OptimizerSettings()
+        )
+        leaning = blr._leaning_start(theta_id, state.residual)
+        problem = problem or _WarpedEvidence(spectrum, rows)
+        return x0, blr._fit_free(problem, x0, leaning, OptimizerSettings())
+
+    @pytest.mark.parametrize("kind", ["gaussian", "skewed", "student-t", "bimodal", "ridge"])
+    def test_no_worse_than_tight_lbfgsb(self, kind):
+        phi, rows = self.regions(kind)
+        x0, (theta, nll, _, stop, _) = self.fit_free(phi, rows)
+        assert stop == [blr._MET] * len(rows)
+        for d, y in enumerate(rows):
+            warped = _WarpedEvidence(_Spectrum.of(phi), y[None, :])
+
+            def objective(x):
+                value, grad = warped.value_and_grad(x[None, :])
+                if not (np.isfinite(value[0]) and np.all(np.isfinite(grad))):
+                    return 1e300, np.zeros(4)
+                return value[0], grad[0]
+
+            oracle = minimize(
+                objective, x0[d], jac=True, method="L-BFGS-B",
+                bounds=blr._BOUNDS_FREE, options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 5000},
+            )
+            assert nll[d] <= oracle.fun + 1e-6 * max(abs(oracle.fun), 1.0), (d, theta[d])
+        if kind == "ridge":
+            assert np.max(theta[:, 0]) > 15.0
+
+    def test_overflowing_row_leaves_the_other_rows_unchanged(self):
+        phi, rows = self.regions("skewed")
+        spectrum = _Spectrum.of(phi)
+        alone = self.fit_free(phi, rows[:3])[1]
+
+        # every trial step of the last row overflows, as exp(u) does when
+        # delta grows too far
+        problem = _WarpedEvidence(spectrum, rows)
+        exact = problem.derivatives
+        calls = []
+
+        def overflowing(theta, rows=slice(None), hessian=True):
+            nll, grad, hess = exact(theta, rows, hessian)
+            if calls:
+                last = np.asarray(rows) == 3
+                nll[last] = np.inf
+                grad[last] = np.nan
+            calls.append(1)
+            return nll, grad, hess
+
+        problem.derivatives = overflowing
+        theta, nll, _, stop, _ = self.fit_free(phi, rows, problem)[1]
+        assert stop[3] == blr._STALLED
+        np.testing.assert_allclose(theta[:3], alone[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(nll[:3], alone[1], rtol=1e-10)
+        assert stop[:3] == alone[3]
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import normgauge.cli
-from normgauge import OptimizerSettings, fit_normative
+from normgauge import OptimizerSettings, WarpParams, fit_normative
 from normgauge.cli import main
 
 
@@ -787,7 +787,7 @@ class TestImportCost:
         assert loaded <= allowed, f"{command} loaded {sorted(loaded - allowed)}"
         assert "stats" not in loaded and "interpolate" not in loaded
 
-    def test_fit_with_a_free_warp_run_loads_optimize(self, tmp_path):
+    def test_fit_with_a_free_warp_run_loads_no_scipy(self, tmp_path):
         spec = write_spec(
             tmp_path / "spec.json",
             noise_sd=0.5,
@@ -801,8 +801,13 @@ class TestImportCost:
             "--out", tmp_path / "fit",
         )
         assert code == 0
-        assert "optimize" in loaded
-        assert "stats" not in loaded and "interpolate" not in loaded
+        assert loaded == set()
+        # the free-warp fit ran and won somewhere
+        warps = [
+            r["hyperparams"]["warp"]
+            for r in json.loads((tmp_path / "fit" / "regions.json").read_text())["regions"]
+        ]
+        assert not all(WarpParams.from_dict(w).is_identity() for w in warps)
 
 
 class TestReportResilience:
