@@ -18,6 +18,7 @@ from .audit import (
     group_summary,
     parity_report,
     significant_fraction,
+    t_two_sided_p,
 )
 from .blr import (
     DeviationMatrix,

@@ -283,7 +283,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ids_path = Path(cfg["ids"])
         if not ids_path.exists():
             raise InputError(f"file not found: {ids_path}")
-        wanted = [line.strip() for line in ids_path.read_text().splitlines() if line.strip()]
+        text = ids_path.read_text(encoding="utf-8")
+        wanted = [line.strip() for line in text.splitlines() if line.strip()]
         cohort = cohort.subset_by_ids(wanted)
     if cohort.n_subjects == 0:
         raise InputError("no subjects to evaluate")
@@ -331,8 +332,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     q = cfg["q"]
     threshold = cfg["threshold"]
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    # every input is read and every result computed before the first write,
+    # so a failed audit leaves no partial output tree behind
+    scored = None
+    if cfg["bundle"] is not None:
+        model = load_bundle(cfg["bundle"])
+        cohort, _ = load_cohort(cfg["covariates"], cfg["features"], schema)
+        cohort = cohort.subset_by_ids(list(ids_z))
+        scored = deviations(model, cohort)
+    parity = group_parity(z_matrix, groups, threshold, scored)
 
     summary = group_summary(z_matrix, groups, regions_z, threshold)
     rows = []
@@ -349,20 +357,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
                     summary.pct_extreme_total[label][j],
                 ]
             )
-    write_csv(
-        out / "audit_summary.csv",
-        [
-            "group",
-            "region",
-            "n",
-            "mean_deviation",
-            "pct_extreme_pos",
-            "pct_extreme_neg",
-            "pct_extreme_total",
-        ],
-        rows,
-    )
-
     test_rows = []
     table4_rows = []
     for metric_name, matrix in (("deviation", z_matrix), ("error", e_matrix)):
@@ -388,6 +382,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
                     ]
                 )
             table4_rows.append([contrast_label, metric_name, pct])
+
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(
+        out / "audit_summary.csv",
+        [
+            "group",
+            "region",
+            "n",
+            "mean_deviation",
+            "pct_extreme_pos",
+            "pct_extreme_neg",
+            "pct_extreme_total",
+        ],
+        rows,
+    )
     write_csv(
         out / "audit_tests.csv",
         ["contrast", "metric", "region", "t", "p", "fdr_flag"],
@@ -396,14 +406,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     write_csv(
         out / "table4.csv", ["contrast", "metric", "pct_significant"], table4_rows
     )
-
-    scored = None
-    if cfg["bundle"] is not None:
-        model = load_bundle(cfg["bundle"])
-        cohort, _ = load_cohort(cfg["covariates"], cfg["features"], schema)
-        cohort = cohort.subset_by_ids(list(ids_z))
-        scored = deviations(model, cohort)
-    parity = group_parity(z_matrix, groups, threshold, scored)
     dump_json(
         {
             "threshold": threshold,

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import stdtr
 
 from normgauge import (
     Hyperparams,
@@ -236,6 +237,9 @@ def _table4_run(include_race):
     pct = {}
     for g in ("A", "B"):
         welch = group_difference(dm.Z, races, ("W", g))
+        # the numpy t tail against scipy's, at every (t, df) of the audit
+        want = 2.0 * stdtr(welch.df, -np.abs(welch.t))
+        np.testing.assert_allclose(welch.p, want, rtol=1e-12, atol=0)
         flags = bh_fdr(welch.p[welch.testable], q=0.05)
         pct[g] = significant_fraction(flags)
     return group_means, pct

@@ -10,6 +10,7 @@ from normgauge import (
     Cohort,
     InputError,
     ModelConfig,
+    NumericalError,
     Subject,
     SynthSpec,
     WarpParams,
@@ -22,7 +23,9 @@ from normgauge import (
     group_summary,
     parity_report,
     significant_fraction,
+    t_two_sided_p,
 )
+from normgauge import audit
 
 
 def make_race_cohort(rng, n_per_race, d=2, shift=None):
@@ -153,7 +156,9 @@ class TestGroupDifference:
         labels = ["a"] * 23 + ["b"] * 91
         res = group_difference(np.vstack([x, y]), labels, ("a", "b"))
         assert np.all(np.isfinite(res.p)) and res.p.min() < 1e-12
-        np.testing.assert_array_equal(res.p, 2.0 * stats.t.sf(np.abs(res.t), res.df))
+        np.testing.assert_allclose(
+            res.p, 2.0 * stats.t.sf(np.abs(res.t), res.df), rtol=1e-12, atol=0
+        )
 
     def test_single_member_group_untestable(self, caplog):
         values = np.arange(8.0).reshape(4, 2)
@@ -167,6 +172,90 @@ class TestGroupDifference:
     def test_label_count_mismatch(self):
         with pytest.raises(InputError):
             group_difference(np.zeros((3, 1)), ["a", "b"], ("a", "b"))
+
+
+class TestTwoSidedP:
+    """t_two_sided_p against closed forms and scipy's Student's t tail."""
+
+    t_grid = np.concatenate([[1e-300, 1e-12], np.geomspace(1e-6, 1e6, 121), [1e150, 1e200]])
+
+    @staticmethod
+    def assert_close(got, want, rtol):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.all(np.isfinite(got))
+        err = np.abs(got - want) / want
+        worst = int(np.argmax(err))
+        assert err[worst] <= rtol, f"relative error {err[worst]:.3g} at entry {worst}"
+
+    def test_one_degree_of_freedom(self):
+        # 1 - (2/pi) atan|t|, as (2/pi) atan(1/|t|) so the oracle keeps its
+        # digits far out in the tail
+        t = np.concatenate([self.t_grid, -self.t_grid])
+        want = (2.0 / math.pi) * np.arctan(1.0 / np.abs(t))
+        self.assert_close(t_two_sided_p(t, 1.0), want, 1e-13)
+
+    def test_two_degrees_of_freedom(self):
+        # 1 - |t| / sqrt(2 + t^2), as 2 / (r (r + |t|)) with r = sqrt(2 + t^2)
+        t = np.concatenate([self.t_grid[self.t_grid < 1e150], -self.t_grid[:3]])
+        r = np.sqrt(2.0 + np.square(t))
+        want = 2.0 / (r * (r + np.abs(t)))
+        self.assert_close(t_two_sided_p(t, 2.0), want, 1e-13)
+
+    def test_limits_and_symmetry(self):
+        df = np.array([0.5, 1.0, 2.0, 7.3, 40.0, 1e4, 1e7])
+        np.testing.assert_array_equal(t_two_sided_p(0.0, df), 1.0)
+        np.testing.assert_array_equal(t_two_sided_p(-0.0, df), 1.0)
+        np.testing.assert_array_equal(t_two_sided_p(np.inf, df), 0.0)
+        np.testing.assert_array_equal(t_two_sided_p(-np.inf, df), 0.0)
+        rng = np.random.default_rng(4)
+        t = rng.standard_cauchy(500)
+        d = 10.0 ** rng.uniform(0, 7, 500)
+        np.testing.assert_array_equal(t_two_sided_p(t, d), t_two_sided_p(-t, d))
+
+    def test_normal_limit_and_invalid_input(self):
+        t = np.array([0.5, 1.96, 8.0])
+        want = [math.erfc(v / math.sqrt(2.0)) for v in t]
+        np.testing.assert_array_equal(t_two_sided_p(t, np.inf), want)
+        p = t_two_sided_p([np.nan, 1.0, 1.0, 0.0, np.inf], [3.0, np.nan, 0.0, -1.0, np.nan])
+        assert np.isnan(p).all()
+
+    @pytest.mark.parametrize(
+        "lo, hi, rtol", [(1.0, 1e4, 1e-12), (1e4, 1e7, 1e-9)], ids=["df<=1e4", "df<=1e7"]
+    )
+    def test_matches_scipy_stdtr(self, lo, hi, rtol):
+        from scipy.special import stdtr
+
+        rng = np.random.default_rng(17)
+        n = 20000
+        df = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+        # half the pairs near the switch between the two expansions, where
+        # the continued fraction converges slowest; half spread over |t|
+        k = 10.0 ** rng.uniform(-2, 2.5, n // 2)
+        t = np.concatenate(
+            [np.sqrt(k / (df[: n // 2] / 2 + 1) * df[: n // 2]),
+             10.0 ** rng.uniform(-4, 3, n // 4),
+             rng.uniform(0, 1e3, n - n // 2 - n // 4)]
+        )
+        t *= rng.choice([-1.0, 1.0], n)
+        # stdtr at exactly df = 1 loses digits below |t| = 1e-4 (6e-10 at
+        # |t| = 1e-9); test_one_degree_of_freedom covers that corner
+        df[:5], t[:5] = 1.0, [1e-4, 0.5, 1.0, 30.0, 1e3]
+        want = 2.0 * stdtr(df, -np.abs(t))
+        tested = want >= 1e-300
+        assert tested.mean() > 0.6
+        self.assert_close(t_two_sided_p(t, df)[tested], want[tested], rtol)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(audit, "_CF_MAX_ITER", 3)
+        with pytest.raises(NumericalError, match="did not converge"):
+            t_two_sided_p(1.7, 9000.0)
+
+    def test_welch_p_is_the_tail_of_t_and_df(self):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(50, 30)) + np.linspace(0, 2, 30)
+        labels = ["a"] * 20 + ["b"] * 30
+        res = group_difference(values, labels, ("a", "b"))
+        np.testing.assert_array_equal(res.p, t_two_sided_p(res.t, res.df))
 
 
 def bh_reference(p, q):
