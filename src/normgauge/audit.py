@@ -162,7 +162,10 @@ def group_difference(
     degenerate = se2 == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t_reg = mean_diff / np.sqrt(se2)
-        df_reg = np.square(se2) / (np.square(v1) / (n1 - 1) + np.square(v2) / (n2 - 1))
+        # Welch-Satterthwaite df with each variance taken relative to se2
+        # first, so no square underflows however small the values are
+        r1, r2 = v1 / se2, v2 / se2
+        df_reg = 1.0 / (np.square(r1) / (n1 - 1) + np.square(r2) / (n2 - 1))
     ok = ~degenerate
     t[ok] = t_reg[ok]
     df[ok] = df_reg[ok]

@@ -850,12 +850,22 @@ def _fit_regions(
     """Fit each column of responses (N, D) on the design phi (N, M); see fit_region.
 
     Regions flagged as not converged are reported in one warning at the end.
+    A region whose squared responses overflow, even as a sum, cannot be fit
+    in double precision and raises NumericalError before any fit runs.
     """
     n = responses.shape[0]
     y_rows = np.ascontiguousarray(responses.T)
-    for region, y in zip(regions, y_rows):
+    with np.errstate(over="ignore"):
+        sum_sq = np.sum(np.square(y_rows), axis=1)
+    for region, y, ss in zip(regions, y_rows, sum_sq):
         if n < 2:
             raise InputError(f"region '{region}': need at least 2 observations")
+        # checked before the range, which itself overflows near the largest double
+        if np.isinf(ss):
+            raise NumericalError(
+                f"region '{region}': responses up to {np.max(np.abs(y)):.3g} "
+                "overflow when squared; rescale this feature"
+            )
         if float(np.ptp(y)) == 0.0:
             raise InputError(f"region '{region}': constant response cannot be fit")
     spectrum = _Spectrum.of(phi)

@@ -61,7 +61,7 @@ from .classify import (
 )
 from .design import BasisConfig, ModelConfig
 from .errors import InputError, NormgaugeError, SchemaError
-from .serialize import dump_json, load_json, read_matrix_csv, write_csv, write_matrix_csv
+from .serialize import dump_json, load_json, read_matrix_csv, write_csv, write_matrix_csvs
 from .synth import SynthSpec, generate
 
 log = logging.getLogger(__name__)
@@ -242,10 +242,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+    # save_bundle writes two files, so both count as created before it runs
+    created = [out / "model.json", out / "regions.json"]
     try:
         save_bundle(model, out)
-        created += [out / "model.json", out / "regions.json"]
         path = out / "fit_metrics.csv"
         write_csv(path, _METRICS_HEADER, _metrics_rows(metrics))
         created.append(path)
@@ -291,8 +291,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dm = deviations(model, cohort)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "deviations.csv", list(dm.ids), list(dm.regions), dm.Z)
-    write_matrix_csv(out / "errors.csv", list(dm.ids), list(dm.regions), dm.E)
+    ids, regions = list(dm.ids), list(dm.regions)
+    write_matrix_csvs(
+        [
+            (out / "deviations.csv", ids, regions, dm.Z),
+            (out / "errors.csv", ids, regions, dm.E),
+        ]
+    )
     write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(region_metrics(dm)))
     _write_run_config(out, "evaluate", cfg)
     log.info("scored %d subjects x %d regions", dm.Z.shape[0], dm.Z.shape[1])

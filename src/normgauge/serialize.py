@@ -15,6 +15,11 @@ is quoted like any other line break. `read_matrix_csv` accepts what
 and quoted cells are allowed, and `1_0` or ` 1.5 ` parse as float() parses
 them. Rows are formatted and parsed a whole row or file at a time, not cell by
 cell.
+
+write_matrix_csvs writes several matrices with the same bytes. On Linux with
+two or more usable CPUs it writes them at the same time, one per forked
+child besides the first, which the caller writes; elsewhere it writes them
+in-process one after the other. No option selects either way.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import signal
+import sys
+import threading
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -139,6 +148,61 @@ def write_matrix_csv(
         )
     write_csv(
         path, ["id", *columns], ([sid, *row] for sid, row in zip(ids, values.tolist()))
+    )
+
+
+def write_matrix_csvs(
+    files: Sequence[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]],
+) -> None:
+    """Write each (path, ids, columns, values) as write_matrix_csv writes it.
+
+    On Linux with two or more usable CPUs and no other Python thread, every
+    file after the first is written by a forked child while this process
+    writes the first, so the files are formatted at the same time. A file
+    whose child fails is written again in this process, which raises that
+    write's own error. No child outlives the call, whether it returns or
+    raises. Elsewhere the files are written one after another. Either way
+    the bytes are those of write_matrix_csv.
+    """
+    if len(files) < 2 or not _can_fork_writers():
+        for file in files:
+            write_matrix_csv(*file)
+        return
+    children: dict[int, tuple] = {}
+    try:
+        for file in files[1:]:
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller's stack: whatever
+                # happens, it ends here without running exit handlers
+                code = 1
+                try:
+                    write_matrix_csv(*file)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = file
+        write_matrix_csv(*files[0])
+        for pid in list(children):
+            status = os.waitpid(pid, 0)[1]
+            file = children.pop(pid)
+            if os.waitstatus_to_exitcode(status) != 0:
+                write_matrix_csv(*file)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+        raise
+
+
+def _can_fork_writers() -> bool:
+    # forking with other threads running can deadlock the child on a lock
+    # one of them held
+    return (
+        sys.platform.startswith("linux")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
     )
 
 

@@ -160,6 +160,17 @@ class TestGroupDifference:
             res.p, 2.0 * stats.t.sf(np.abs(res.t), res.df), rtol=1e-12, atol=0
         )
 
+    def test_df_does_not_underflow_on_tiny_values(self):
+        rng = np.random.default_rng(2)
+        values = np.concatenate([rng.normal(1, 1, 30), rng.normal(0, 1, 30)])[:, None]
+        labels = ["a"] * 30 + ["b"] * 30
+        unscaled = group_difference(values, labels, ("a", "b"))
+        tiny = group_difference(values * 1e-150, labels, ("a", "b"))
+        assert tiny.df[0] == pytest.approx(unscaled.df[0], rel=1e-12)
+        assert tiny.t[0] == pytest.approx(unscaled.t[0], rel=1e-12)
+        assert np.isfinite(tiny.p[0])
+        assert tiny.p[0] == pytest.approx(unscaled.p[0], rel=1e-10)
+
     def test_single_member_group_untestable(self, caplog):
         values = np.arange(8.0).reshape(4, 2)
         with caplog.at_level("WARNING"):

@@ -251,6 +251,29 @@ class TestFitRegion:
         with pytest.raises(InputError):
             fit_region(np.ones((1, 1)), np.array([1.0]), region="tiny")
 
+    def test_overflowing_squares_rejected_before_fitting(self):
+        # three ordinary regions and one of sinh(200 N(0, 1)) responses, up to ~1e225
+        rng = np.random.default_rng(4)
+        ages = rng.uniform(20, 70, 300)
+        ordinary = 0.02 * ages[:, None] + rng.normal(0.0, 0.25, (300, 3))
+        huge = np.sinh(np.clip(200.0 * rng.normal(size=300), -520, 520))
+        cohort = make_cohort(
+            ages, np.column_stack([ordinary, huge]), regions=("a", "b", "c", "huge")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="region 'huge'"):
+                fit_normative(cohort)
+
+    def test_overflowing_sum_of_squares_rejected(self):
+        # each square is finite, their sum is not
+        y = np.where(np.arange(300) % 2 == 0, 1.2e154, -1.2e154)
+        assert np.isfinite(np.square(y)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="region 'big'"):
+                fit_region(np.ones((300, 1)), y, region="big")
+
     def test_nll_path_monotone_nonincreasing(self):
         rng = np.random.default_rng(15)
         for seed in range(3):

@@ -10,11 +10,13 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normgauge.blr
 import normgauge.cli
 from normgauge import OptimizerSettings, WarpParams, fit_normative
 from normgauge.cli import main
@@ -211,6 +213,28 @@ class TestEvaluateOnTrain:
         assert (tmp_path / "out" / "deviations.csv").read_bytes() == (
             pipeline["eval"] / "deviations.csv"
         ).read_bytes()
+
+    def test_concurrent_matrix_writes_warn_nothing(self, pipeline, tmp_path, monkeypatch):
+        # with BLAS threads left to the library, the two matrices are still
+        # written by a fork that no thread or fork warning objects to
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        out = _python(
+            "-W", "error",
+            "-c", "import sys; from normgauge.cli import main; sys.exit(main())",
+            "evaluate",
+            "--bundle", pipeline["fit"],
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--ids", pipeline["fit"] / "test_ids.txt",
+            "--out", tmp_path / "out",
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Warning" not in out.stderr and "fork" not in out.stderr
+        for name in ("deviations.csv", "errors.csv", "metrics.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (
+                pipeline["eval"] / name
+            ).read_bytes()
 
 
 class TestDeterminism:
@@ -485,6 +509,51 @@ class TestExitCodes:
         )
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_overflowing_region_exit_four(self, pipeline, tmp_path, capsys):
+        # the paper's regions plus one of sinh(200 N(0, 1)) responses, up to ~1e225
+        with open(pipeline["data"] / "features.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rng = np.random.default_rng(0)
+        huge = np.sinh(np.clip(200.0 * rng.normal(size=len(rows) - 1), -520, 520))
+        rows[0].append("huge")
+        for row, value in zip(rows[1:], huge.tolist()):
+            row.append(repr(value))
+        features = tmp_path / "features.csv"
+        with open(features, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "fit",
+                "--covariates", pipeline["data"] / "covariates.csv",
+                "--features", features,
+                "--default-train-frac", "0.5",
+                "--out", out,
+            )
+        assert code == 4
+        assert "region 'huge'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_bundle_write_leaves_no_bundle(self, pipeline, tmp_path, monkeypatch):
+        write_json = normgauge.blr.dump_json
+
+        def failing_regions_write(obj, path, *args, **kwargs):
+            if Path(path).name == "regions.json":
+                raise OSError("no space left on device")
+            write_json(obj, path, *args, **kwargs)
+
+        monkeypatch.setattr(normgauge.blr, "dump_json", failing_regions_write)
+        out = tmp_path / "fit"
+        with pytest.raises(OSError, match="no space left"):
+            run_cli(
+                "fit",
+                "--covariates", pipeline["data"] / "covariates.csv",
+                "--features", pipeline["data"] / "features.csv",
+                "--out", out,
+            )
+        assert list(out.iterdir()) == []
 
     # hand edits of a fitted bundle: (file, key path, new value from the old
     # one or None to delete the key, text the error message must contain);

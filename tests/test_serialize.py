@@ -2,12 +2,21 @@
 
 import csv
 import io
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from normgauge import InputError, SchemaError
-from normgauge.serialize import format_cell, read_matrix_csv, write_csv, write_matrix_csv
+from normgauge.serialize import (
+    format_cell,
+    read_matrix_csv,
+    write_csv,
+    write_matrix_csv,
+    write_matrix_csvs,
+)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -103,6 +112,106 @@ class TestWriter:
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="does not match"):
             write_matrix_csv(tmp_path / "m.csv", ["a"], ["r0", "r1"], np.zeros((1, 3)))
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def forks(request, monkeypatch):
+    """Force one path of write_matrix_csvs through its CPU probe.
+
+    Returns the list of child pids that os.fork handed to the caller, and
+    whether the forked path was forced.
+    """
+    forked = request.param == "forked"
+    if forked and not sys.platform.startswith("linux"):
+        pytest.skip("the forked path is Linux-only")
+    cpus = {0, 1} if forked else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids, forked
+
+
+def matrix_files(directory):
+    """Three matrices with NaN, -0.0, inf and 1e-300 cells and an id holding a comma."""
+    rng = np.random.default_rng(5)
+    ids = ["s1", "a,b", "s3"]
+    columns = ["r0", "r1", "r2", "r3"]
+    files = []
+    for k, name in enumerate(("z.csv", "e.csv", "m.csv")):
+        values = rng.normal(size=(3, 4))
+        values[k] = [np.nan, -0.0, np.inf, 1e-300]
+        files.append((directory / name, ids, columns, values))
+    return files
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriteMatrixCsvs:
+    def test_bytes_match_sequential_writes(self, tmp_path, forks):
+        pids, forked = forks
+        files = matrix_files(tmp_path)
+        write_matrix_csvs(files)
+        assert len(pids) == (len(files) - 1 if forked else 0)
+        assert_no_child_left()
+        reference = tmp_path / "reference.csv"
+        for path, ids, columns, values in files:
+            write_matrix_csv(reference, ids, columns, values)
+            assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda path, ids, columns, values: (
+                path.parent / "missing" / path.name, ids, columns, values
+            ),
+            lambda path, ids, columns, values: (path, ids, columns[:-1], values),
+        ],
+        ids=["missing-directory", "shape-mismatch"],
+    )
+    def test_failing_child_raises_the_sequential_error(self, tmp_path, forks, broken):
+        files = matrix_files(tmp_path)
+        files[1] = broken(*files[1])
+        with pytest.raises(Exception) as sequential:
+            write_matrix_csv(*files[1])
+        with pytest.raises(Exception) as got:
+            write_matrix_csvs(files)
+        assert type(got.value) is type(sequential.value)
+        assert str(got.value) == str(sequential.value)
+        assert files[0][0].is_file()
+        assert_no_child_left()
+
+    def test_caller_error_leaves_no_child(self, tmp_path, forks):
+        pids, forked = forks
+        files = matrix_files(tmp_path)
+        files[0] = (tmp_path / "missing" / "z.csv", *files[0][1:])
+        with pytest.raises(FileNotFoundError):
+            write_matrix_csvs(files)
+        assert len(pids) == (len(files) - 1 if forked else 0)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("forks", ["forked"], indirect=True)
+    def test_no_fork_while_another_thread_runs(self, tmp_path, forks):
+        pids, _ = forks
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            write_matrix_csvs(matrix_files(tmp_path))
+        finally:
+            release.set()
+            thread.join()
+        assert pids == []
 
 
 class TestReaderAccepts:
