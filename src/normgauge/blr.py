@@ -65,7 +65,7 @@ from ._version import __version__
 from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
-from .serialize import dump_json, load_json
+from .serialize import _fork_slots, _forked_map, dump_json, load_json
 from .warp import WarpParams, warp_forward, warp_inverse
 
 log = logging.getLogger(__name__)
@@ -74,6 +74,20 @@ LN_2PI = float(np.log(2.0 * np.pi))
 
 # box constraints keeping the evidence finite during optimization
 _BOUNDS_FREE = ((-20.0, 20.0), (-20.0, 20.0), (-5.0, 5.0), (-3.0, 3.0))
+
+
+def _scale_at_bound(theta: np.ndarray) -> bool:
+    """Whether a fit (log_alpha, log_beta, ...) is held by a bound that only a
+    response's scale reaches.
+
+    log_beta at either bound caps the noise SD at e^10 or e^-10 response
+    units, and log_alpha at its lower bound caps the weights' prior SD at
+    e^10; a fit held there has the wrong evidence. log_alpha at its upper
+    bound is a ridge fit, where the warp absorbs the weights, and the warp's
+    own bounds are legitimate optima, so neither counts.
+    """
+    (alpha_lo, _), (beta_lo, beta_hi) = _BOUNDS_FREE[:2]
+    return bool(theta[0] <= alpha_lo or theta[1] <= beta_lo or theta[1] >= beta_hi)
 
 
 def _finite(d: dict, key: str, owner: str, positive: bool = False) -> np.ndarray:
@@ -593,6 +607,7 @@ _MET = "met its tolerance"
 _HIT_MAX_ITER = "hit max_iter"
 _STALLED = "no step lowers the NLL"
 _NOT_FINITE = "evidence not finite"
+_SCALE_AT_BOUND = "its scale hit a bound of log alpha or log beta, so rescale the feature"
 
 
 def _trust_region_steps(
@@ -726,7 +741,10 @@ def _fit_free(
     `grad_tol`, or once both its Newton decrement 1/2 g^T |H|^-1 g and its
     last step's drop are at most `tol` relative to max(|NLL|, 1); after
     `max_iter` iterations; or when its radius collapses. The runs still going
-    share each evaluation, but no run's arithmetic depends on another's.
+    share each evaluation, but no run's arithmetic depends on another's, so
+    fitting any contiguous chunk of the rows on its own gives bitwise those
+    rows' results; _fit_regions relies on that to split the fit across
+    forked children.
 
     Returns theta, NLL and gradient over theta per region, each region's stop
     reason, and the NLL after every step its run kept.
@@ -833,12 +851,14 @@ def _normality_statistic(residual: np.ndarray) -> np.ndarray:
     (Jarque & Bera 1980). It tracks the evidence a free warp can gain over the
     identity fit; a row with zero variance gives NaN.
     """
-    d = residual - residual.mean(axis=1, keepdims=True)
-    d2 = d * d
-    m2, m3, m4 = d2.mean(axis=1), (d2 * d).mean(axis=1), (d2 * d2).mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # residuals above about 1e50 overflow the moments, and the NaN or inf
+    # statistic that results never screens the region
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = residual - residual.mean(axis=1, keepdims=True)
+        d2 = d * d
+        m2, m3, m4 = d2.mean(axis=1), (d2 * d).mean(axis=1), (d2 * d2).mean(axis=1)
         skew2, kurt = m3 * m3 / m2**3, m4 / (m2 * m2) - 3.0
-    return residual.shape[1] / 12.0 * (skew2 + 0.25 * kurt * kurt)
+        return residual.shape[1] / 12.0 * (skew2 + 0.25 * kurt * kurt)
 
 
 def _fit_regions(
@@ -881,15 +901,26 @@ def _fit_regions(
     # a NaN or inf statistic compares False, so it never skips a run
     screened = _normality_statistic(state.residual) < _SCREEN_SHARE * margin
 
-    # one free fit for every region the screen lets through
+    # one free fit for every region the screen lets through, cut into one
+    # contiguous chunk of regions per usable CPU; a region's result does not
+    # depend on the regions fitted with it, so the cut changes no bit
     won = {}
     rows = np.flatnonzero(~screened)
     if rows.size:
-        problem = _WarpedEvidence(spectrum, y_rows[rows])
         leaning = _leaning_start(theta_id[rows], state.residual[rows])
-        theta_free, nll_free, grad_free, stop_free, paths_free = _fit_free(
-            problem, x0[rows], leaning, opts
+
+        def fit_chunk(chunk: np.ndarray):
+            problem = _WarpedEvidence(spectrum, y_rows[rows[chunk]])
+            return _fit_free(problem, x0[rows[chunk]], leaning[chunk], opts)
+
+        chunks = np.array_split(np.arange(rows.size), min(_fork_slots(), rows.size))
+        parts = _forked_map(fit_chunk, chunks)
+        theta_free, nll_free, grad_free = (
+            np.concatenate([part[k] for part in parts]) for k in range(3)
         )
+        stop_free = [reason for part in parts for reason in part[3]]
+        paths_free = [path for part in parts for path in part[4]]
+        problem = _WarpedEvidence(spectrum, y_rows[rows])
         pg_free = np.max(
             np.abs(_projected_gradient(theta_free, grad_free, _BOUNDS_FREE)), axis=1
         )
@@ -911,6 +942,8 @@ def _fit_regions(
             z, nll = y_rows[d], float(state.nll[d])
             weights, lam, path = state.weights[d], state.lam[d], paths[d]
             pg, reason = pg_id[d], _MET if met[d] else _HIT_MAX_ITER
+        if _scale_at_bound(theta):
+            reason = _SCALE_AT_BOUND
         converged = bool(reason == _MET and pg <= stationary)
         if not converged:
             flagged.append(f"'{region}' ({reason}; projected gradient {pg:.3g})")
@@ -963,15 +996,19 @@ def fit_region(
     margin: on residuals that close to Gaussian the free fit gains far less
     than the margin. A non-finite statistic never skips it.
 
-    `converged` is True only if the chosen fit met its stopping rule and its
+    `converged` is True only if the chosen fit met its stopping rule, its
     largest projected-gradient component is at most 0.1 nat per
-    observation; a free fit that hit max_iter, or whose trust region
-    collapsed first, is not converged. `nll_path` is the chosen fit's
-    descent: the NLL of each fixed-point iterate, or of the kept run's start
-    and each Newton step it kept, so it falls strictly. A fit that is not
-    converged is logged as a warning with its stop reason and projected
-    gradient. This is the one-region case of the batched engine behind
-    fit_normative, which logs one such warning for all its regions.
+    observation, and its scale is not held at a bound: log_beta at either
+    bound or log_alpha at its lower one, where a response whose noise SD is
+    above about 2e4 or below about 5e-5 ends (see _scale_at_bound). A free
+    fit that hit max_iter, or whose trust region collapsed first, is not
+    converged. `nll_path` is the chosen fit's descent: the NLL of each
+    fixed-point iterate, or of the kept run's start and each Newton step it
+    kept, so it falls strictly. A fit that is not converged is logged as a
+    warning with its stop reason (for a scale held at a bound, the advice to
+    rescale the feature) and projected gradient. This is the one-region case
+    of the batched engine behind fit_normative, which logs one such warning
+    for all its regions.
     """
     phi, y = _region_arrays(phi, y)
     return _fit_regions(phi, y[:, None], (region,), opts or OptimizerSettings())[0]
@@ -1048,9 +1085,14 @@ def fit_normative(
     free-warp fits together as one batched Newton solve, where no region's
     arithmetic depends on another's (see fit_region for the screen, for what
     `converged` and `nll_path` mean, and for the rule that picks between the
-    fits). `workers` is accepted for compatibility and
-    ignored; results never depended on it. Regions that did not converge
-    are reported in one warning. Clamped ages are not reported here:
+    fits). On Linux with two or more usable CPUs and no other Python thread,
+    the free-warp solve is cut into one contiguous chunk of regions per CPU,
+    and every chunk after the first is fitted in a forked child (see
+    serialize._forked_map); since no region's arithmetic depends on another's,
+    the model is bitwise the same for any cut. No option selects the cut.
+    `workers` is accepted for compatibility and ignored; results never
+    depended on it. Regions that did not converge are reported in one
+    warning. Clamped ages are not reported here:
     deviations counts them for each cohort it scores, so
     fit_metrics(model, train) reports the training cohort's.
     """

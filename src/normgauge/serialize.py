@@ -19,7 +19,9 @@ cell.
 write_matrix_csvs writes several matrices with the same bytes. On Linux with
 two or more usable CPUs it writes them at the same time, one per forked
 child besides the first, which the caller writes; elsewhere it writes them
-in-process one after the other. No option selects either way.
+in-process one after the other. The fork helper behind it, _forked_map, also
+splits the free-warp fit of blr across the usable CPUs. No option selects
+either way, and neither changes a byte of output.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -156,54 +159,81 @@ def write_matrix_csvs(
 ) -> None:
     """Write each (path, ids, columns, values) as write_matrix_csv writes it.
 
-    On Linux with two or more usable CPUs and no other Python thread, every
-    file after the first is written by a forked child while this process
-    writes the first, so the files are formatted at the same time. A file
-    whose child fails is written again in this process, which raises that
-    write's own error. No child outlives the call, whether it returns or
-    raises. Elsewhere the files are written one after another. Either way
-    the bytes are those of write_matrix_csv.
+    The files are written through _forked_map: where it forks, every file
+    after the first is written by a forked child while this process writes
+    the first, so the files are formatted at the same time. A file whose
+    child fails is written again in this process, which raises that write's
+    own error. Either way the bytes are those of write_matrix_csv.
     """
-    if len(files) < 2 or not _can_fork_writers():
-        for file in files:
-            write_matrix_csv(*file)
-        return
-    children: dict[int, tuple] = {}
+    _forked_map(lambda file: write_matrix_csv(*file), files)
+
+
+def _fork_slots() -> int:
+    """How many forked parts may run at once: the usable CPUs on Linux while
+    no other Python thread runs, else 1."""
+    # forking with other threads running can deadlock the child on a lock
+    # one of them held
+    if not sys.platform.startswith("linux") or threading.active_count() != 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
+    """[fn(part) for part in parts], the parts after the first in forked children.
+
+    With two or more parts and _fork_slots() of at least 2, each part after
+    the first runs in a forked child that pickles fn's result into a pipe and
+    always ends in os._exit, while this process runs the first part. Each
+    pipe is read to its end before its child is reaped, since a result can
+    exceed the pipe's buffer. A part whose child fails runs again in this
+    process, so its error is raised as an in-process call raises it. No
+    child outlives the call, whether it returns or raises. Otherwise every
+    part runs in this process, one after another.
+    """
+    if len(parts) < 2 or _fork_slots() < 2:
+        return [fn(part) for part in parts]
+    children: list[tuple[int, Any, Any]] = []  # pid, read end of its pipe, part
     try:
-        for file in files[1:]:
-            pid = os.fork()
+        for part in parts[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 # the child never returns into the caller's stack: whatever
                 # happens, it ends here without running exit handlers
                 code = 1
                 try:
-                    write_matrix_csv(*file)
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(fn(part), pipe, pickle.HIGHEST_PROTOCOL)
                     code = 0
                 finally:
                     os._exit(code)
-            children[pid] = file
-        write_matrix_csv(*files[0])
-        for pid in list(children):
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), part))
+        results = [fn(parts[0])]
+        while children:
+            pid, pipe, part = children[0]
+            with pipe:
+                payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
-            file = children.pop(pid)
-            if os.waitstatus_to_exitcode(status) != 0:
-                write_matrix_csv(*file)
+            children.pop(0)
+            if os.waitstatus_to_exitcode(status) == 0:
+                results.append(pickle.loads(payload))
+            else:
+                results.append(fn(part))
     except BaseException:
-        for pid in children:
+        for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
-        for pid in children:
+        for pid, pipe, _ in children:
+            pipe.close()
             os.waitpid(pid, 0)
         raise
-
-
-def _can_fork_writers() -> bool:
-    # forking with other threads running can deadlock the child on a lock
-    # one of them held
-    return (
-        sys.platform.startswith("linux")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
+    return results
 
 
 # characters that send a file to the csv.reader path: a quote changes how

@@ -1,7 +1,10 @@
 """Tests for the warped Bayesian regression core: evidence, fits, deviations, metrics."""
 
 import dataclasses
+import logging
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -498,6 +501,9 @@ class TestNormalityScreen:
 
     def test_gaussian_regions_skip_the_free_run(self, monkeypatch):
         phi, responses = self.responses("gaussian")
+        # one usable CPU: the free fit runs as one chunk in this process,
+        # where the calls below are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         rows = []  # rows sent to the batched free fit, per call
         fit_free = blr._fit_free
         monkeypatch.setattr(
@@ -602,14 +608,19 @@ class TestFreeFit:
         return phi, np.vstack([1.0 + trend + np.asarray(e) for e in noise])
 
     @staticmethod
-    def fit_free(phi, rows, problem=None):
-        spectrum = _Spectrum.of(phi)
+    def starts(spectrum, rows):
+        """The x0 and leaning starts of each row, as _fit_regions sets them."""
         x0 = np.zeros((len(rows), 4))
         x0[:, 1] = -np.log(np.var(rows, axis=1))
         theta_id, state, _, _ = blr._fit_identity(
             spectrum, rows, x0[:, :2], OptimizerSettings()
         )
-        leaning = blr._leaning_start(theta_id, state.residual)
+        return x0, blr._leaning_start(theta_id, state.residual)
+
+    @classmethod
+    def fit_free(cls, phi, rows, problem=None):
+        spectrum = _Spectrum.of(phi)
+        x0, leaning = cls.starts(spectrum, rows)
         problem = problem or _WarpedEvidence(spectrum, rows)
         return x0, blr._fit_free(problem, x0, leaning, OptimizerSettings())
 
@@ -661,6 +672,158 @@ class TestFreeFit:
         np.testing.assert_allclose(theta[:3], alone[0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(nll[:3], alone[1], rtol=1e-10)
         assert stop[:3] == alone[3]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitFreeFit:
+    """fit_normative cuts the free-warp fit into contiguous chunks of regions,
+    one per usable CPU, and fits every chunk after the first in a forked
+    child. Oracle: the one batched solve over all regions, which no cut may
+    change by a single bit."""
+
+    def test_every_contiguous_chunk_matches_the_whole_solve(self):
+        blocks = [
+            TestFreeFit.regions(kind) for kind in ("gaussian", "skewed", "student-t", "bimodal")
+        ]
+        phi = blocks[0][0]
+        rows = np.vstack([kind_rows[1:3] for _, kind_rows in blocks])
+        spectrum = _Spectrum.of(phi)
+        x0, leaning = TestFreeFit.starts(spectrum, rows)
+
+        def fit(chunk):
+            problem = _WarpedEvidence(spectrum, rows[chunk])
+            return blr._fit_free(problem, x0[chunk], leaning[chunk], OptimizerSettings())
+
+        whole = fit(slice(None))
+        assert np.any(whole[0][:, 2] != 0.0)
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows) + 1):
+                part = fit(slice(a, b))
+                for got, expected in zip(part[:3], whole[:3]):
+                    assert got.tobytes() == expected[a:b].tobytes(), (a, b)
+                assert part[3:] == tuple(lists[a:b] for lists in whole[3:]), (a, b)
+
+    @staticmethod
+    def cohort():
+        """Eight regions of skewed and bimodal noise; the first and last are
+        not screened, and two bimodal ones are."""
+        ages, _ = TestNormalityScreen.ages_and_design()
+        responses = np.column_stack(
+            [TestNormalityScreen.responses(kind)[1] for kind in ("skewed-warp", "bimodal")]
+        )
+        return make_cohort(ages, responses)
+
+    @pytest.mark.parametrize("forks", ["forked"], indirect=True)
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_split_bundle_bytes_match_the_serial_fit(self, tmp_path, forks, monkeypatch, cpus):
+        pids, _ = forks
+        cohort = self.cohort()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        split = fit_normative(cohort, ModelConfig())
+        assert_no_child_left()
+        free = sum(not rm.screened for rm in split.region_models)
+        assert 2 <= free < cohort.n_regions
+        assert len(pids) == min(cpus, free) - 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = fit_normative(cohort, ModelConfig())
+        assert len(pids) == min(cpus, free) - 1
+        save_bundle(split, tmp_path / "split")
+        save_bundle(serial, tmp_path / "serial")
+        for name in ("model.json", "regions.json"):
+            assert (tmp_path / "split" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+
+    @staticmethod
+    def fail_on_region(monkeypatch, cohort, column, error):
+        """Make the free fit raise `error` on any chunk holding region `column`."""
+        marker = np.arcsinh(cohort.responses[:, column])
+        fit_free = blr._fit_free
+
+        def failing(problem, *rest):
+            if any(np.array_equal(row, marker) for row in problem.asinh_y):
+                raise error
+            return fit_free(problem, *rest)
+
+        monkeypatch.setattr(blr, "_fit_free", failing)
+
+    def test_failing_child_chunk_raises_the_serial_error(self, forks, monkeypatch):
+        pids, forked = forks
+        cohort = self.cohort()
+        # the last region lies in the child's chunk; only an in-process
+        # rerun of that chunk raises here
+        self.fail_on_region(monkeypatch, cohort, -1, NumericalError("broke in the last region"))
+        with pytest.raises(NumericalError, match="^broke in the last region$"):
+            fit_normative(cohort, ModelConfig())
+        assert len(pids) == (1 if forked else 0)
+        assert_no_child_left()
+
+    def test_caller_error_leaves_no_child(self, forks, monkeypatch):
+        pids, forked = forks
+        cohort = self.cohort()
+        self.fail_on_region(monkeypatch, cohort, 0, RuntimeError("broke in the first region"))
+        with pytest.raises(RuntimeError, match="first region"):
+            fit_normative(cohort, ModelConfig())
+        assert len(pids) == (1 if forked else 0)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("forks", ["forked"], indirect=True)
+    def test_no_fork_while_another_thread_runs(self, forks):
+        pids, _ = forks
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            fit_normative(self.cohort(), ModelConfig())
+        finally:
+            release.set()
+            thread.join()
+        assert pids == []
+
+
+class TestScaleBound:
+    """A response whose scale holds log_beta at either bound, or log_alpha at
+    its lower one, fits with the wrong evidence; such a region is flagged,
+    and its warning says to rescale the feature. Oracle: the same curve at
+    ordinary scales, where the evidence shifts by exactly N ln(scale)."""
+
+    N = 300
+
+    @classmethod
+    def fit(cls, scale):
+        rng = np.random.default_rng(0)
+        ages = rng.uniform(20, 70, cls.N)
+        y = (0.02 * ages + rng.normal(0.0, 0.25, cls.N)) * scale
+        phi = fit_design(make_cohort(ages, np.zeros(cls.N)), ModelConfig()).values
+        return _fit_regions(phi, y[:, None], ("r",), OptimizerSettings())[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_ordinary_scales_converge(self, scale):
+        model = self.fit(scale)
+        assert model.converged
+        assert model.nll - self.N * math.log(scale) == pytest.approx(
+            self.fit(1.0).nll, abs=1e-3
+        )
+
+    @pytest.mark.parametrize("scale", [1e5, 1e-6])
+    def test_scale_at_a_bound_is_flagged(self, scale, caplog):
+        with caplog.at_level(logging.WARNING, logger="normgauge.blr"):
+            model = self.fit(scale)
+        assert not model.converged
+        assert "'r' (its scale hit a bound" in caplog.text
+        assert "rescale the feature" in caplog.text
+
+    @pytest.mark.parametrize("scale", [1e60, 1e80])
+    def test_huge_scales_fit_without_overflow_and_are_flagged(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = self.fit(scale)
+        assert model.hyperparams.log_alpha == blr._BOUNDS_FREE[0][0]
+        assert not model.converged
 
 
 @pytest.fixture(scope="module")

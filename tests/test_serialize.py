@@ -3,7 +3,6 @@
 import csv
 import io
 import os
-import sys
 import threading
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 
 from normgauge import InputError, SchemaError
 from normgauge.serialize import (
+    _forked_map,
     format_cell,
     read_matrix_csv,
     write_csv,
@@ -114,31 +114,6 @@ class TestWriter:
             write_matrix_csv(tmp_path / "m.csv", ["a"], ["r0", "r1"], np.zeros((1, 3)))
 
 
-@pytest.fixture(params=["forked", "in-process"])
-def forks(request, monkeypatch):
-    """Force one path of write_matrix_csvs through its CPU probe.
-
-    Returns the list of child pids that os.fork handed to the caller, and
-    whether the forked path was forced.
-    """
-    forked = request.param == "forked"
-    if forked and not sys.platform.startswith("linux"):
-        pytest.skip("the forked path is Linux-only")
-    cpus = {0, 1} if forked else {0}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids, forked
-
-
 def matrix_files(directory):
     """Three matrices with NaN, -0.0, inf and 1e-300 cells and an id holding a comma."""
     rng = np.random.default_rng(5)
@@ -212,6 +187,17 @@ class TestWriteMatrixCsvs:
             release.set()
             thread.join()
         assert pids == []
+
+
+class TestForkedMap:
+    def test_results_in_order_past_the_pipe_buffer(self, forks):
+        pids, forked = forks
+        # each result pickles to about 2.4 MB, far beyond a pipe's buffer
+        got = _forked_map(lambda k: np.full(300_000, k / 3.0), [0, 1, 2])
+        assert len(pids) == (2 if forked else 0)
+        assert_no_child_left()
+        for k, values in enumerate(got):
+            assert values.tobytes() == np.full(300_000, k / 3.0).tobytes()
 
 
 class TestReaderAccepts:
