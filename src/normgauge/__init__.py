@@ -24,7 +24,6 @@ from .blr import (
     DeviationMatrix,
     Hyperparams,
     NormativeModel,
-    OptimizerSettings,
     RegionFitMetrics,
     RegionModel,
     RegionPrediction,

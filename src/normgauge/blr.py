@@ -37,10 +37,13 @@ the warped model never loses to the plain Gaussian one:
 
 - with the warp pinned to identity, by MacKay's fixed point
   alpha <- gamma / m^T m, beta <- (N - gamma) / ||r||^2 (MacKay 1992,
-  "Bayesian Interpolation"), run for all regions of a design at once;
+  "Bayesian Interpolation");
 - with all four hyperparameters free, by projected Newton steps on the
-  analytic Hessian, each region inside its own trust region, run for all
-  regions that need it at once (see _fit_free).
+  analytic Hessian, each region inside its own trust region (see _fit_free).
+
+Both run for a block of regions at once, one row per region, but every
+product is taken row by row (_rowwise), so a region's model depends only on
+its own responses and the design, never on the regions fitted beside it.
 
 The warped fit must beat the identity fit by more than a margin (see
 _warp_engagement_margin) before it is kept. A region whose identity
@@ -140,24 +143,6 @@ class Hyperparams:
         )
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Stopping rules of both fits.
-
-    A region's fit stops once no projected-gradient component exceeds
-    `grad_tol`, once the NLL change in view is at most `tol` relative to
-    max(|NLL|, 1), or after `max_iter` iterations. For the identity fit that
-    change is the one its last iteration made. For the free fit it is both
-    the drop of its last step and the Newton decrement 1/2 g^T |H|^-1 g, the
-    drop a full Newton step predicts. The free fit only ever lowers the NLL;
-    the fixed point keeps iterating after a larger rise.
-    """
-
-    tol: float = 1e-6
-    grad_tol: float = 1e-6
-    max_iter: int = 500
-
-
 def _region_arrays(phi, y) -> tuple[np.ndarray, np.ndarray]:
     """One region's design (N, M) and responses (N,) as float arrays, checked."""
     phi = np.asarray(phi, dtype=float)
@@ -175,7 +160,7 @@ def _evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> tuple[float, np
     """NLL and gradient of one region at h, from the engine that fits."""
     phi, y = _region_arrays(phi, y)
     theta = np.array([[h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta]])
-    nll, grad = _WarpedEvidence(_Spectrum.of(phi), y[None, :]).value_and_grad(theta)
+    nll, grad = _WarpedEvidence(_Spectrum.of(phi), y[None, :]).derivatives(theta)[:2]
     if not (np.isfinite(nll[0]) and np.all(np.isfinite(grad))):
         raise NumericalError(f"evidence is not finite at {h}")
     return float(nll[0]), grad[0]
@@ -288,21 +273,19 @@ def _spectral_state(
     z: np.ndarray,
     log_alpha: np.ndarray,
     log_beta: np.ndarray,
-    product=np.matmul,
     residual: np.ndarray | None = None,
 ) -> _SpectralState:
     """Evidence of the latent rows z (D, N) at per-row (log_alpha, log_beta).
 
-    `product` multiplies a block of rows by a matrix; _rowwise makes each
-    row's result independent of the others. The residual is written to
-    `residual` when given.
+    Each row's result is bitwise independent of the other rows. The residual
+    is written to `residual` when given.
     """
     n, m_dim = spectrum.phi_u.shape
     alpha = np.exp(log_alpha)[:, None]
     beta = np.exp(log_beta)[:, None]
     lam = alpha + beta * spectrum.s
-    weights = beta * product(z, spectrum.phi_u) / lam
-    residual = product(weights, spectrum.phi_u.T, out=residual)
+    weights = beta * _rowwise(z, spectrum.phi_u) / lam
+    residual = _rowwise(weights, spectrum.phi_u.T, out=residual)
     np.subtract(z, residual, out=residual)
     rss = np.einsum("dn,dn->d", residual, residual)
     ww = np.einsum("dm,dm->d", weights, weights)
@@ -372,15 +355,16 @@ def _warp_engagement_margin(
 
 
 def _fit_identity(
-    spectrum: _Spectrum, y: np.ndarray, x0: np.ndarray, opts: OptimizerSettings
+    spectrum: _Spectrum, y: np.ndarray, x0: np.ndarray
 ) -> tuple[np.ndarray, _SpectralState, np.ndarray, list[list[float]]]:
     """Identity-warp fits of the rows of y (D, N) by MacKay's fixed point.
 
     Each iteration sets alpha = gamma / m^T m and beta = (N - gamma) / ||r||^2
     for every region still running, clipped to the box; both updates are
     where the evidence gradient vanishes. A region stops under the rules of
-    `opts`. Returns (log_alpha, log_beta) per row, the final state, whether
-    each row stopped before max_iter, and each row's NLL per iterate.
+    _TOL, _GRAD_TOL and _MAX_ITER. Returns (log_alpha, log_beta) per row, the
+    final state, whether each row stopped before _MAX_ITER, and each row's
+    NLL per iterate.
     """
     bounds = _BOUNDS_FREE[:2]
     lo, hi = np.asarray(bounds, dtype=float).T
@@ -389,7 +373,7 @@ def _fit_identity(
     state = _spectral_state(spectrum, y, theta[:, 0], theta[:, 1])
     paths = [[f] for f in state.nll.tolist()]
     running = np.ones(y.shape[0], dtype=bool)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         if not running.any():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -400,8 +384,8 @@ def _fit_identity(
         new = _spectral_state(spectrum, y, theta[:, 0], theta[:, 1])
         scale = np.maximum(np.maximum(np.abs(state.nll), np.abs(new.nll)), 1.0)
         pg = _projected_gradient(theta, new.grad, bounds)
-        done = (np.abs(state.nll - new.nll) <= opts.tol * scale) | (
-            np.max(np.abs(pg), axis=1) <= opts.grad_tol
+        done = (np.abs(state.nll - new.nll) <= _TOL * scale) | (
+            np.max(np.abs(pg), axis=1) <= _GRAD_TOL
         )
         for d in np.flatnonzero(running):
             paths[d].append(float(new.nll[d]))
@@ -474,9 +458,7 @@ class _WarpedEvidence:
 
     def _state(self, theta: np.ndarray, z: np.ndarray) -> _SpectralState:
         residual = self._scratch("residual", z.shape)
-        return _spectral_state(
-            self.spectrum, z, theta[:, 0], theta[:, 1], _rowwise, residual
-        )
+        return _spectral_state(self.spectrum, z, theta[:, 0], theta[:, 1], residual)
 
     def evaluate(self, theta: np.ndarray, rows=slice(None)):
         """(state, z, cosh(u), NLL) at theta; overflow yields non-finite values."""
@@ -486,14 +468,8 @@ class _WarpedEvidence:
             nll = state.nll - log_jac
         return state, z, cosh_u, nll
 
-    def value_and_grad(
-        self, theta: np.ndarray, rows=slice(None)
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """NLL (D,) and gradient (D, 4) at theta."""
-        return self.derivatives(theta, rows, hessian=False)[:2]
-
-    def derivatives(self, theta: np.ndarray, rows=slice(None), hessian: bool = True):
-        """NLL (D,), gradient (D, 4) and, with `hessian`, Hessian (D, 4, 4) at theta.
+    def derivatives(self, theta: np.ndarray, rows=slice(None)):
+        """NLL (D,), gradient (D, 4) and Hessian (D, 4, 4) at theta.
 
         With s = asinh(y) and u = delta s - eps, the latent z = sinh(u) has
         dz/deps = -cosh(u) and dz/dlog(delta) = delta s cosh(u). The Gaussian
@@ -526,9 +502,6 @@ class _WarpedEvidence:
                     beta * r_zt - n - delta * s_tanh,
                 ]
             )
-            if not hessian:
-                return nll, grad, None
-
             lam = state.lam
             shrink = beta[:, None] * self.spectrum.s / lam  # beta s_j / lam_j
             keep = alpha[:, None] / lam  # 1 - shrink
@@ -579,6 +552,17 @@ class _WarpedEvidence:
             hess[:, lower[0], lower[1]] = hess[:, lower[1], lower[0]]
         return nll, grad, hess
 
+
+# Stopping rules of both fits. A region's fit stops once no projected-gradient
+# component exceeds _GRAD_TOL, once the NLL change in view is at most _TOL
+# relative to max(|NLL|, 1), or after _MAX_ITER iterations. For the identity
+# fit that change is the one its last iteration made. For the free fit it is
+# both the drop of its last step and the Newton decrement 1/2 g^T |H|^-1 g,
+# the drop a full Newton step predicts. The free fit only ever lowers the
+# NLL; the fixed point keeps iterating after a larger rise.
+_TOL = 1e-6
+_GRAD_TOL = 1e-6
+_MAX_ITER = 500
 
 # Trust-region settings of the free fit. Every run starts with a radius of
 # 1 (log-scale units); a step that achieves under a quarter of its predicted
@@ -672,7 +656,7 @@ def _finite_rows(*arrays: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _newton_steps(theta, grad, hess, grad_phi, hess_phi, centred, nll, last_drop, radius, opts):
+def _newton_steps(theta, grad, hess, grad_phi, hess_phi, centred, nll, last_drop, radius):
     """One trust-region Newton step per run, and which runs stop instead.
 
     Returns the step and the point, gradient, floored |H| eigenpairs and
@@ -699,9 +683,9 @@ def _newton_steps(theta, grad, hess, grad_phi, hess_phi, centred, nll, last_drop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         decrement = 0.5 * np.sum(g_eig * g_eig / eig, axis=1)
         step = _trust_region_steps(g_eig, eig, vec, radius)
-    small = opts.tol * np.maximum(np.abs(nll), 1.0)
+    small = _TOL * np.maximum(np.abs(nll), 1.0)
     met = ((decrement <= small) & (last_drop <= small)) | (
-        np.max(np.abs(g), axis=1) <= opts.grad_tol
+        np.max(np.abs(g), axis=1) <= _GRAD_TOL
     )
     broken = ~met & ~(np.isfinite(decrement) & np.all(np.isfinite(step), axis=1))
     return step, x, g, eig, vec, plain, met, broken
@@ -718,7 +702,7 @@ def _leaning_start(theta_id: np.ndarray, residual: np.ndarray) -> np.ndarray:
 
 
 def _fit_free(
-    problem: _WarpedEvidence, x0: np.ndarray, leaning: np.ndarray, opts: OptimizerSettings
+    problem: _WarpedEvidence, x0: np.ndarray, leaning: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[list[float]]]:
     """Free-warp fits of every region (row) of problem, all at once.
 
@@ -738,13 +722,12 @@ def _fit_free(
     eigenvalues replaced by their floored absolute values, shifted toward the
     gradient when that step leaves the radius. The trial point is clipped to
     the box. A run stops once no projected-gradient component exceeds
-    `grad_tol`, or once both its Newton decrement 1/2 g^T |H|^-1 g and its
-    last step's drop are at most `tol` relative to max(|NLL|, 1); after
-    `max_iter` iterations; or when its radius collapses. The runs still going
+    _GRAD_TOL, or once both its Newton decrement 1/2 g^T |H|^-1 g and its
+    last step's drop are at most _TOL relative to max(|NLL|, 1); after
+    _MAX_ITER iterations; or when its radius collapses. The runs still going
     share each evaluation, but no run's arithmetic depends on another's, so
-    fitting any contiguous chunk of the rows on its own gives bitwise those
-    rows' results; _fit_regions relies on that to split the fit across
-    forked children.
+    fitting any subset of the rows on its own gives bitwise those rows'
+    results.
 
     Returns theta, NLL and gradient over theta per region, each region's stop
     reason, and the NLL after every step its run kept.
@@ -763,20 +746,20 @@ def _fit_free(
     radius = np.full(len(theta), _FIRST_RADIUS)
     last_drop = np.full(len(theta), np.inf)
     running = finite.copy()
-    for iteration in range(opts.max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         runs = np.flatnonzero(running)
         if runs.size == 0:
             break
         step, x, g, eig, vec, plain, met, broken = _newton_steps(
             theta[runs], grad[runs], hess[runs], grad_phi[runs], hess_phi[runs],
-            centred[runs], nll[runs], last_drop[runs], radius[runs], opts,
+            centred[runs], nll[runs], last_drop[runs], radius[runs],
         )
         for reason, mask in ((_MET, met), (_NOT_FINITE, broken)):
             for r in runs[mask]:
                 stop[r] = reason
         go = ~(met | broken)
         running[runs[~go]] = False
-        if iteration == opts.max_iter or not go.any():
+        if iteration == _MAX_ITER or not go.any():
             continue
         runs, f = runs[go], nll[runs[go]]
         step, x, g, eig, vec, plain = step[go], x[go], g[go], eig[go], vec[go], plain[go]
@@ -861,38 +844,18 @@ def _normality_statistic(residual: np.ndarray) -> np.ndarray:
         return residual.shape[1] / 12.0 * (skew2 + 0.25 * kurt * kurt)
 
 
-def _fit_regions(
-    phi: np.ndarray,
-    responses: np.ndarray,
-    regions: Sequence[str],
-    opts: OptimizerSettings,
-) -> tuple[RegionModel, ...]:
-    """Fit each column of responses (N, D) on the design phi (N, M); see fit_region.
+def _fit_block(
+    spectrum: _Spectrum, y_rows: np.ndarray, regions: Sequence[str]
+) -> tuple[list[RegionModel], list[str]]:
+    """Fit each row of y_rows (D, N) on the design of spectrum; see fit_region.
 
-    Regions flagged as not converged are reported in one warning at the end.
-    A region whose squared responses overflow, even as a sum, cannot be fit
-    in double precision and raises NumericalError before any fit runs.
+    Returns the region models and a note for each region not converged. A
+    region's model depends only on its own row: every product is row by row.
     """
-    n = responses.shape[0]
-    y_rows = np.ascontiguousarray(responses.T)
-    with np.errstate(over="ignore"):
-        sum_sq = np.sum(np.square(y_rows), axis=1)
-    for region, y, ss in zip(regions, y_rows, sum_sq):
-        if n < 2:
-            raise InputError(f"region '{region}': need at least 2 observations")
-        # checked before the range, which itself overflows near the largest double
-        if np.isinf(ss):
-            raise NumericalError(
-                f"region '{region}': responses up to {np.max(np.abs(y)):.3g} "
-                "overflow when squared; rescale this feature"
-            )
-        if float(np.ptp(y)) == 0.0:
-            raise InputError(f"region '{region}': constant response cannot be fit")
-    spectrum = _Spectrum.of(phi)
-
+    n = y_rows.shape[1]
     x0 = np.zeros((len(regions), 4))
     x0[:, 1] = -np.log(np.var(y_rows, axis=1))
-    theta_id, state, met, paths = _fit_identity(spectrum, y_rows, x0[:, :2], opts)
+    theta_id, state, met, paths = _fit_identity(spectrum, y_rows, x0[:, :2])
     margin = _warp_engagement_margin(spectrum, state, theta_id[:, 0])
     pg_id = np.max(
         np.abs(_projected_gradient(theta_id, state.grad, _BOUNDS_FREE[:2])), axis=1
@@ -901,26 +864,15 @@ def _fit_regions(
     # a NaN or inf statistic compares False, so it never skips a run
     screened = _normality_statistic(state.residual) < _SCREEN_SHARE * margin
 
-    # one free fit for every region the screen lets through, cut into one
-    # contiguous chunk of regions per usable CPU; a region's result does not
-    # depend on the regions fitted with it, so the cut changes no bit
+    # one free fit for every region the screen lets through
     won = {}
     rows = np.flatnonzero(~screened)
     if rows.size:
-        leaning = _leaning_start(theta_id[rows], state.residual[rows])
-
-        def fit_chunk(chunk: np.ndarray):
-            problem = _WarpedEvidence(spectrum, y_rows[rows[chunk]])
-            return _fit_free(problem, x0[rows[chunk]], leaning[chunk], opts)
-
-        chunks = np.array_split(np.arange(rows.size), min(_fork_slots(), rows.size))
-        parts = _forked_map(fit_chunk, chunks)
-        theta_free, nll_free, grad_free = (
-            np.concatenate([part[k] for part in parts]) for k in range(3)
-        )
-        stop_free = [reason for part in parts for reason in part[3]]
-        paths_free = [path for part in parts for path in part[4]]
         problem = _WarpedEvidence(spectrum, y_rows[rows])
+        leaning = _leaning_start(theta_id[rows], state.residual[rows])
+        theta_free, nll_free, grad_free, stop_free, paths_free = _fit_free(
+            problem, x0[rows], leaning
+        )
         pg_free = np.max(
             np.abs(_projected_gradient(theta_free, grad_free, _BOUNDS_FREE)), axis=1
         )
@@ -963,6 +915,46 @@ def _fit_regions(
                 screened=bool(screened[d]),
             )
         )
+    return models, flagged
+
+
+def _fit_regions(
+    phi: np.ndarray, responses: np.ndarray, regions: Sequence[str]
+) -> tuple[RegionModel, ...]:
+    """Fit each column of responses (N, D) on the design phi (N, M); see fit_region.
+
+    The regions are cut into one contiguous chunk per usable CPU, and every
+    chunk after the first is fitted in a forked child (serialize._forked_map);
+    a region's model does not depend on the regions fitted with it, so the cut
+    changes no bit. Regions flagged as not converged are reported in one
+    warning at the end. A region whose squared responses overflow, even as a
+    sum, cannot be fit in double precision and raises NumericalError before
+    any fit runs.
+    """
+    if not regions:
+        raise InputError("no regions to fit: the responses have no region columns")
+    n = responses.shape[0]
+    y_rows = np.ascontiguousarray(responses.T)
+    with np.errstate(over="ignore"):
+        sum_sq = np.sum(np.square(y_rows), axis=1)
+    for region, y, ss in zip(regions, y_rows, sum_sq):
+        if n < 2:
+            raise InputError(f"region '{region}': need at least 2 observations")
+        # checked before the range, which itself overflows near the largest double
+        if np.isinf(ss):
+            raise NumericalError(
+                f"region '{region}': responses up to {np.max(np.abs(y)):.3g} "
+                "overflow when squared; rescale this feature"
+            )
+        if float(np.ptp(y)) == 0.0:
+            raise InputError(f"region '{region}': constant response cannot be fit")
+    spectrum = _Spectrum.of(phi)
+    chunks = np.array_split(np.arange(len(regions)), min(_fork_slots(), len(regions)))
+    parts = _forked_map(
+        lambda chunk: _fit_block(spectrum, y_rows[chunk], [regions[d] for d in chunk]),
+        chunks,
+    )
+    flagged = [note for _, notes in parts for note in notes]
     if flagged:
         log.warning(
             "%d region(s) flagged as not converged: %s%s",
@@ -970,15 +962,10 @@ def _fit_regions(
             ", ".join(flagged[:_FLAGGED_SHOWN]),
             ", ..." if len(flagged) > _FLAGGED_SHOWN else "",
         )
-    return tuple(models)
+    return tuple(model for models, _ in parts for model in models)
 
 
-def fit_region(
-    phi: np.ndarray,
-    y: np.ndarray,
-    region: str = "region",
-    opts: OptimizerSettings | None = None,
-) -> RegionModel:
+def fit_region(phi: np.ndarray, y: np.ndarray, region: str = "region") -> RegionModel:
     """Fit one region by evidence minimization with an identity-warp fallback.
 
     Both fits start at log_alpha = 0, log_beta = -log Var(y) and the
@@ -1007,11 +994,11 @@ def fit_region(
     kept, so it falls strictly. A fit that is not converged is logged as a
     warning with its stop reason (for a scale held at a bound, the advice to
     rescale the feature) and projected gradient. This is the one-region case
-    of the batched engine behind fit_normative, which logs one such warning
-    for all its regions.
+    of the engine behind fit_normative, which logs one such warning for all
+    its regions; fit_normative gives each region bitwise this model.
     """
     phi, y = _region_arrays(phi, y)
-    return _fit_regions(phi, y[:, None], (region,), opts or OptimizerSettings())[0]
+    return _fit_regions(phi, y[:, None], (region,))[0]
 
 
 @dataclass
@@ -1073,34 +1060,31 @@ class NormativeModel:
 def fit_normative(
     train: Cohort,
     config: ModelConfig | None = None,
-    opts: OptimizerSettings | None = None,
     workers: int = 1,
     seed: int | None = None,
 ) -> NormativeModel:
     """Fit every region of the training cohort on one shared design.
 
-    Regions are independent models, but they share the design's eigenbasis:
-    all identity-warp fits run together as one batched fixed point, then all
-    regions whose identity residuals fail the normality screen run their
-    free-warp fits together as one batched Newton solve, where no region's
-    arithmetic depends on another's (see fit_region for the screen, for what
-    `converged` and `nll_path` mean, and for the rule that picks between the
-    fits). On Linux with two or more usable CPUs and no other Python thread,
-    the free-warp solve is cut into one contiguous chunk of regions per CPU,
-    and every chunk after the first is fitted in a forked child (see
-    serialize._forked_map); since no region's arithmetic depends on another's,
-    the model is bitwise the same for any cut. No option selects the cut.
-    `workers` is accepted for compatibility and ignored; results never
-    depended on it. Regions that did not converge are reported in one
-    warning. Clamped ages are not reported here:
+    Regions are independent models that share the design's eigenbasis. The
+    regions are cut into one contiguous chunk per usable CPU (one chunk
+    unless on Linux with no other Python thread running), and every chunk
+    after the first is fitted in a forked child (see serialize._forked_map).
+    Within a chunk, all identity-warp fits run together as one batched fixed
+    point, then all regions whose identity residuals fail the normality
+    screen run their free-warp fits together as one batched Newton solve
+    (see fit_region for the screen, for what `converged` and `nll_path`
+    mean, and for the rule that picks between the fits). Every product is
+    taken row by row, so each region's model is bitwise that of fit_region
+    on its column alone, for any cut. No option selects the cut. `workers`
+    is accepted for compatibility and ignored; results never depended on
+    it. Regions that did not converge are reported in one warning. A cohort
+    with no regions raises InputError. Clamped ages are not reported here:
     deviations counts them for each cohort it scores, so
     fit_metrics(model, train) reports the training cohort's.
     """
     config = config or ModelConfig()
     dm = fit_design(train, config)
-    region_models = _fit_regions(
-        dm.values, train.responses, train.regions, opts or OptimizerSettings()
-    )
+    region_models = _fit_regions(dm.values, train.responses, train.regions)
     provenance = {
         "cohort_hash": train.content_hash(),
         "seed": seed,

@@ -20,7 +20,7 @@ write_matrix_csvs writes several matrices with the same bytes. On Linux with
 two or more usable CPUs it writes them at the same time, one per forked
 child besides the first, which the caller writes; elsewhere it writes them
 in-process one after the other. The fork helper behind it, _forked_map, also
-splits the free-warp fit of blr across the usable CPUs. No option selects
+splits the region fits of blr across the usable CPUs. No option selects
 either way, and neither changes a byte of output.
 """
 

@@ -38,11 +38,6 @@ def default_curves(n_regions: int, seed: int) -> np.ndarray:
     return curves
 
 
-def default_sex_offsets(n_regions: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 9002]))
-    return rng.uniform(-0.3, 0.3, n_regions)
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Complete recipe for one synthetic cohort."""

@@ -18,7 +18,7 @@ import pytest
 
 import normgauge.blr
 import normgauge.cli
-from normgauge import OptimizerSettings, WarpParams, fit_normative
+from normgauge import WarpParams
 from normgauge.cli import main
 
 
@@ -238,6 +238,28 @@ class TestEvaluateOnTrain:
 
 
 class TestDeterminism:
+    def test_forked_fit_warns_nothing(self, pipeline, tmp_path, monkeypatch):
+        # with BLAS threads left to the library, the regions are still fitted
+        # by forks that no thread or fork warning objects to
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        out = _python(
+            "-W", "error",
+            "-c", "import sys; from normgauge.cli import main; sys.exit(main())",
+            "fit",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", tmp_path / "fit",
+            "--default-train-frac", "0.8",
+            "--seed", "3",
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Warning" not in out.stderr and "fork" not in out.stderr
+        for name in ("model.json", "regions.json", "fit_metrics.csv"):
+            assert (tmp_path / "fit" / name).read_bytes() == (
+                pipeline["fit"] / name
+            ).read_bytes()
+
     def test_fit_reruns_are_byte_identical(self, pipeline, tmp_path):
         outs = []
         for i, workers in enumerate(("1", "2")):
@@ -272,8 +294,7 @@ class TestDeterminism:
 
 class TestConvergenceFlag:
     def test_iteration_cap_flags_every_region(self, pipeline, tmp_path, monkeypatch, caplog):
-        capped = functools.partial(fit_normative, opts=OptimizerSettings(max_iter=1))
-        monkeypatch.setattr(normgauge.cli, "fit_normative", capped)
+        monkeypatch.setattr(normgauge.blr, "_MAX_ITER", 1)
         out = tmp_path / "fit_capped"
         with caplog.at_level(logging.WARNING, logger="normgauge"):
             assert (
@@ -292,8 +313,7 @@ class TestConvergenceFlag:
         assert f"{len(regions)} region(s) flagged as not converged" in caplog.text
 
     def test_capped_fit_warns_once(self, pipeline, tmp_path, monkeypatch, caplog):
-        capped = functools.partial(fit_normative, opts=OptimizerSettings(max_iter=1))
-        monkeypatch.setattr(normgauge.cli, "fit_normative", capped)
+        monkeypatch.setattr(normgauge.blr, "_MAX_ITER", 1)
         with caplog.at_level(logging.WARNING, logger="normgauge"):
             assert (
                 run_cli(
@@ -509,6 +529,22 @@ class TestExitCodes:
         )
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_features_without_regions_exit_two(self, pipeline, tmp_path, capsys):
+        with open(pipeline["data"] / "features.csv", newline="", encoding="utf-8") as fh:
+            ids = [row[0] for row in csv.reader(fh)]
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"{sid}\n" for sid in ids), encoding="utf-8")
+        out = tmp_path / "fit"
+        code = run_cli(
+            "fit",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", features,
+            "--out", out,
+        )
+        assert code == 2
+        assert "no region columns" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_region_exit_four(self, pipeline, tmp_path, capsys):
         # the paper's regions plus one of sinh(200 N(0, 1)) responses, up to ~1e225

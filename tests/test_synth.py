@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from normgauge import InputError, SynthSpec, WarpParams, generate
-from normgauge.synth import default_curves, default_sex_offsets
+from normgauge.synth import default_curves
 
 
 def flat_curves(n_regions, level=2.0):
@@ -187,10 +187,6 @@ class TestDefaults:
         np.testing.assert_array_equal(default_curves(6, 3), default_curves(6, 3))
         assert default_curves(6, 3).shape == (6, 4)
         assert not np.array_equal(default_curves(6, 3), default_curves(6, 4))
-
-    def test_default_sex_offsets_bounded(self):
-        offs = default_sex_offsets(50, 1)
-        assert np.abs(offs).max() <= 0.3
 
 
 class TestValidation:
