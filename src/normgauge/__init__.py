@@ -16,7 +16,6 @@ from .audit import (
     group_difference,
     group_parity,
     group_summary,
-    parity_report,
     significant_fraction,
     t_two_sided_p,
 )
@@ -33,17 +32,13 @@ from .blr import (
     fit_normative,
     fit_region,
     load_bundle,
-    neg_log_evidence,
-    neg_log_evidence_grad,
     predict_region,
     region_metrics,
     save_bundle,
-    standardized_log_loss,
 )
 from .cohort import (
     Cohort,
     CohortSchema,
-    LoadReport,
     SplitSpec,
     Subject,
     demographics_summary,
@@ -59,9 +54,7 @@ from .classify import (
     cross_validate,
     decision_scores,
     evaluate_holdout,
-    fit_ovr_logistic,
     permutation_null_auc,
-    predict,
     roc_points,
     stratified_folds,
 )
@@ -76,12 +69,6 @@ from .design import (
 )
 from .errors import InputError, NormgaugeError, NumericalError, SchemaError
 from .synth import SynthSpec, generate
-from .warp import (
-    WarpParams,
-    warp_derivative,
-    warp_forward,
-    warp_inverse,
-    warp_log_jacobian,
-)
+from .warp import WarpParams, warp_forward, warp_inverse
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blr import DeviationMatrix, NormativeModel, deviations, explained_variance
-from .cohort import Cohort
+from .blr import DeviationMatrix, explained_variance
 from .errors import InputError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -42,8 +41,7 @@ DEFAULT_EXTREME_THRESHOLD = 2.0
 class GroupSummary:
     """Per group x region: mean deviation and extreme-score proportions.
 
-    Declared groups with no members carry NaN rows; a missing group is
-    reported as missing, never as a zero rate.
+    The groups are the distinct labels of the rows, in sorted order.
     """
 
     groups: tuple[str, ...]
@@ -61,7 +59,6 @@ def group_summary(
     groups: Sequence[str],
     regions: Sequence[str] | None = None,
     threshold: float = DEFAULT_EXTREME_THRESHOLD,
-    group_labels: Sequence[str] | None = None,
 ) -> GroupSummary:
     """Summarize deviations per group; proportions count |Z| beyond threshold."""
     if threshold <= 0:
@@ -72,10 +69,9 @@ def group_summary(
         raise InputError(
             f"{len(groups)} group labels for {z_matrix.shape[0]} deviation rows"
         )
-    d_count = z_matrix.shape[1]
     if regions is None:
-        regions = tuple(f"region_{i}" for i in range(d_count))
-    labels = tuple(group_labels) if group_labels else tuple(sorted(set(groups)))
+        regions = tuple(f"region_{i}" for i in range(z_matrix.shape[1]))
+    labels = tuple(sorted(set(groups)))
 
     sizes: dict[str, int] = {}
     mean_dev: dict[str, np.ndarray] = {}
@@ -86,13 +82,6 @@ def group_summary(
     for label in labels:
         rows = z_matrix[group_arr == label]
         sizes[label] = rows.shape[0]
-        if rows.shape[0] == 0:
-            nan_row = np.full(d_count, np.nan)
-            mean_dev[label] = nan_row
-            pos[label] = nan_row.copy()
-            neg[label] = nan_row.copy()
-            total[label] = nan_row.copy()
-            continue
         mean_dev[label] = rows.mean(axis=0)
         pos[label] = np.mean(rows > threshold, axis=0)
         neg[label] = np.mean(rows < -threshold, axis=0)
@@ -384,18 +373,3 @@ def group_parity(
         vals = [e[metric] for e in per_group.values() if e[metric] is not None]
         gaps[metric] = float(max(vals) - min(vals)) if vals else None
     return ParityReport(groups=labels, per_group=per_group, gaps=gaps, threshold=threshold)
-
-
-def parity_report(
-    model: NormativeModel,
-    cohort: Cohort,
-    threshold: float = DEFAULT_EXTREME_THRESHOLD,
-    groups: Sequence[str] | None = None,
-) -> ParityReport:
-    """Score the cohort once and report parity across race groups.
-
-    `groups` overrides the cohort's race labels; see group_parity.
-    """
-    scored = deviations(model, cohort)
-    group_of = list(groups) if groups is not None else list(cohort.races())
-    return group_parity(scored.Z, group_of, threshold, scored)

@@ -49,10 +49,9 @@ The warped fit must beat the identity fit by more than a margin (see
 _warp_engagement_margin) before it is kept. A region whose identity
 residuals pass a normality screen (half their Jarque-Bera statistic below
 _SCREEN_SHARE of the margin) skips the free run and keeps its identity fit.
-Fitting needs numpy only. The public neg_log_evidence functions evaluate the
-same engine that the fit optimizes. A Cholesky reference of the evidence,
-independent of the engine, lives with the tests (tests/evidence_reference.py)
-as their oracle.
+Fitting needs numpy only. A Cholesky reference of the evidence, independent
+of the engine, lives with the tests (tests/evidence_reference.py) as their
+oracle.
 """
 
 from __future__ import annotations
@@ -154,26 +153,6 @@ def _region_arrays(phi, y) -> tuple[np.ndarray, np.ndarray]:
             f"design has {phi.shape[0]} rows but responses have {y.shape[0]}"
         )
     return phi, y
-
-
-def _evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> tuple[float, np.ndarray]:
-    """NLL and gradient of one region at h, from the engine that fits."""
-    phi, y = _region_arrays(phi, y)
-    theta = np.array([[h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta]])
-    nll, grad = _WarpedEvidence(_Spectrum.of(phi), y[None, :]).derivatives(theta)[:2]
-    if not (np.isfinite(nll[0]) and np.all(np.isfinite(grad))):
-        raise NumericalError(f"evidence is not finite at {h}")
-    return float(nll[0]), grad[0]
-
-
-def neg_log_evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> float:
-    """Negative log marginal likelihood of one region's data."""
-    return _evidence(phi, y, h)[0]
-
-
-def neg_log_evidence_grad(phi: np.ndarray, y: np.ndarray, h: Hyperparams) -> np.ndarray:
-    """Analytic gradient wrt (log_alpha, log_beta, epsilon, log_delta)."""
-    return _evidence(phi, y, h)[1]
 
 
 @dataclass(eq=False)
@@ -1140,6 +1119,7 @@ def _log_loss_terms(
     baseline_mean: float,
     baseline_var: float,
 ) -> np.ndarray:
+    """Per-cell log loss of the model minus that of the training-baseline Gaussian."""
     model_ll = 0.5 * np.log(2.0 * np.pi * var_pred) + np.square(z - zhat) / (
         2.0 * var_pred
     )
@@ -1195,23 +1175,6 @@ def explained_variance(y: np.ndarray, yhat: np.ndarray) -> float | None:
     if var_y == 0.0:
         return None
     return 1.0 - float(np.var(y - np.asarray(yhat, dtype=float))) / var_y
-
-
-def standardized_log_loss(
-    z: np.ndarray,
-    zhat: np.ndarray,
-    var_pred: np.ndarray,
-    baseline_mean: float,
-    baseline_var: float,
-) -> float:
-    """Mean log loss of the model minus that of the training-baseline Gaussian.
-
-    The baseline predicts every point with the training latent mean/variance;
-    scoring the baseline against itself gives exactly 0.
-    """
-    z = np.asarray(z, dtype=float)
-    terms = _log_loss_terms(z, zhat, var_pred, baseline_mean, baseline_var)
-    return float(np.mean(terms))
 
 
 @dataclass

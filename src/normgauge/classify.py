@@ -177,27 +177,12 @@ def _warn_unconverged(unconverged: int, fits: int) -> None:
         )
 
 
-def fit_ovr_logistic(
-    x: np.ndarray, labels: Sequence[str], config: ClassifierConfig | None = None
-) -> OvrLogisticModel:
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(list(labels))
-    model, unconverged = _fit_ovr(x, labels, config or ClassifierConfig())
-    _warn_unconverged(unconverged, len(model.classes))
-    return model
-
-
 def decision_scores(model: OvrLogisticModel, x: np.ndarray) -> np.ndarray:
     """Raw per-class scores w_c^T x + b_c, shape (n, n_classes)."""
     x = np.asarray(x, dtype=float)
     if model.feature_means is not None:
         x = (x - model.feature_means) / model.feature_scales
     return x @ model.weights.T + model.intercepts
-
-
-def predict(model: OvrLogisticModel, x: np.ndarray) -> np.ndarray:
-    scores = decision_scores(model, x)
-    return np.asarray(model.classes)[np.argmax(scores, axis=1)]
 
 
 def stratified_folds(

@@ -149,8 +149,11 @@ def _parse_fractions(text: str) -> dict[str, float]:
                 f"bad train fraction entry '{part}' (expected LABEL=FRACTION)"
             )
         label, _, frac = part.partition("=")
+        label = label.strip()
+        if label in out:
+            raise InputError(f"train fraction for '{label}' given twice")
         try:
-            out[label.strip()] = float(frac)
+            out[label] = float(frac)
         except ValueError:
             raise InputError(f"bad train fraction value '{frac}'") from None
     return out
@@ -201,7 +204,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve(args, required=("covariates", "features", "out"))
     schema = _schema_from(cfg)
-    cohort, _report = load_cohort(cfg["covariates"], cfg["features"], schema)
+    cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
     cohort = qc_filter(cohort, cfg["min_qc"])
     if cohort.n_subjects == 0:
         raise InputError("no subjects left to fit after loading and QC")
@@ -278,7 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, required=("bundle", "covariates", "features", "out"))
     model = load_bundle(cfg["bundle"])
     schema = _schema_from(cfg)
-    cohort, _report = load_cohort(cfg["covariates"], cfg["features"], schema)
+    cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
     if cfg["ids"] is not None:
         ids_path = Path(cfg["ids"])
         if not ids_path.exists():
@@ -312,6 +315,8 @@ def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
             raise InputError(
                 f"bad contrast '{item}' (expected GROUP_ONE:GROUP_TWO)"
             )
+        if (g1, g2) in contrasts:
+            raise InputError(f"contrast '{item}' given twice")
         contrasts.append((g1, g2))
     return contrasts
 
@@ -342,10 +347,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     scored = None
     if cfg["bundle"] is not None:
         model = load_bundle(cfg["bundle"])
-        cohort, _ = load_cohort(cfg["covariates"], cfg["features"], schema)
-        cohort = cohort.subset_by_ids(list(ids_z))
-        scored = deviations(model, cohort)
-    parity = group_parity(z_matrix, groups, threshold, scored)
+        cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
+        scored = deviations(model, cohort.subset_by_ids(ids_z))
+    # a scoring pass holds its rows in sorted-id order, the files need not
+    order = sorted(range(len(ids_z)), key=ids_z.__getitem__)
+    parity = group_parity(
+        z_matrix[order], [groups[i] for i in order], threshold, scored
+    )
 
     summary = group_summary(z_matrix, groups, regions_z, threshold)
     rows = []

@@ -3,7 +3,7 @@
 Covariates CSV contract: header `id,age,sex,race[,site][,qc_score]`; site and
 qc_score are optional columns. Features CSV contract: header `id,<region>,...`
 with one numeric column per region. Subjects present in only one file are
-dropped (counted in the load report); rows missing a required covariate value
+dropped (counted in a warning); rows missing a required covariate value
 are likewise dropped and counted. A cohort's subjects are always held in
 sorted-id order, which is the canonical order for every downstream output.
 """
@@ -14,7 +14,7 @@ import csv
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -136,14 +136,6 @@ class Cohort:
         return h.hexdigest()
 
 
-@dataclass
-class LoadReport:
-    """Counts of rows excluded while joining the two input files."""
-
-    dropped_unmatched: int = 0
-    dropped_incomplete: int = 0
-
-
 def _parse_float(cell: str, path: Path, line_no: int, column: str) -> float:
     try:
         value = float(cell)
@@ -230,7 +222,7 @@ def load_cohort(
     covariates_path: str | Path,
     features_path: str | Path,
     schema: CohortSchema | None = None,
-) -> tuple[Cohort, LoadReport]:
+) -> Cohort:
     """Inner-join covariates and features on id; canonical sorted-id order."""
     schema = schema or CohortSchema()
     cov_path, feat_path = Path(covariates_path), Path(features_path)
@@ -257,7 +249,7 @@ def load_cohort(
     if incomplete:
         log.warning("dropped %d row(s) with missing required covariates", incomplete)
 
-    cohort = Cohort(
+    return Cohort(
         subjects=tuple(subjects[sid] for sid in common),
         regions=tuple(regions),
         responses=values[[feat_index[sid] for sid in common]]
@@ -265,7 +257,6 @@ def load_cohort(
         else np.empty((0, len(regions))),
         schema=schema,
     )
-    return cohort, LoadReport(dropped_unmatched=unmatched, dropped_incomplete=incomplete)
 
 
 def save_cohort(

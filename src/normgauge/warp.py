@@ -73,23 +73,3 @@ def warp_inverse(z: np.ndarray | float, params: WarpParams) -> np.ndarray | floa
     delta = np.exp(params.log_delta)
     return np.sinh((np.arcsinh(z) + params.epsilon) / delta)
 
-
-def warp_derivative(y: np.ndarray | float, params: WarpParams) -> np.ndarray | float:
-    """df/dy evaluated at y; strictly positive."""
-    y = np.asarray(y, dtype=float)
-    if params.is_identity():
-        return np.ones_like(y)
-    delta = np.exp(params.log_delta)
-    u = delta * np.arcsinh(y) - params.epsilon
-    return delta * np.cosh(u) / np.sqrt(1.0 + np.square(y))
-
-
-def warp_log_jacobian(y: np.ndarray | float, params: WarpParams) -> np.ndarray | float:
-    """log f'(y), computed without overflow for large |u| via logaddexp."""
-    y = np.asarray(y, dtype=float)
-    if params.is_identity():
-        return np.zeros_like(y)
-    delta = np.exp(params.log_delta)
-    u = delta * np.arcsinh(y) - params.epsilon
-    log_cosh = np.logaddexp(u, -u) - np.log(2.0)
-    return params.log_delta + log_cosh - 0.5 * np.log1p(np.square(y))

@@ -5,6 +5,10 @@ warp inlined. This module evaluates the same NLL and gradient the textbook
 way, through a Cholesky factor of A = alpha I + beta Phi^T Phi, and warps
 through warp_forward and warp_log_jacobian. A test that compares the two
 checks the engine's algebra and its inlined warp against the warp module.
+
+warp_derivative and warp_log_jacobian are the closed forms of the warp's
+derivative, the oracle for the Jacobian that the engine computes inline;
+engine_evidence evaluates the engine itself at one region and one setting.
 """
 
 from dataclasses import dataclass
@@ -12,10 +16,44 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from normgauge import Hyperparams, warp_forward, warp_log_jacobian
+from normgauge import Hyperparams, WarpParams, warp_forward
+from normgauge.blr import _Spectrum, _WarpedEvidence
 from normgauge.errors import NumericalError
 
 LN_2PI = float(np.log(2.0 * np.pi))
+
+
+def warp_derivative(y: np.ndarray | float, params: WarpParams) -> np.ndarray | float:
+    """df/dy evaluated at y; strictly positive."""
+    y = np.asarray(y, dtype=float)
+    if params.is_identity():
+        return np.ones_like(y)
+    delta = np.exp(params.log_delta)
+    u = delta * np.arcsinh(y) - params.epsilon
+    return delta * np.cosh(u) / np.sqrt(1.0 + np.square(y))
+
+
+def warp_log_jacobian(y: np.ndarray | float, params: WarpParams) -> np.ndarray | float:
+    """log f'(y), computed without overflow for large |u| via logaddexp."""
+    y = np.asarray(y, dtype=float)
+    if params.is_identity():
+        return np.zeros_like(y)
+    delta = np.exp(params.log_delta)
+    u = delta * np.arcsinh(y) - params.epsilon
+    log_cosh = np.logaddexp(u, -u) - np.log(2.0)
+    return params.log_delta + log_cosh - 0.5 * np.log1p(np.square(y))
+
+
+def engine_evidence(phi: np.ndarray, y: np.ndarray, h: Hyperparams):
+    """NLL and gradient of one region at h, from the engine that fits.
+
+    The gradient is wrt (log_alpha, log_beta, epsilon, log_delta).
+    """
+    theta = np.array([[h.log_alpha, h.log_beta, h.warp.epsilon, h.warp.log_delta]])
+    spectrum = _Spectrum.of(np.asarray(phi, dtype=float))
+    y_rows = np.asarray(y, dtype=float)[None, :]
+    nll, grad = _WarpedEvidence(spectrum, y_rows).derivatives(theta)[:2]
+    return float(nll[0]), grad[0]
 
 
 @dataclass

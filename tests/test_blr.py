@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from evidence_reference import CholeskyEvidence
+from evidence_reference import CholeskyEvidence, engine_evidence, warp_log_jacobian
 from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import minimize
@@ -38,15 +38,11 @@ from normgauge import (
     fit_region,
     generate,
     load_bundle,
-    neg_log_evidence,
-    neg_log_evidence_grad,
     predict_region,
     region_metrics,
     save_bundle,
-    standardized_log_loss,
     warp_forward,
     warp_inverse,
-    warp_log_jacobian,
 )
 from normgauge import blr
 from normgauge.blr import (
@@ -85,7 +81,7 @@ class TestEvidenceValue:
         y = np.array([1.0, 3.0])
         h = Hyperparams(log_alpha=0.0, log_beta=0.0)
         expected = 7.0 / 3.0 + 0.5 * math.log(3.0) + math.log(2.0 * math.pi)
-        assert neg_log_evidence(phi, y, h) == pytest.approx(expected, abs=1e-12)
+        assert engine_evidence(phi, y, h)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_identity_warp_matches_closed_form_gaussian(self):
         # with identity warp the evidence is the Gaussian marginal
@@ -98,7 +94,7 @@ class TestEvidenceValue:
             h = Hyperparams(log_alpha=rng.uniform(-1, 1), log_beta=rng.uniform(-1, 1))
             cov = phi @ phi.T / h.alpha + np.eye(n) / h.beta
             oracle = -multivariate_normal.logpdf(y, mean=np.zeros(n), cov=cov)
-            assert neg_log_evidence(phi, y, h) == pytest.approx(oracle, rel=1e-10)
+            assert engine_evidence(phi, y, h)[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_warped_matches_quadrature_oracle(self):
         # brute-force integral over the single weight on a 3-point problem
@@ -119,7 +115,7 @@ class TestEvidenceValue:
         integral, err = quad(integrand, -30.0, 30.0, epsabs=1e-14, epsrel=1e-12)
         log_jac = float(np.sum(np.asarray(warp_log_jacobian(y, warp))))
         oracle = -(math.log(integral) + log_jac)
-        assert neg_log_evidence(phi, y, h) == pytest.approx(oracle, rel=1e-4)
+        assert engine_evidence(phi, y, h)[0] == pytest.approx(oracle, rel=1e-4)
         assert err < 1e-10
 
     def test_warp_jacobian_shifts_evidence(self):
@@ -127,30 +123,11 @@ class TestEvidenceValue:
         # Jacobian alone unless the warp is identity; sanity on the plumbing
         phi = np.array([[1.0], [1.0]])
         y = np.array([1.0, 3.0])
-        base = neg_log_evidence(phi, y, Hyperparams())
-        warped = neg_log_evidence(
+        base = engine_evidence(phi, y, Hyperparams())[0]
+        warped = engine_evidence(
             phi, y, Hyperparams(warp=WarpParams(epsilon=0.2, log_delta=0.1))
-        )
+        )[0]
         assert warped != pytest.approx(base, abs=1e-6)
-
-    def test_non_finite_evidence_raises(self):
-        # delta * asinh(1e6) - epsilon is about 800 here, so sinh overflows
-        y = np.linspace(1.0, 1e6, 50)
-        phi = np.column_stack([np.ones(y.size), np.linspace(-1.0, 1.0, y.size)])
-        h = Hyperparams(warp=WarpParams(epsilon=-5.0, log_delta=4.0))
-        for evidence in (neg_log_evidence, neg_log_evidence_grad):
-            with pytest.raises(NumericalError, match="not finite"):
-                evidence(phi, y, h)
-
-    def test_input_shapes_checked(self):
-        phi, y = np.ones((3, 1)), np.ones(3)
-        for evidence in (neg_log_evidence, neg_log_evidence_grad):
-            with pytest.raises(InputError):
-                evidence(phi[:, 0], y, Hyperparams())
-            with pytest.raises(InputError):
-                evidence(phi, y[:, None], Hyperparams())
-            with pytest.raises(SchemaError, match="3 rows but responses have 2"):
-                evidence(phi, y[:2], Hyperparams())
 
 
 class TestEvidenceGradient:
@@ -170,7 +147,7 @@ class TestEvidenceGradient:
                 ]
             )
             h = Hyperparams.from_vector(theta)
-            grad = neg_log_evidence_grad(phi, y, h)
+            grad = engine_evidence(phi, y, h)[1]
             fd = np.empty(4)
             for k in range(4):
                 hi = theta.copy()
@@ -178,8 +155,8 @@ class TestEvidenceGradient:
                 hi[k] += step
                 lo[k] -= step
                 fd[k] = (
-                    neg_log_evidence(phi, y, Hyperparams.from_vector(hi))
-                    - neg_log_evidence(phi, y, Hyperparams.from_vector(lo))
+                    engine_evidence(phi, y, Hyperparams.from_vector(hi))[0]
+                    - engine_evidence(phi, y, Hyperparams.from_vector(lo))[0]
                 ) / (2 * step)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
@@ -252,6 +229,15 @@ class TestFitRegion:
     def test_too_few_observations_rejected(self):
         with pytest.raises(InputError):
             fit_region(np.ones((1, 1)), np.array([1.0]), region="tiny")
+
+    def test_input_shapes_checked(self):
+        phi, y = np.ones((3, 1)), np.ones(3)
+        with pytest.raises(InputError):
+            fit_region(phi[:, 0], y)
+        with pytest.raises(InputError):
+            fit_region(phi, y[:, None])
+        with pytest.raises(SchemaError, match="3 rows but responses have 2"):
+            fit_region(phi, y[:2])
 
     def test_overflowing_squares_rejected_before_fitting(self):
         # three ordinary regions and one of sinh(200 N(0, 1)) responses, up to ~1e225
@@ -398,11 +384,9 @@ class TestSpectralEngine:
         monkeypatch.setattr(blr, "_GRAD_TOL", 1e-10)
         model = fit_region(phi, y, region="gauss")
         assert model.hyperparams.warp.is_identity()
-        grad = neg_log_evidence_grad(phi, y, model.hyperparams)
+        nll, grad = engine_evidence(phi, y, model.hyperparams)
         assert np.max(np.abs(grad[:2])) < 1e-8
-        assert model.nll == pytest.approx(
-            neg_log_evidence(phi, y, model.hyperparams), rel=1e-12
-        )
+        assert model.nll == pytest.approx(nll, rel=1e-12)
 
     def test_batched_fit_matches_single_region_fits(self):
         rng = np.random.default_rng(21)
@@ -1038,8 +1022,8 @@ class TestFitMetrics:
     def test_msll_of_trivial_model_is_zero(self):
         z = np.array([0.4, -1.2, 0.7, 2.0])
         mean, var = float(z.mean()), float(z.var())
-        out = standardized_log_loss(
-            z, np.full(z.size, mean), np.full(z.size, var), mean, var
+        out = np.mean(
+            blr._log_loss_terms(z, np.full(z.size, mean), np.full(z.size, var), mean, var)
         )
         assert out == 0.0
 
@@ -1088,8 +1072,8 @@ class TestFitMetrics:
             z_dev = (z - pred.zhat) / np.sqrt(var_pred)
             assert got.region == rm.region
             assert got.explained_variance == explained_variance(y, pred.yhat)
-            assert got.msll == standardized_log_loss(
-                z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var
+            assert got.msll == np.mean(
+                blr._log_loss_terms(z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var)
             )
             assert got.skew == float(stats.skew(z_dev))
             assert got.kurtosis == float(stats.kurtosis(z_dev))

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import normgauge
 import normgauge.blr
 import normgauge.cli
 from normgauge import WarpParams
@@ -714,6 +715,37 @@ class TestExitCodes:
         assert code == 2
         assert "'Q'" in capsys.readouterr().err
 
+    def test_repeated_train_fraction_exit_two(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "fit"
+        code = run_cli(
+            "fit",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", out,
+            "--train-frac", "A=0.1,A=0.9",
+            "--default-train-frac", "0.8",
+        )
+        assert code == 2
+        assert "train fraction for 'A' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_contrast_exit_two(self, pipeline, tmp_path, capsys):
+        def audit(out, *contrasts):
+            return run_cli(
+                "audit",
+                "--deviations", pipeline["eval"] / "deviations.csv",
+                "--errors", pipeline["eval"] / "errors.csv",
+                "--covariates", pipeline["data"] / "covariates.csv",
+                "--out", out,
+                "--contrasts", *contrasts,
+            )
+
+        assert audit(tmp_path / "repeated", "W:A", "W:B", "W:A") == 2
+        assert "contrast 'W:A' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "repeated").exists()
+        # the two directions of one pair are two contrasts
+        assert audit(tmp_path / "both", "W:A", "A:W") == 0
+
 
 class TestAuditParity:
     def audit(self, pipeline, out, *extra):
@@ -741,6 +773,27 @@ class TestAuditParity:
             assert bare["gaps"][key] == full["gaps"][key]
         assert bare["gaps"]["explained_variance"] is None
         assert bare["gaps"]["msll"] is None
+
+    def test_row_order_of_the_matrices_does_not_matter(self, pipeline, tmp_path):
+        # the scoring pass of --bundle holds its rows in sorted-id order; the
+        # files' rows, reversed here, must be matched to them by id
+        for name in ("deviations.csv", "errors.csv"):
+            lines = (pipeline["eval"] / name).read_text(encoding="utf-8").splitlines()
+            text = "\n".join([lines[0], *reversed(lines[1:])]) + "\n"
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code = run_cli(
+            "audit",
+            "--deviations", tmp_path / "deviations.csv",
+            "--errors", tmp_path / "errors.csv",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", tmp_path / "out",
+            "--contrasts", "W:A", "W:B",
+            "--bundle", pipeline["fit"],
+            "--features", pipeline["data"] / "features.csv",
+        )
+        assert code == 0
+        reversed_rows = json.loads((tmp_path / "out" / "parity.json").read_text())
+        assert reversed_rows == json.loads((pipeline["audit"] / "parity.json").read_text())
 
     @pytest.mark.parametrize("given", ["--bundle", "--features"])
     def test_half_given_model_exit_two(self, pipeline, tmp_path, capsys, given):
@@ -838,15 +891,17 @@ print(json.dumps([code, sorted(n for n in sys.modules if n.split(".")[0] == "sci
 """
 
 
-# imports the package and evaluates the evidence and its gradient, then
-# prints every scipy module loaded, one line of JSON
+# imports the package and has the fitting engine evaluate the evidence and its
+# derivatives at a non-identity warp, then prints every scipy module loaded,
+# one line of JSON
 _EVIDENCE_PROBE = """
 import json, sys
 import numpy as np
-from normgauge import Hyperparams, neg_log_evidence, neg_log_evidence_grad
+from normgauge.blr import _Spectrum, _WarpedEvidence
 phi, y = np.column_stack([np.ones(5), np.arange(5.0)]), np.array([0.5, 1.0, 2.5, 3.0, 4.5])
-neg_log_evidence(phi, y, Hyperparams())
-neg_log_evidence_grad(phi, y, Hyperparams())
+theta = np.array([[0.0, 0.0, 0.3, -0.2]])
+nll, grad, hess = _WarpedEvidence(_Spectrum.of(phi), y[None, :]).derivatives(theta)
+assert all(np.isfinite(v).all() for v in (nll, grad, hess))
 print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
 """
 
@@ -953,6 +1008,80 @@ class TestReportResilience:
     def test_missing_run_dir_exit_two(self, tmp_path, capsys):
         assert run_cli("report", "--run-dir", tmp_path / "ghost") == 2
         assert "ghost" in capsys.readouterr().err
+
+
+class TestPublicNames:
+    def test_exported_names(self):
+        # an export is a deliberate edit of this list
+        assert normgauge.__all__ == [
+            "BasisConfig",
+            "ClassifierConfig",
+            "ClassifierReport",
+            "Cohort",
+            "CohortSchema",
+            "DesignMatrix",
+            "DesignSchema",
+            "DeviationMatrix",
+            "GroupSummary",
+            "Hyperparams",
+            "InputError",
+            "ModelConfig",
+            "NormativeModel",
+            "NormgaugeError",
+            "NumericalError",
+            "OvrLogisticModel",
+            "ParityReport",
+            "RegionFitMetrics",
+            "RegionModel",
+            "RegionPrediction",
+            "SchemaError",
+            "SplitSpec",
+            "Subject",
+            "SynthSpec",
+            "WarpParams",
+            "WelchResult",
+            "apply_design",
+            "audit",
+            "bh_fdr",
+            "blr",
+            "classify",
+            "cohort",
+            "cross_validate",
+            "decision_scores",
+            "demographics_summary",
+            "design",
+            "deviations",
+            "errors",
+            "evaluate_holdout",
+            "explained_variance",
+            "fit_design",
+            "fit_metrics",
+            "fit_normative",
+            "fit_region",
+            "generate",
+            "group_difference",
+            "group_parity",
+            "group_summary",
+            "load_bundle",
+            "load_cohort",
+            "permutation_null_auc",
+            "predict_region",
+            "qc_filter",
+            "region_metrics",
+            "roc_points",
+            "save_bundle",
+            "save_cohort",
+            "serialize",
+            "significant_fraction",
+            "spline_basis",
+            "stratified_folds",
+            "stratified_split",
+            "synth",
+            "t_two_sided_p",
+            "warp",
+            "warp_forward",
+            "warp_inverse",
+        ]
 
 
 class TestVersion:

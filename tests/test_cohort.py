@@ -1,5 +1,7 @@
 """Tests for cohort loading, validation, QC filtering, and stratified splits."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -48,27 +50,31 @@ def make_cohort(n_per_race, seed=0, n_regions=3):
 
 
 class TestLoadCohort:
-    def test_exact_join(self, tmp_path):
+    def test_exact_join(self, tmp_path, caplog):
         cov, feat = write_pair(
             tmp_path,
             ["s1,30,F,A", "s2,40,M,B", "s3,50,F,W", "s4,60,M,W"],
             ["s1,1.0,2.0", "s2,1.1,2.1", "s3,1.2,2.2", "s4,1.3,2.3"],
         )
-        cohort, report = load_cohort(cov, feat)
+        with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
+            cohort = load_cohort(cov, feat)
         assert len(cohort.subjects) == 4
         assert cohort.regions == ("r1", "r2")
-        assert report.dropped_unmatched == 0
+        assert not caplog.records
         assert cohort.responses.shape == (4, 2)
 
-    def test_unmatched_id_dropped_with_count(self, tmp_path):
+    def test_unmatched_id_dropped_with_count(self, tmp_path, caplog):
         cov, feat = write_pair(
             tmp_path,
             ["s1,30,F,A", "s2,40,M,B", "s3,50,F,W", "s4,60,M,W"],
             ["s1,1.0,2.0", "s2,1.1,2.1", "s3,1.2,2.2"],
         )
-        cohort, report = load_cohort(cov, feat)
+        with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
+            cohort = load_cohort(cov, feat)
         assert len(cohort.subjects) == 3
-        assert report.dropped_unmatched == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 subject(s) present in only one input file"
+        ]
 
     def test_nonnumeric_age_names_row_and_column(self, tmp_path):
         cov, feat = write_pair(
@@ -116,24 +122,29 @@ class TestLoadCohort:
             ["s1,1.0,2.0"],
         )
         schema = CohortSchema(race_labels=("Q", "R"))
-        cohort, _ = load_cohort(cov, feat, schema=schema)
+        cohort = load_cohort(cov, feat, schema=schema)
         assert cohort.subjects[0].race == "Q"
 
-    def test_incomplete_row_dropped_and_counted(self, tmp_path):
+    def test_incomplete_row_dropped_and_counted(self, tmp_path, caplog):
         cov, feat = write_pair(
             tmp_path,
             ["s1,30,F,A", "s2,,M,B"],
             ["s1,1.0,2.0", "s2,1.1,2.1"],
         )
-        cohort, report = load_cohort(cov, feat)
+        with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
+            cohort = load_cohort(cov, feat)
         assert len(cohort.subjects) == 1
-        assert report.dropped_incomplete == 1
+        # s2's features have no complete covariates row left to join
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 subject(s) present in only one input file",
+            "dropped 1 row(s) with missing required covariates",
+        ]
 
     def test_row_order_is_canonicalized(self, tmp_path):
         rows_cov = ["s2,40,M,B", "s1,30,F,A"]
         rows_feat = ["s2,1.1,2.1", "s1,1.0,2.0"]
         cov, feat = write_pair(tmp_path, rows_cov, rows_feat)
-        cohort, _ = load_cohort(cov, feat)
+        cohort = load_cohort(cov, feat)
         assert [s.id for s in cohort.subjects] == ["s1", "s2"]
         np.testing.assert_array_equal(cohort.responses[0], [1.0, 2.0])
 
@@ -142,7 +153,7 @@ class TestLoadCohort:
         cov = tmp_path / "c.csv"
         feat = tmp_path / "f.csv"
         save_cohort(original, cov, feat)
-        reloaded, _ = load_cohort(cov, feat)
+        reloaded = load_cohort(cov, feat)
         assert reloaded.content_hash() == original.content_hash()
         # a second write of the reloaded cohort is byte identical
         cov2 = tmp_path / "c2.csv"
