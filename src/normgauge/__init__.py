@@ -54,7 +54,6 @@ from .classify import (
     cross_validate,
     decision_scores,
     evaluate_holdout,
-    permutation_null_auc,
     roc_points,
     stratified_folds,
 )

@@ -1267,7 +1267,8 @@ def load_bundle(bundle_dir: str | Path) -> NormativeModel:
             raise SchemaError("not a model bundle")
         config = ModelConfig.from_dict(meta["config"])
         schema = DesignSchema.from_dict(meta["design_schema"])
-        listed = list(meta.get("regions", []))
+        listed = list(meta["regions"])
+        provenance = meta["provenance"]
         read = bundle / REGIONS_FILE
         region_models = tuple(
             RegionModel.from_dict(d) for d in load_json(read)["regions"]
@@ -1284,5 +1285,5 @@ def load_bundle(bundle_dir: str | Path) -> NormativeModel:
         region_models=region_models,
         config=config,
         schema=schema,
-        provenance=meta.get("provenance", {}),
+        provenance=provenance,
     )

@@ -262,7 +262,6 @@ class ClassifierReport:
     roc_curves: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]
     confusion_counts: np.ndarray
     confusion_pooled: np.ndarray
-    config: ClassifierConfig
 
     def _metric(self, name: str) -> np.ndarray:
         return {
@@ -340,7 +339,6 @@ def _report(
         roc_curves=roc,
         confusion_counts=counts,
         confusion_pooled=_normalize_rows(counts),
-        config=config,
     )
 
 
@@ -394,24 +392,6 @@ def evaluate_holdout(
         test_parts.append(rng.permutation(idx)[:k])
     test_idx = np.array(sorted(int(i) for i in np.concatenate(test_parts)))
     return _report(np.asarray(x, dtype=float), labels, classes, [test_idx], config)
-
-
-def permutation_null_auc(
-    x: np.ndarray,
-    labels: Sequence[str],
-    config: ClassifierConfig | None = None,
-    n_permutations: int = 5,
-    seed: int = 1,
-) -> float:
-    """Mean macro AUC over label permutations; chance sits near 0.5."""
-    config = config or ClassifierConfig()
-    labels_arr = np.asarray(list(labels))
-    aucs = []
-    for k in range(n_permutations):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        permuted = labels_arr[rng.permutation(labels_arr.size)]
-        aucs.append(cross_validate(x, permuted, config).macro_mean("auc"))
-    return float(np.mean(aucs))
 
 
 def write_clf_metrics(path: str | Path, report: ClassifierReport) -> None:

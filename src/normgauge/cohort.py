@@ -233,9 +233,6 @@ def load_cohort(
 
     subjects, incomplete = read_covariates(cov_path, schema)
     feat_ids, regions, values = read_matrix_csv(feat_path)
-    if len(set(feat_ids)) != len(feat_ids):
-        dup = next(i for i in feat_ids if feat_ids.count(i) > 1)
-        raise InputError(f"{feat_path}: duplicate id '{dup}'")
     if values.size and not np.all(np.isfinite(values)):
         raise InputError(f"{feat_path}: non-finite feature values")
 

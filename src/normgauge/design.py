@@ -82,16 +82,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        basis = d.get("basis", {})
-        knot_range = basis.get("knot_range")
+        basis = d["basis"]
+        knot_range = basis["knot_range"]
         return cls(
             covariates=tuple(d["covariates"]),
-            race_reference_level=d.get("race_reference_level", "W"),
+            race_reference_level=d["race_reference_level"],
             basis=BasisConfig(
-                n_knots=int(basis.get("n_knots", 5)),
-                degree=int(basis.get("degree", 3)),
+                n_knots=int(basis["n_knots"]),
+                degree=int(basis["degree"]),
                 knot_range=tuple(knot_range) if knot_range else None,
-                include_linear_age=bool(basis.get("include_linear_age", True)),
+                include_linear_age=bool(basis["include_linear_age"]),
             ),
         )
 
@@ -172,11 +172,11 @@ class DesignSchema:
             knots=knots,
             degree=degree,
             include_linear_age=bool(d["include_linear_age"]),
-            sex_positive_label=d.get("sex_positive_label", "M"),
-            site_reference=d.get("site_reference"),
-            site_levels=tuple(d.get("site_levels", ())),
-            race_reference=d.get("race_reference"),
-            race_levels=tuple(d.get("race_levels", ())),
+            sex_positive_label=d["sex_positive_label"],
+            site_reference=d["site_reference"],
+            site_levels=tuple(d["site_levels"]),
+            race_reference=d["race_reference"],
+            race_levels=tuple(d["race_levels"]),
         )
 
 

@@ -1,9 +1,9 @@
 """Deterministic JSON and CSV writers, and the id-keyed matrix CSV reader.
 
-Model bundles must survive a save/load round trip bit-for-bit, so every float
-is written with enough decimal digits to reconstruct the exact IEEE-754 double:
-JSON values use 17 significant digits, CSV cells use repr() (shortest exact
-form). Nothing here writes timestamps or other run-dependent noise.
+Model bundles must survive a save/load round trip bit-for-bit, so every float,
+in JSON and in CSV alike, is written as repr() writes it: the shortest text
+that reads back to the same IEEE-754 double. Nothing here writes timestamps or
+other run-dependent noise.
 
 CSV contract. Written files are what `csv.writer` (lineterminator "\n")
 writes for the `format_cell` text of each cell: a missing value or NaN is an
@@ -43,47 +43,17 @@ import numpy as np
 from .errors import InputError, SchemaError
 
 
-def format_float17(x: float) -> str:
-    """Decimal text with 17 significant digits; parses back to the same double."""
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value cannot be serialized: {x!r}")
-    return format(float(x), ".16e")
-
-
-def _render(obj: Any, indent: int, level: int) -> str:
-    # stdlib json hardcodes float.__repr__ in both encoders, so floats are
-    # rendered here to guarantee the 17-significant-digit contract
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float17(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        pad = " " * (indent * (level + 1))
-        inner = (",\n" + pad).join(_render(v, indent, level + 1) for v in obj)
-        return "[\n" + pad + inner + "\n" + " " * (indent * level) + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = " " * (indent * (level + 1))
-        items = (",\n" + pad).join(
-            f"{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + pad + items + "\n" + " " * (indent * level) + "}"
+def _plain(obj: Any) -> Any:
+    """json.dumps' fallback: a numpy array or scalar as its Python value."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dump_json(obj: Any, path: str | Path, indent: int = 2) -> None:
-    """Write obj as JSON with floats at 17 significant digits."""
-    Path(path).write_text(_render(obj, indent, 0) + "\n", encoding="utf-8")
+def dump_json(obj: Any, path: str | Path) -> None:
+    """Write obj as indented JSON; floats are repr text, NaN and inf raise ValueError."""
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_json(path: str | Path) -> Any:
@@ -251,8 +221,21 @@ def _matrix_columns(path: Path, header: list[str]) -> list[str]:
     return columns
 
 
+def _unique_ids(path: Path, ids: list[str]) -> list[str]:
+    """ids, or InputError naming the first id that a later row repeats."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise InputError(f"{path}: duplicate id '{sid}'")
+            seen.add(sid)
+    return ids
+
+
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read an id-keyed numeric matrix; returns (ids, columns, values).
+
+    A repeated id raises InputError naming it.
 
     Without quotes the file splits on line breaks and each row's id at its
     first comma, and np.loadtxt parses all cells in one pass; it accepts a
@@ -283,7 +266,7 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
         except ValueError:
             values = None
         if values is not None and values.shape == (len(ids), len(columns)):
-            return ids, columns, values
+            return _unique_ids(path, ids), columns, values
     return _read_csv_rows(path)
 
 
@@ -300,7 +283,8 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     except ValueError:
         _raise_first_bad_row(path, columns, rows)
         raise
-    return [row[0] for _, row in rows], columns, values.reshape(len(rows), len(columns))
+    ids = _unique_ids(path, [row[0] for _, row in rows])
+    return ids, columns, values.reshape(len(rows), len(columns))
 
 
 def _raise_first_bad_row(path: Path, columns: list[str], rows) -> None:

@@ -17,6 +17,7 @@ import pytest
 from evidence_reference import engine_evidence, warp_derivative, warp_log_jacobian
 from scipy.integrate import quad
 from scipy.special import stdtr
+from test_classify import permutation_null_auc
 
 from normgauge import (
     Hyperparams,
@@ -30,7 +31,6 @@ from normgauge import (
     fit_normative,
     generate,
     group_difference,
-    permutation_null_auc,
     roc_points,
     significant_fraction,
     stratified_split,

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import threading
 import warnings
 
@@ -1208,16 +1209,36 @@ class TestNormativeModel:
         dev2 = deviations(loaded, cohort)
         np.testing.assert_array_equal(dev1.Z, dev2.Z)
 
-    def test_bundle_floats_have_full_precision(self, tmp_path):
+    def test_bundle_with_17_digit_floats_loads_bitwise(self, tmp_path):
+        # bundles used to print every float as format(x, ".16e"); they must
+        # still load to the same doubles
         cohort = self.small_cohort(seed=4)
         model = fit_normative(cohort, ModelConfig(), seed=1)
         save_bundle(model, tmp_path / "bundle")
-        text = (tmp_path / "bundle" / "regions.json").read_text()
-        # 17 significant digits: mantissa with 16 decimal places in e-notation
-        import re
+        token = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?')
 
-        floats = re.findall(r"-?\d\.\d{16}e[+-]\d{2,3}", text)
-        assert len(floats) > 10
+        def as_17_digits(match):
+            text = match.group()
+            if text.startswith('"') or not any(c in text for c in ".eE"):
+                return text
+            return format(float(text), ".16e")
+
+        rewritten = 0
+        for name in ("model.json", "regions.json"):
+            path = tmp_path / "bundle" / name
+            text = path.read_text(encoding="utf-8")
+            old_text = token.sub(as_17_digits, text)
+            rewritten += old_text != text
+            path.write_text(old_text, encoding="utf-8")
+        assert rewritten == 2
+        loaded = load_bundle(tmp_path / "bundle")
+        for r1, r2 in zip(model.region_models, loaded.region_models, strict=True):
+            np.testing.assert_array_equal(r1.weights, r2.weights)
+            np.testing.assert_array_equal(r1.chol_precision, r2.chol_precision)
+            assert r1.hyperparams == r2.hyperparams
+        np.testing.assert_array_equal(
+            deviations(model, cohort).Z, deviations(loaded, cohort).Z
+        )
 
     def test_provenance_recorded(self, tmp_path):
         cohort = self.small_cohort(seed=6)

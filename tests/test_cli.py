@@ -603,6 +603,18 @@ class TestExitCodes:
         "text-degree": ("model.json", ["design_schema", "degree"], lambda d: "x", "model.json"),
         "no-design-schema": ("model.json", ["design_schema"], None, "design_schema"),
         "no-config": ("model.json", ["config"], None, "config"),
+        "no-basis": ("model.json", ["config", "basis"], None, "basis"),
+        "no-race-reference-level": (
+            "model.json", ["config", "race_reference_level"], None, "race_reference_level"
+        ),
+        "no-race-levels": (
+            "model.json", ["design_schema", "race_levels"], None, "race_levels"
+        ),
+        "no-sex-positive-label": (
+            "model.json", ["design_schema", "sex_positive_label"], None, "sex_positive_label"
+        ),
+        "no-region-list": ("model.json", ["regions"], None, "regions"),
+        "no-provenance": ("model.json", ["provenance"], None, "provenance"),
         "no-weights": ("regions.json", ["regions", 0, "weights"], None, "regions.json"),
         "chol-not-square": (
             "regions.json",
@@ -745,6 +757,31 @@ class TestExitCodes:
         assert not (tmp_path / "repeated").exists()
         # the two directions of one pair are two contrasts
         assert audit(tmp_path / "both", "W:A", "A:W") == 0
+
+    @pytest.mark.parametrize("command", ["audit", "classify"])
+    def test_repeated_matrix_id_exit_two(self, pipeline, tmp_path, capsys, command):
+        matrices = {}
+        for name in ("deviations", "errors"):
+            text = (pipeline["eval"] / f"{name}.csv").read_text(encoding="utf-8")
+            last = text.splitlines()[-1]
+            matrices[name] = tmp_path / f"{name}.csv"
+            matrices[name].write_text(text + last + "\n", encoding="utf-8")
+        repeated = last.split(",")[0]
+        out = tmp_path / "out"
+        common = (
+            "--deviations", matrices["deviations"],
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", out,
+        )
+        if command == "audit":
+            code = run_cli(
+                "audit", *common, "--errors", matrices["errors"], "--contrasts", "W:A"
+            )
+        else:
+            code = run_cli("classify", *common, "--folds", "3")
+        assert code == 2
+        assert f"duplicate id '{repeated}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAuditParity:
@@ -1064,7 +1101,6 @@ class TestPublicNames:
             "group_summary",
             "load_bundle",
             "load_cohort",
-            "permutation_null_auc",
             "predict_region",
             "qc_filter",
             "region_metrics",

@@ -1,4 +1,5 @@
-"""CSV contract of serialize: exact writer bytes, and what the matrix reader accepts."""
+"""Contract of serialize: exact CSV writer bytes, what the matrix reader accepts,
+and what dump_json refuses."""
 
 import csv
 import io
@@ -11,6 +12,7 @@ import pytest
 from normgauge import InputError, SchemaError
 from normgauge.serialize import (
     _forked_map,
+    dump_json,
     format_cell,
     read_matrix_csv,
     write_csv,
@@ -130,6 +132,23 @@ def matrix_files(directory):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class TestDumpJson:
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            ({"x": float("nan")}, ValueError),
+            ([1.0, float("inf")], ValueError),
+            ({"x": np.array([0.5, -np.inf])}, ValueError),
+            ({"x": np.float32("nan")}, ValueError),
+            ({"x": {1, 2}}, TypeError),
+            ({"x": object()}, TypeError),
+        ],
+    )
+    def test_rejects_non_finite_and_unknown_values(self, tmp_path, obj, error):
+        with pytest.raises(error):
+            dump_json(obj, tmp_path / "x.json")
 
 
 class TestWriteMatrixCsvs:
@@ -316,6 +335,15 @@ class TestReaderRejects:
         assert str(exc.value) == (
             f"{path} row {line_no}, column '{column}': cannot parse '{cell}' as a number"
         )
+
+    @pytest.mark.parametrize(
+        "body", ["x,1\ny,2\nz,3\ny,4\nx,5\n", 'x,1\ny,"2"\nz,3\ny,4\nx,5\n']
+    )
+    def test_repeated_id_named(self, tmp_path, body):
+        path = write_text(tmp_path / "m.csv", "id,a\n" + body)
+        with pytest.raises(InputError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path}: duplicate id 'y'"
 
     def test_first_error_in_file_order_wins(self, tmp_path):
         path = write_text(tmp_path / "a.csv", "id,a,b\nx,1,bad\ny,1\n")
