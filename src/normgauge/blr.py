@@ -67,7 +67,7 @@ from ._version import __version__
 from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
-from .serialize import _fork_slots, _forked_map, dump_json, load_json
+from .serialize import _chunk_ranges, _forked_map, dump_json, load_json
 from .warp import WarpParams, warp_forward, warp_inverse
 
 log = logging.getLogger(__name__)
@@ -928,10 +928,9 @@ def _fit_regions(
         if float(np.ptp(y)) == 0.0:
             raise InputError(f"region '{region}': constant response cannot be fit")
     spectrum = _Spectrum.of(phi)
-    chunks = np.array_split(np.arange(len(regions)), min(_fork_slots(), len(regions)))
     parts = _forked_map(
         lambda chunk: _fit_block(spectrum, y_rows[chunk], [regions[d] for d in chunk]),
-        chunks,
+        _chunk_ranges(len(regions)),
     )
     flagged = [note for _, notes in parts for note in notes]
     if flagged:
@@ -1265,7 +1264,10 @@ def load_bundle(bundle_dir: str | Path) -> NormativeModel:
     try:
         if meta.get("format") != _BUNDLE_FORMAT:
             raise SchemaError("not a model bundle")
-        config = ModelConfig.from_dict(meta["config"])
+        try:
+            config = ModelConfig.from_dict(meta["config"])
+        except InputError as exc:  # a value BasisConfig or ModelConfig rejects
+            raise SchemaError(str(exc)) from None
         schema = DesignSchema.from_dict(meta["design_schema"])
         listed = list(meta["regions"])
         provenance = meta["provenance"]

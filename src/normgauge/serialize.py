@@ -13,19 +13,26 @@ is quoted. The one difference is a cell that holds a CR but no LF: Python
 is quoted like any other line break. `read_matrix_csv` accepts what
 `csv.reader` splits and what `float()` parses: blank lines are skipped, CRLF
 and quoted cells are allowed, and `1_0` or ` 1.5 ` parse as float() parses
-them. Rows are formatted and parsed a whole row or file at a time, not cell by
-cell.
+them. Rows are formatted a whole row and parsed a whole chunk of rows at a
+time, not cell by cell.
 
-write_matrix_csvs writes several matrices with the same bytes. On Linux with
-two or more usable CPUs it writes them at the same time, one per forked
-child besides the first, which the caller writes; elsewhere it writes them
-in-process one after the other. The fork helper behind it, _forked_map, also
-splits the region fits of blr across the usable CPUs. No option selects
-either way, and neither changes a byte of output.
+Matrix files are formatted and parsed in one contiguous chunk of rows per
+usable CPU (_chunk_ranges). On Linux with two or more usable CPUs, every
+chunk after the first runs in a forked child (_forked_iter) while the caller
+runs the first; elsewhere, or while another Python thread runs, the one chunk
+runs in-process. write_matrix_csvs cuts the rows of all its files as one
+sequence and writes each file's header and then the chunks' text in order.
+read_matrix_csv cuts the text at line breaks, parses each chunk with
+np.loadtxt, and reads the whole file serially if any chunk fails. The same
+helpers split the region fits of blr. No option selects either way, a forked
+child never forks again, and the cut changes no byte written, no value read
+and no error raised.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import itertools
 import json
@@ -36,7 +43,7 @@ import signal
 import sys
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,21 +90,25 @@ def format_cell(value: Any) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write a header and rows of format_cell text, quoting as csv.writer does.
+    """Write a header and rows of format_cell text, quoting as csv.writer does."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for row in itertools.chain([header], rows):
+            fh.write(_csv_line([format_cell(v) for v in row]))
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One CSV line of cell texts, newline included, quoted as csv.writer quotes.
 
     A cell holding a comma, a quote, a CR or an LF is quoted, its quotes
     doubled, and a row of one empty cell is written `""` so that it does not
     read back as a blank line. Rows without such cells are joined directly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in itertools.chain([header], rows):
-            cells = [format_cell(v) for v in row]
-            line = ",".join(cells)
-            if line.count(",") != len(cells) - 1 or any(c in line for c in '"\r\n'):
-                line = ",".join(map(_quoted, cells))
-            elif cells == [""]:
-                line = '""'
-            fh.write(line + "\n")
+    line = ",".join(cells)
+    if line.count(",") != len(cells) - 1 or any(c in line for c in '"\r\n'):
+        line = ",".join(map(_quoted, cells))
+    elif cells == [""]:
+        line = '""'
+    return line + "\n"
 
 
 def _quoted(cell: str) -> str:
@@ -112,56 +123,127 @@ def write_matrix_csv(
     columns: Sequence[str],
     values: np.ndarray,
 ) -> None:
-    """Write an id-keyed numeric matrix: header `id,<col>,...`, one row per id."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(ids), len(columns)):
-        raise ValueError(
-            f"matrix shape {values.shape} does not match "
-            f"{len(ids)} ids x {len(columns)} columns"
-        )
-    write_csv(
-        path, ["id", *columns], ([sid, *row] for sid, row in zip(ids, values.tolist()))
-    )
+    """Write an id-keyed numeric matrix: header `id,<col>,...`, one row per id.
+
+    This is write_matrix_csvs of one file.
+    """
+    write_matrix_csvs([(path, ids, columns, values)])
 
 
 def write_matrix_csvs(
     files: Sequence[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]],
 ) -> None:
-    """Write each (path, ids, columns, values) as write_matrix_csv writes it.
+    """Write each (path, ids, columns, values) as an id-keyed numeric matrix.
 
-    The files are written through _forked_map: where it forks, every file
-    after the first is written by a forked child while this process writes
-    the first, so the files are formatted at the same time. A file whose
-    child fails is written again in this process, which raises that write's
-    own error. Either way the bytes are those of write_matrix_csv.
+    Each file holds write_csv's bytes for its header `id,<col>,...` and one
+    row per id. The rows of all files are one sequence, cut into one
+    contiguous chunk per usable CPU (_chunk_ranges). Each chunk formats its
+    rows to text, every chunk after the first in a forked child
+    (_forked_iter), and this process writes each file's header and then the
+    chunks' text in order, each chunk as it arrives. Where a file's values do
+    not match its ids and columns, the files before it are written and then
+    its ValueError is raised, as writing the files one by one would.
     """
-    _forked_map(lambda file: write_matrix_csv(*file), files)
+    matrices: list[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]] = []
+    error = None  # a bad file's error, raised once the files before it are written
+    for path, ids, columns, values in files:
+        try:
+            values = np.asarray(values, dtype=float)
+            if values.shape != (len(ids), len(columns)):
+                raise ValueError(
+                    f"matrix shape {values.shape} does not match "
+                    f"{len(ids)} ids x {len(columns)} columns"
+                )
+        except (TypeError, ValueError) as exc:
+            error = exc
+            break
+        matrices.append((path, ids, columns, values))
+    starts = list(itertools.accumulate((len(ids) for _, ids, _, _ in matrices), initial=0))
+
+    def format_rows(chunk: range) -> list[tuple[int, bytearray]]:
+        """(row count, text) of each file's share of the chunk, in file order."""
+        texts = []
+        for (_, ids, _, values), start, stop in zip(matrices, starts, starts[1:]):
+            lo, hi = max(chunk.start, start) - start, min(chunk.stop, stop) - start
+            if lo < hi:
+                # row by row, so that only the text itself grows with the chunk
+                text = bytearray()
+                for sid, row in zip(ids[lo:hi], values[lo:hi]):
+                    cells = [format_cell(sid), *map(format_cell, row.tolist())]
+                    text += _csv_line(cells).encode("utf-8")
+                texts.append((hi - lo, text))
+        return texts
+
+    chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]))
+    with contextlib.closing(chunks):
+        pending: collections.deque[tuple[int, bytearray]] = collections.deque()
+        for path, ids, columns, _ in matrices:
+            with open(path, "wb") as fh:
+                fh.write(_csv_line([format_cell(v) for v in ["id", *columns]]).encode("utf-8"))
+                unwritten = len(ids)
+                while unwritten:
+                    if not pending:
+                        pending.extend(next(chunks))
+                    rows, text = pending.popleft()
+                    fh.write(text)
+                    unwritten -= rows
+                    del text  # written: not held while the next chunk arrives
+    if error is not None:
+        raise error
+
+
+# set in a forked child, so that it never forks again
+_in_forked_child = False
 
 
 def _fork_slots() -> int:
     """How many forked parts may run at once: the usable CPUs on Linux while
-    no other Python thread runs, else 1."""
+    no other Python thread runs, else 1. A forked child never forks again."""
     # forking with other threads running can deadlock the child on a lock
     # one of them held
-    if not sys.platform.startswith("linux") or threading.active_count() != 1:
+    if _in_forked_child or not sys.platform.startswith("linux") or threading.active_count() != 1:
         return 1
     return len(os.sched_getaffinity(0))
 
 
+def _chunk_ranges(n: int) -> list[range]:
+    """range(n) cut into min(_fork_slots(), n) contiguous, non-empty ranges,
+    sized as np.array_split sizes them; none for n = 0."""
+    k = min(_fork_slots(), n)
+    if k < 1:
+        return []
+    size, extra = divmod(n, k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
-    """[fn(part) for part in parts], the parts after the first in forked children.
+    """[fn(part) for part in parts], the parts after the first in forked
+    children; see _forked_iter."""
+    return list(_forked_iter(fn, parts))
+
+
+def _forked_iter(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
+    """Yield fn(part) for each part in order, the parts after the first
+    computed in forked children.
 
     With two or more parts and _fork_slots() of at least 2, each part after
     the first runs in a forked child that pickles fn's result into a pipe and
-    always ends in os._exit, while this process runs the first part. Each
-    pipe is read to its end before its child is reaped, since a result can
-    exceed the pipe's buffer. A part whose child fails runs again in this
-    process, so its error is raised as an in-process call raises it. No
-    child outlives the call, whether it returns or raises. Otherwise every
-    part runs in this process, one after another.
+    always ends in os._exit, while this process runs the first part. A
+    result is unpickled straight from its pipe, and each pipe is read to its
+    end before its child is reaped, since a result can exceed the pipe's
+    buffer. A pipe is read only when its result is asked for, so the caller
+    can write one result away before the next is read. A part whose child
+    exits non-zero runs again in this process, so its error is raised as an
+    in-process call raises it. No child outlives the iteration, whether it
+    ends, raises or is closed. Otherwise every part runs in this process, one
+    after another.
     """
+    global _in_forked_child
     if len(parts) < 2 or _fork_slots() < 2:
-        return [fn(part) for part in parts]
+        for part in parts:
+            yield fn(part)
+        return
     children: list[tuple[int, Any, Any]] = []  # pid, read end of its pipe, part
     try:
         for part in parts[1:]:
@@ -177,6 +259,7 @@ def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
                 # happens, it ends here without running exit handlers
                 code = 1
                 try:
+                    _in_forked_child = True
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
                         pickle.dump(fn(part), pipe, pickle.HIGHEST_PROTOCOL)
@@ -185,25 +268,27 @@ def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb"), part))
-        results = [fn(parts[0])]
+        yield fn(parts[0])
         while children:
             pid, pipe, part = children[0]
             with pipe:
-                payload = pipe.read()
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child ended early
+                    result = None
+                pipe.read()
             status = os.waitpid(pid, 0)[1]
             children.pop(0)
-            if os.waitstatus_to_exitcode(status) == 0:
-                results.append(pickle.loads(payload))
-            else:
-                results.append(fn(part))
-    except BaseException:
+            if os.waitstatus_to_exitcode(status) != 0:
+                result = fn(part)
+            yield result
+            del result  # the caller's now: not held while the next pipe is read
+    finally:
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
         for pid, pipe, _ in children:
             pipe.close()
             os.waitpid(pid, 0)
-        raise
-    return results
 
 
 # characters that send a file to the csv.reader path: a quote changes how
@@ -238,11 +323,13 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
     A repeated id raises InputError naming it.
 
     Without quotes the file splits on line breaks and each row's id at its
-    first comma, and np.loadtxt parses all cells in one pass; it accepts a
-    subset of what float() accepts and returns the same doubles. Any other
-    file, or one np.loadtxt rejects, is read by csv.reader and parsed with
-    float() semantics in one array conversion, which raises the first bad
-    row or cell in file order.
+    first comma, and np.loadtxt parses all cells; it accepts a subset of what
+    float() accepts and returns the same doubles. The rows are cut at line
+    breaks into one chunk per usable CPU, and every chunk after the first is
+    parsed in a forked child (_forked_map). Any other file, or one whose chunk
+    np.loadtxt rejects, is read whole by csv.reader and parsed with float()
+    semantics in one array conversion, which raises the first bad row or cell
+    in file order.
     """
     path = Path(path)
     if not path.exists():
@@ -251,23 +338,50 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
         text = fh.read()
     if any(c in text for c in _CSV_READER_ONLY):
         return _read_csv_rows(path)
-    # each stage of the split is dropped once the next exists: a matrix file
-    # can be tens of MB, and its text would otherwise stay alive three times
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")
     del text
-    columns = _matrix_columns(path, lines[0].split(","))
-    split = [line.partition(",") for line in lines[1:] if line]
-    del lines
+    columns = _matrix_columns(path, header.split(","))
+    if columns:
+        parts = _forked_map(lambda span: _parse_rows(body, *span, len(columns)), _line_spans(body))
+        if all(part is not None for part in parts):
+            ids = [sid for part_ids, _ in parts for sid in part_ids]
+            if ids:
+                values = np.concatenate([part_values for _, part_values in parts])
+                return _unique_ids(path, ids), columns, values
+    return _read_csv_rows(path)
+
+
+def _line_spans(text: str) -> list[tuple[int, int]]:
+    """text cut into at most _fork_slots() non-empty (start, stop) spans,
+    each cut made just after a line break."""
+    bounds = [0]
+    for chunk in _chunk_ranges(len(text)):
+        cut = text.find("\n", chunk.stop - 1) + 1 or len(text)
+        if cut > bounds[-1]:
+            bounds.append(cut)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _parse_rows(
+    text: str, start: int, stop: int, n_columns: int
+) -> tuple[list[str], np.ndarray] | None:
+    """The ids and values of the non-blank lines of text[start:stop], or None
+    where np.loadtxt does not read every line as an id and n_columns numbers."""
+    # each stage of the split is dropped once the next exists: a matrix file
+    # can be tens of MB
+    split = [line.partition(",") for line in text[start:stop].split("\n") if line]
     ids = [sid for sid, _, _ in split]
     tails = [tail for _, _, tail in split]
-    if columns and tails and "" not in tails:
-        try:
-            values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is not None and values.shape == (len(ids), len(columns)):
-            return _unique_ids(path, ids), columns, values
-    return _read_csv_rows(path)
+    del split
+    if not tails:
+        return ids, np.empty((0, n_columns))
+    if "" in tails:
+        return None
+    try:
+        values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (ids, values) if values.shape == (len(ids), n_columns) else None
 
 
 def _read_csv_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:

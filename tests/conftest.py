@@ -6,18 +6,12 @@ import sys
 import pytest
 
 
-@pytest.fixture(params=["forked", "in-process"])
-def forks(request, monkeypatch):
-    """Force one path of serialize._forked_map through its CPU probe.
+def _force_cpus(monkeypatch, cpus):
+    """Make serialize's CPU probe see `cpus` usable CPUs and count os.fork.
 
-    Returns the list of child pids that os.fork handed to the caller, and
-    whether the forked path was forced.
+    Returns the list of child pids that os.fork hands to the caller.
     """
-    forked = request.param == "forked"
-    if forked and not sys.platform.startswith("linux"):
-        pytest.skip("the forked path is Linux-only")
-    cpus = {0, 1} if forked else {0}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     pids = []
     real_fork = os.fork
 
@@ -28,4 +22,29 @@ def forks(request, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    return pids, forked
+    return pids
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def forks(request, monkeypatch):
+    """Force one path of serialize._forked_map through its CPU probe.
+
+    Returns the list of child pids that os.fork handed to the caller, and
+    whether the forked path was forced.
+    """
+    forked = request.param == "forked"
+    if forked and not sys.platform.startswith("linux"):
+        pytest.skip("the forked path is Linux-only")
+    return _force_cpus(monkeypatch, 2 if forked else 1), forked
+
+
+@pytest.fixture(params=[1, 2, 3])
+def usable_cpus(request, monkeypatch):
+    """Force 1, 2 or 3 usable CPUs through serialize's CPU probe.
+
+    Returns the list of child pids that os.fork handed to the caller, and the
+    number of CPUs.
+    """
+    if request.param > 1 and not sys.platform.startswith("linux"):
+        pytest.skip("the forked path is Linux-only")
+    return _force_cpus(monkeypatch, request.param), request.param

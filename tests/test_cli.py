@@ -684,6 +684,48 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_knots", 1, "n_knots must be >= 2, got 1"),
+            ("degree", 0, "degree must be >= 1, got 0"),
+            ("knot_range", [60, 30], "degenerate knot range (60, 30)"),
+        ],
+    )
+    def test_rejected_config_value_in_bundle_exit_three(
+        self, pipeline, tmp_path, capsys, key, value, message
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["fit"], bundle)
+        meta = json.loads((bundle / "model.json").read_text())
+        meta["config"]["basis"][key] = value
+        (bundle / "model.json").write_text(json.dumps(meta))
+        code = run_cli(
+            "evaluate",
+            "--bundle", bundle,
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {bundle / 'model.json'}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_regions_file_exit_two(self, pipeline, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["fit"], bundle)
+        (bundle / "regions.json").unlink()
+        code = run_cli(
+            "evaluate",
+            "--bundle", bundle,
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: file not found: {bundle / 'regions.json'}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_region_mismatch_exit_three(self, pipeline, tmp_path, capsys):
         renamed = tmp_path / "features.csv"
         text = (pipeline["data"] / "features.csv").read_text()

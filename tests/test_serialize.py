@@ -11,7 +11,10 @@ import pytest
 
 from normgauge import InputError, SchemaError
 from normgauge.serialize import (
+    _chunk_ranges,
     _forked_map,
+    _line_spans,
+    _read_csv_rows,
     dump_json,
     format_cell,
     read_matrix_csv,
@@ -156,7 +159,9 @@ class TestWriteMatrixCsvs:
         pids, forked = forks
         files = matrix_files(tmp_path)
         write_matrix_csvs(files)
-        assert len(pids) == (len(files) - 1 if forked else 0)
+        # one row chunk per usable CPU: the second of the fixture's two CPUs
+        # formats the later half of all files' rows
+        assert len(pids) == (1 if forked else 0)
         assert_no_child_left()
         reference = tmp_path / "reference.csv"
         for path, ids, columns, values in files:
@@ -186,12 +191,13 @@ class TestWriteMatrixCsvs:
         assert_no_child_left()
 
     def test_caller_error_leaves_no_child(self, tmp_path, forks):
-        pids, forked = forks
+        pids, _ = forks
         files = matrix_files(tmp_path)
         files[0] = (tmp_path / "missing" / "z.csv", *files[0][1:])
         with pytest.raises(FileNotFoundError):
             write_matrix_csvs(files)
-        assert len(pids) == (len(files) - 1 if forked else 0)
+        # the first file is opened before any row is formatted
+        assert pids == []
         assert_no_child_left()
 
     @pytest.mark.parametrize("forks", ["forked"], indirect=True)
@@ -217,6 +223,141 @@ class TestForkedMap:
         assert_no_child_left()
         for k, values in enumerate(got):
             assert values.tobytes() == np.full(300_000, k / 3.0).tobytes()
+
+    def test_result_that_fails_to_pickle_runs_again_in_process(self, forks):
+        pids, forked = forks
+        # the array reaches the pipe before the lambda fails to pickle, so
+        # the caller reads a truncated result before the child exits non-zero
+        got = _forked_map(lambda k: [np.full(300_000, k / 3.0), lambda: k], [0, 1])
+        assert len(pids) == (1 if forked else 0)
+        assert_no_child_left()
+        for k, (values, fn) in enumerate(got):
+            assert values.tobytes() == np.full(300_000, k / 3.0).tobytes() and fn() == k
+
+    @pytest.mark.parametrize("forks", ["forked"], indirect=True)
+    def test_a_forked_child_never_forks(self, forks):
+        pids, _ = forks
+        # each part maps two parts of its own and reports the forks it has seen
+        got = _forked_map(lambda k: (_forked_map(lambda j: j, [0, 1]), len(pids)), [0, 1])
+        assert got == [([0, 1], 2), ([0, 1], 0)]
+        assert len(pids) == 2
+        assert_no_child_left()
+
+
+def matrix_rows(ids, values, nan=float("nan")):
+    return ([sid, *(nan if v != v else v for v in row)] for sid, row in zip(ids, values.tolist()))
+
+
+class TestRowChunks:
+    """Matrix files are formatted and parsed in one contiguous row chunk per
+    usable CPU; the cut changes no byte written, no value read and no error
+    raised, and no call forks more than CPUs - 1 children."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_chunk_ranges_cover_rows_in_order(self, usable_cpus, n):
+        _, cpus = usable_cpus
+        chunks = _chunk_ranges(n)
+        assert len(chunks) == min(cpus, n)
+        assert all(len(chunk) > 0 for chunk in chunks)
+        assert [i for chunk in chunks for i in chunk] == list(range(n))
+
+    @pytest.mark.parametrize("comma_id", [True, False], ids=["comma-id", "plain-ids"])
+    def test_matrix_files_bytes_and_values(self, tmp_path, usable_cpus, comma_id):
+        pids, cpus = usable_cpus
+        files = matrix_files(tmp_path)
+        if not comma_id:
+            files = [(path, ["s1", "a b", "s3"], *rest) for path, _, *rest in files]
+        write_matrix_csvs(files)
+        assert len(pids) == cpus - 1
+        for path, ids, columns, values in files:
+            assert path.read_bytes() == reference_bytes(["id", *columns], matrix_rows(ids, values))
+            # NaN is written as an empty cell, which the reader rejects; as
+            # `nan` text it reads back
+            readable = tmp_path / "readable.csv"
+            readable.write_bytes(
+                reference_bytes(["id", *columns], matrix_rows(ids, values, nan="nan"))
+            )
+            forked = len(pids)
+            got_ids, got_columns, got = read_matrix_csv(readable)
+            assert len(pids) - forked <= cpus - 1
+            assert got_ids == ids and got_columns == columns
+            assert got.dtype == np.float64 and got.tobytes() == values.tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_fewer_rows_than_cpus(self, tmp_path, usable_cpus, n_rows):
+        pids, cpus = usable_cpus
+        rng = np.random.default_rng(n_rows)
+        columns = ["r0", "r1"]
+        files = [
+            (tmp_path / f"{name}.csv", [f"{name}{i}" for i in range(rows)], columns,
+             rng.normal(size=(rows, 2)))
+            for name, rows in (("a", 0), ("b", n_rows), ("c", 0))
+        ]
+        write_matrix_csvs(files)
+        assert len(pids) == max(min(cpus, n_rows) - 1, 0)
+        for path, ids, _, values in files:
+            assert path.read_bytes() == reference_bytes(["id", *columns], matrix_rows(ids, values))
+            forked = len(pids)
+            got_ids, got_columns, got = read_matrix_csv(path)
+            assert len(pids) - forked <= cpus - 1
+            assert got_ids == ids and got_columns == columns
+            assert got.shape == values.shape and got.tobytes() == values.tobytes()
+        assert_no_child_left()
+
+    def test_crlf_and_blank_lines_at_cuts(self, tmp_path, usable_cpus):
+        pids, cpus = usable_cpus
+        lines = ["x,1.5,-0.0", *[""] * 100, "y,2,1e-300", "", "z,-inf,3"]
+        path = write_text(tmp_path / "m.csv", "id,a,b\r\n" + "\r\n".join(lines) + "\r\n")
+        body = "\n".join(lines) + "\n"
+        spans = [body[a:b] for a, b in _line_spans(body)]
+        assert "".join(spans) == body and len(spans) == cpus
+        # a cut falls on a blank line; at three CPUs a chunk holds nothing else
+        assert cpus == 1 or any(span.startswith("\n") for span in spans)
+        assert cpus != 3 or "\n" * len(spans[1]) == spans[1]
+        ids, columns, values = read_matrix_csv(path)
+        assert len(pids) == cpus - 1
+        assert_no_child_left()
+        serial = _read_csv_rows(path)
+        assert ids == serial[0] == ["x", "y", "z"] and columns == serial[1] == ["a", "b"]
+        assert values.tobytes() == serial[2].tobytes()
+        expected = np.array([[1.5, -0.0], [2.0, 1e-300], [-np.inf, 3.0]])
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "last_row, error",
+        [("s3,9,9", InputError), ("s39,1,2,3", SchemaError), ("s39,1,bad", InputError)],
+        ids=["repeated-id", "ragged-row", "bad-cell"],
+    )
+    def test_error_in_a_later_chunk_is_the_serial_error(
+        self, tmp_path, usable_cpus, last_row, error
+    ):
+        pids, cpus = usable_cpus
+        rows = [f"s{i},{i},{i / 7}" for i in range(39)]
+        rows.insert(20, "")  # a blank line counts in the row numbers
+        path = write_text(tmp_path / "m.csv", "id,a,b\n" + "\n".join([*rows, last_row]) + "\n")
+        with pytest.raises(error) as serial:
+            _read_csv_rows(path)
+        with pytest.raises(error) as got:
+            read_matrix_csv(path)
+        assert str(got.value) == str(serial.value)
+        assert len(pids) <= cpus - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["caller-chunk", "last-chunk"])
+    def test_chunk_error_is_the_sequential_error(self, tmp_path, usable_cpus, where):
+        pids, cpus = usable_cpus
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text for this id")
+
+        ids = ["s0", "s1", "s2"]
+        ids[where] = Unprintable()
+        with pytest.raises(RuntimeError, match="^no text for this id$"):
+            write_matrix_csv(tmp_path / "m.csv", ids, ["a"], np.zeros((3, 1)))
+        assert len(pids) == cpus - 1
+        assert_no_child_left()
 
 
 class TestReaderAccepts:
