@@ -10,10 +10,17 @@ with t in {-1, +1} and the bias b unpenalized, minimized by damped Newton steps
 (see _fit_binary). Decisions take the argmax over per-class scores (ties broken
 by class order). Evaluation is stratified k-fold cross-validation with
 per-class AUC from the raw one-vs-rest scores.
+
+The binary fits of all folds are independent: each depends only on its
+fold's training rows and its class. They run as one sequence of (fold,
+class) pairs cut into one chunk per usable CPU, every chunk after the first
+in a forked child (see _fit_folds and serialize._forked_map); this process
+then scores the folds in order, so the report is the same on one CPU or many.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .serialize import write_csv
+from .serialize import _chunk_ranges, _forked_map, _one_blas_thread, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -138,36 +145,79 @@ def _fit_binary(
     return wb[:d], float(wb[d]), converged
 
 
-def _fit_ovr(
-    x: np.ndarray, labels: np.ndarray, config: ClassifierConfig
-) -> tuple[OvrLogisticModel, int]:
-    """The one-vs-rest model and how many of its binary fits did not converge."""
-    classes = tuple(sorted(set(labels.tolist())))
-    if len(classes) < 2:
-        raise InputError("need at least 2 classes to fit a classifier")
+def _training_rows(
+    x: np.ndarray, labels: np.ndarray, test_idx: np.ndarray, standardize: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The rows outside test_idx, z-scored by their own means and scales when
+    standardize is set, their labels, and those means and scales (else None)."""
+    x, labels = np.delete(x, test_idx, axis=0), np.delete(labels, test_idx)
     means = scales = None
-    if config.standardize:
+    if standardize:
         means = x.mean(axis=0)
         scales = x.std(axis=0)
         scales = np.where(scales == 0.0, 1.0, scales)
         x = (x - means) / scales
-    weights = np.empty((len(classes), x.shape[1]))
-    intercepts = np.empty(len(classes))
-    unconverged = 0
-    for ci, cls in enumerate(classes):
-        target = np.where(labels == cls, 1.0, -1.0)
-        weights[ci], intercepts[ci], converged = _fit_binary(
-            x, target, config.l2_strength
+    return x, labels, means, scales
+
+
+def _fit_folds(
+    x: np.ndarray,
+    labels: np.ndarray,
+    test_folds: list[np.ndarray],
+    config: ClassifierConfig,
+) -> list[tuple[OvrLogisticModel, int]]:
+    """Per test-index array, the one-vs-rest model fitted on the rows outside
+    it and how many of its binary fits did not converge.
+
+    The binary fits of all folds are one sequence of (fold, class) pairs, cut
+    into one contiguous chunk per usable CPU (serialize._chunk_ranges); every
+    chunk after the first runs in a forked child (serialize._forked_map),
+    and while they run, OpenBLAS runs on one thread
+    (serialize._one_blas_thread). A fit depends only on its fold's training
+    rows and its class, so the cut changes no bit.
+    """
+    fold_classes = []
+    for test_idx in test_folds:
+        classes = tuple(sorted(set(np.delete(labels, test_idx).tolist())))
+        if len(classes) < 2:
+            raise InputError("need at least 2 classes to fit a classifier")
+        fold_classes.append(classes)
+    pairs = [(fold, cls) for fold, classes in enumerate(fold_classes) for cls in classes]
+
+    def fit_chunk(chunk: range) -> tuple[list[tuple[np.ndarray, float, bool]], dict]:
+        """The weights, bias and convergence flag of each pair in chunk, and
+        the feature means and scales of each fold it reaches."""
+        heads, scaling = [], {}
+        for fold, cls in (pairs[i] for i in chunk):
+            if fold not in scaling:  # the pairs of one fold are adjacent
+                x_train, y_train, means, scales = _training_rows(
+                    x, labels, test_folds[fold], config.standardize
+                )
+                scaling[fold] = means, scales
+            target = np.where(y_train == cls, 1.0, -1.0)
+            heads.append(_fit_binary(x_train, target, config.l2_strength))
+        return heads, scaling
+
+    chunks = _chunk_ranges(len(pairs))
+    # forked chunks run side by side, each on one BLAS thread; the children
+    # inherit it
+    with _one_blas_thread() if len(chunks) > 1 else contextlib.nullcontext():
+        parts = _forked_map(fit_chunk, chunks)
+    heads = iter([head for part_heads, _ in parts for head in part_heads])
+    scaling = {fold: s for _, part_scaling in parts for fold, s in part_scaling.items()}
+    models = []
+    for fold, classes in enumerate(fold_classes):
+        weights, intercepts, converged = zip(*(next(heads) for _ in classes))
+        means, scales = scaling[fold]
+        model = OvrLogisticModel(
+            classes=classes,
+            weights=np.array(weights),
+            intercepts=np.array(intercepts),
+            feature_means=means,
+            feature_scales=scales,
         )
-        unconverged += not converged
-    model = OvrLogisticModel(
-        classes=classes,
-        weights=weights,
-        intercepts=intercepts,
-        feature_means=means,
-        feature_scales=scales,
-    )
-    return model, unconverged
+        models.append((model, converged.count(False)))
+    return models
 
 
 def _warn_unconverged(unconverged: int, fits: int) -> None:
@@ -304,10 +354,8 @@ def _report(
     roc: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     counts = np.zeros((len(classes), len(classes)), dtype=int)
     fits = unconverged = 0
-    for fold, test_idx in enumerate(test_folds):
-        train_mask = np.ones(len(labels), dtype=bool)
-        train_mask[test_idx] = False
-        model, fold_unconverged = _fit_ovr(x[train_mask], labels[train_mask], config)
+    models = _fit_folds(x, labels, test_folds, config)
+    for fold, (test_idx, (model, fold_unconverged)) in enumerate(zip(test_folds, models)):
         fits += len(model.classes)
         unconverged += fold_unconverged
         scores = decision_scores(model, x[test_idx])

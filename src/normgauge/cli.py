@@ -43,6 +43,8 @@ from .blr import (
 from .cohort import (
     CohortSchema,
     SplitSpec,
+    Subject,
+    _join_features,
     demographics_summary,
     load_cohort,
     qc_filter,
@@ -61,7 +63,14 @@ from .classify import (
 )
 from .design import BasisConfig, ModelConfig
 from .errors import InputError, NormgaugeError, SchemaError
-from .serialize import dump_json, load_json, read_matrix_csv, write_csv, write_matrix_csvs
+from .serialize import (
+    dump_json,
+    load_json,
+    read_matrix_csv,
+    read_text,
+    write_csv,
+    write_matrix_csvs,
+)
 from .synth import SynthSpec, generate
 
 log = logging.getLogger(__name__)
@@ -159,9 +168,8 @@ def _parse_fractions(text: str) -> dict[str, float]:
     return out
 
 
-def _races(ids: list[str], covariates: str, schema: CohortSchema) -> list[str]:
-    """The race of each scored id, read from the covariates file."""
-    cov_map, _ = read_covariates(Path(covariates), schema)
+def _races(ids: list[str], cov_map: dict[str, Subject]) -> list[str]:
+    """The race of each scored id, from read_covariates' subjects."""
     missing = [sid for sid in ids if sid not in cov_map]
     if missing:
         raise InputError(
@@ -283,10 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     schema = _schema_from(cfg)
     cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
     if cfg["ids"] is not None:
-        ids_path = Path(cfg["ids"])
-        if not ids_path.exists():
-            raise InputError(f"file not found: {ids_path}")
-        text = ids_path.read_text(encoding="utf-8")
+        text = read_text(Path(cfg["ids"]))
         wanted = [line.strip() for line in text.splitlines() if line.strip()]
         cohort = cohort.subset_by_ids(wanted)
     if cohort.n_subjects == 0:
@@ -332,7 +337,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if ids_z != ids_e or regions_z != regions_e:
         raise SchemaError("deviations and errors files disagree on ids or regions")
     schema = _schema_from(cfg)
-    groups = _races(ids_z, cfg["covariates"], schema)
+    cov_map, incomplete = read_covariates(Path(cfg["covariates"]), schema)
+    groups = _races(ids_z, cov_map)
     present = set(groups)
     contrasts = _parse_contrasts(cfg["contrasts"])
     for g1, g2 in contrasts:
@@ -347,7 +353,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     scored = None
     if cfg["bundle"] is not None:
         model = load_bundle(cfg["bundle"])
-        cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
+        # the covariates read above, not read again
+        cohort = _join_features(cov_map, incomplete, Path(cfg["features"]), schema)
         scored = deviations(model, cohort.subset_by_ids(ids_z))
     # a scoring pass holds its rows in sorted-id order, the files need not
     order = sorted(range(len(ids_z)), key=ids_z.__getitem__)
@@ -444,7 +451,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "matplotlib is required to render roc.svg (install the 'plots' extra)"
         )
     ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"])
-    labels = _races(ids, cfg["covariates"], _schema_from(cfg))
+    cov_map, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
+    labels = _races(ids, cov_map)
     clf_config = ClassifierConfig(
         l2_strength=cfg["l2"],
         n_folds=cfg["folds"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, SchemaError
-from .serialize import read_matrix_csv, write_csv, write_matrix_csv
+from .serialize import read_matrix_csv, read_text, write_csv, write_matrix_csv
 
 log = logging.getLogger(__name__)
 
@@ -153,8 +154,11 @@ def _parse_float(cell: str, path: Path, line_no: int, column: str) -> float:
 def read_covariates(
     path: Path, schema: CohortSchema
 ) -> tuple[dict[str, Subject], int]:
-    """Parse a covariates CSV into id -> Subject plus an incomplete-row count."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Parse a covariates CSV into id -> Subject plus an incomplete-row count.
+
+    A missing file, or one that is not UTF-8, raises InputError naming it.
+    """
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -226,12 +230,20 @@ def load_cohort(
     """Inner-join covariates and features on id; canonical sorted-id order."""
     schema = schema or CohortSchema()
     cov_path, feat_path = Path(covariates_path), Path(features_path)
+    # both files must exist before either is parsed
     if not cov_path.exists():
         raise InputError(f"file not found: {cov_path}")
     if not feat_path.exists():
         raise InputError(f"file not found: {feat_path}")
-
     subjects, incomplete = read_covariates(cov_path, schema)
+    return _join_features(subjects, incomplete, feat_path, schema)
+
+
+def _join_features(
+    subjects: dict[str, Subject], incomplete: int, feat_path: Path, schema: CohortSchema
+) -> Cohort:
+    """Join read_covariates' subjects to a features CSV on id, warning of the
+    subjects dropped and of the incomplete covariate rows."""
     feat_ids, regions, values = read_matrix_csv(feat_path)
     if values.size and not np.all(np.isfinite(values)):
         raise InputError(f"{feat_path}: non-finite feature values")

@@ -24,9 +24,11 @@ runs in-process. write_matrix_csvs cuts the rows of all its files as one
 sequence and writes each file's header and then the chunks' text in order.
 read_matrix_csv cuts the text at line breaks, parses each chunk with
 np.loadtxt, and reads the whole file serially if any chunk fails. The same
-helpers split the region fits of blr. No option selects either way, a forked
-child never forks again, and the cut changes no byte written, no value read
-and no error raised.
+helpers split the region fits of blr and the (fold, class) binary fits of
+classify, which run OpenBLAS on one thread while they are forked
+(_one_blas_thread). No option selects either way, a forked child never forks
+again, and the cut changes no byte written, no value read and no error
+raised.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import ctypes
 import itertools
 import json
 import math
@@ -63,12 +66,29 @@ def dump_json(obj: Any, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def load_json(path: str | Path) -> Any:
-    path = Path(path)
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a file, line ends as they are.
+
+    A missing file, or one that is not UTF-8, raises InputError naming it;
+    for the latter the message gives the line and value of the first byte
+    that does not decode.
+    """
     if not path.exists():
         raise InputError(f"file not found: {path}")
+    data = path.read_bytes()
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(
+            f"{path} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
+        ) from None
+
+
+def load_json(path: str | Path) -> Any:
+    path = Path(path)
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
@@ -206,6 +226,61 @@ def _fork_slots() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _openblas_threads() -> tuple[Any, Any] | None:
+    """The get and set functions of the thread count of the OpenBLAS loaded in
+    this process, or None where none is found (another BLAS, or no Linux
+    /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            # a line that names a file ends in its path, the sixth field
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the names of the reference build, its 64-bit-integer build, and the
+        # scipy-openblas build that numpy's wheels bundle
+        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
+            try:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS, where _openblas_threads finds it, on one
+    thread.
+
+    For forked parts that spend their time in matrix products: they run side
+    by side, one per usable CPU, and if each also spread its products over
+    every CPU, the threads of one product, which wait for each other, would
+    compete for the CPUs with those of the other parts. Forked classifier
+    fits ran up to ten times slower so. The products that run under it split
+    their outputs, not their sums, across BLAS threads, so the thread count
+    changes no result.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def _chunk_ranges(n: int) -> list[range]:
     """range(n) cut into min(_fork_slots(), n) contiguous, non-empty ranges,
     sized as np.array_split sizes them; none for n = 0."""
@@ -320,7 +395,8 @@ def _unique_ids(path: Path, ids: list[str]) -> list[str]:
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read an id-keyed numeric matrix; returns (ids, columns, values).
 
-    A repeated id raises InputError naming it.
+    A repeated id raises InputError naming it, and so does a missing file or
+    one that is not UTF-8 (see read_text).
 
     Without quotes the file splits on line breaks and each row's id at its
     first comma, and np.loadtxt parses all cells; it accepts a subset of what
@@ -332,10 +408,7 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
     in file order.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if any(c in text for c in _CSV_READER_ONLY):
         return _read_csv_rows(path)
     header, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")

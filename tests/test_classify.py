@@ -15,7 +15,7 @@ from normgauge import (
     roc_points,
     stratified_folds,
 )
-from normgauge import classify
+from normgauge import classify, serialize
 from normgauge.classify import evaluate_holdout, write_clf_metrics, write_confusion
 
 
@@ -48,7 +48,7 @@ def logistic_loss_grad(wb, x, target, lam):
 
 def fit_ovr(x, labels, config):
     """The one-vs-rest model and its count of binary fits that did not converge."""
-    return classify._fit_ovr(x, np.asarray(labels), config)
+    return classify._fit_folds(x, np.asarray(labels), [np.array([], dtype=int)], config)[0]
 
 
 def predicted(model, x):
@@ -271,7 +271,9 @@ class TestNonConvergenceWarning:
         ],
         ids=["cross_validate", "evaluate_holdout"],
     )
-    def test_one_record_per_call(self, monkeypatch, caplog, call, fits):
+    def test_one_record_per_call(self, monkeypatch, caplog, forks, call, fits):
+        # forked, the counts come back from the children
+        pids, forked = forks
         monkeypatch.setattr(classify, "_MAX_ITER", 1)
         rng = np.random.default_rng(2)
         x, labels = blob_data(
@@ -284,6 +286,76 @@ class TestNonConvergenceWarning:
         assert [r.getMessage() for r in caplog.records] == [
             f"{fits} of {fits} logistic fits stopped without convergence"
         ]
+        assert bool(pids) == forked
+
+
+def report_bytes(report):
+    """Every array of a classifier report as bytes, ROC curves by key."""
+    arrays = [
+        report.auc, report.precision, report.recall, report.f_score,
+        report.confusion_counts, report.confusion_pooled,
+    ]
+    curves = {key: (fpr.tobytes(), tpr.tobytes()) for key, (fpr, tpr) in report.roc_curves.items()}
+    return [a.tobytes() for a in arrays], curves
+
+
+class TestForkedFits:
+    """The binary fits of all folds run in one contiguous chunk of (fold,
+    class) pairs per usable CPU; the report is bitwise the in-process one."""
+
+    @pytest.mark.parametrize(
+        "call, config, pairs",
+        [
+            (cross_validate, ClassifierConfig(), 15),
+            (cross_validate, ClassifierConfig(l2_strength=0.0), 15),
+            (cross_validate, ClassifierConfig(standardize=True), 15),
+            (evaluate_holdout, ClassifierConfig(), 3),
+        ],
+        ids=["defaults", "l2-zero", "standardize", "holdout"],
+    )
+    def test_report_matches_in_process(self, monkeypatch, usable_cpus, call, config, pairs):
+        pids, cpus = usable_cpus
+        rng = np.random.default_rng(21)
+        x, labels = blob_data(
+            rng,
+            {"A": 30, "B": 35, "W": 60},
+            {"A": (-0.6, 0.3, 0.0), "B": (0.6, -0.3, 0.0), "W": (0.0, 0.0, 0.5)},
+        )
+        x[:, 2] = 30.0 * x[:, 2] + 4.0
+        got = call(x, labels, config)
+        assert len(pids) == min(cpus, pairs) - 1
+        monkeypatch.setattr(serialize, "_fork_slots", lambda: 1)
+        want = call(x, labels, config)
+        assert got.classes == want.classes
+        assert report_bytes(got) == report_bytes(want)
+
+    def test_forked_fits_run_one_blas_thread(self, monkeypatch, usable_cpus):
+        pids, cpus = usable_cpus
+        blas = serialize._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, set_ = blas
+        seen = []
+        fit_binary = classify._fit_binary
+
+        def recording(*args):
+            seen.append(get())  # in this process: a child's record dies with it
+            return fit_binary(*args)
+
+        monkeypatch.setattr(classify, "_fit_binary", recording)
+        rng = np.random.default_rng(22)
+        x, labels = blob_data(
+            rng, {"A": 20, "W": 30}, {"A": (-0.5, 0.2), "W": (0.5, -0.2)}
+        )
+        before = get()
+        set_(2)
+        try:
+            cross_validate(x, labels)
+            assert set(seen) == ({1} if cpus > 1 else {2})
+            assert get() == 2
+        finally:
+            set_(before)
+        assert len(pids) == min(cpus, 10) - 1
 
 
 class TestCrossValidate:

@@ -19,6 +19,7 @@ import pytest
 import normgauge
 import normgauge.blr
 import normgauge.cli
+import normgauge.cohort
 from normgauge import WarpParams
 from normgauge.cli import main
 
@@ -801,6 +802,43 @@ class TestExitCodes:
         assert audit(tmp_path / "both", "W:A", "A:W") == 0
 
     @pytest.mark.parametrize("command", ["audit", "classify"])
+    def test_missing_covariates_file_exit_two(self, pipeline, tmp_path, capsys, command):
+        missing = tmp_path / "nope.csv"
+        out = tmp_path / "out"
+        argv = required_flags(pipeline, command, out)
+        argv[argv.index("--covariates") + 1] = missing
+        assert run_cli(command, *argv) == 2
+        assert f"error: file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, name",
+        [
+            ("fit", "--covariates", "covariates.csv"),
+            ("classify", "--covariates", "covariates.csv"),
+            ("classify", "--deviations", "deviations.csv"),
+            ("classify", "--config", "config.json"),
+        ],
+    )
+    def test_input_not_utf8_exit_two(self, pipeline, tmp_path, capsys, command, flag, name):
+        # byte 0xe9 (Latin-1 e-acute) on the second line of a valid file
+        out = tmp_path / "out"
+        argv = required_flags(pipeline, command, out)
+        if flag == "--config":
+            text = '{\n  "seed": 0\n}\n'
+        else:
+            text = Path(argv[argv.index(flag) + 1]).read_text(encoding="utf-8")
+            argv[argv.index(flag):argv.index(flag) + 2] = []
+        lines = text.splitlines(keepends=True)
+        bad = tmp_path / name
+        bad.write_bytes(lines[0].encode() + b"\xe9" + "".join(lines[1:]).encode())
+        assert run_cli(command, *argv, flag, bad) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad} line 2: byte 0xe9 is not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "classify"])
     def test_repeated_matrix_id_exit_two(self, pipeline, tmp_path, capsys, command):
         matrices = {}
         for name in ("deviations", "errors"):
@@ -837,6 +875,25 @@ class TestAuditParity:
             "--contrasts", "W:A", "W:B",
             *extra,
         )
+
+    def test_covariates_read_once(self, pipeline, tmp_path, monkeypatch):
+        # the scored ids' races and the cohort scored for EV and MSLL share
+        # one read of the covariates file
+        calls = []
+        read_covariates = normgauge.cohort.read_covariates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return read_covariates(*args, **kwargs)
+
+        for module in (normgauge.cohort, normgauge.cli):
+            monkeypatch.setattr(module, "read_covariates", counting)
+        out = tmp_path / "audit"
+        assert self.audit(pipeline, out, "--bundle", pipeline["fit"],
+                          "--features", pipeline["data"] / "features.csv") == 0
+        assert len(calls) == 1
+        for name in ("audit_summary.csv", "audit_tests.csv", "table4.csv", "parity.json"):
+            assert (out / name).read_bytes() == (pipeline["audit"] / name).read_bytes()
 
     def test_deviation_metrics_do_not_depend_on_the_model(self, pipeline, tmp_path):
         assert self.audit(pipeline, tmp_path / "bare") == 0

@@ -18,6 +18,7 @@ from normgauge import (
     save_cohort,
     stratified_split,
 )
+from normgauge.cohort import read_covariates
 
 
 def write_pair(tmp_path, cov_rows, feat_rows, cov_header="id,age,sex,race", feat_header="id,r1,r2"):
@@ -86,6 +87,19 @@ class TestLoadCohort:
             load_cohort(cov, feat)
         with pytest.raises(InputError, match="row 3"):
             load_cohort(cov, feat)
+
+    def test_missing_covariates_file(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(InputError) as exc:
+            read_covariates(path, CohortSchema())
+        assert str(exc.value) == f"file not found: {path}"
+
+    def test_covariates_not_utf8(self, tmp_path):
+        cov, _ = write_pair(tmp_path, ["s1,30,F,A"], ["s1,1.0,2.0"])
+        cov.write_bytes(cov.read_bytes() + b"s\xe9,40,M,B\n")
+        with pytest.raises(InputError) as exc:
+            read_covariates(cov, CohortSchema())
+        assert str(exc.value) == f"{cov} line 3: byte 0xe9 is not UTF-8 text"
 
     def test_missing_required_column(self, tmp_path):
         cov, feat = write_pair(

@@ -14,9 +14,12 @@ from normgauge.serialize import (
     _chunk_ranges,
     _forked_map,
     _line_spans,
+    _one_blas_thread,
+    _openblas_threads,
     _read_csv_rows,
     dump_json,
     format_cell,
+    load_json,
     read_matrix_csv,
     write_csv,
     write_matrix_csv,
@@ -154,6 +157,15 @@ class TestDumpJson:
             dump_json(obj, tmp_path / "x.json")
 
 
+class TestLoadJson:
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{\n  "a": "caf\xe9"\n}\n')
+        with pytest.raises(InputError) as exc:
+            load_json(path)
+        assert str(exc.value) == f"{path} line 2: byte 0xe9 is not UTF-8 text"
+
+
 class TestWriteMatrixCsvs:
     def test_bytes_match_sequential_writes(self, tmp_path, forks):
         pids, forked = forks
@@ -233,6 +245,24 @@ class TestForkedMap:
         assert_no_child_left()
         for k, (values, fn) in enumerate(got):
             assert values.tobytes() == np.full(300_000, k / 3.0).tobytes() and fn() == k
+
+    def test_one_blas_thread_reaches_forked_parts(self, forks):
+        pids, forked = forks
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            with _one_blas_thread():
+                # each part, the caller's included, reports its BLAS thread count
+                got = _forked_map(lambda _: get(), [0, 1])
+            assert got == [1, 1]
+            assert get() == 2
+        finally:
+            set_(before)
+        assert len(pids) == (1 if forked else 0)
 
     @pytest.mark.parametrize("forks", ["forked"], indirect=True)
     def test_a_forked_child_never_forks(self, forks):
@@ -426,6 +456,15 @@ class TestReaderRejects:
         with pytest.raises(InputError) as exc:
             read_matrix_csv(path)
         assert str(exc.value) == f"file not found: {path}"
+
+    # the quoted id sends the file to the csv.reader path
+    @pytest.mark.parametrize("sid", ["x", '"x,1"'], ids=["loadtxt", "csv-reader"])
+    def test_not_utf8(self, tmp_path, sid):
+        path = tmp_path / "m.csv"
+        path.write_bytes(f"id,a\n{sid},1\n".encode() + b"y\xe9,2\n")
+        with pytest.raises(InputError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path} line 3: byte 0xe9 is not UTF-8 text"
 
     @pytest.mark.parametrize("text", ["", "\n", "ID,a\nx,1\n", "a,id\nx,1\n", "\nid,a\n"])
     def test_header_must_start_with_id(self, tmp_path, text):
