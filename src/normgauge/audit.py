@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blr import DeviationMatrix, explained_variance
+from .blr import DeviationMatrix, _explained_variances, _region_major
 from .errors import InputError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -338,7 +338,9 @@ def group_parity(
     Mean |Z|, mean Z and the extreme rate pool all of a group's cells of
     z_matrix. EV and MSLL need the model's scoring pass of the same rows,
     `scored`: each is the mean over regions of the per-region metric on the
-    group's rows. Without it they are None.
+    group's rows, reduced along the rows of region-major copies, bitwise as
+    explained_variance and np.mean give it for each column alone. Without
+    `scored` they are None.
     """
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     group_arr = np.asarray(list(groups))
@@ -353,16 +355,15 @@ def group_parity(
         z = z_matrix[mask]
         entry: dict = {"n": int(z.shape[0]), "explained_variance": None, "msll": None}
         if scored is not None:
-            regions = range(scored.y.shape[1])
-            evs = [
-                explained_variance(scored.y[mask, j], scored.yhat[mask, j])
-                for j in regions
-            ]
+            evs, mslls = [], []
+            for y, yhat, log_loss in _region_major(
+                scored.y, scored.yhat, scored.log_loss, rows=mask
+            ):
+                evs += _explained_variances(y, yhat)
+                mslls.append(np.mean(log_loss, axis=1))
             evs = [ev for ev in evs if ev is not None]
             entry["explained_variance"] = float(np.mean(evs)) if evs else None
-            entry["msll"] = float(
-                np.mean([np.mean(scored.log_loss[mask, j]) for j in regions])
-            )
+            entry["msll"] = float(np.mean(np.concatenate(mslls)))
         entry["mean_abs_deviation"] = float(np.mean(np.abs(z)))
         entry["mean_deviation"] = float(np.mean(z))
         entry["extreme_rate"] = float(np.mean(np.abs(z) > threshold))

@@ -52,6 +52,16 @@ _SCREEN_SHARE of the margin) skips the free run and keeps its identity fit.
 Fitting needs numpy only. A Cholesky reference of the evidence, independent
 of the engine, lives with the tests (tests/evidence_reference.py) as their
 oracle.
+
+Scoring (deviations) runs the same way: blocks of _SCORE_BLOCK regions, one
+product per region for the latent mean, and for the posterior variance
+||L^-1 phi||^2 each region's triangular inverse of its Cholesky factor L
+times the design (_predict_block), so a region's scores do not depend on the
+regions scored beside it; predict_region is the one-region case. The fit
+metrics and the per-group parity reduce the scoring pass along the rows of
+region-major copies, which is bitwise the reduction of each column alone.
+Per-region scoring with a general LU solve lives with the tests as the
+scoring pass's oracle.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
 from .serialize import _chunk_ranges, _forked_map, dump_json, load_json
-from .warp import WarpParams, warp_forward, warp_inverse
+from .warp import WarpParams, _forward, _inverse
 
 log = logging.getLogger(__name__)
 
@@ -989,25 +999,87 @@ class RegionPrediction:
     yhat: np.ndarray
 
 
+# regions scored together in one block of a scoring pass; its temporaries
+# hold about (M + 10) * _SCORE_BLOCK values per scored row
+_SCORE_BLOCK = 16
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of each lower-triangular factor of the stack chol (B, M, M).
+
+    Forward substitution, one row of the inverses per step and one product
+    per factor, so a factor's inverse is bitwise the same whatever factors
+    stand beside it.
+    """
+    b, m_dim, _ = chol.shape
+    inv = np.zeros_like(chol)
+    for i in range(m_dim):
+        row = np.zeros((b, m_dim))
+        row[:, i] = 1.0
+        if i:
+            row -= np.matmul(chol[:, i : i + 1, :i], inv[:, :i, :])[:, 0, :]
+        inv[:, i, :] = row / chol[:, i, i, None]
+    return inv
+
+
+def _warp_rows(
+    values: np.ndarray, warps: Sequence[WarpParams], inverse: bool
+) -> np.ndarray:
+    """warp_forward (or warp_inverse) of each row of values (B, N) by its own
+    warp, bitwise as those functions give it; identity rows are copied."""
+    out = values.copy()
+    rows = [d for d, w in enumerate(warps) if not w.is_identity()]
+    if rows:
+        epsilon = np.array([[warps[d].epsilon] for d in rows])
+        delta = np.array([[np.exp(warps[d].log_delta)] for d in rows])
+        out[rows] = (_inverse if inverse else _forward)(values[rows], epsilon, delta)
+    return out
+
+
+def _predict_block(
+    models: Sequence[RegionModel], phi_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """zhat, posterior variance and yhat (each B, N) of the regions `models`
+    at the design rows phi_t.T (phi_t is M, N).
+
+    zhat is one product per region (_rowwise). The posterior variance
+    phi^T A^-1 phi is ||L^-1 phi||^2 for the lower Cholesky factor L of A:
+    each region's triangular inverse times phi_t, squared and summed over
+    its M rows in order. Nothing mixes regions, so a region's rows are
+    bitwise the same in any block.
+    """
+    weights = np.array([rm.weights for rm in models])
+    zhat = _rowwise(weights, phi_t)
+    chol = np.array([rm.chol_precision for rm in models])
+    half = np.matmul(_lower_inverse(chol), phi_t)
+    model_variance = np.square(half[:, 0])
+    for i in range(1, half.shape[1]):
+        model_variance += np.square(half[:, i])
+    yhat = _warp_rows(zhat, [rm.hyperparams.warp for rm in models], inverse=True)
+    return zhat, model_variance, yhat
+
+
 def predict_region(model: RegionModel, phi_star: np.ndarray) -> RegionPrediction:
     """Predict rows phi_star; the posterior variance phi^T A^-1 phi is ||L^-1 phi||^2
-    for the bundle's lower Cholesky factor L of A, so it cannot go negative."""
+    for the bundle's lower Cholesky factor L of A, so it cannot go negative.
+
+    This is the one-region case of the engine behind deviations: L^-1 by
+    forward substitution, then one product with the design, and the scoring
+    pass gives each region bitwise these values.
+    """
     phi_star = np.atleast_2d(np.asarray(phi_star, dtype=float))
     if phi_star.shape[1] != model.weights.shape[0]:
         raise SchemaError(
             f"region '{model.region}': design has {phi_star.shape[1]} columns "
             f"but the model expects {model.weights.shape[0]}"
         )
-    zhat = phi_star @ model.weights
-    half_solved = np.linalg.solve(model.chol_precision, phi_star.T)
-    model_variance = np.einsum("ij,ij->j", half_solved, half_solved)
-    noise_variance = 1.0 / model.hyperparams.beta
-    yhat = warp_inverse(zhat, model.hyperparams.warp)
+    phi_t = np.ascontiguousarray(phi_star.T)
+    zhat, model_variance, yhat = _predict_block([model], phi_t)
     return RegionPrediction(
-        zhat=zhat,
-        model_variance=model_variance,
-        noise_variance=noise_variance,
-        yhat=yhat,
+        zhat=zhat[0],
+        model_variance=model_variance[0],
+        noise_variance=1.0 / model.hyperparams.beta,
+        yhat=yhat[0],
     )
 
 
@@ -1101,14 +1173,16 @@ class DeviationMatrix:
 def _check_regions(model: NormativeModel, cohort: Cohort) -> list[int]:
     """Column index into cohort responses for each model region, in model order."""
     cohort_idx = {r: i for i, r in enumerate(cohort.regions)}
-    missing = [r for r in model.region_names if r not in cohort_idx]
-    extra = [r for r in cohort.regions if r not in set(model.region_names)]
+    names = model.region_names
+    missing = [r for r in names if r not in cohort_idx]
+    in_model = set(names)
+    extra = [r for r in cohort.regions if r not in in_model]
     if missing or extra:
         raise SchemaError(
             f"region mismatch: missing from cohort {missing[:10]}, "
             f"not in model {extra[:10]}"
         )
-    return [cohort_idx[r] for r in model.region_names]
+    return [cohort_idx[r] for r in names]
 
 
 def _log_loss_terms(
@@ -1128,34 +1202,55 @@ def _log_loss_terms(
     return model_ll - base_ll
 
 
+def _score_block(
+    models: Sequence[RegionModel], phi_t: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Z, E, yhat and log loss (each B, N) of the responses y (B, N), one row
+    per region of `models`, at the design rows phi_t.T; see deviations."""
+    zhat, model_variance, yhat = _predict_block(models, phi_t)
+    z = _warp_rows(y, [rm.hyperparams.warp for rm in models], inverse=False)
+    noise = np.array([[1.0 / rm.hyperparams.beta] for rm in models])
+    var_pred = noise + model_variance
+    log_loss = _log_loss_terms(
+        z,
+        zhat,
+        var_pred,
+        np.array([[rm.train_z_mean] for rm in models]),
+        np.array([[rm.train_z_var] for rm in models]),
+    )
+    return (z - zhat) / np.sqrt(var_pred), y - yhat, yhat, log_loss
+
+
 def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     """Score a cohort against the reference model: the one scoring pass.
 
-    Builds the design once and predicts each region once; fit_metrics and
-    parity reduce the result instead of scoring again. Ages outside the
-    model's knot range are clamped, and their count is logged here, once per
-    pass, as a warning.
+    Builds the design once and scores the regions in blocks of _SCORE_BLOCK:
+    each block takes its responses region-major, predicts every region of
+    it at once (_predict_block: one product per region for zhat, and its
+    triangular inverse of the Cholesky factor times the design for the
+    posterior variance), warps only its non-identity regions, and writes
+    its columns of the four (N, D) results, so temporaries stay at N times
+    the block. No product mixes regions: a region's columns are bitwise
+    those of a one-region model, and predict_region gives bitwise its zhat,
+    variance and yhat. fit_metrics and parity reduce the result instead of
+    scoring again. Ages outside the model's knot range are clamped, and
+    their count is logged here, once per pass, as a warning.
     """
     cols = _check_regions(model, cohort)
     design = apply_design(cohort.subjects, model.schema)
     if design.clamp_count:
         log.warning("clamped %d age(s) outside the fitted range", design.clamp_count)
-    phi = design.values
+    phi_t = np.ascontiguousarray(design.values.T)
     responses = cohort.responses
     if cols != list(range(cohort.n_regions)):
         responses = responses[:, cols]
-    z_scores, errors, yhats, log_loss = (np.empty(responses.shape) for _ in range(4))
-    for j, rm in enumerate(model.region_models):
-        y = responses[:, j]
-        pred = predict_region(rm, phi)
-        z = warp_forward(y, rm.hyperparams.warp)
-        var_pred = pred.noise_variance + pred.model_variance
-        z_scores[:, j] = (z - pred.zhat) / np.sqrt(var_pred)
-        errors[:, j] = y - pred.yhat
-        yhats[:, j] = pred.yhat
-        log_loss[:, j] = _log_loss_terms(
-            z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var
-        )
+    results = tuple(np.empty(responses.shape) for _ in range(4))
+    for start in range(0, responses.shape[1], _SCORE_BLOCK):
+        block = slice(start, start + _SCORE_BLOCK)
+        y = np.ascontiguousarray(responses[:, block].T)
+        for out, rows in zip(results, _score_block(model.region_models[block], phi_t, y)):
+            out[:, block] = rows.T
+    z_scores, errors, yhats, log_loss = results
     return DeviationMatrix(
         ids=cohort.ids,
         regions=model.region_names,
@@ -1167,13 +1262,29 @@ def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     )
 
 
+def _region_major(*columns: np.ndarray, rows=slice(None)):
+    """Region-major copies of `rows` of the (N, D) arrays `columns`, a block
+    of _SCORE_BLOCK regions at a time: yields each block's list of
+    contiguous (B, rows) arrays. A reduction along their rows is bitwise that
+    of the same column alone; one along the columns of an (N, D) array is
+    not."""
+    for start in range(0, columns[0].shape[1], _SCORE_BLOCK):
+        block = slice(start, start + _SCORE_BLOCK)
+        yield [np.ascontiguousarray(a[rows, block].T) for a in columns]
+
+
+def _explained_variances(y: np.ndarray, yhat: np.ndarray) -> list[float | None]:
+    """explained_variance of each row of y and yhat (B, n)."""
+    var_y = np.var(y, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ev = 1.0 - np.var(y - yhat, axis=1) / var_y
+    return [None if v == 0.0 else float(e) for v, e in zip(var_y, ev)]
+
+
 def explained_variance(y: np.ndarray, yhat: np.ndarray) -> float | None:
     """1 - Var(y - yhat)/Var(y) with population variances; None when Var(y) = 0."""
     y = np.asarray(y, dtype=float)
-    var_y = float(np.var(y))
-    if var_y == 0.0:
-        return None
-    return 1.0 - float(np.var(y - np.asarray(yhat, dtype=float))) / var_y
+    return _explained_variances(y[None, :], np.asarray(yhat, dtype=float)[None, :])[0]
 
 
 @dataclass
@@ -1185,41 +1296,50 @@ class RegionFitMetrics:
     kurtosis: float
 
 
-def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
-    """Biased skew and excess kurtosis of one column, as scipy.stats computes them.
+def _skew_kurtosis(z: np.ndarray) -> list[tuple[float, float]]:
+    """Biased skew and excess kurtosis of each row of z (B, n), as scipy.stats
+    computes them.
 
     The central moments are formed in scipy's order of operations, so the
     results are bitwise equal to scipy.stats.skew and scipy.stats.kurtosis;
-    a column whose variance is zero to within rounding of its mean gives NaN.
+    a row whose variance is zero to within rounding of its mean gives NaN.
     """
-    mean = z.mean(keepdims=True)
+    mean = z.mean(axis=1, keepdims=True)
     d = z - mean
     d2 = d**2
-    m2, m3, m4 = np.mean(d2), np.mean(d2 * d), np.mean(d2**2)
+    m2, m3, m4 = np.mean(d2, axis=1), np.mean(d2 * d, axis=1), np.mean(d2**2, axis=1)
+    out = []
     with np.errstate(all="ignore"):
-        if m2 <= (np.finfo(float).eps * mean[0]) ** 2:
-            return np.nan, np.nan
-        return float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)
+        # scalar powers: an array power rounds differently from scipy's
+        for mu, m2, m3, m4 in zip(mean[:, 0], m2, m3, m4):
+            if m2 <= (np.finfo(float).eps * mu) ** 2:
+                out.append((np.nan, np.nan))
+            else:
+                out.append((float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)))
+    return out
 
 
 def region_metrics(dm: DeviationMatrix) -> list[RegionFitMetrics]:
     """Per-region fit quality: EV, MSLL, and Z-moment diagnostics.
 
-    Each field is a reduction of one column of the scoring pass.
+    Each field is a reduction of one column of the scoring pass, taken
+    along the rows of a region-major copy (_region_major).
     """
-    metrics = []
-    for j, region in enumerate(dm.regions):
-        skew, kurtosis = _skew_kurtosis(dm.Z[:, j])
-        metrics.append(
-            RegionFitMetrics(
-                region=region,
-                explained_variance=explained_variance(dm.y[:, j], dm.yhat[:, j]),
-                msll=float(np.mean(dm.log_loss[:, j])),
-                skew=skew,
-                kurtosis=kurtosis,
-            )
+    evs, mslls, moments = [], [], []
+    for y, yhat, log_loss, z in _region_major(dm.y, dm.yhat, dm.log_loss, dm.Z):
+        evs += _explained_variances(y, yhat)
+        mslls += np.mean(log_loss, axis=1).tolist()
+        moments += _skew_kurtosis(z)
+    return [
+        RegionFitMetrics(
+            region=region,
+            explained_variance=ev,
+            msll=msll,
+            skew=skew,
+            kurtosis=kurtosis,
         )
-    return metrics
+        for region, ev, msll, (skew, kurtosis) in zip(dm.regions, evs, mslls, moments)
+    ]
 
 
 def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]:

@@ -423,7 +423,8 @@ def evaluate_holdout(
 
     The holdout is the one test-index array of the same report builder that
     cross_validate uses. Each class gives floor(test_fraction * size) of its
-    members, at least one, drawn by its own stream keyed on (seed, class index).
+    members, at least one and at most size - 1, so that every class keeps a
+    training row, drawn by its own stream keyed on (seed, class index).
     """
     config = config or ClassifierConfig()
     if not (0.0 < test_fraction < 1.0):
@@ -435,7 +436,7 @@ def evaluate_holdout(
         idx = np.nonzero(labels == cls)[0]
         if idx.size < 2:
             raise InputError(f"class '{cls}' has fewer than 2 members")
-        k = max(1, int(np.floor(test_fraction * idx.size + 1e-9)))
+        k = min(max(1, int(np.floor(test_fraction * idx.size + 1e-9))), idx.size - 1)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, ci]))
         test_parts.append(rng.permutation(idx)[:k])
     test_idx = np.array(sorted(int(i) for i in np.concatenate(test_parts)))

@@ -56,13 +56,22 @@ class WarpParams:
         return cls(epsilon=float(d["epsilon"]), log_delta=float(d["log_delta"]))
 
 
+def _forward(y: np.ndarray, epsilon, delta) -> np.ndarray:
+    """The forward map at epsilon and delta, which broadcast against y."""
+    return np.sinh(delta * np.arcsinh(y) - epsilon)
+
+
+def _inverse(z: np.ndarray, epsilon, delta) -> np.ndarray:
+    """The inverse map at epsilon and delta, which broadcast against z."""
+    return np.sinh((np.arcsinh(z) + epsilon) / delta)
+
+
 def warp_forward(y: np.ndarray | float, params: WarpParams) -> np.ndarray | float:
     """Map observed responses to the latent Gaussian scale."""
     y = np.asarray(y, dtype=float)
     if params.is_identity():
         return y.copy()
-    delta = np.exp(params.log_delta)
-    return np.sinh(delta * np.arcsinh(y) - params.epsilon)
+    return _forward(y, params.epsilon, np.exp(params.log_delta))
 
 
 def warp_inverse(z: np.ndarray | float, params: WarpParams) -> np.ndarray | float:
@@ -70,6 +79,5 @@ def warp_inverse(z: np.ndarray | float, params: WarpParams) -> np.ndarray | floa
     z = np.asarray(z, dtype=float)
     if params.is_identity():
         return z.copy()
-    delta = np.exp(params.log_delta)
-    return np.sinh((np.arcsinh(z) + params.epsilon) / delta)
+    return _inverse(z, params.epsilon, np.exp(params.log_delta))
 

@@ -1,4 +1,5 @@
-"""Cholesky reference of the warped evidence: the oracle for the fitting engine.
+"""Cholesky reference of the warped evidence, and per-region scoring: the
+oracles for the fitting and scoring engines.
 
 normgauge.blr evaluates the evidence in the eigenbasis of Phi^T Phi with the
 warp inlined. This module evaluates the same NLL and gradient the textbook
@@ -9,6 +10,11 @@ checks the engine's algebra and its inlined warp against the warp module.
 warp_derivative and warp_log_jacobian are the closed forms of the warp's
 derivative, the oracle for the Jacobian that the engine computes inline;
 engine_evidence evaluates the engine itself at one region and one setting.
+
+reference_deviations scores a cohort one region at a time, as deviations did
+before it scored blocks of regions: the posterior variance from a general LU
+solve against the Cholesky factor, and each column warped by warp_forward and
+warp_inverse.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from normgauge import Hyperparams, WarpParams, warp_forward
+from normgauge import (
+    Cohort,
+    DeviationMatrix,
+    Hyperparams,
+    NormativeModel,
+    WarpParams,
+    apply_design,
+    warp_forward,
+    warp_inverse,
+)
 from normgauge.blr import _Spectrum, _WarpedEvidence
 from normgauge.errors import NumericalError
 
@@ -127,3 +142,35 @@ class CholeskyEvidence:
             st.residual @ (cosh_u * self.asinh_y)
         ) - float(np.sum(1.0 + delta * self.asinh_y * tanh_u))
         return np.array([d_log_alpha, d_log_beta, d_eps, d_log_delta])
+
+
+def reference_deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
+    """The scoring pass of deviations, one region at a time."""
+    phi = apply_design(cohort.subjects, model.schema).values
+    columns = [cohort.regions.index(r) for r in model.region_names]
+    responses = cohort.responses[:, columns]
+    z_scores, errors, yhats, log_loss = (np.empty(responses.shape) for _ in range(4))
+    for j, rm in enumerate(model.region_models):
+        warp = rm.hyperparams.warp
+        y = responses[:, j]
+        zhat = phi @ rm.weights
+        half_solved = np.linalg.solve(rm.chol_precision, phi.T)
+        var_pred = 1.0 / rm.hyperparams.beta + np.einsum("ij,ij->j", half_solved, half_solved)
+        z = warp_forward(y, warp)
+        yhats[:, j] = warp_inverse(zhat, warp)
+        z_scores[:, j] = (z - zhat) / np.sqrt(var_pred)
+        errors[:, j] = y - yhats[:, j]
+        model_ll = 0.5 * np.log(2.0 * np.pi * var_pred) + (z - zhat) ** 2 / (2.0 * var_pred)
+        base_ll = 0.5 * np.log(2.0 * np.pi * rm.train_z_var) + (z - rm.train_z_mean) ** 2 / (
+            2.0 * rm.train_z_var
+        )
+        log_loss[:, j] = model_ll - base_ll
+    return DeviationMatrix(
+        ids=cohort.ids,
+        regions=model.region_names,
+        Z=z_scores,
+        E=errors,
+        yhat=yhats,
+        log_loss=log_loss,
+        y=responses,
+    )

@@ -11,7 +11,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from evidence_reference import CholeskyEvidence, engine_evidence, warp_log_jacobian
+from evidence_reference import (
+    CholeskyEvidence,
+    engine_evidence,
+    reference_deviations,
+    warp_log_jacobian,
+)
 from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import minimize
@@ -1006,6 +1011,126 @@ class TestDeviations:
         )
         with pytest.raises(SchemaError, match="r0"):
             deviations(model, other)
+
+
+class TestScoringOracle:
+    """deviations scores blocks of regions through triangular inverses of the
+    Cholesky factors. Oracle: the former per-region scoring with a general LU
+    solve (evidence_reference.reference_deviations), which Z, E, yhat and the
+    log loss must match within 1e-12 absolute."""
+
+    @staticmethod
+    def assert_matches_oracle(model, cohort):
+        got, expected = deviations(model, cohort), reference_deviations(model, cohort)
+        for name in ("Z", "E", "yhat", "log_loss"):
+            np.testing.assert_allclose(
+                getattr(got, name), getattr(expected, name), rtol=0.0, atol=1e-12, err_msg=name
+            )
+
+    @pytest.mark.parametrize(
+        "noise_skew",
+        [None, WarpParams(epsilon=0.5, log_delta=-0.3)],
+        ids=["gauss", "skewed"],
+    )
+    def test_fitted_cohorts(self, noise_skew):
+        cohort, _ = generate(
+            SynthSpec(
+                n_per_group={"A": 100, "B": 100, "W": 400},
+                n_regions=20,
+                noise_sd=0.5,
+                noise_skew=noise_skew,
+                group_offsets={"A": -0.5},
+                seed=2,
+            )
+        )
+        model = fit_normative(cohort.subset(np.arange(0, 600, 2)))
+        warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
+        assert any(warped) == (noise_skew is not None)
+        self.assert_matches_oracle(model, cohort.subset(np.arange(1, 600, 2)))
+
+    @pytest.mark.parametrize(
+        "noise_skew",
+        [None, WarpParams(epsilon=0.5, log_delta=-0.3)],
+        ids=["gauss", "skewed"],
+    )
+    def test_badly_conditioned_bundle(self, noise_skew):
+        # the bundles of test_variance_matches_two_sided_cholesky_solve
+        cohort, _ = generate(
+            SynthSpec(
+                n_per_group={"W": 400},
+                n_regions=2,
+                noise_sd=0.5,
+                noise_skew=noise_skew,
+                seed=8,
+            )
+        )
+        model = fit_normative(cohort.subset(np.arange(300)))
+        cond = max(
+            np.linalg.cond(rm.chol_precision @ rm.chol_precision.T)
+            for rm in model.region_models
+        )
+        assert cond > 1e6
+        self.assert_matches_oracle(model, cohort.subset(np.arange(300, 400)))
+
+    def test_region_held_at_a_scale_bound(self):
+        rng = np.random.default_rng(0)
+        ages = rng.uniform(20, 70, 400)
+        y = (0.02 * ages + rng.normal(0.0, 0.25, 400)) * 1e-6
+        cohort = make_cohort(ages, y)
+        model = fit_normative(cohort.subset(np.arange(300)))
+        (rm,) = model.region_models
+        assert blr._scale_at_bound(
+            [rm.hyperparams.log_alpha, rm.hyperparams.log_beta]
+        ) and not rm.converged
+        self.assert_matches_oracle(model, cohort.subset(np.arange(300, 400)))
+
+
+class TestScoringIndependence:
+    """A region's scores depend only on its own model, column and the design
+    rows: each column is bitwise that of a one-region model scored alone, and
+    predict_region gives bitwise the pass's values. Seventeen regions leave
+    the last block of the pass partly filled."""
+
+    @staticmethod
+    def model_and_cohort():
+        ages, _ = TestNormalityScreen.ages_and_design()
+        kinds = ("gaussian", "skewed-warp", "student-t", "bimodal", "laplace")
+        responses = np.column_stack(
+            [TestNormalityScreen.responses(kind)[1] for kind in kinds]
+        )[:, :17]
+        cohort = make_cohort(ages, responses)
+        model = fit_normative(cohort.subset(np.arange(300)))
+        return model, cohort
+
+    @pytest.mark.parametrize("rows", [slice(300, 400), slice(300, 301)], ids=["100-rows", "1-row"])
+    def test_each_region_scores_as_if_alone(self, rows):
+        model, cohort = self.model_and_cohort()
+        assert len(model.region_models) % blr._SCORE_BLOCK != 0
+        assert len(model.region_models) > blr._SCORE_BLOCK
+        warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
+        assert any(warped) and not all(warped)
+        test = cohort.subset(np.arange(cohort.n_subjects)[rows])
+        full = deviations(model, test)
+        phi = apply_design(test.subjects, model.schema).values
+        for j, rm in enumerate(model.region_models):
+            one = NormativeModel(region_models=(rm,), config=model.config, schema=model.schema)
+            column = Cohort(
+                subjects=test.subjects, regions=(rm.region,), responses=test.responses[:, [j]]
+            )
+            alone = deviations(one, column)
+            for name in ("Z", "E", "yhat", "log_loss"):
+                np.testing.assert_array_equal(
+                    getattr(alone, name)[:, 0], getattr(full, name)[:, j], err_msg=name
+                )
+            pred = predict_region(rm, phi)
+            z = warp_forward(test.responses[:, j], rm.hyperparams.warp)
+            var_pred = pred.noise_variance + pred.model_variance
+            np.testing.assert_array_equal((z - pred.zhat) / np.sqrt(var_pred), full.Z[:, j])
+            np.testing.assert_array_equal(pred.yhat, full.yhat[:, j])
+            np.testing.assert_array_equal(
+                blr._log_loss_terms(z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var),
+                full.log_loss[:, j],
+            )
 
 
 class TestFitMetrics:

@@ -465,6 +465,16 @@ class TestHoldout:
         assert np.isfinite(report.auc).all()
         assert report.macro_mean("auc") > 0.95
 
+    def test_every_class_keeps_a_training_row(self):
+        # at a fraction this close to 1, floor(f * 2 + 1e-9) is the whole
+        # 2-member class; the cap leaves it one training row
+        rng = np.random.default_rng(13)
+        labels = ["A"] * 2 + ["B"] * 5 + ["W"] * 5
+        x = rng.normal(size=(len(labels), 3))
+        report = evaluate_holdout(x, labels, test_fraction=1 - 4e-10)
+        assert report.classes == ("A", "B", "W")
+        np.testing.assert_array_equal(report.confusion_counts.sum(axis=1), [1, 4, 4])
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(InputError):
             evaluate_holdout(np.zeros((10, 1)), ["A", "W"] * 5, test_fraction=1.0)

@@ -360,6 +360,37 @@ class TestClassifyOptions:
         for name in ("clf_metrics.csv", "roc_points.csv", "confusion.csv"):
             assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
+    def test_holdout_fraction_near_one_keeps_every_class(self, tmp_path):
+        # floor(f * 2 + 1e-9) at this f is the whole 2-member class A; the
+        # fold's model then lacked A and the report raised a traceback
+        labels = ["A"] * 2 + ["B"] * 5 + ["W"] * 5
+        ids = [f"s{i:02d}" for i in range(len(labels))]
+        rng = np.random.default_rng(0)
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text(
+            "id,age,sex,race\n"
+            + "".join(f"{sid},{40 + i},F,{g}\n" for i, (sid, g) in enumerate(zip(ids, labels))),
+            encoding="utf-8",
+        )
+        deviations = tmp_path / "deviations.csv"
+        values = rng.normal(size=(len(ids), 2)).tolist()
+        deviations.write_text(
+            "id,region_000,region_001\n"
+            + "".join(f"{sid},{a!r},{b!r}\n" for sid, (a, b) in zip(ids, values)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "clf"
+        result = _python(
+            "-m", "normgauge.cli", "classify", "--deviations", deviations,
+            "--covariates", covariates, "--out", out,
+            "--holdout-fraction", repr(1 - 4e-10),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        with open(out / "clf_metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["class"], r["fold"]) for r in rows] == [("A", "0"), ("B", "0"), ("W", "0")]
+
     def test_svg(self, pipeline, tmp_path, capsys):
         out = tmp_path / "clf_svg"
         code = self.classify(pipeline, out, "--folds", "4", "--svg")
