@@ -1,0 +1,58 @@
+"""UTF-8 text and JSON files, without numpy.
+
+Every command reads or writes some JSON (a --config file, run_config.json), and
+`report` reads nothing else but JSON and small CSVs, so these helpers import
+only the standard library. serialize re-exports them beside its CSV code.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any
+
+from .errors import InputError
+
+
+def _plain(obj: Any) -> Any:
+    """json.dumps' fallback: a numpy array or scalar as its Python value."""
+    # reached only for objects json cannot write, so numpy is loaded already
+    # wherever the object is a numpy one
+    import numpy as np
+
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def dump_json(obj: Any, path: str | Path) -> None:
+    """Write obj as indented JSON; floats are repr text, NaN and inf raise ValueError."""
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a file, line ends as they are.
+
+    A missing file, or one that is not UTF-8, raises InputError naming it;
+    for the latter the message gives the line and value of the first byte
+    that does not decode.
+    """
+    if not path.exists():
+        raise InputError(f"file not found: {path}")
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(
+            f"{path} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
+        ) from None
+
+
+def load_json(path: str | Path) -> Any:
+    path = Path(path)
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from None

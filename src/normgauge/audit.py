@@ -22,7 +22,6 @@ no pair takes more than 62 iterations.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,8 +30,6 @@ import numpy as np
 
 from .blr import DeviationMatrix, _explained_variances, _region_major
 from .errors import InputError, NumericalError
-
-log = logging.getLogger(__name__)
 
 DEFAULT_EXTREME_THRESHOLD = 2.0
 
@@ -121,7 +118,12 @@ def group_difference(
     groups: Sequence[str],
     contrast: tuple[str, str],
 ) -> WelchResult:
-    """Welch two-sample test per region (column) for group_one vs group_two."""
+    """Welch two-sample test per region (column) for group_one vs group_two.
+
+    A group with fewer than two members leaves the contrast untestable: t, p
+    and df are NaN in every region, and `testable` is all False. The caller,
+    which knows how often it tests the same groups, reports it.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     group_arr = np.asarray(list(groups))
     if group_arr.shape[0] != values.shape[0]:
@@ -134,10 +136,6 @@ def group_difference(
     d_count = values.shape[1]
     if x.shape[0] < 2 or y.shape[0] < 2:
         nan_row = np.full(d_count, np.nan)
-        log.warning(
-            "contrast %s vs %s untestable: group sizes %d and %d",
-            g1, g2, x.shape[0], y.shape[0],
-        )
         return WelchResult(contrast=(g1, g2), t=nan_row, p=nan_row.copy(), df=nan_row.copy())
 
     n1, n2 = x.shape[0], y.shape[0]

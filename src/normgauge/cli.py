@@ -9,69 +9,34 @@ configuration is echoed to run_config.json in the output directory, and
 outputs contain no timestamps, so reruns with the same inputs are
 byte-identical. Exit codes: 0 success, 2 input/configuration problems,
 3 schema mismatches, 4 numerical failures.
+
+Each command imports the modules it runs inside its own function, numpy
+included, so a command pays at start-up only for what it calls: `classify`
+loads no blr, design, audit, synth or warp, `synth` no blr, and `report`, whose
+statistics are taken in pure Python (_sum), no numpy at all. Importing this
+module loads only the standard library, the exceptions and the JSON helpers.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import importlib.util
+import io
 import json
 import logging
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._textio import dump_json, load_json, read_text
 from ._version import __version__
-from .audit import (
-    bh_fdr,
-    group_difference,
-    group_parity,
-    group_summary,
-    significant_fraction,
-)
-from .blr import (
-    deviations,
-    fit_metrics,
-    fit_normative,
-    load_bundle,
-    region_metrics,
-    save_bundle,
-)
-from .cohort import (
-    CohortSchema,
-    SplitSpec,
-    Subject,
-    _join_features,
-    demographics_summary,
-    load_cohort,
-    qc_filter,
-    read_covariates,
-    save_cohort,
-    stratified_split,
-)
-from .classify import (
-    ClassifierConfig,
-    cross_validate,
-    evaluate_holdout,
-    render_roc_svg,
-    write_clf_metrics,
-    write_confusion,
-    write_roc_points,
-)
-from .design import BasisConfig, ModelConfig
 from .errors import InputError, NormgaugeError, SchemaError
-from .serialize import (
-    dump_json,
-    load_json,
-    read_matrix_csv,
-    read_text,
-    write_csv,
-    write_matrix_csvs,
-)
-from .synth import SynthSpec, generate
+
+if TYPE_CHECKING:
+    from .cohort import Cohort, CohortSchema, Subject
 
 log = logging.getLogger(__name__)
 
@@ -139,6 +104,8 @@ def _write_run_config(out_dir: Path, command: str, cfg: dict) -> None:
 
 
 def _schema_from(cfg: dict) -> CohortSchema:
+    from .cohort import CohortSchema
+
     labels = tuple(
         sorted(s.strip() for s in cfg["race_labels"].split(",") if s.strip())
     )
@@ -189,6 +156,9 @@ _METRICS_HEADER = ["region", "explained_variance", "msll", "skew", "kurtosis"]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .cohort import save_cohort
+    from .synth import SynthSpec, generate
+
     cfg = _resolve(args, required=("spec", "out"))
     spec_doc = load_json(cfg["spec"])
     if not isinstance(spec_doc, dict):
@@ -210,23 +180,41 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .blr import fit_metrics, fit_normative, save_bundle
+    from .cohort import (
+        SplitSpec,
+        demographics_summary,
+        load_cohort,
+        qc_filter,
+        stratified_split,
+    )
+    from .design import BasisConfig, ModelConfig
+    from .serialize import write_csv
+
     cfg = _resolve(args, required=("covariates", "features", "out"))
     schema = _schema_from(cfg)
-    cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
-    cohort = qc_filter(cohort, cfg["min_qc"])
-    if cohort.n_subjects == 0:
-        raise InputError("no subjects left to fit after loading and QC")
+    test = None
 
-    if cfg["train_frac"] is not None or cfg["default_train_frac"] is not None:
-        fractions = _parse_fractions(cfg["train_frac"] or "")
-        split = SplitSpec(
-            fractions=fractions,
-            seed=cfg["seed"],
-            default_fraction=cfg["default_train_frac"],
-        )
-        train, test = stratified_split(cohort, split)
-    else:
-        train, test = cohort, cohort.subset([])
+    def training(cohort: Cohort) -> Cohort:
+        """QC and the split of the joined subjects; only the training split's
+        feature rows are parsed, and the held-out split keeps no regions."""
+        nonlocal test
+        cohort = qc_filter(cohort, cfg["min_qc"])
+        if cohort.n_subjects == 0:
+            raise InputError("no subjects left to fit after loading and QC")
+        if cfg["train_frac"] is not None or cfg["default_train_frac"] is not None:
+            fractions = _parse_fractions(cfg["train_frac"] or "")
+            split = SplitSpec(
+                fractions=fractions,
+                seed=cfg["seed"],
+                default_fraction=cfg["default_train_frac"],
+            )
+            train, test = stratified_split(cohort, split)
+        else:
+            train, test = cohort, cohort.subset([])
+        return train
+
+    train = load_cohort(cfg["covariates"], cfg["features"], schema, keep=training)
 
     knot_range = None
     if cfg["knot_lo"] is not None and cfg["knot_hi"] is not None:
@@ -286,14 +274,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .blr import deviations, load_bundle, region_metrics
+    from .cohort import load_cohort
+    from .serialize import _unique_ids, write_csv, write_matrix_csvs
+
     cfg = _resolve(args, required=("bundle", "covariates", "features", "out"))
     model = load_bundle(cfg["bundle"])
     schema = _schema_from(cfg)
-    cohort = load_cohort(cfg["covariates"], cfg["features"], schema)
-    if cfg["ids"] is not None:
-        text = read_text(Path(cfg["ids"]))
-        wanted = [line.strip() for line in text.splitlines() if line.strip()]
-        cohort = cohort.subset_by_ids(wanted)
+
+    def scored(cohort: Cohort) -> Cohort:
+        """The --ids subset of the joined subjects, if given; only its feature
+        rows are parsed."""
+        if cfg["ids"] is None:
+            return cohort
+        path = Path(cfg["ids"])
+        wanted = [line.strip() for line in read_text(path).splitlines() if line.strip()]
+        return cohort.subset_by_ids(_unique_ids(path, wanted))
+
+    cohort = load_cohort(cfg["covariates"], cfg["features"], schema, keep=scored)
     if cohort.n_subjects == 0:
         raise InputError("no subjects to evaluate")
     dm = deviations(model, cohort)
@@ -327,6 +325,19 @@ def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .audit import (
+        bh_fdr,
+        group_difference,
+        group_parity,
+        group_summary,
+        significant_fraction,
+    )
+    from .blr import deviations, load_bundle
+    from .cohort import _join_features, read_covariates
+    from .serialize import read_matrix_csv, write_csv
+
     cfg = _resolve(
         args, required=("deviations", "errors", "covariates", "out", "contrasts")
     )
@@ -339,12 +350,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
     schema = _schema_from(cfg)
     cov_map, incomplete = read_covariates(Path(cfg["covariates"]), schema)
     groups = _races(ids_z, cov_map)
-    present = set(groups)
+    sizes = collections.Counter(groups)
     contrasts = _parse_contrasts(cfg["contrasts"])
     for g1, g2 in contrasts:
         for g in (g1, g2):
-            if g not in present:
+            if g not in sizes:
                 raise InputError(f"contrast group '{g}' absent from the scored cohort")
+        # group_difference gives such a contrast NaN in every region, for each
+        # metric; it is reported once
+        if min(sizes[g1], sizes[g2]) < 2:
+            log.warning(
+                "contrast %s vs %s untestable: group sizes %d and %d",
+                g1, g2, sizes[g1], sizes[g2],
+            )
 
     q = cfg["q"]
     threshold = cfg["threshold"]
@@ -353,9 +371,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     scored = None
     if cfg["bundle"] is not None:
         model = load_bundle(cfg["bundle"])
-        # the covariates read above, not read again
-        cohort = _join_features(cov_map, incomplete, Path(cfg["features"]), schema)
-        scored = deviations(model, cohort.subset_by_ids(ids_z))
+        # the covariates read above, not read again; only the scored ids'
+        # feature rows are parsed
+        cohort = _join_features(
+            cov_map, incomplete, Path(cfg["features"]), schema,
+            keep=lambda joined: joined.subset_by_ids(ids_z),
+        )
+        scored = deviations(model, cohort)
     # a scoring pass holds its rows in sorted-id order, the files need not
     order = sorted(range(len(ids_z)), key=ids_z.__getitem__)
     parity = group_parity(
@@ -444,6 +466,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import (
+        ClassifierConfig,
+        cross_validate,
+        evaluate_holdout,
+        render_roc_svg,
+        write_clf_metrics,
+        write_confusion,
+        write_roc_points,
+    )
+    from .cohort import read_covariates
+    from .serialize import read_matrix_csv
+
     cfg = _resolve(args, required=("deviations", "covariates", "out"))
     if cfg["svg"] and importlib.util.find_spec("matplotlib") is None:
         # fail before any output is written, not after the cross-validation
@@ -488,8 +522,52 @@ def _find_artifact(run_dir: Path, name: str) -> Path | None:
 
 
 def _read_csv_dicts(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    # through read_text, so that a file that is not UTF-8 exits 2
+    with io.StringIO(read_text(path), newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _sum(values: list[float]) -> float:
+    """The sum in numpy's pairwise order, so that the report's statistics are
+    the doubles np.mean, np.median and np.std give, without loading numpy.
+
+    A plain loop below 8 values, 8 running sums up to 128, and above that the
+    sums of two halves cut at a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[n - n % 8:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _sum(values[:half]) + _sum(values[half:])
+
+
+def _mean(values: list[float]) -> float:
+    return _sum(values) / len(values)
+
+
+def _median(values: list[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else _mean(ordered[mid - 1:mid + 1])
+
+
+def _sd(values: list[float]) -> float:
+    """The sample standard deviation (ddof 1) of two or more values."""
+    mean = _mean(values)
+    return math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / (len(values) - 1))
 
 
 def _fmt(value: float | None, digits: int = 3) -> str:
@@ -546,10 +624,9 @@ def _fit_section(path: Path | None) -> list[str]:
         if not vals:
             lines.append(f"| {metric} | - | - | - | - |")
             continue
-        arr = np.asarray(vals)
         lines.append(
-            f"| {metric} | {_fmt(float(arr.mean()))} | {_fmt(float(np.median(arr)))} "
-            f"| {_fmt(float(arr.min()))} | {_fmt(float(arr.max()))} |"
+            f"| {metric} | {_fmt(_mean(vals))} | {_fmt(_median(vals))} "
+            f"| {_fmt(min(vals))} | {_fmt(max(vals))} |"
         )
     lines.append("")
     return lines
@@ -605,10 +682,10 @@ def _classifier_section(path: Path | None) -> list[str]:
     def cell(vals: list[float]) -> str:
         if not vals:
             return "-"
-        mean = float(np.mean(vals))
+        mean = _mean(vals)
         if len(vals) < 2:
             return _fmt(mean)
-        return f"{_fmt(mean)} +/- {_fmt(float(np.std(vals, ddof=1)))}"
+        return f"{_fmt(mean)} +/- {_fmt(_sd(vals))}"
 
     macro: dict[str, list[float]] = {"auc": [], "precision": [], "recall": [], "f": []}
     for cls in sorted(by_class):
@@ -619,11 +696,11 @@ def _classifier_section(path: Path | None) -> list[str]:
         )
         for metric in macro:
             if entry[metric]:
-                macro[metric].append(float(np.mean(entry[metric])))
+                macro[metric].append(_mean(entry[metric]))
     lines.append(
         "| macro | "
         + " | ".join(
-            _fmt(float(np.mean(macro[m]))) if macro[m] else "-"
+            _fmt(_mean(macro[m])) if macro[m] else "-"
             for m in ("auc", "precision", "recall", "f")
         )
         + " |"

@@ -6,6 +6,12 @@ with one numeric column per region. Subjects present in only one file are
 dropped (counted in a warning); rows missing a required covariate value
 are likewise dropped and counted. A cohort's subjects are always held in
 sorted-id order, which is the canonical order for every downstream output.
+
+The join needs only the features file's ids, so load_cohort can hand the
+joined subjects, as a Cohort with no regions, to a `keep` function (QC and the
+split for `fit`, the --ids subset for `evaluate`) and parse the feature rows of
+the subjects it keeps, and no others. A cell of a row not kept is never parsed
+or checked; every row's id and cell count still is.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -226,8 +232,13 @@ def load_cohort(
     covariates_path: str | Path,
     features_path: str | Path,
     schema: CohortSchema | None = None,
+    keep: Callable[[Cohort], Cohort] | None = None,
 ) -> Cohort:
-    """Inner-join covariates and features on id; canonical sorted-id order."""
+    """Inner-join covariates and features on id; canonical sorted-id order.
+
+    keep, where given, chooses the subjects whose feature rows are parsed;
+    see _join_features.
+    """
     schema = schema or CohortSchema()
     cov_path, feat_path = Path(covariates_path), Path(features_path)
     # both files must exist before either is parsed
@@ -236,35 +247,52 @@ def load_cohort(
     if not feat_path.exists():
         raise InputError(f"file not found: {feat_path}")
     subjects, incomplete = read_covariates(cov_path, schema)
-    return _join_features(subjects, incomplete, feat_path, schema)
+    return _join_features(subjects, incomplete, feat_path, schema, keep)
 
 
 def _join_features(
-    subjects: dict[str, Subject], incomplete: int, feat_path: Path, schema: CohortSchema
+    subjects: dict[str, Subject],
+    incomplete: int,
+    feat_path: Path,
+    schema: CohortSchema,
+    keep: Callable[[Cohort], Cohort] | None = None,
 ) -> Cohort:
     """Join read_covariates' subjects to a features CSV on id, warning of the
-    subjects dropped and of the incomplete covariate rows."""
-    feat_ids, regions, values = read_matrix_csv(feat_path)
+    subjects dropped and of the incomplete covariate rows.
+
+    The join needs only the features file's ids. keep, where given, maps the
+    joined subjects, as a Cohort with no regions, to the cohort of those whose
+    feature rows are wanted; only their rows are parsed and checked, and the
+    cohort returned holds them.
+    """
+    joined: Cohort | None = None
+
+    def rows(feat_ids: list[str]) -> list[int]:
+        nonlocal joined
+        feat_index = {sid: i for i, sid in enumerate(feat_ids)}
+        common = sorted(set(subjects) & set(feat_index))
+        unmatched = (len(subjects) - len(common)) + (len(feat_ids) - len(common))
+        if unmatched:
+            log.warning(
+                "dropped %d subject(s) present in only one input file", unmatched
+            )
+        if incomplete:
+            log.warning("dropped %d row(s) with missing required covariates", incomplete)
+        joined = Cohort(
+            subjects=tuple(subjects[sid] for sid in common),
+            regions=(),
+            responses=np.empty((len(common), 0)),
+            schema=schema,
+        )
+        if keep is not None:
+            joined = keep(joined)
+        return [feat_index[s.id] for s in joined.subjects]
+
+    _, regions, values = read_matrix_csv(feat_path, rows)
     if values.size and not np.all(np.isfinite(values)):
         raise InputError(f"{feat_path}: non-finite feature values")
-
-    feat_index = {sid: i for i, sid in enumerate(feat_ids)}
-    common = sorted(set(subjects) & set(feat_index))
-    unmatched = (len(subjects) - len(common)) + (len(feat_ids) - len(common))
-    if unmatched:
-        log.warning(
-            "dropped %d subject(s) present in only one input file", unmatched
-        )
-    if incomplete:
-        log.warning("dropped %d row(s) with missing required covariates", incomplete)
-
     return Cohort(
-        subjects=tuple(subjects[sid] for sid in common),
-        regions=tuple(regions),
-        responses=values[[feat_index[sid] for sid in common]]
-        if common
-        else np.empty((0, len(regions))),
-        schema=schema,
+        subjects=joined.subjects, regions=tuple(regions), responses=values, schema=schema
     )
 
 

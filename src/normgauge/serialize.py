@@ -1,4 +1,9 @@
-"""Deterministic JSON and CSV writers, and the id-keyed matrix CSV reader.
+"""Deterministic CSV writers, the id-keyed matrix CSV reader, and the
+forked chunks they and the fits run in.
+
+The JSON and text helpers (dump_json, load_json, read_text) live in _textio,
+which imports no numpy so that `report` need not load it; they are
+re-exported here.
 
 Model bundles must survive a save/load round trip bit-for-bit, so every float,
 in JSON and in CSV alike, is written as repr() writes it: the shortest text
@@ -14,7 +19,10 @@ is quoted like any other line break. `read_matrix_csv` accepts what
 `csv.reader` splits and what `float()` parses: blank lines are skipped, CRLF
 and quoted cells are allowed, and `1_0` or ` 1.5 ` parse as float() parses
 them. Rows are formatted a whole row and parsed a whole chunk of rows at a
-time, not cell by cell.
+time, not cell by cell. A reader may choose the rows it parses (the rows
+argument): every row's id and cell count is still read, so a repeated id or
+a short or long row anywhere still fails, but a cell of a row not chosen is
+never parsed.
 
 Matrix files are formatted and parsed in one contiguous chunk of rows per
 usable CPU (_chunk_ranges). On Linux with two or more usable CPUs, every
@@ -22,8 +30,9 @@ chunk after the first runs in a forked child (_forked_iter) while the caller
 runs the first; elsewhere, or while another Python thread runs, the one chunk
 runs in-process. write_matrix_csvs cuts the rows of all its files as one
 sequence and writes each file's header and then the chunks' text in order.
-read_matrix_csv cuts the text at line breaks, parses each chunk with
-np.loadtxt, and reads the whole file serially if any chunk fails. The same
+read_matrix_csv finds every row by offsets into the text, cuts the rows it
+parses, parses each chunk with np.loadtxt, and reads the whole file serially
+if any chunk fails. The same
 helpers split the region fits of blr and the (fold, class) binary fits of
 classify, which run OpenBLAS on one thread while they are forked
 (_one_blas_thread). No option selects either way, a forked child never forks
@@ -38,7 +47,6 @@ import contextlib
 import csv
 import ctypes
 import itertools
-import json
 import math
 import os
 import pickle
@@ -50,47 +58,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._textio import dump_json, load_json, read_text  # noqa: F401  (serialize's API)
 from .errors import InputError, SchemaError
-
-
-def _plain(obj: Any) -> Any:
-    """json.dumps' fallback: a numpy array or scalar as its Python value."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def dump_json(obj: Any, path: str | Path) -> None:
-    """Write obj as indented JSON; floats are repr text, NaN and inf raise ValueError."""
-    text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def read_text(path: Path) -> str:
-    """The UTF-8 text of a file, line ends as they are.
-
-    A missing file, or one that is not UTF-8, raises InputError naming it;
-    for the latter the message gives the line and value of the first byte
-    that does not decode.
-    """
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InputError(
-            f"{path} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
-        ) from None
-
-
-def load_json(path: str | Path) -> Any:
-    path = Path(path)
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
 def format_cell(value: Any) -> str:
@@ -392,95 +361,135 @@ def _unique_ids(path: Path, ids: list[str]) -> list[str]:
     return ids
 
 
-def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
+def read_matrix_csv(
+    path: str | Path, rows: Callable[[list[str]], Sequence[int]] | None = None
+) -> tuple[list[str], list[str], np.ndarray]:
     """Read an id-keyed numeric matrix; returns (ids, columns, values).
 
     A repeated id raises InputError naming it, and so does a missing file or
     one that is not UTF-8 (see read_text).
 
-    Without quotes the file splits on line breaks and each row's id at its
-    first comma, and np.loadtxt parses all cells; it accepts a subset of what
-    float() accepts and returns the same doubles. The rows are cut at line
-    breaks into one chunk per usable CPU, and every chunk after the first is
-    parsed in a forked child (_forked_map). Any other file, or one whose chunk
-    np.loadtxt rejects, is read whole by csv.reader and parsed with float()
-    semantics in one array conversion, which raises the first bad row or cell
-    in file order.
+    rows, where given, chooses the rows to parse: it is called once with
+    every row's id in file order, after the ids are known to be unique, and
+    returns the indices of the rows wanted. The ids and values returned are
+    those rows' in that order. Every row's id and cell count is still read,
+    so a short or long row anywhere raises, but a cell of a row not chosen is
+    never parsed. Without rows, every row is parsed, in file order.
+
+    Without quotes the file splits on line breaks, each row's id ends at its
+    first comma, and each row must hold as many commas as the header has
+    columns; the scan keeps offsets into the text, not copies of its lines.
+    The chosen rows are cut into one chunk per usable CPU, and np.loadtxt
+    parses each, every chunk after the first in a forked child (_forked_map);
+    it accepts a subset of what float() accepts and returns the same doubles.
+    Any other file, or one with a ragged row or a chunk np.loadtxt rejects,
+    is read whole by csv.reader and its chosen rows parsed with float()
+    semantics in one array conversion, which raises the first ragged row, or
+    bad cell of a chosen row, in file order.
     """
     path = Path(path)
     text = read_text(path)
-    if any(c in text for c in _CSV_READER_ONLY):
-        return _read_csv_rows(path)
-    header, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")
-    del text
-    columns = _matrix_columns(path, header.split(","))
-    if columns:
-        parts = _forked_map(lambda span: _parse_rows(body, *span, len(columns)), _line_spans(body))
-        if all(part is not None for part in parts):
-            ids = [sid for part_ids, _ in parts for sid in part_ids]
-            if ids:
-                values = np.concatenate([part_values for _, part_values in parts])
-                return _unique_ids(path, ids), columns, values
-    return _read_csv_rows(path)
+    chosen = None
+    if not any(c in text for c in _CSV_READER_ONLY):
+        header, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")
+        del text
+        columns = _matrix_columns(path, header.split(","))
+        lines = _scan_lines(body, len(columns)) if columns else None
+        if lines is not None:
+            ids = [body[start:comma] for start, comma, _ in lines]
+            chosen = _chosen_rows(path, ids, rows)
+            parts = _forked_map(
+                lambda part: _parse_rows(body, [lines[k] for k in part]),
+                [chosen[r.start:r.stop] for r in _chunk_ranges(len(chosen))],
+            )
+            if all(part is not None for part in parts):
+                values = np.concatenate(parts) if parts else np.empty((0, len(columns)))
+                return _chosen_ids(path, ids, chosen, rows), columns, values
+    return _read_csv_rows(path, rows, chosen)
 
 
-def _line_spans(text: str) -> list[tuple[int, int]]:
-    """text cut into at most _fork_slots() non-empty (start, stop) spans,
-    each cut made just after a line break."""
-    bounds = [0]
-    for chunk in _chunk_ranges(len(text)):
-        cut = text.find("\n", chunk.stop - 1) + 1 or len(text)
-        if cut > bounds[-1]:
-            bounds.append(cut)
-    return list(zip(bounds, bounds[1:]))
+def _scan_lines(text: str, n_commas: int) -> list[tuple[int, int, int]] | None:
+    """The (start, first comma, stop) offsets of each non-blank line of text,
+    or None where a line does not hold n_commas commas."""
+    lines = []
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        if stop > start:
+            if text.count(",", start, stop) != n_commas:
+                return None
+            lines.append((start, text.find(",", start, stop), stop))
+        start = stop + 1
+    return lines
 
 
-def _parse_rows(
-    text: str, start: int, stop: int, n_columns: int
-) -> tuple[list[str], np.ndarray] | None:
-    """The ids and values of the non-blank lines of text[start:stop], or None
-    where np.loadtxt does not read every line as an id and n_columns numbers."""
-    # each stage of the split is dropped once the next exists: a matrix file
-    # can be tens of MB
-    split = [line.partition(",") for line in text[start:stop].split("\n") if line]
-    ids = [sid for sid, _, _ in split]
-    tails = [tail for _, _, tail in split]
-    del split
-    if not tails:
-        return ids, np.empty((0, n_columns))
+def _chosen_rows(
+    path: Path, ids: list[str], rows: Callable[[list[str]], Sequence[int]] | None
+) -> Sequence[int]:
+    """The indices of the rows to parse: every row, or rows(ids) once the ids
+    are known to be unique."""
+    return range(len(ids)) if rows is None else list(rows(_unique_ids(path, ids)))
+
+
+def _chosen_ids(
+    path: Path, ids: list[str], chosen: Sequence[int], rows: Callable | None
+) -> list[str]:
+    """The ids of the parsed rows; a full read checks its ids only now, after
+    its cells, as it always has."""
+    return _unique_ids(path, ids) if rows is None else [ids[k] for k in chosen]
+
+
+def _parse_rows(text: str, lines: list[tuple[int, int, int]]) -> np.ndarray | None:
+    """The values of the given (start, first comma, stop) lines of text, each
+    holding the header's comma count, or None where np.loadtxt does not read
+    every cell as a number."""
+    tails = [text[comma + 1:stop] for _, comma, stop in lines]
     if "" in tails:
         return None
     try:
-        values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    return (ids, values) if values.shape == (len(ids), n_columns) else None
 
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+def _read_csv_rows(
+    path: Path,
+    rows: Callable[[list[str]], Sequence[int]] | None = None,
+    chosen: Sequence[int] | None = None,
+) -> tuple[list[str], list[str], np.ndarray]:
+    """read_matrix_csv by csv.reader; chosen, where the caller has already
+    called rows, holds the indices it returned."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         columns = _matrix_columns(path, header)
-        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+        records = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    ids = [row[0] for _, row in records]
+    if chosen is None:
+        chosen = _chosen_rows(path, ids, rows)
     try:
-        if any(len(row) != len(header) for _, row in rows):
+        if any(len(row) != len(header) for _, row in records):
             raise ValueError("ragged row")
-        values = np.array([row[1:] for _, row in rows], dtype=float)
+        values = np.array([records[k][1][1:] for k in chosen], dtype=float)
     except ValueError:
-        _raise_first_bad_row(path, columns, rows)
+        _raise_first_bad_row(path, columns, records, set(chosen))
         raise
-    ids = _unique_ids(path, [row[0] for _, row in rows])
-    return ids, columns, values.reshape(len(rows), len(columns))
+    ids = _chosen_ids(path, ids, chosen, rows)
+    return ids, columns, values.reshape(len(chosen), len(columns))
 
 
-def _raise_first_bad_row(path: Path, columns: list[str], rows) -> None:
-    """Raise the error of the first ragged row or unparsable cell, in file order."""
-    for line_no, row in rows:
+def _raise_first_bad_row(path: Path, columns: list[str], records, used: set[int]) -> None:
+    """Raise the error of the first ragged row, or unparsable cell of a used
+    row, in file order."""
+    for k, (line_no, row) in enumerate(records):
         if len(row) != len(columns) + 1:
             raise SchemaError(
                 f"{path} row {line_no}: expected {len(columns) + 1} cells, got {len(row)}"
             )
+        if k not in used:
+            continue
         for col_name, cell in zip(columns, row[1:]):
             try:
                 float(cell)

@@ -171,7 +171,9 @@ class TestGroupDifference:
         assert np.isnan(res.t).all()
         assert np.isnan(res.p).all()
         assert not res.testable.any()
-        assert any("untestable" in r.message for r in caplog.records)
+        # the caller reports the untestable contrast, once however many
+        # metrics it tests (see tests/test_cli.py)
+        assert not caplog.records
 
     def test_label_count_mismatch(self):
         with pytest.raises(InputError):

@@ -869,6 +869,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_repeated_id_in_ids_file_exit_two(self, pipeline, tmp_path, capsys):
+        held_out = (pipeline["fit"] / "test_ids.txt").read_text(encoding="utf-8").split()
+        ids = tmp_path / "ids.txt"
+        ids.write_text("".join(f"{sid}\n" for sid in [*held_out[:3], held_out[1]]), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = required_flags(pipeline, "evaluate", out)
+        assert run_cli("evaluate", *argv, "--ids", ids) == 2
+        assert f"error: {ids}: duplicate id '{held_out[1]}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["audit", "classify"])
     def test_repeated_matrix_id_exit_two(self, pipeline, tmp_path, capsys, command):
         matrices = {}
@@ -895,6 +905,74 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestUnusedFeatureRows:
+    """fit parses the training rows of the features file, evaluate the --ids
+    rows and audit the scored ids' rows; a cell of any other row is never
+    parsed, but every row's id and cell count is still read."""
+
+    @staticmethod
+    def spoil(pipeline, tmp_path, text):
+        """The pipeline's features.csv with the first held-out row's line made
+        `text`, which may use {sid} and {cells}; returns the file, the id, its
+        record number and the first region's name."""
+        sid = (pipeline["fit"] / "test_ids.txt").read_text(encoding="utf-8").split()[0]
+        lines = (pipeline["data"] / "features.csv").read_text(encoding="utf-8").split("\n")
+        k = next(i for i, line in enumerate(lines) if line.split(",")[0] == sid)
+        lines[k] = text.format(sid=sid, cells=lines[k].split(",", 2)[2])
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(lines), encoding="utf-8")
+        return features, sid, k + 1, lines[0].split(",")[1]
+
+    def fit(self, pipeline, features, out):
+        return run_cli(
+            "fit",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", features,
+            "--out", out,
+            "--default-train-frac", "0.8",
+            "--seed", "3",
+        )
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "-inf", ""])
+    def test_bad_cell_in_a_held_out_row(self, pipeline, tmp_path, capsys, cell):
+        features, sid, record, region = self.spoil(pipeline, tmp_path, "{sid},%s,{cells}" % cell)
+        out = tmp_path / "fit"
+        assert self.fit(pipeline, features, out) == 0
+        for path in sorted(pipeline["fit"].iterdir()):
+            if path.name != "run_config.json":
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        # evaluating the row parses it, and fails as any read of it fails
+        ids = tmp_path / "ids.txt"
+        ids.write_text(f"{sid}\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", *required_flags(pipeline, "evaluate", tmp_path / "eval"),
+            "--features", features, "--ids", ids,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        if cell in ("nan", "-inf"):
+            assert f"error: {features}: non-finite feature values" in err
+        else:
+            assert (
+                f"error: {features} row {record}, column '{region}': "
+                f"cannot parse '{cell}' as a number"
+            ) in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("short", [True, False], ids=["short", "long"])
+    def test_ragged_held_out_row_fails_fit(self, pipeline, tmp_path, capsys, short):
+        text = "{sid},1.5" if short else "{sid},1,{cells},2"
+        features, _, record, _ = self.spoil(pipeline, tmp_path, text)
+        n_cells = len(features.read_text(encoding="utf-8").split("\n")[0].split(","))
+        got = 2 if short else n_cells + 1
+        assert self.fit(pipeline, features, tmp_path / "fit") == 3
+        assert f"error: {features} row {record}: expected {n_cells} cells, got {got}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "fit").exists()
+
+
 class TestAuditParity:
     def audit(self, pipeline, out, *extra):
         return run_cli(
@@ -917,14 +995,44 @@ class TestAuditParity:
             calls.append(args)
             return read_covariates(*args, **kwargs)
 
-        for module in (normgauge.cohort, normgauge.cli):
-            monkeypatch.setattr(module, "read_covariates", counting)
+        # the command imports read_covariates from cohort when it runs
+        monkeypatch.setattr(normgauge.cohort, "read_covariates", counting)
         out = tmp_path / "audit"
         assert self.audit(pipeline, out, "--bundle", pipeline["fit"],
                           "--features", pipeline["data"] / "features.csv") == 0
         assert len(calls) == 1
         for name in ("audit_summary.csv", "audit_tests.csv", "table4.csv", "parity.json"):
             assert (out / name).read_bytes() == (pipeline["audit"] / name).read_bytes()
+
+    @pytest.mark.parametrize("model", [False, True], ids=["bare", "with-model"])
+    def test_untestable_contrast_logged_once(self, pipeline, tmp_path, caplog, model):
+        # one A row among the scored ids: W vs A is untestable for both metrics
+        with open(pipeline["data"] / "covariates.csv", newline="", encoding="utf-8") as fh:
+            race = {row["id"]: row["race"] for row in csv.DictReader(fh)}
+        matrices = {}
+        for name in ("deviations", "errors"):
+            lines = (pipeline["eval"] / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+            a_rows = [line for line in lines[1:] if race[line.split(",")[0]] == "A"]
+            kept = [line for line in lines if line not in a_rows[1:]]
+            matrices[name] = tmp_path / f"{name}.csv"
+            matrices[name].write_text("\n".join(kept) + "\n", encoding="utf-8")
+        n_w = sum(race[line.split(",")[0]] == "W" for line in kept[1:])
+        extra = ["--bundle", pipeline["fit"], "--features", pipeline["data"] / "features.csv"]
+        with caplog.at_level(logging.WARNING, logger="normgauge"):
+            code = run_cli(
+                "audit",
+                "--deviations", matrices["deviations"], "--errors", matrices["errors"],
+                "--covariates", pipeline["data"] / "covariates.csv",
+                "--out", tmp_path / "audit", "--contrasts", "W:A", "W:B",
+                *(extra if model else []),
+            )
+        assert code == 0
+        untestable = [r.getMessage() for r in caplog.records if "untestable" in r.getMessage()]
+        assert untestable == [f"contrast W vs A untestable: group sizes {n_w} and 1"]
+        with open(tmp_path / "audit" / "table4.csv", newline="", encoding="utf-8") as fh:
+            pct = {(r["contrast"], r["metric"]): r["pct_significant"] for r in csv.DictReader(fh)}
+        assert pct[("W:A", "deviation")] == pct[("W:A", "error")] == ""
+        assert pct[("W:B", "deviation")] != ""
 
     def test_deviation_metrics_do_not_depend_on_the_model(self, pipeline, tmp_path):
         assert self.audit(pipeline, tmp_path / "bare") == 0
@@ -1073,6 +1181,22 @@ print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
 """
 
 
+# runs one command, if given, and prints its exit code and the numpy package
+# and normgauge submodules loaded, one line of JSON
+_LOADED_PROBE = """
+import json, sys
+import normgauge
+code = 0
+if sys.argv[1:]:
+    from normgauge.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(
+    n for n in sys.modules
+    if n == "numpy" or (n.startswith("normgauge.") and n != "normgauge._version")
+)]))
+"""
+
+
 def _python(*args):
     """Run the interpreter with the package's source on the path."""
     src = str(Path(normgauge.cli.__file__).parents[1])
@@ -1101,12 +1225,8 @@ class TestImportCost:
     def test_evidence_functions_load_no_scipy(self):
         assert _probe(_EVIDENCE_PROBE) == []
 
-    # the fixture's noise is Gaussian, so every region's free-warp run is
-    # screened out and fit only scores
-    @pytest.mark.parametrize(
-        "command", ["audit", "classify", "evaluate", "fit", "report", "synth"]
-    )
-    def test_command_loads_only_what_it_calls(self, pipeline, tmp_path, command):
+    @staticmethod
+    def argv(pipeline, tmp_path, command):
         data, fit, ev = pipeline["data"], pipeline["fit"], pipeline["eval"]
         argv = {
             "synth": ["--spec", pipeline["root"] / "spec.json"],
@@ -1131,7 +1251,39 @@ class TestImportCost:
         }[command]
         if command != "report":
             argv += ["--out", tmp_path / "out"]
+        return argv
+
+    # the fixture's noise is Gaussian, so every region's free-warp run is
+    # screened out and fit only scores
+    @pytest.mark.parametrize(
+        "command", ["audit", "classify", "evaluate", "fit", "report", "synth"]
+    )
+    def test_command_loads_only_what_it_calls(self, pipeline, tmp_path, command):
+        argv = self.argv(pipeline, tmp_path, command)
         assert _probe(_SCIPY_PROBE, command, *argv) == [0, []]
+
+    def test_package_import_loads_no_submodule(self):
+        code, loaded = _probe(_LOADED_PROBE)
+        assert code == 0 and loaded == []
+
+    # each command imports its modules when it runs; these are the ones that
+    # most of a command's start-up would otherwise go to
+    @pytest.mark.parametrize(
+        "command, unused",
+        [
+            ("report", ["numpy", "normgauge.cohort", "normgauge.serialize"]),
+            ("classify", ["normgauge.audit", "normgauge.blr", "normgauge.design",
+                          "normgauge.synth", "normgauge.warp"]),
+            ("synth", ["normgauge.audit", "normgauge.blr", "normgauge.classify",
+                       "normgauge.design"]),
+            ("fit", ["normgauge.audit", "normgauge.classify", "normgauge.synth"]),
+            ("evaluate", ["normgauge.audit", "normgauge.classify", "normgauge.synth"]),
+        ],
+    )
+    def test_command_loads_no_module_it_does_not_call(self, pipeline, tmp_path, command, unused):
+        code, loaded = _probe(_LOADED_PROBE, command, *self.argv(pipeline, tmp_path, command))
+        assert code == 0
+        assert not set(unused) & set(loaded), sorted(set(unused) & set(loaded))
 
     def test_fit_with_a_free_warp_run_loads_no_scipy(self, tmp_path):
         spec = write_spec(
@@ -1175,6 +1327,23 @@ class TestReportResilience:
     def test_missing_run_dir_exit_two(self, tmp_path, capsys):
         assert run_cli("report", "--run-dir", tmp_path / "ghost") == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["fit/fit_metrics.csv", "audit/table4.csv", "audit/parity.json",
+                 "clf/clf_metrics.csv"]
+    )
+    def test_artifact_not_utf8_exit_two(self, pipeline, tmp_path, capsys, name):
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline["root"], run_dir, ignore=shutil.ignore_patterns("*.md"))
+        bad = run_dir / name
+        lines = bad.read_bytes().split(b"\n")
+        bad.write_bytes(b"\n".join([lines[0], b"\xe9" + lines[1], *lines[2:]]))
+        out = tmp_path / "report.md"
+        assert run_cli("report", "--run-dir", run_dir, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad} line 2: byte 0xe9 is not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPublicNames:
@@ -1248,6 +1417,39 @@ class TestPublicNames:
             "warp_forward",
             "warp_inverse",
         ]
+
+
+    def test_every_name_imports_from_its_module(self):
+        assert dir(normgauge) == normgauge.__all__
+        for name in normgauge.__all__:
+            scope = {}
+            exec(f"from normgauge import {name}", scope)
+            value = getattr(normgauge, name)
+            assert scope[name] is value
+            if isinstance(value, type(normgauge)):
+                assert value.__name__ == f"normgauge.{name}"
+            else:
+                assert getattr(sys.modules[value.__module__], name) is value
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            normgauge.nope
+
+
+class TestReportStatistics:
+    """The report takes its means, medians and SDs in pure Python, in numpy's
+    summation order, so its figures are numpy's to the bit."""
+
+    def test_equal_to_numpy_bitwise(self):
+        from normgauge.cli import _mean, _median, _sd
+
+        rng = np.random.default_rng(21)
+        for n in range(1, 601):
+            # magnitudes across 12 decades, so that the summation order shows
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6, size=n)
+            vals = values.tolist()
+            assert repr(_mean(vals)) == repr(float(np.mean(values))), n
+            assert repr(_median(vals)) == repr(float(np.median(values))), n
+            if n > 1:
+                assert repr(_sd(vals)) == repr(float(np.std(values, ddof=1))), n
 
 
 class TestVersion:

@@ -162,6 +162,36 @@ class TestLoadCohort:
         assert [s.id for s in cohort.subjects] == ["s1", "s2"]
         np.testing.assert_array_equal(cohort.responses[0], [1.0, 2.0])
 
+    def test_keep_parses_only_the_kept_rows(self, tmp_path, caplog):
+        cov, feat = write_pair(
+            tmp_path,
+            ["s1,30,F,A", "s2,40,M,B", "s3,50,F,W", "s4,60,M,W"],
+            ["s1,1.0,2.0", "s2,nan,2.1", "s3,1.2,abc", "s4,1.3,2.3", "s9,x,y"],
+        )
+        joined = []
+
+        def keep(cohort):
+            joined.append(cohort)
+            return cohort.subset_by_ids(["s4", "s1"])
+
+        with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
+            cohort = load_cohort(cov, feat, keep=keep)
+        # the join and its drop count see every row, the cells of none
+        assert [s.id for s in joined[0].subjects] == ["s1", "s2", "s3", "s4"]
+        assert joined[0].regions == () and joined[0].responses.shape == (4, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 subject(s) present in only one input file"
+        ]
+        assert cohort.ids == ("s1", "s4") and cohort.regions == ("r1", "r2")
+        assert cohort.responses.tobytes() == np.array([[1.0, 2.0], [1.3, 2.3]]).tobytes()
+        # a kept row fails as it fails a full load
+        with pytest.raises(InputError, match="non-finite feature values"):
+            load_cohort(cov, feat, keep=lambda c: c.subset_by_ids(["s2"]))
+        with pytest.raises(InputError, match="row 4, column 'r2': cannot parse 'abc'"):
+            load_cohort(cov, feat, keep=lambda c: c.subset_by_ids(["s1", "s3"]))
+        with pytest.raises(InputError, match="row 4, column 'r2': cannot parse 'abc'"):
+            load_cohort(cov, feat)
+
     def test_save_load_round_trip(self, tmp_path):
         original = make_cohort({"A": 5, "B": 4, "W": 7}, seed=3)
         cov = tmp_path / "c.csv"

@@ -13,7 +13,6 @@ from normgauge import InputError, SchemaError
 from normgauge.serialize import (
     _chunk_ranges,
     _forked_map,
-    _line_spans,
     _one_blas_thread,
     _openblas_threads,
     _read_csv_rows,
@@ -339,12 +338,8 @@ class TestRowChunks:
         pids, cpus = usable_cpus
         lines = ["x,1.5,-0.0", *[""] * 100, "y,2,1e-300", "", "z,-inf,3"]
         path = write_text(tmp_path / "m.csv", "id,a,b\r\n" + "\r\n".join(lines) + "\r\n")
-        body = "\n".join(lines) + "\n"
-        spans = [body[a:b] for a, b in _line_spans(body)]
-        assert "".join(spans) == body and len(spans) == cpus
-        # a cut falls on a blank line; at three CPUs a chunk holds nothing else
-        assert cpus == 1 or any(span.startswith("\n") for span in spans)
-        assert cpus != 3 or "\n" * len(spans[1]) == spans[1]
+        # the rows are cut by count, one to a chunk at three CPUs, and the
+        # blank lines between them belong to no chunk
         ids, columns, values = read_matrix_csv(path)
         assert len(pids) == cpus - 1
         assert_no_child_left()
@@ -532,3 +527,124 @@ class TestReaderRejects:
         path = write_text(tmp_path / "b.csv", "id,a,b\nx,1\ny,1,bad\n")
         with pytest.raises(SchemaError, match="row 2: expected 3 cells, got 2"):
             read_matrix_csv(path)
+
+
+class TestChosenRows:
+    """read_matrix_csv(path, rows) parses only the rows that rows(ids) picks:
+    every row's id and cell count is still read, and a chosen row fails as a
+    full read fails."""
+
+    columns = ["r0", "r1", "r2"]
+
+    def matrix(self, path, quoted, n=23):
+        """A matrix file of n rows over a wide range of magnitudes; with quoted,
+        row 5's id holds a comma, which sends the file to csv.reader."""
+        rng = np.random.default_rng(n)
+        ids = [f"s{i:02d}" for i in range(n)]
+        if quoted:
+            ids[5] = "a,b"
+        values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        values[1] = [-0.0, np.inf, 1e-300]
+        write_matrix_csv(path, ids, self.columns, values)
+        return path, ids, values
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv-reader"])
+    @pytest.mark.parametrize(
+        "pick", [[], [0], [22, 3, 5, 17], list(range(23)), list(range(23))[::-1]]
+    )
+    def test_chosen_rows_are_the_full_read_subset(self, tmp_path, forks, quoted, pick):
+        pids, forked = forks
+        path, ids, values = self.matrix(tmp_path / "m.csv", quoted)
+        seen = []
+
+        def rows(all_ids):
+            seen.append(list(all_ids))
+            return pick
+
+        written = len(pids)
+        got_ids, got_columns, got = read_matrix_csv(path, rows)
+        # only the loadtxt path forks, and only for two or more chosen rows
+        assert len(pids) - written == (forked and not quoted and len(pick) > 1)
+        full_ids, full_columns, full = read_matrix_csv(path)
+        assert seen == [full_ids] == [ids]
+        assert got_ids == [ids[k] for k in pick] and got_columns == full_columns == self.columns
+        assert got.dtype == np.float64 and got.shape == (len(pick), 3)
+        assert got.tobytes() == full[pick].tobytes() == values[pick].tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("pick", [[], [1], [2, 0]])
+    def test_blank_lines_and_crlf(self, tmp_path, forks, pick):
+        path = write_text(
+            tmp_path / "m.csv", "id,a,b\r\n\r\nx,1.5,-0.0\r\n\r\n\r\ny,2,1e-300\r\nz,-inf,3\r\n\r\n"
+        )
+        ids, columns, values = read_matrix_csv(path, lambda all_ids: pick)
+        expected = np.array([[1.5, -0.0], [2.0, 1e-300], [-np.inf, 3.0]])
+        assert ids == [["x", "y", "z"][k] for k in pick] and columns == ["a", "b"]
+        assert values.shape == (len(pick), 2) and values.tobytes() == expected[pick].tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv-reader"])
+    @pytest.mark.parametrize("cell", ["abc", "", "0x10"])
+    def test_bad_cell_in_a_chosen_row_fails_as_a_full_read(self, tmp_path, forks, quoted, cell):
+        path, ids, _ = self.matrix(tmp_path / "m.csv", quoted, n=12)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        # a blank line counts in the record numbers
+        lines.insert(3, "")
+        cells = lines[9].split(",")
+        lines[9] = ",".join([*cells[:2], cell, *cells[3:]])
+        write_text(path, "\n".join(lines))
+        with pytest.raises(InputError) as full:
+            read_matrix_csv(path)
+        with pytest.raises(InputError) as chosen:
+            read_matrix_csv(path, lambda all_ids: [0, 7, 2])
+        assert str(chosen.value) == str(full.value) == (
+            f"{path} row 10, column 'r1': cannot parse '{cell}' as a number"
+        )
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv-reader"])
+    @pytest.mark.parametrize("cell", ["abc", "", "0x10", "nan", "-inf"])
+    def test_bad_cell_in_an_unchosen_row_is_not_parsed(self, tmp_path, forks, quoted, cell):
+        path, ids, values = self.matrix(tmp_path / "m.csv", quoted, n=12)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        cells = lines[7].split(",")  # the row of ids[6]
+        lines[7] = ",".join([*cells[:2], cell, *cells[3:]])
+        write_text(path, "\n".join(lines))
+        pick = [k for k in range(12) if k != 6]
+        got_ids, _, got = read_matrix_csv(path, lambda all_ids: pick)
+        assert got_ids == [ids[k] for k in pick]
+        assert got.tobytes() == values[pick].tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv-reader"])
+    @pytest.mark.parametrize("ragged, got", [("s06,1", 2), ("s06,1,2,3,4", 5), ("s06", 1)])
+    def test_ragged_row_anywhere_fails(self, tmp_path, forks, quoted, ragged, got):
+        path, _, _ = self.matrix(tmp_path / "m.csv", quoted, n=12)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[7] = ragged
+        write_text(path, "\n".join(lines))
+        for rows in (None, lambda all_ids: [0, 1], lambda all_ids: []):
+            with pytest.raises(SchemaError) as exc:
+                read_matrix_csv(path, rows)
+            assert str(exc.value) == f"{path} row 8: expected 4 cells, got {got}"
+        # a bad cell before it fails only the reads that use its row
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+        write_text(path, "\n".join(lines))
+        for rows in (lambda all_ids: [0, 1], lambda all_ids: []):
+            with pytest.raises(SchemaError, match="row 8: expected 4 cells"):
+                read_matrix_csv(path, rows)
+        for rows in (None, lambda all_ids: [2]):
+            with pytest.raises(InputError, match="row 4, column 'r2': cannot parse 'abc'"):
+                read_matrix_csv(path, rows)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv-reader"])
+    def test_repeated_id_fails_before_rows_are_chosen(self, tmp_path, quoted):
+        path, ids, _ = self.matrix(tmp_path / "m.csv", quoted, n=12)
+        text = path.read_text(encoding="utf-8")
+        write_text(path, text + text.split("\n")[4] + "\n")
+        calls = []
+        with pytest.raises(InputError) as exc:
+            read_matrix_csv(path, calls.append)
+        assert str(exc.value) == f"{path}: duplicate id '{ids[3]}'"
+        assert calls == []
