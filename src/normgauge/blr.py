@@ -4,9 +4,15 @@ Model for one region: the warped response z = f(y) follows
 
     z = w^T phi(x) + e,   e ~ N(0, 1/beta),   w ~ N(0, I/alpha)
 
-with f the sinh-arcsinh warp. Hyperparameters theta = (log_alpha, log_beta,
-epsilon, log_delta) are chosen by minimizing the negative log marginal
-likelihood (evidence)
+with f the sinh-arcsinh warp and y the region's response standardized by its
+training mean and population SD. The warp and the shared weight prior are not
+affine-equivariant, so fitting the standardized column is what keeps a
+response's units and offset from changing its fit (warped BLR is fitted on
+standardized responses in Fraza et al. 2021, NeuroImage 245:118715). The model
+keeps the mean and SD, maps its predictions back to response units, and
+reports its NLL in response units, N ln SD above the standardized one.
+Hyperparameters theta = (log_alpha, log_beta, epsilon, log_delta) are chosen
+by minimizing the negative log marginal likelihood (evidence)
 
     NLL(theta) = E(m) + 1/2 log|A| + N/2 log(2 pi)
                  - M/2 log(alpha) - N/2 log(beta) - sum_i log f'(y_i)
@@ -53,7 +59,8 @@ Fitting needs numpy only. A Cholesky reference of the evidence, independent
 of the engine, lives with the tests (tests/evidence_reference.py) as their
 oracle.
 
-Scoring (deviations) runs the same way: blocks of _SCORE_BLOCK regions, one
+Scoring (deviations) standardizes each response by its region's mean and SD
+before the warp and runs the same way: blocks of _SCORE_BLOCK regions, one
 product per region for the latent mean, and for the posterior variance
 ||L^-1 phi||^2 each region's triangular inverse of its Cholesky factor L
 times the design (_predict_block), so a region's scores do not depend on the
@@ -89,14 +96,16 @@ _BOUNDS_FREE = ((-20.0, 20.0), (-20.0, 20.0), (-5.0, 5.0), (-3.0, 3.0))
 
 
 def _scale_at_bound(theta: np.ndarray) -> bool:
-    """Whether a fit (log_alpha, log_beta, ...) is held by a bound that only a
-    response's scale reaches.
+    """Whether a fit (log_alpha, log_beta, ...) is held by a bound of a precision.
 
-    log_beta at either bound caps the noise SD at e^10 or e^-10 response
-    units, and log_alpha at its lower bound caps the weights' prior SD at
-    e^10; a fit held there has the wrong evidence. log_alpha at its upper
-    bound is a ridge fit, where the warp absorbs the weights, and the warp's
-    own bounds are legitimate optima, so neither counts.
+    log_beta at either bound caps the noise SD at e^10 or e^-10 of the
+    column's SD, and log_alpha at its lower bound caps the weights' prior SD
+    at e^10 standardized units; a fit held there has the wrong evidence. On a
+    standardized column only a response that is nearly a function of the
+    covariates gets there, its residual SD below about 5e-5 of the column's.
+    log_alpha at its upper bound is a ridge fit, where the warp absorbs the
+    weights, and the warp's own bounds are legitimate optima, so neither
+    counts.
     """
     (alpha_lo, _), (beta_lo, beta_hi) = _BOUNDS_FREE[:2]
     return bool(theta[0] <= alpha_lo or theta[1] <= beta_lo or theta[1] >= beta_hi)
@@ -169,9 +178,13 @@ def _region_arrays(phi, y) -> tuple[np.ndarray, np.ndarray]:
 class RegionModel:
     """Fitted posterior for one region; chol_precision is lower-Cholesky of A.
 
-    fit_region documents how `converged`, `nll_path` and `screened` (the
-    free-warp run was skipped) are set. Only the fields written by to_dict
-    survive a bundle round trip.
+    The region is fitted on its training column standardized by that
+    column's mean and population SD (response_mean, response_sd), so the
+    weights, posterior, hyperparameters and train_z_* are in standardized
+    units; the defaults leave a response as it is. fit_region documents how
+    `converged`, `nll`, `nll_path` and `screened` (the free-warp run was
+    skipped) are set. Only the fields written by to_dict survive a bundle
+    round trip.
     """
 
     region: str
@@ -181,6 +194,8 @@ class RegionModel:
     train_z_mean: float
     train_z_var: float
     n_train: int
+    response_mean: float = 0.0
+    response_sd: float = 1.0
     converged: bool = True
     nll: float = float("nan")
     nll_identity: float = field(default=float("nan"), repr=False)
@@ -190,6 +205,8 @@ class RegionModel:
     def to_dict(self) -> dict:
         return {
             "region": self.region,
+            "response_mean": float(self.response_mean),
+            "response_sd": float(self.response_sd),
             "weights": [float(v) for v in self.weights],
             "chol_precision": [[float(v) for v in row] for row in self.chol_precision],
             "hyperparams": self.hyperparams.to_dict(),
@@ -211,6 +228,8 @@ class RegionModel:
             train_z_mean=float(_finite(d, "train_z_mean", owner)),
             train_z_var=float(_finite(d, "train_z_var", owner, positive=True)),
             n_train=int(d["n_train"]),
+            response_mean=float(_finite(d, "response_mean", owner)),
+            response_sd=float(_finite(d, "response_sd", owner, positive=True)),
             converged=bool(d["converged"]),
             nll=float(d["nll"]),
         )
@@ -333,14 +352,19 @@ def _warp_engagement_margin(
     fitted distribution of y. That bookkeeping gain is bounded by the identity
     fit's own complexity term, 0.5*ln|A| - (M/2)*ln(alpha), plus the prior
     shrinkage cost of about half the effective weight count,
-    M - alpha tr A^{-1} = gamma. Requiring the free fit to beat the identity
-    fit by more than that (plus a flat 3 nat allowance for two shape
-    parameters chasing sample moments) keeps the warp disengaged on Gaussian
-    data while leaving genuinely skewed responses, whose gain grows linearly
-    with N, far above the bar. Evaluated for every row of `state` at once.
+    M - alpha tr A^{-1} = gamma. On top of that bookkeeping the two shape
+    parameters chase sample moments, priced at ln N, the BIC cost of two
+    parameters (Schwarz 1978). On a standardized column a region with no
+    covariate effect holds alpha at its upper bound, so its complexity and
+    gamma are about 0 and ln N is all of its margin. Requiring the free fit
+    to beat the identity fit by more than the sum keeps the warp disengaged
+    on Gaussian data while leaving genuinely skewed responses, whose gain
+    grows linearly with N, far above the bar. The margin depends on the
+    region's own N and fit only, never on how many regions are fitted.
+    Evaluated for every row of `state` at once.
     """
     complexity = 0.5 * state.log_det - 0.5 * spectrum.s.size * log_alpha
-    return complexity + 0.5 * state.gamma + 3.0
+    return complexity + 0.5 * state.gamma + np.log(spectrum.phi_u.shape[0])
 
 
 def _fit_identity(
@@ -580,7 +604,7 @@ _MET = "met its tolerance"
 _HIT_MAX_ITER = "hit max_iter"
 _STALLED = "no step lowers the NLL"
 _NOT_FINITE = "evidence not finite"
-_SCALE_AT_BOUND = "its scale hit a bound of log alpha or log beta, so rescale the feature"
+_SCALE_AT_BOUND = "its precision hit a bound of log alpha or log beta"
 
 
 def _trust_region_steps(
@@ -809,10 +833,11 @@ def _precision_cholesky(spectrum: _Spectrum, lam: np.ndarray) -> np.ndarray:
 _FLAGGED_SHOWN = 5
 
 # A region skips its free-warp run when the normality statistic of its
-# identity residuals is below this share of its engagement margin. Chosen on
-# seeds 0-3 of the paper and skewed benchmark cohorts: there the free runs it
-# skips gained at most 0.76 of their margin, and every engaged region's
-# statistic was at least 1.14 times its margin.
+# identity residuals is below this share of its engagement margin. Checked on
+# the standardized columns of seeds 0-3 of the paper and skewed benchmark
+# cohorts, with the ln N margin: there the free runs it skips gained at most
+# 0.42 of their margin, and every engaged region's statistic was at least
+# 1.24 times its margin.
 _SCREEN_SHARE = 0.25
 
 
@@ -834,14 +859,21 @@ def _normality_statistic(residual: np.ndarray) -> np.ndarray:
 
 
 def _fit_block(
-    spectrum: _Spectrum, y_rows: np.ndarray, regions: Sequence[str]
+    spectrum: _Spectrum,
+    y_rows: np.ndarray,
+    mean: np.ndarray,
+    sd: np.ndarray,
+    regions: Sequence[str],
 ) -> tuple[list[RegionModel], list[str]]:
-    """Fit each row of y_rows (D, N) on the design of spectrum; see fit_region.
+    """Fit each row of y_rows (D, N), standardized by its `mean` and `sd`
+    (D,), on the design of spectrum; see fit_region.
 
     Returns the region models and a note for each region not converged. A
     region's model depends only on its own row: every product is row by row.
     """
     n = y_rows.shape[1]
+    # the NLL in response units is the standardized one plus N ln SD
+    to_response = n * np.log(sd)
     x0 = np.zeros((len(regions), 4))
     x0[:, 1] = -np.log(np.var(y_rows, axis=1))
     theta_id, state, met, paths = _fit_identity(spectrum, y_rows, x0[:, :2])
@@ -874,13 +906,13 @@ def _fit_block(
     for d, region in enumerate(regions):
         if d in won:
             k, i = won[d]
-            theta, z, nll = theta_free[k], z_free[i], float(nll_won[i])
+            theta, z, nll = theta_free[k], z_free[i], nll_won[i]
             weights, lam, path = free.weights[i], free.lam[i], paths_free[k]
             pg, reason = pg_free[k], stop_free[k]
         else:
             # exact identity warp on fallback
             theta = np.array([theta_id[d, 0], theta_id[d, 1], 0.0, 0.0])
-            z, nll = y_rows[d], float(state.nll[d])
+            z, nll = y_rows[d], state.nll[d]
             weights, lam, path = state.weights[d], state.lam[d], paths[d]
             pg, reason = pg_id[d], _MET if met[d] else _HIT_MAX_ITER
         if _scale_at_bound(theta):
@@ -888,6 +920,7 @@ def _fit_block(
         converged = bool(reason == _MET and pg <= stationary)
         if not converged:
             flagged.append(f"'{region}' ({reason}; projected gradient {pg:.3g})")
+        shift = float(to_response[d])
         models.append(
             RegionModel(
                 region=region,
@@ -897,10 +930,12 @@ def _fit_block(
                 train_z_mean=float(np.mean(z)),
                 train_z_var=float(np.var(z)),
                 n_train=n,
+                response_mean=float(mean[d]),
+                response_sd=float(sd[d]),
                 converged=converged,
-                nll=nll,
-                nll_identity=float(state.nll[d]),
-                nll_path=tuple(path),
+                nll=float(nll) + shift,
+                nll_identity=float(state.nll[d]) + shift,
+                nll_path=tuple(f + shift for f in path),
                 screened=bool(screened[d]),
             )
         )
@@ -912,13 +947,18 @@ def _fit_regions(
 ) -> tuple[RegionModel, ...]:
     """Fit each column of responses (N, D) on the design phi (N, M); see fit_region.
 
+    Each column is standardized by its mean and population SD, both reduced
+    along the rows of the region-major (D, N) copy, so that a column's
+    statistics, and with them its model, are bitwise the same whatever
+    columns stand beside it (a reduction along axis 0 of (N, D) is not).
     The regions are cut into one contiguous chunk per usable CPU, and every
     chunk after the first is fitted in a forked child (serialize._forked_map);
     a region's model does not depend on the regions fitted with it, so the cut
     changes no bit. Regions flagged as not converged are reported in one
     warning at the end. A region whose squared responses overflow, even as a
-    sum, cannot be fit in double precision and raises NumericalError before
-    any fit runs.
+    sum, or whose deviations from their mean underflow when squared, cannot
+    be fit in double precision and raises NumericalError before any fit
+    runs.
     """
     if not regions:
         raise InputError("no regions to fit: the responses have no region columns")
@@ -937,9 +977,20 @@ def _fit_regions(
             )
         if float(np.ptp(y)) == 0.0:
             raise InputError(f"region '{region}': constant response cannot be fit")
+    mean, var = np.mean(y_rows, axis=1), np.var(y_rows, axis=1)
+    for region, v in zip(regions, var):
+        if v < np.finfo(float).tiny:
+            raise NumericalError(
+                f"region '{region}': responses vary by an SD of {np.sqrt(v):.3g}, "
+                "whose square underflows; rescale this feature"
+            )
+    sd = np.sqrt(var)
+    y_rows = (y_rows - mean[:, None]) / sd[:, None]
     spectrum = _Spectrum.of(phi)
     parts = _forked_map(
-        lambda chunk: _fit_block(spectrum, y_rows[chunk], [regions[d] for d in chunk]),
+        lambda chunk: _fit_block(
+            spectrum, y_rows[chunk], mean[chunk], sd[chunk], [regions[d] for d in chunk]
+        ),
         _chunk_ranges(len(regions)),
     )
     flagged = [note for _, notes in parts for note in notes]
@@ -956,34 +1007,41 @@ def _fit_regions(
 def fit_region(phi: np.ndarray, y: np.ndarray, region: str = "region") -> RegionModel:
     """Fit one region by evidence minimization with an identity-warp fallback.
 
-    Both fits start at log_alpha = 0, log_beta = -log Var(y) and the
-    identity warp. The identity fit runs MacKay's fixed point on (log_alpha,
-    log_beta); the free fit runs projected trust-region Newton steps on all
-    four hyperparameters from that start, from the identity optimum with a
-    warp that leans against the skew of its residuals, and from far out on
-    the ridge where the warp absorbs the weights, and keeps the lowest of
-    the three (see _fit_free). The free fit wins only when it
-    beats the identity optimum by more than the reparametrization margin
-    (see _warp_engagement_margin); otherwise the identity solution is
-    returned. The free fit is skipped, and `screened` set, when half the
-    Jarque-Bera statistic of the identity fit's residuals, N/12 (S^2 + K^2/4)
-    with S the skew and K the excess kurtosis, is below a quarter of the
-    margin: on residuals that close to Gaussian the free fit gains far less
-    than the margin. A non-finite statistic never skips it.
+    The fit runs on y standardized by its mean and population SD, which the
+    model keeps as response_mean and response_sd: a response's units and
+    offset do not change its fit, and its weights, posterior,
+    hyperparameters and train_z_* are in standardized units. `nll`,
+    `nll_identity` and `nll_path` are in response units, the standardized
+    NLL plus N ln SD. Both fits start at log_alpha = 0, log_beta = -log Var
+    of the standardized column and the identity warp. The identity fit runs
+    MacKay's fixed point on (log_alpha, log_beta); the free fit runs
+    projected trust-region Newton steps on all four hyperparameters from
+    that start, from the identity optimum with a warp that leans against the
+    skew of its residuals, and from far out on the ridge where the warp
+    absorbs the weights, and keeps the lowest of the three (see _fit_free).
+    The free fit wins only when it beats the identity optimum by more than
+    the reparametrization margin (see _warp_engagement_margin); otherwise
+    the identity solution is returned. The free fit is skipped, and
+    `screened` set, when half the Jarque-Bera statistic of the identity
+    fit's residuals, N/12 (S^2 + K^2/4) with S the skew and K the excess
+    kurtosis, is below a quarter of the margin: on residuals that close to
+    Gaussian the free fit gains far less than the margin. A non-finite
+    statistic never skips it.
 
     `converged` is True only if the chosen fit met its stopping rule, its
     largest projected-gradient component is at most 0.1 nat per
-    observation, and its scale is not held at a bound: log_beta at either
-    bound or log_alpha at its lower one, where a response whose noise SD is
-    above about 2e4 or below about 5e-5 ends (see _scale_at_bound). A free
-    fit that hit max_iter, or whose trust region collapsed first, is not
-    converged. `nll_path` is the chosen fit's descent: the NLL of each
-    fixed-point iterate, or of the kept run's start and each Newton step it
-    kept, so it falls strictly. A fit that is not converged is logged as a
-    warning with its stop reason (for a scale held at a bound, the advice to
-    rescale the feature) and projected gradient. This is the one-region case
-    of the engine behind fit_normative, which logs one such warning for all
-    its regions; fit_normative gives each region bitwise this model.
+    observation, and no precision is held at a bound: log_beta at either
+    bound or log_alpha at its lower one, where a response that is nearly a
+    function of the covariates ends (see _scale_at_bound). A free fit that
+    hit max_iter, or whose trust region collapsed first, is not converged.
+    `nll_path` is the chosen fit's descent: the NLL of each fixed-point
+    iterate, or of the kept run's start and each Newton step it kept, so it
+    falls strictly. A fit that is not converged is logged as a warning with
+    its stop reason and projected gradient. Responses whose squares overflow,
+    or whose SD squared underflows, raise NumericalError. This is the
+    one-region case of the engine behind fit_normative, which logs one such
+    warning for all its regions; fit_normative gives each region bitwise
+    this model.
     """
     phi, y = _region_arrays(phi, y)
     return _fit_regions(phi, y[:, None], (region,))[0]
@@ -1036,6 +1094,14 @@ def _warp_rows(
     return out
 
 
+def _standardization(models: Sequence[RegionModel]) -> tuple[np.ndarray, np.ndarray]:
+    """Each region's response mean and SD as (B, 1) columns."""
+    return (
+        np.array([[rm.response_mean] for rm in models]),
+        np.array([[rm.response_sd] for rm in models]),
+    )
+
+
 def _predict_block(
     models: Sequence[RegionModel], phi_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1045,8 +1111,10 @@ def _predict_block(
     zhat is one product per region (_rowwise). The posterior variance
     phi^T A^-1 phi is ||L^-1 phi||^2 for the lower Cholesky factor L of A:
     each region's triangular inverse times phi_t, squared and summed over
-    its M rows in order. Nothing mixes regions, so a region's rows are
-    bitwise the same in any block.
+    its M rows in order. Both are in the latent units of the standardized
+    column; yhat, the inverse warp of zhat mapped back by the region's mean
+    and SD, is in response units. Nothing mixes regions, so a region's rows
+    are bitwise the same in any block.
     """
     weights = np.array([rm.weights for rm in models])
     zhat = _rowwise(weights, phi_t)
@@ -1055,17 +1123,22 @@ def _predict_block(
     model_variance = np.square(half[:, 0])
     for i in range(1, half.shape[1]):
         model_variance += np.square(half[:, i])
+    mean, sd = _standardization(models)
     yhat = _warp_rows(zhat, [rm.hyperparams.warp for rm in models], inverse=True)
-    return zhat, model_variance, yhat
+    return zhat, model_variance, mean + sd * yhat
 
 
 def predict_region(model: RegionModel, phi_star: np.ndarray) -> RegionPrediction:
     """Predict rows phi_star; the posterior variance phi^T A^-1 phi is ||L^-1 phi||^2
     for the bundle's lower Cholesky factor L of A, so it cannot go negative.
 
-    This is the one-region case of the engine behind deviations: L^-1 by
-    forward substitution, then one product with the design, and the scoring
-    pass gives each region bitwise these values.
+    zhat, the posterior variance and the noise variance are in the latent
+    units of the region's standardized column: a response y maps to
+    z = warp((y - response_mean) / response_sd). yhat is in response units,
+    response_mean + response_sd * warp_inverse(zhat). This is the
+    one-region case of the engine behind deviations: L^-1 by forward
+    substitution, then one product with the design, and the scoring pass
+    gives each region bitwise these values.
     """
     phi_star = np.atleast_2d(np.asarray(phi_star, dtype=float))
     if phi_star.shape[1] != model.weights.shape[0]:
@@ -1121,11 +1194,12 @@ def fit_normative(
     after the first is fitted in a forked child (see serialize._forked_map).
     Within a chunk, all identity-warp fits run together as one batched fixed
     point, then all regions whose identity residuals fail the normality
-    screen run their free-warp fits together as one batched Newton solve
-    (see fit_region for the screen, for what `converged` and `nll_path`
-    mean, and for the rule that picks between the fits). Every product is
-    taken row by row, so each region's model is bitwise that of fit_region
-    on its column alone, for any cut. No option selects the cut. `workers`
+    screen run their free-warp fits together as one batched Newton solve.
+    Each region is fitted on its column standardized by the column's own
+    mean and SD (see fit_region for the standardization, the screen, what
+    `converged` and `nll_path` mean, and the rule that picks between the
+    fits). Every product is taken row by row, so each region's model is
+    bitwise that of fit_region on its column alone, for any cut. No option selects the cut. `workers`
     is accepted for compatibility and ignored; results never depended on
     it. Regions that did not converge are reported in one warning. A cohort
     with no regions raises InputError. Clamped ages are not reported here:
@@ -1154,8 +1228,9 @@ class DeviationMatrix:
     """One scoring pass of a cohort against the reference model.
 
     Columns follow the model's region order. Z = (z - zhat) / sqrt(noise
-    variance + model variance) on the latent scale, E = y - yhat in original
-    units, and log_loss is the per-cell log loss of the model minus that of
+    variance + model variance) on the latent scale, where a response y maps
+    to z = warp((y - response_mean) / response_sd); E = y - yhat in response
+    units; and log_loss is the per-cell log loss of the model minus that of
     the training-baseline Gaussian, so its column means are the MSLL. y holds
     the responses, a view of the cohort's when the region orders agree. Fit
     metrics and parity are reductions of this result over rows and columns.
@@ -1208,7 +1283,8 @@ def _score_block(
     """Z, E, yhat and log loss (each B, N) of the responses y (B, N), one row
     per region of `models`, at the design rows phi_t.T; see deviations."""
     zhat, model_variance, yhat = _predict_block(models, phi_t)
-    z = _warp_rows(y, [rm.hyperparams.warp for rm in models], inverse=False)
+    mean, sd = _standardization(models)
+    z = _warp_rows((y - mean) / sd, [rm.hyperparams.warp for rm in models], inverse=False)
     noise = np.array([[1.0 / rm.hyperparams.beta] for rm in models])
     var_pred = noise + model_variance
     log_loss = _log_loss_terms(

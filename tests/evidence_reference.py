@@ -13,8 +13,8 @@ engine_evidence evaluates the engine itself at one region and one setting.
 
 reference_deviations scores a cohort one region at a time, as deviations did
 before it scored blocks of regions: the posterior variance from a general LU
-solve against the Cholesky factor, and each column warped by warp_forward and
-warp_inverse.
+solve against the Cholesky factor, and each column standardized by its
+region's response mean and SD, then warped by warp_forward and warp_inverse.
 """
 
 from dataclasses import dataclass
@@ -156,8 +156,8 @@ def reference_deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatr
         zhat = phi @ rm.weights
         half_solved = np.linalg.solve(rm.chol_precision, phi.T)
         var_pred = 1.0 / rm.hyperparams.beta + np.einsum("ij,ij->j", half_solved, half_solved)
-        z = warp_forward(y, warp)
-        yhats[:, j] = warp_inverse(zhat, warp)
+        z = warp_forward((y - rm.response_mean) / rm.response_sd, warp)
+        yhats[:, j] = rm.response_mean + rm.response_sd * warp_inverse(zhat, warp)
         z_scores[:, j] = (z - zhat) / np.sqrt(var_pred)
         errors[:, j] = y - yhats[:, j]
         model_ll = 0.5 * np.log(2.0 * np.pi * var_pred) + (z - zhat) ** 2 / (2.0 * var_pred)

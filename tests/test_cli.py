@@ -690,6 +690,25 @@ class TestExitCodes:
         "zero-train-z-var": (
             "regions.json", ["regions", 0, "train_z_var"], lambda v: 0.0, "train_z_var"
         ),
+        "no-response-mean": (
+            "regions.json", ["regions", 0, "response_mean"], None, "response_mean"
+        ),
+        "no-response-sd": ("regions.json", ["regions", 0, "response_sd"], None, "response_sd"),
+        "inf-response-mean": (
+            "regions.json", ["regions", 0, "response_mean"], lambda v: "inf", "response_mean"
+        ),
+        "nan-response-sd": (
+            "regions.json", ["regions", 0, "response_sd"], lambda v: "nan", "response_sd"
+        ),
+        "inf-response-sd": (
+            "regions.json", ["regions", 0, "response_sd"], lambda v: "inf", "response_sd"
+        ),
+        "zero-response-sd": (
+            "regions.json", ["regions", 0, "response_sd"], lambda v: 0.0, "response_sd"
+        ),
+        "negative-response-sd": (
+            "regions.json", ["regions", 0, "response_sd"], lambda v: -v, "response_sd"
+        ),
     }
 
     @pytest.mark.parametrize("edit", sorted(BUNDLE_EDITS))
@@ -1289,7 +1308,7 @@ class TestImportCost:
         spec = write_spec(
             tmp_path / "spec.json",
             noise_sd=0.5,
-            noise_skew={"epsilon": 0.5, "log_delta": -0.3},
+            noise_skew={"epsilon": 1.0, "log_delta": -0.3},
         )
         assert run_cli("synth", "--spec", spec, "--out", tmp_path / "data") == 0
         assert _probe(
