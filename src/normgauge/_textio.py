@@ -31,16 +31,32 @@ def dump_json(obj: Any, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def read_bytes(path: Path) -> bytes:
+    """The bytes of a file; a missing file, or one that cannot be read (a
+    directory, say), raises InputError naming it."""
+    if not path.exists():
+        raise InputError(f"file not found: {path}")
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def read_text(path: Path) -> str:
     """The UTF-8 text of a file, line ends as they are.
 
-    A missing file, or one that is not UTF-8, raises InputError naming it;
-    for the latter the message gives the line and value of the first byte
-    that does not decode.
+    A file that read_bytes cannot read, or one that is not UTF-8, raises
+    InputError naming it; for the latter see decode_text.
     """
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    data = path.read_bytes()
+    return decode_text(path, read_bytes(path))
+
+
+def decode_text(path: Path, data: bytes) -> str:
+    """data, the bytes of the file at path, as UTF-8 text.
+
+    Bytes that are not UTF-8 raise InputError naming the file, with the line
+    and value of the first byte that does not decode.
+    """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,9 +1,9 @@
 """Deterministic CSV writers, the id-keyed matrix CSV reader, and the
 forked chunks they and the fits run in.
 
-The JSON and text helpers (dump_json, load_json, read_text) live in _textio,
-which imports no numpy so that `report` need not load it; they are
-re-exported here.
+The JSON and file helpers (dump_json, load_json, read_bytes, read_text,
+decode_text) live in _textio, which imports no numpy so that `report` need
+not load it; they are re-exported here.
 
 Model bundles must survive a save/load round trip bit-for-bit, so every float,
 in JSON and in CSV alike, is written as repr() writes it: the shortest text
@@ -23,6 +23,18 @@ time, not cell by cell. A reader may choose the rows it parses (the rows
 argument): every row's id and cell count is still read, so a repeated id or
 a short or long row anywhere still fails, but a cell of a row not chosen is
 never parsed.
+
+Sidecars. So that a matrix this package wrote is parsed only once,
+write_matrix_csvs writes `<file>.cache` beside each matrix CSV that reads
+back as it was given (ids and column names unique as text, no NaN) and
+deletes any old one beside any other. It holds the SHA-256 of the CSV's bytes,
+hashed as they are written, the ids and columns as text, and the values as
+raw little-endian float64. read_matrix_csv takes a file's matrix from its
+sidecar only where the sidecar is whole and records the digest of the bytes
+it has just read; an edited, reordered or rewritten CSV, or a sidecar that is
+truncated or foreign, is parsed as below with the same result and the same
+errors. A CSV with no sidecar costs no digest, and deleting a sidecar is
+always safe.
 
 Matrix files are formatted and parsed in one contiguous chunk of rows per
 usable CPU (_chunk_ranges). On Linux with two or more usable CPUs, every
@@ -46,7 +58,9 @@ import collections
 import contextlib
 import csv
 import ctypes
+import hashlib
 import itertools
+import json
 import math
 import os
 import pickle
@@ -58,7 +72,13 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._textio import dump_json, load_json, read_text  # noqa: F401  (serialize's API)
+from ._textio import (  # noqa: F401  (serialize's API)
+    decode_text,
+    dump_json,
+    load_json,
+    read_bytes,
+    read_text,
+)
 from .errors import InputError, SchemaError
 
 
@@ -129,9 +149,11 @@ def write_matrix_csvs(
     contiguous chunk per usable CPU (_chunk_ranges). Each chunk formats its
     rows to text, every chunk after the first in a forked child
     (_forked_iter), and this process writes each file's header and then the
-    chunks' text in order, each chunk as it arrives. Where a file's values do
-    not match its ids and columns, the files before it are written and then
-    its ValueError is raised, as writing the files one by one would.
+    chunks' text in order, each chunk as it arrives. Once a file is written,
+    its sidecar follows (_write_sidecar); any older sidecar is deleted as the
+    file is opened. Where a file's values do not match its ids and columns,
+    the files before it are written and then its ValueError is raised, as
+    writing the files one by one would.
     """
     matrices: list[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]] = []
     error = None  # a bad file's error, raised once the files before it are written
@@ -166,19 +188,96 @@ def write_matrix_csvs(
     chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]))
     with contextlib.closing(chunks):
         pending: collections.deque[tuple[int, bytearray]] = collections.deque()
-        for path, ids, columns, _ in matrices:
+        for path, ids, columns, values in matrices:
+            sidecar = _sidecar_path(path)
+            digest = hashlib.sha256()
             with open(path, "wb") as fh:
-                fh.write(_csv_line([format_cell(v) for v in ["id", *columns]]).encode("utf-8"))
+                # a sidecar of the file's old bytes goes before any new byte lands
+                sidecar.unlink(missing_ok=True)
+                header = _csv_line([format_cell(v) for v in ["id", *columns]]).encode("utf-8")
+                fh.write(header)
+                digest.update(header)
                 unwritten = len(ids)
                 while unwritten:
                     if not pending:
                         pending.extend(next(chunks))
                     rows, text = pending.popleft()
                     fh.write(text)
+                    digest.update(text)
                     unwritten -= rows
                     del text  # written: not held while the next chunk arrives
+            _write_sidecar(sidecar, digest.hexdigest(), ids, columns, values)
     if error is not None:
         raise error
+
+
+# the first bytes of a sidecar: a format change takes a new number, so that an
+# older sidecar is never read as a newer one
+_SIDECAR_MAGIC = b"normgauge matrix sidecar 1\n"
+
+
+def _sidecar_path(path: str | Path) -> Path:
+    """The sidecar of a matrix CSV: `<file>.cache` beside it."""
+    path = Path(path)
+    return path.with_name(path.name + ".cache")
+
+
+def _write_sidecar(
+    path: Path, csv_sha256: str, ids: Sequence[str], columns: Sequence[str], values: np.ndarray
+) -> None:
+    """Write the sidecar of a matrix CSV whose bytes have the SHA-256 digest
+    csv_sha256, if the CSV reads back as (ids, columns, values): its ids and
+    its column names are unique as text, and no value is NaN, which is written
+    as an empty cell.
+
+    The sidecar is the magic line, one line of JSON with sorted keys (the
+    digest and the format_cell text of the ids and columns), and the values
+    as little-endian float64 in row-major order, so the same matrix always
+    gives the same bytes.
+    """
+    ids = [format_cell(sid) for sid in ids]
+    columns = [format_cell(col) for col in columns]
+    if len(set(ids)) < len(ids) or len(set(columns)) < len(columns) or np.isnan(values).any():
+        return
+    meta = json.dumps({"columns": columns, "csv_sha256": csv_sha256, "ids": ids}, sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(_SIDECAR_MAGIC + meta.encode("ascii") + b"\n")
+        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+
+
+def _read_sidecar(path: Path, data: bytes) -> tuple[list[str], list[str], np.ndarray] | None:
+    """The (ids, columns, values) that the sidecar of the matrix CSV at path
+    holds, if it opens, starts with the magic line, records the SHA-256 of
+    data, the CSV's bytes, and holds exactly the payload its ids and columns
+    call for; else None. Where no sidecar opens, no digest is taken. The
+    values are writable and C-contiguous."""
+    try:
+        fh = open(_sidecar_path(path), "rb")
+    except OSError:
+        return None
+    with fh:
+        if fh.read(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
+            return None
+        try:
+            meta = json.loads(fh.readline())
+            ids, columns, recorded = meta["ids"], meta["columns"], meta["csv_sha256"]
+        except (ValueError, TypeError, KeyError):
+            return None
+        if (
+            recorded != hashlib.sha256(data).hexdigest()
+            or type(ids) is not list
+            or type(columns) is not list
+            or not all(type(text) is str for text in itertools.chain(ids, columns))
+        ):
+            return None
+        size = 8 * len(ids) * len(columns)
+        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+            return None
+        payload = bytearray(size)
+        if fh.readinto(payload) != size:
+            return None
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
+    return ids, columns, values.reshape(len(ids), len(columns))
 
 
 # set in a forked child, so that it never forks again
@@ -366,8 +465,8 @@ def read_matrix_csv(
 ) -> tuple[list[str], list[str], np.ndarray]:
     """Read an id-keyed numeric matrix; returns (ids, columns, values).
 
-    A repeated id raises InputError naming it, and so does a missing file or
-    one that is not UTF-8 (see read_text).
+    A repeated id raises InputError naming it, and so does a missing file,
+    one that cannot be read, or one that is not UTF-8 (see read_text).
 
     rows, where given, chooses the rows to parse: it is called once with
     every row's id in file order, after the ids are known to be unique, and
@@ -375,6 +474,11 @@ def read_matrix_csv(
     those rows' in that order. Every row's id and cell count is still read,
     so a short or long row anywhere raises, but a cell of a row not chosen is
     never parsed. Without rows, every row is parsed, in file order.
+
+    Where the file's sidecar (written by write_matrix_csvs) records the
+    SHA-256 of the bytes just read, the ids, columns and values are taken
+    from it and nothing is parsed: those bytes parse to exactly them. Any
+    other file is parsed as follows.
 
     Without quotes the file splits on line breaks, each row's id ends at its
     first comma, and each row must hold as many commas as the header has
@@ -388,7 +492,16 @@ def read_matrix_csv(
     bad cell of a chosen row, in file order.
     """
     path = Path(path)
-    text = read_text(path)
+    data = read_bytes(path)
+    cached = _read_sidecar(path, data)
+    if cached is not None:
+        ids, columns, values = cached
+        chosen = _chosen_rows(path, ids, rows)
+        if rows is not None:
+            values = values[chosen]
+        return _chosen_ids(path, ids, chosen, rows), columns, values
+    text = decode_text(path, data)
+    del data
     chosen = None
     if not any(c in text for c in _CSV_READER_ONLY):
         header, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")

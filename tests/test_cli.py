@@ -888,6 +888,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # --deviations goes through read_matrix_csv's byte read, --covariates
+    # through read_text
+    @pytest.mark.parametrize("flag", ["--deviations", "--covariates"])
+    def test_directory_input_exit_two(self, pipeline, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        argv = required_flags(pipeline, "classify", out)
+        directory = tmp_path / "a-directory.csv"
+        directory.mkdir()
+        argv[argv.index(flag) + 1] = directory
+        assert run_cli("classify", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {directory}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_repeated_id_in_ids_file_exit_two(self, pipeline, tmp_path, capsys):
         held_out = (pipeline["fit"] / "test_ids.txt").read_text(encoding="utf-8").split()
         ids = tmp_path / "ids.txt"
@@ -922,6 +937,56 @@ class TestExitCodes:
         assert code == 2
         assert f"duplicate id '{repeated}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _outputs(root):
+    """Every file under root but run_config.json, by path relative to root."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "run_config.json"
+    }
+
+
+class TestSidecars:
+    def test_outputs_do_not_depend_on_sidecars(self, pipeline, tmp_path):
+        """Each matrix a command reads is taken from its sidecar in the
+        pipeline and parsed here: every output, the sidecars that evaluate
+        writes again included, is the same byte for byte."""
+        for key, name in (("data", "features.csv"), ("eval", "deviations.csv"),
+                          ("eval", "errors.csv")):
+            assert (pipeline[key] / f"{name}.cache").is_file(), name
+        bare = {}
+        for key in ("data", "eval"):
+            bare[key] = tmp_path / "inputs" / key
+            shutil.copytree(pipeline[key], bare[key])
+            for sidecar in bare[key].glob("*.cache"):
+                sidecar.unlink()
+        data, ev = bare["data"], bare["eval"]
+        out = {key: tmp_path / key for key in ("fit", "eval", "audit", "clf")}
+        assert run_cli(
+            "fit", "--covariates", data / "covariates.csv", "--features", data / "features.csv",
+            "--out", out["fit"], "--default-train-frac", "0.8", "--seed", "3",
+        ) == 0
+        assert run_cli(
+            "evaluate", "--bundle", pipeline["fit"], "--covariates", data / "covariates.csv",
+            "--features", data / "features.csv", "--ids", pipeline["fit"] / "test_ids.txt",
+            "--out", out["eval"],
+        ) == 0
+        assert run_cli(
+            "audit", "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
+            "--covariates", data / "covariates.csv", "--out", out["audit"],
+            "--contrasts", "W:A", "W:B", "--bundle", pipeline["fit"],
+            "--features", data / "features.csv",
+        ) == 0
+        assert run_cli(
+            "classify", "--deviations", ev / "deviations.csv",
+            "--covariates", data / "covariates.csv", "--out", out["clf"], "--folds", "4",
+        ) == 0
+        assert not list((tmp_path / "inputs").rglob("*.cache"))
+        for key, directory in out.items():
+            assert _outputs(directory) == _outputs(pipeline[key]), key
+        assert (out["eval"] / "deviations.csv.cache").is_file()
 
 
 class TestUnusedFeatureRows:

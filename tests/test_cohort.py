@@ -19,6 +19,7 @@ from normgauge import (
     stratified_split,
 )
 from normgauge.cohort import read_covariates
+from normgauge.serialize import _sidecar_path
 
 
 def write_pair(tmp_path, cov_rows, feat_rows, cov_header="id,age,sex,race", feat_header="id,r1,r2"):
@@ -199,6 +200,9 @@ class TestLoadCohort:
         save_cohort(original, cov, feat)
         reloaded = load_cohort(cov, feat)
         assert reloaded.content_hash() == original.content_hash()
+        # the features from their sidecar above, parsed here
+        _sidecar_path(feat).unlink()
+        assert load_cohort(cov, feat).content_hash() == original.content_hash()
         # a second write of the reloaded cohort is byte identical
         cov2 = tmp_path / "c2.csv"
         feat2 = tmp_path / "f2.csv"

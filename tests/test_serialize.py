@@ -2,20 +2,23 @@
 and what dump_json refuses."""
 
 import csv
+import hashlib
 import io
+import json
 import os
 import threading
 
 import numpy as np
 import pytest
 
-from normgauge import InputError, SchemaError
+from normgauge import InputError, SchemaError, serialize
 from normgauge.serialize import (
     _chunk_ranges,
     _forked_map,
     _one_blas_thread,
     _openblas_threads,
     _read_csv_rows,
+    _sidecar_path,
     dump_json,
     format_cell,
     load_json,
@@ -40,6 +43,13 @@ def reference_bytes(header, rows):
 
 def write_text(path, text):
     path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def drop_sidecar(path):
+    """Delete the sidecar that write_matrix_csvs wrote beside path, so that a
+    read of path runs the parser."""
+    _sidecar_path(path).unlink()
     return path
 
 
@@ -90,7 +100,7 @@ class TestWriter:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, ["cr\rid", "x"], ["a"], np.array([[1.5], [2.0]]))
         assert path.read_bytes() == b'id,a\n"cr\rid",1.5\nx,2.0\n'
-        ids, columns, values = read_matrix_csv(path)
+        ids, columns, values = read_matrix_csv(drop_sidecar(path))
         assert ids == ["cr\rid", "x"] and columns == ["a"]
         np.testing.assert_array_equal(values, [[1.5], [2.0]])
 
@@ -111,7 +121,7 @@ class TestWriter:
         columns = [f"r{j}" for j in range(25)]
         path = tmp_path / "m.csv"
         write_matrix_csv(path, ids, columns, values)
-        got_ids, got_columns, got = read_matrix_csv(path)
+        got_ids, got_columns, got = read_matrix_csv(drop_sidecar(path))
         assert got_ids == ids and got_columns == columns
         assert got.dtype == np.float64 and got.shape == values.shape
         assert got.tobytes() == values.tobytes()
@@ -328,7 +338,7 @@ class TestRowChunks:
         for path, ids, _, values in files:
             assert path.read_bytes() == reference_bytes(["id", *columns], matrix_rows(ids, values))
             forked = len(pids)
-            got_ids, got_columns, got = read_matrix_csv(path)
+            got_ids, got_columns, got = read_matrix_csv(drop_sidecar(path))
             assert len(pids) - forked <= cpus - 1
             assert got_ids == ids and got_columns == columns
             assert got.shape == values.shape and got.tobytes() == values.tobytes()
@@ -537,8 +547,9 @@ class TestChosenRows:
     columns = ["r0", "r1", "r2"]
 
     def matrix(self, path, quoted, n=23):
-        """A matrix file of n rows over a wide range of magnitudes; with quoted,
-        row 5's id holds a comma, which sends the file to csv.reader."""
+        """A matrix file of n rows over a wide range of magnitudes, without its
+        sidecar; with quoted, row 5's id holds a comma, which sends the file to
+        csv.reader."""
         rng = np.random.default_rng(n)
         ids = [f"s{i:02d}" for i in range(n)]
         if quoted:
@@ -546,7 +557,7 @@ class TestChosenRows:
         values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
         values[1] = [-0.0, np.inf, 1e-300]
         write_matrix_csv(path, ids, self.columns, values)
-        return path, ids, values
+        return drop_sidecar(path), ids, values
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv-reader"])
     @pytest.mark.parametrize(
@@ -648,3 +659,224 @@ class TestChosenRows:
             read_matrix_csv(path, calls.append)
         assert str(exc.value) == f"{path}: duplicate id '{ids[3]}'"
         assert calls == []
+
+
+def read_outcome(path, rows=None):
+    """What read_matrix_csv(path, rows) gives: its ids, columns, value bits,
+    shape and dtype, or the type and message of its error."""
+    try:
+        ids, columns, values = read_matrix_csv(path, rows)
+    except Exception as exc:  # noqa: BLE001  (the error is the outcome)
+        return type(exc), str(exc)
+    return ids, columns, values.tobytes(), values.shape, values.dtype
+
+
+def edit_cell(path):
+    """Set the first value of row s3 of a matrix file to 7.25."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith("s3,"))
+    lines[k] = "s3,7.25," + lines[k].split(",", 2)[2]
+    write_text(path, "\n".join(lines))
+
+
+def every_other_reversed(ids):
+    return list(range(len(ids)))[::-2]
+
+
+def sidecar_cases():
+    """(ids, columns, values) by case name: matrices that read back as
+    written, then four that do not, their names starting `nan-` or
+    `repeated-`."""
+    rng = np.random.default_rng(7)
+    plain = [f"s{i}" for i in range(6)]
+    values = rng.normal(size=(6, 3))
+    edges = values.copy()
+    edges[0] = [-0.0, np.inf, -np.inf]
+    edges[1] = [5e-324, -2.5e-310, np.finfo(float).tiny / 3]
+    with_nan = values.copy()
+    with_nan[2, 1] = np.nan
+    columns = ["r0", "r,1", "r2"]
+    return {
+        "quoted-ids": (
+            ["a,b", 'q"uote', "cr\rid", "line\nbreak", "crlf\r\nid", "plain"], columns, values
+        ),
+        "plain-ids": (plain, ["r0", "r1", "r2"], values),
+        "edge-values": (plain, ["r0", "r1", "r2"], edges),
+        "one-row": (["only"], columns, values[:1]),
+        "no-rows": ([], columns, values[:0]),
+        "nan-cell": (plain, columns, with_nan),
+        "repeated-id": (["s0", "s1", "s0", "s3", "s4", "s5"], columns, values),
+        "repeated-id-text": ([1, "1", "s2", "s3", "s4", "s5"], columns, values),
+        "repeated-column": (plain, ["r0", "r1", "r0"], values),
+    }
+
+
+SIDECAR_CASES = sidecar_cases()
+
+
+class TestSidecar:
+    """write_matrix_csvs writes `<file>.cache` beside each matrix CSV that
+    reads back as written, and read_matrix_csv takes the matrix from it only
+    while it records the digest of the CSV's bytes: a read with the sidecar
+    gives what the same read gives without it, error included."""
+
+    @pytest.mark.parametrize("case", list(SIDECAR_CASES))
+    def test_read_with_sidecar_is_the_parsed_read(self, tmp_path, monkeypatch, forks, case):
+        ids, columns, values = SIDECAR_CASES[case]
+        clean = not case.startswith(("nan-", "repeated-"))
+        path = tmp_path / "m.csv"
+        sidecar = _sidecar_path(path)
+        # a sidecar of an earlier, clean matrix at the same path
+        write_matrix_csv(path, ["x"], ["a"], np.array([[1.0]]))
+        assert sidecar.is_file()
+        write_matrix_csv(path, ids, columns, values)
+        assert sidecar.is_file() == clean
+        used = self.spy(monkeypatch)
+        cached = [read_outcome(path), read_outcome(path, every_other_reversed)]
+        assert used == [clean, clean]
+        if clean:
+            sidecar.unlink()
+        parsed = [read_outcome(path), read_outcome(path, every_other_reversed)]
+        assert cached == parsed
+        if clean:
+            texts = [format_cell(sid) for sid in ids]
+            assert parsed[0][:3] == (texts, columns, values.tobytes())
+            assert parsed[1][0] == [texts[k] for k in every_other_reversed(ids)]
+        else:
+            assert issubclass(parsed[0][0], Exception)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("rows", [None, every_other_reversed], ids=["all-rows", "chosen"])
+    def test_values_are_writable_and_c_contiguous(self, tmp_path, rows):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, ["a", "b", "c"], ["r0", "r1"], np.arange(6.0).reshape(3, 2))
+        for _ in range(2):  # from the sidecar, then parsed
+            values = read_matrix_csv(path, rows)[2]
+            assert values.dtype == np.float64
+            assert values.flags.writeable and values.flags.c_contiguous
+            values[0, 0] = -1.0
+            _sidecar_path(path).unlink(missing_ok=True)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The results of read_matrix_csv's sidecar lookups: True where the
+        sidecar was used."""
+        used = []
+        real = serialize._read_sidecar
+
+        def lookup(path, data):
+            found = real(path, data)
+            used.append(found is not None)
+            return found
+
+        monkeypatch.setattr(serialize, "_read_sidecar", lookup)
+        return used
+
+    def spoiled(self, tmp_path, spoil):
+        """A clean matrix file and its sidecar, with spoil(csv, sidecar)
+        applied to them; returns the CSV path."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [f"s{i}" for i in range(8)], ["r0", "r1"], rng.normal(size=(8, 2)))
+        spoil(path, _sidecar_path(path))
+        return path
+
+    def test_sidecar_is_used_when_it_matches(self, tmp_path, monkeypatch):
+        used = self.spy(monkeypatch)
+        path = self.spoiled(tmp_path, lambda csv_path, sidecar: None)
+        read_matrix_csv(path)
+        read_matrix_csv(path, every_other_reversed)
+        assert used == [True, True]
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            # the CSV edited in one cell
+            lambda csv_path, sidecar: edit_cell(csv_path),
+            # the CSV's rows reordered
+            lambda csv_path, sidecar: csv_path.write_text(
+                "\n".join([(lines := csv_path.read_text().splitlines())[0], *lines[:0:-1]]) + "\n"
+            ),
+            # a sidecar one value short
+            lambda csv_path, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-8]),
+            # a sidecar with a byte past its payload
+            lambda csv_path, sidecar: sidecar.write_bytes(sidecar.read_bytes() + b"\0"),
+            # a sidecar that stops inside its JSON line
+            lambda csv_path, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:60]),
+            # a sidecar of another format version
+            lambda csv_path, sidecar: sidecar.write_bytes(
+                sidecar.read_bytes().replace(b" 1\n", b" 2\n", 1)
+            ),
+            # a foreign file in the sidecar's place
+            lambda csv_path, sidecar: sidecar.write_bytes(b"\x89PNG\r\n\x1a\n" * 100),
+            # an empty sidecar
+            lambda csv_path, sidecar: sidecar.write_bytes(b""),
+            # a directory in the sidecar's place
+            lambda csv_path, sidecar: (sidecar.unlink(), sidecar.mkdir()),
+        ],
+        ids=["edited-cell", "reordered-rows", "truncated-payload", "long-payload",
+             "truncated-json", "other-version", "foreign-file", "empty", "directory"],
+    )
+    def test_any_mismatch_takes_the_parse_path(self, tmp_path, monkeypatch, spoil):
+        path = self.spoiled(tmp_path, spoil)
+        used = self.spy(monkeypatch)
+        got = [read_outcome(path), read_outcome(path, every_other_reversed)]
+        assert used == [False, False]
+        # the parser's own result: the sidecar moved aside, none left to look up
+        aside = tmp_path / "aside"
+        _sidecar_path(path).rename(aside)
+        assert [read_outcome(path), read_outcome(path, every_other_reversed)] == got
+        assert used == [False] * 4
+
+    def test_edited_csv_reads_its_new_value(self, tmp_path):
+        path = self.spoiled(tmp_path, lambda csv_path, sidecar: edit_cell(csv_path))
+        assert read_matrix_csv(path)[2][3, 0] == 7.25
+
+    def test_no_digest_without_a_sidecar(self, tmp_path, monkeypatch):
+        path = write_text(tmp_path / "m.csv", "id,a,b\nx,1,2\ny,3,4\n")
+        calls = []
+        real = hashlib.sha256
+
+        def sha256(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        read_matrix_csv(path)
+        read_matrix_csv(path, lambda all_ids: [1])
+        assert calls == []
+
+    def test_sidecar_bytes(self, tmp_path, forks):
+        files = matrix_files(tmp_path)
+        # no NaN, so that each reads back and has a sidecar
+        files = [(path, ids, columns, np.nan_to_num(values, nan=0.5))
+                 for path, ids, columns, values in files]
+        write_matrix_csvs(files)
+        for path, ids, columns, values in files:
+            blob = _sidecar_path(path).read_bytes()
+            magic, meta, payload = blob.split(b"\n", 2)
+            assert magic + b"\n" == serialize._SIDECAR_MAGIC
+            assert json.loads(meta) == {
+                "columns": columns,
+                "csv_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "ids": ids,
+            }
+            assert meta == json.dumps(json.loads(meta), sort_keys=True).encode("ascii")
+            assert payload == values.astype("<f8").tobytes()
+            # the same matrix written again gives the same bytes
+            again = tmp_path / "again.csv"
+            write_matrix_csv(again, ids, columns, values)
+            assert _sidecar_path(again).read_bytes() == blob
+        assert_no_child_left()
+
+    def test_failed_write_leaves_no_sidecar(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, ["a", "b"], ["r0"], np.zeros((2, 1)))
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text for this id")
+
+        with pytest.raises(RuntimeError):
+            write_matrix_csv(path, ["a", Unprintable()], ["r0"], np.zeros((2, 1)))
+        assert not _sidecar_path(path).exists()
