@@ -44,7 +44,8 @@ runs in-process. write_matrix_csvs cuts the rows of all its files as one
 sequence and writes each file's header and then the chunks' text in order.
 read_matrix_csv finds every row by offsets into the text, cuts the rows it
 parses, parses each chunk with np.loadtxt, and reads the whole file serially
-if any chunk fails. The same
+if any chunk fails. Each text chunk is held to a usable CPU of its own while
+it runs (_forked_iter's pinned). The same
 helpers split the region fits of blr and the (fold, class) binary fits of
 classify, which run OpenBLAS on one thread while they are forked
 (_one_blas_thread). No option selects either way, a forked child never forks
@@ -185,7 +186,7 @@ def write_matrix_csvs(
                 texts.append((hi - lo, text))
         return texts
 
-    chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]))
+    chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]), pinned=True)
     with contextlib.closing(chunks):
         pending: collections.deque[tuple[int, bytearray]] = collections.deque()
         for path, ids, columns, values in matrices:
@@ -360,13 +361,19 @@ def _chunk_ranges(n: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
+def _forked_map(fn: Callable[[Any], Any], parts: Sequence, *, pinned: bool = False) -> list:
     """[fn(part) for part in parts], the parts after the first in forked
     children; see _forked_iter."""
-    return list(_forked_iter(fn, parts))
+    return list(_forked_iter(fn, parts, pinned=pinned))
 
 
-def _forked_iter(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
+def _set_cpus(cpus: set[int]) -> None:
+    """Hold this thread to the given CPUs, where the system lets it."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _forked_iter(fn: Callable[[Any], Any], parts: Sequence, *, pinned: bool = False) -> Iterator:
     """Yield fn(part) for each part in order, the parts after the first
     computed in forked children.
 
@@ -381,15 +388,27 @@ def _forked_iter(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
     in-process call raises it. No child outlives the iteration, whether it
     ends, raises or is closed. Otherwise every part runs in this process, one
     after another.
+
+    pinned, for parts that call no BLAS, holds each part to a usable CPU of
+    its own while they run, this process's on the first, and gives this
+    process back its CPUs as the iteration ends. Left to itself, the
+    scheduler at times keeps a new child on its parent's CPU for the whole of
+    a part of a few tenths of a second while another CPU idles, and both run
+    at half speed. A BLAS that starts threads in a part would crowd them onto
+    its one CPU, so parts that call one are not pinned.
     """
     global _in_forked_child
     if len(parts) < 2 or _fork_slots() < 2:
         for part in parts:
             yield fn(part)
         return
+    usable = os.sched_getaffinity(0)
+    cpus = sorted(usable) if pinned and len(parts) <= len(usable) else []
     children: list[tuple[int, Any, Any]] = []  # pid, read end of its pipe, part
     try:
-        for part in parts[1:]:
+        if cpus:
+            _set_cpus({cpus[0]})
+        for k, part in enumerate(parts[1:], 1):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -404,6 +423,8 @@ def _forked_iter(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
                 try:
                     _in_forked_child = True
                     os.close(read_fd)
+                    if cpus:
+                        _set_cpus({cpus[k]})
                     with open(write_fd, "wb") as pipe:
                         pickle.dump(fn(part), pipe, pickle.HIGHEST_PROTOCOL)
                     code = 0
@@ -432,6 +453,8 @@ def _forked_iter(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
         for pid, pipe, _ in children:
             pipe.close()
             os.waitpid(pid, 0)
+        if cpus:
+            _set_cpus(usable)
 
 
 # characters that send a file to the csv.reader path: a quote changes how
@@ -514,6 +537,7 @@ def read_matrix_csv(
             parts = _forked_map(
                 lambda part: _parse_rows(body, [lines[k] for k in part]),
                 [chosen[r.start:r.stop] for r in _chunk_ranges(len(chosen))],
+                pinned=True,
             )
             if all(part is not None for part in parts):
                 values = np.concatenate(parts) if parts else np.empty((0, len(columns)))

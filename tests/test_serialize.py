@@ -273,6 +273,25 @@ class TestForkedMap:
             set_(before)
         assert len(pids) == (1 if forked else 0)
 
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs two usable CPUs",
+    )
+    def test_pinned_parts_each_hold_a_cpu_of_their_own(self):
+        usable = os.sched_getaffinity(0)
+        first, second = sorted(usable)[:2]
+        # each part, the caller's included, reports the CPUs it may run on
+        got = _forked_map(lambda _: os.sched_getaffinity(0), [0, 1], pinned=True)
+        assert got == [{first}, {second}]
+        assert os.sched_getaffinity(0) == usable
+        assert _forked_map(lambda _: os.sched_getaffinity(0), [0, 1]) == [usable, usable]
+        # closed after its first result, the iteration still gives the CPUs back
+        parts = serialize._forked_iter(lambda _: os.sched_getaffinity(0), [0, 1], pinned=True)
+        assert next(parts) == {first}
+        parts.close()
+        assert os.sched_getaffinity(0) == usable
+        assert_no_child_left()
+
     @pytest.mark.parametrize("forks", ["forked"], indirect=True)
     def test_a_forked_child_never_forks(self, forks):
         pids, _ = forks
