@@ -952,13 +952,16 @@ def _fit_regions(
     statistics, and with them its model, are bitwise the same whatever
     columns stand beside it (a reduction along axis 0 of (N, D) is not).
     The regions are cut into one contiguous chunk per usable CPU, and every
-    chunk after the first is fitted in a forked child (serialize._forked_map);
-    a region's model does not depend on the regions fitted with it, so the cut
-    changes no bit. Regions flagged as not converged are reported in one
-    warning at the end. A region whose squared responses overflow, even as a
-    sum, or whose deviations from their mean underflow when squared, cannot
-    be fit in double precision and raises NumericalError before any fit
-    runs.
+    chunk after the first is fitted in a forked child (serialize._forked_map).
+    Forked chunks run as every forked iteration does: OpenBLAS on one thread,
+    and each chunk held to a usable CPU of its own where it does
+    (serialize._forked_iter). A region's model does not depend on the regions
+    fitted with it, nor on the BLAS thread count, so neither the cut nor the
+    thread count changes a bit. Regions flagged as not converged are reported
+    in one warning at the end. A region whose squared responses overflow,
+    even as a sum, or whose deviations from their mean underflow when
+    squared, cannot be fit in double precision and raises NumericalError
+    before any fit runs.
     """
     if not regions:
         raise InputError("no regions to fit: the responses have no region columns")

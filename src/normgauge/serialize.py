@@ -44,12 +44,12 @@ runs in-process. write_matrix_csvs cuts the rows of all its files as one
 sequence and writes each file's header and then the chunks' text in order.
 read_matrix_csv finds every row by offsets into the text, cuts the rows it
 parses, parses each chunk with np.loadtxt, and reads the whole file serially
-if any chunk fails. Each text chunk is held to a usable CPU of its own while
-it runs (_forked_iter's pinned). The same
-helpers split the region fits of blr and the (fold, class) binary fits of
-classify, which run OpenBLAS on one thread while they are forked
-(_one_blas_thread). No option selects either way, a forked child never forks
-again, and the cut changes no byte written, no value read and no error
+if any chunk fails. The same helpers split the region fits of blr and the
+(fold, class) binary fits of classify. Every forked iteration runs one way:
+OpenBLAS runs on one thread while it lasts, and each part is held to a
+usable CPU of its own, but only where OpenBLAS is found and runs on one
+thread (_forked_iter). No option selects either way, a forked child never
+forks again, and the cut changes no byte written, no value read and no error
 raised.
 """
 
@@ -59,6 +59,7 @@ import collections
 import contextlib
 import csv
 import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -186,7 +187,7 @@ def write_matrix_csvs(
                 texts.append((hi - lo, text))
         return texts
 
-    chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]), pinned=True)
+    chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]))
     with contextlib.closing(chunks):
         pending: collections.deque[tuple[int, bytearray]] = collections.deque()
         for path, ids, columns, values in matrices:
@@ -295,10 +296,17 @@ def _fork_slots() -> int:
     return len(os.sched_getaffinity(0))
 
 
+@functools.cache
 def _openblas_threads() -> tuple[Any, Any] | None:
     """The get and set functions of the thread count of the OpenBLAS loaded in
     this process, or None where none is found (another BLAS, or no Linux
-    /proc/self/maps)."""
+    /proc/self/maps).
+
+    Looked up once per process: numpy, imported above, has loaded its BLAS
+    by the first call, and the lookup reads /proc/self/maps and opens the
+    library, up to a few milliseconds that every forked iteration would
+    otherwise pay.
+    """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             # a line that names a file ends in its path, the sixth field
@@ -325,27 +333,26 @@ def _openblas_threads() -> tuple[Any, Any] | None:
 
 
 @contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
+def _one_blas_thread() -> Iterator[bool]:
     """Run the body with OpenBLAS, where _openblas_threads finds it, on one
-    thread.
+    thread; yield whether it runs on one thread, False where none is found.
 
-    For forked parts that spend their time in matrix products: they run side
-    by side, one per usable CPU, and if each also spread its products over
-    every CPU, the threads of one product, which wait for each other, would
-    compete for the CPUs with those of the other parts. Forked classifier
-    fits ran up to ten times slower so. The products that run under it split
-    their outputs, not their sums, across BLAS threads, so the thread count
-    changes no result.
+    For forked parts (_forked_iter): they run side by side, one per usable
+    CPU, and if each also spread its matrix products over every CPU, the
+    threads of one product, which wait for each other, would compete for the
+    CPUs with those of the other parts. Forked classifier fits ran up to ten
+    times slower so. The products that run under it split their outputs, not
+    their sums, across BLAS threads, so the thread count changes no result.
     """
     blas = _openblas_threads()
     if blas is None:
-        yield
+        yield False
         return
     get, set_ = blas
     threads = get()
     set_(1)
     try:
-        yield
+        yield get() == 1
     finally:
         set_(threads)
 
@@ -361,10 +368,10 @@ def _chunk_ranges(n: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _forked_map(fn: Callable[[Any], Any], parts: Sequence, *, pinned: bool = False) -> list:
+def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
     """[fn(part) for part in parts], the parts after the first in forked
     children; see _forked_iter."""
-    return list(_forked_iter(fn, parts, pinned=pinned))
+    return list(_forked_iter(fn, parts))
 
 
 def _set_cpus(cpus: set[int]) -> None:
@@ -373,7 +380,7 @@ def _set_cpus(cpus: set[int]) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _forked_iter(fn: Callable[[Any], Any], parts: Sequence, *, pinned: bool = False) -> Iterator:
+def _forked_iter(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
     """Yield fn(part) for each part in order, the parts after the first
     computed in forked children.
 
@@ -387,15 +394,18 @@ def _forked_iter(fn: Callable[[Any], Any], parts: Sequence, *, pinned: bool = Fa
     exits non-zero runs again in this process, so its error is raised as an
     in-process call raises it. No child outlives the iteration, whether it
     ends, raises or is closed. Otherwise every part runs in this process, one
-    after another.
+    after another, at the BLAS thread count and on the CPUs it found.
 
-    pinned, for parts that call no BLAS, holds each part to a usable CPU of
-    its own while they run, this process's on the first, and gives this
-    process back its CPUs as the iteration ends. Left to itself, the
-    scheduler at times keeps a new child on its parent's CPU for the whole of
-    a part of a few tenths of a second while another CPU idles, and both run
-    at half speed. A BLAS that starts threads in a part would crowd them onto
-    its one CPU, so parts that call one are not pinned.
+    Every forked iteration runs one way, whatever its parts compute. For the
+    whole iteration, OpenBLAS runs on one thread (_one_blas_thread), and the
+    children inherit that. Where it does, each part is also held to a usable
+    CPU of its own, this process's on the first and child k's on the k-th:
+    left to itself, the scheduler at times keeps a new child on its parent's
+    CPU for the whole of a part of a few tenths of a second while another CPU
+    idles, and both run at half speed. Where no OpenBLAS is found, no part is
+    pinned, since a BLAS that starts threads of its own would crowd them onto
+    the one CPU of its part. This process gets back its CPUs and its BLAS
+    thread count as the iteration ends, raises or is closed.
     """
     global _in_forked_child
     if len(parts) < 2 or _fork_slots() < 2:
@@ -403,58 +413,59 @@ def _forked_iter(fn: Callable[[Any], Any], parts: Sequence, *, pinned: bool = Fa
             yield fn(part)
         return
     usable = os.sched_getaffinity(0)
-    cpus = sorted(usable) if pinned and len(parts) <= len(usable) else []
     children: list[tuple[int, Any, Any]] = []  # pid, read end of its pipe, part
-    try:
-        if cpus:
-            _set_cpus({cpus[0]})
-        for k, part in enumerate(parts[1:], 1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                # the child never returns into the caller's stack: whatever
-                # happens, it ends here without running exit handlers
-                code = 1
+    with _one_blas_thread() as one_thread:
+        cpus = sorted(usable) if one_thread and len(parts) <= len(usable) else []
+        try:
+            if cpus:
+                _set_cpus({cpus[0]})
+            for k, part in enumerate(parts[1:], 1):
+                read_fd, write_fd = os.pipe()
                 try:
-                    _in_forked_child = True
+                    pid = os.fork()
+                except OSError:
                     os.close(read_fd)
-                    if cpus:
-                        _set_cpus({cpus[k]})
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(fn(part), pipe, pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), part))
-        yield fn(parts[0])
-        while children:
-            pid, pipe, part = children[0]
-            with pipe:
-                try:
-                    result = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # the child ended early
-                    result = None
-                pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                result = fn(part)
-            yield result
-            del result  # the caller's now: not held while the next pipe is read
-    finally:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-        if cpus:
-            _set_cpus(usable)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    # the child never returns into the caller's stack: whatever
+                    # happens, it ends here without running exit handlers
+                    code = 1
+                    try:
+                        _in_forked_child = True
+                        os.close(read_fd)
+                        if cpus:
+                            _set_cpus({cpus[k]})
+                        with open(write_fd, "wb") as pipe:
+                            pickle.dump(fn(part), pipe, pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_fd)
+                children.append((pid, open(read_fd, "rb"), part))
+            yield fn(parts[0])
+            while children:
+                pid, pipe, part = children[0]
+                with pipe:
+                    try:
+                        result = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the child ended early
+                        result = None
+                    pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
+                if os.waitstatus_to_exitcode(status) != 0:
+                    result = fn(part)
+                yield result
+                del result  # the caller's now: not held while the next pipe is read
+        finally:
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.waitpid(pid, 0)
+            if cpus:
+                _set_cpus(usable)
 
 
 # characters that send a file to the csv.reader path: a quote changes how
@@ -537,7 +548,6 @@ def read_matrix_csv(
             parts = _forked_map(
                 lambda part: _parse_rows(body, [lines[k] for k in part]),
                 [chosen[r.start:r.stop] for r in _chunk_ranges(len(chosen))],
-                pinned=True,
             )
             if all(part is not None for part in parts):
                 values = np.concatenate(parts) if parts else np.empty((0, len(columns)))

@@ -6,12 +6,22 @@ import sys
 import pytest
 
 
-def _force_cpus(monkeypatch, cpus):
+def _force_cpus(request, monkeypatch, cpus):
     """Make serialize's CPU probe see `cpus` usable CPUs and count os.fork.
 
-    Returns the list of child pids that os.fork hands to the caller.
+    The CPUs it sees are this process's own, lowest first, and after them
+    higher numbers, which it may not run on, so that a part held to a CPU the
+    probe reports runs there wherever this process may. A forked iteration
+    gives back the CPUs the probe reported, so this process gets its own back
+    as the test ends. Returns the list of child pids that os.fork hands to
+    the caller.
     """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    own = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    past = max(own, default=-1) + 1
+    seen = own[:cpus] + list(range(past, past + cpus - len(own)))
+    if own:
+        request.addfinalizer(lambda: os.sched_setaffinity(0, own))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(seen), raising=False)
     pids = []
     real_fork = os.fork
 
@@ -35,7 +45,7 @@ def forks(request, monkeypatch):
     forked = request.param == "forked"
     if forked and not sys.platform.startswith("linux"):
         pytest.skip("the forked path is Linux-only")
-    return _force_cpus(monkeypatch, 2 if forked else 1), forked
+    return _force_cpus(request, monkeypatch, 2 if forked else 1), forked
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -47,4 +57,4 @@ def usable_cpus(request, monkeypatch):
     """
     if request.param > 1 and not sys.platform.startswith("linux"):
         pytest.skip("the forked path is Linux-only")
-    return _force_cpus(monkeypatch, request.param), request.param
+    return _force_cpus(request, monkeypatch, request.param), request.param

@@ -50,7 +50,7 @@ from normgauge import (
     warp_forward,
     warp_inverse,
 )
-from normgauge import blr
+from normgauge import blr, serialize
 from normgauge.blr import (
     _fit_regions,
     _normality_statistic,
@@ -61,6 +61,9 @@ from normgauge.blr import (
     _WarpedEvidence,
 )
 from normgauge.errors import NumericalError
+
+# the CPU probe itself, which the usable_cpus fixture replaces
+SCHED_GETAFFINITY = getattr(os, "sched_getaffinity", None)
 
 
 def make_cohort(ages, responses, sexes=None, races=None, regions=None):
@@ -743,6 +746,56 @@ class TestSplitFreeFit:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = fit_normative(cohort, ModelConfig())
         assert len(pids) == min(cpus, cohort.n_regions) - 1
+        save_bundle(split, tmp_path / "split")
+        save_bundle(serial, tmp_path / "serial")
+        for name in ("model.json", "regions.json"):
+            assert (tmp_path / "split" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
+    def test_forked_parts_run_one_blas_thread_each_pinned(
+        self, tmp_path, monkeypatch, usable_cpus
+    ):
+        pids, cpus = usable_cpus
+        blas = serialize._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, set_ = blas
+        seen = sorted(os.sched_getaffinity(0))  # the CPUs the probe reports
+        records = tmp_path / "parts.txt"
+        fit_block = blr._fit_block
+
+        def recording(spectrum, y_rows, mean, sd, regions):
+            # appended from every part, a forked child's included
+            with open(records, "a", encoding="utf-8") as fh:
+                cpus_now = sorted(SCHED_GETAFFINITY(0))
+                fh.write(f"{regions[0]} {get()} {' '.join(map(str, cpus_now))}\n")
+            return fit_block(spectrum, y_rows, mean, sd, regions)
+
+        monkeypatch.setattr(blr, "_fit_block", recording)
+        cohort = self.cohort()
+        before = get()
+        set_(2)
+        try:
+            split = fit_normative(cohort, ModelConfig())
+            assert get() == 2
+            monkeypatch.setattr(serialize, "_fork_slots", lambda: 1)
+            serial = fit_normative(cohort, ModelConfig())
+        finally:
+            set_(before)
+        assert len(pids) == cpus - 1
+        assert_no_child_left()
+        lines = records.read_text(encoding="utf-8").splitlines()
+        parts = sorted(lines[:-1], key=lambda line: cohort.regions.index(line.split()[0]))
+        got = [tuple(map(int, line.split()[1:])) for line in parts]
+        if cpus == 1:
+            assert got == [(2, *sorted(SCHED_GETAFFINITY(0)))]
+        else:
+            # part k on the k-th CPU; a part whose CPU this process may not
+            # run on stays on the caller's, the first
+            own = SCHED_GETAFFINITY(0)
+            assert got == [(1, cpu if cpu in own else seen[0]) for cpu in seen]
         save_bundle(split, tmp_path / "split")
         save_bundle(serial, tmp_path / "serial")
         for name in ("model.json", "regions.json"):

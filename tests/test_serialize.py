@@ -235,6 +235,20 @@ class TestWriteMatrixCsvs:
         assert pids == []
 
 
+def openblas():
+    """The get and set functions of OpenBLAS's thread count; skips without it."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    return blas
+
+
+two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs two usable CPUs",
+)
+
+
 class TestForkedMap:
     def test_results_in_order_past_the_pipe_buffer(self, forks):
         pids, forked = forks
@@ -257,39 +271,81 @@ class TestForkedMap:
 
     def test_one_blas_thread_reaches_forked_parts(self, forks):
         pids, forked = forks
-        blas = _openblas_threads()
-        if blas is None:
-            pytest.skip("no OpenBLAS loaded")
-        get, set_ = blas
+        get, set_ = openblas()
         before = get()
         set_(2)
         try:
-            with _one_blas_thread():
-                # each part, the caller's included, reports its BLAS thread count
-                got = _forked_map(lambda _: get(), [0, 1])
-            assert got == [1, 1]
+            # each part, the caller's included, reports its BLAS thread count
+            got = _forked_map(lambda _: get(), [0, 1])
+            # forked parts run on one thread; in-process ones at the caller's
+            assert got == ([1, 1] if forked else [2, 2])
             assert get() == 2
         finally:
             set_(before)
         assert len(pids) == (1 if forked else 0)
 
-    @pytest.mark.skipif(
-        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-        reason="needs two usable CPUs",
-    )
+    @two_cpus
     def test_pinned_parts_each_hold_a_cpu_of_their_own(self):
+        get, set_ = openblas()
         usable = os.sched_getaffinity(0)
         first, second = sorted(usable)[:2]
-        # each part, the caller's included, reports the CPUs it may run on
-        got = _forked_map(lambda _: os.sched_getaffinity(0), [0, 1], pinned=True)
-        assert got == [{first}, {second}]
+        product = np.arange(64.0 * 64).reshape(64, 64)
+
+        def part(_):
+            """The product's checksum, the BLAS thread count and the CPUs the
+            part may run on, the caller's part included."""
+            return float((product @ product).sum()), get(), os.sched_getaffinity(0)
+
+        total = float((product @ product).sum())
+        before = get()
+        set_(2)
+        try:
+            got = _forked_map(part, [0, 1])
+        finally:
+            set_(before)
+        assert got == [(total, 1, {first}), (total, 1, {second})]
         assert os.sched_getaffinity(0) == usable
+        assert_no_child_left()
+
+    @two_cpus
+    def test_no_part_is_pinned_without_openblas(self, monkeypatch):
+        usable = os.sched_getaffinity(0)
+        monkeypatch.setattr(serialize, "_openblas_threads", lambda: None)
+        with _one_blas_thread() as one_thread:
+            assert one_thread is False
         assert _forked_map(lambda _: os.sched_getaffinity(0), [0, 1]) == [usable, usable]
-        # closed after its first result, the iteration still gives the CPUs back
-        parts = serialize._forked_iter(lambda _: os.sched_getaffinity(0), [0, 1], pinned=True)
-        assert next(parts) == {first}
-        parts.close()
-        assert os.sched_getaffinity(0) == usable
+        assert_no_child_left()
+
+    @two_cpus
+    @pytest.mark.parametrize("end", ["full", "closed", "raising"])
+    def test_caller_gets_its_cpus_and_blas_threads_back(self, end):
+        get, set_ = openblas()
+        usable = os.sched_getaffinity(0)
+        first = min(usable)
+
+        def part(k):
+            """The CPUs and BLAS thread count of the part; the caller's part
+            raises in a raising iteration."""
+            if end == "raising" and k == 0:
+                raise ZeroDivisionError("the caller's part")
+            return os.sched_getaffinity(0), get()
+
+        before = get()
+        set_(2)
+        try:
+            parts = serialize._forked_iter(part, [0, 1])
+            if end == "raising":
+                with pytest.raises(ZeroDivisionError, match="the caller's part"):
+                    next(parts)
+            elif end == "closed":
+                assert next(parts) == ({first}, 1)
+                parts.close()
+            else:
+                assert len(list(parts)) == 2
+            assert os.sched_getaffinity(0) == usable
+            assert get() == 2
+        finally:
+            set_(before)
         assert_no_child_left()
 
     @pytest.mark.parametrize("forks", ["forked"], indirect=True)
