@@ -45,6 +45,7 @@ _SOURCES = {
         "fit_metrics",
         "fit_normative",
         "fit_region",
+        "group_fit",
         "load_bundle",
         "predict_region",
         "region_metrics",

@@ -3,15 +3,31 @@
 Every command reads or writes some JSON (a --config file, run_config.json), and
 `report` reads nothing else but JSON and small CSVs, so these helpers import
 only the standard library. serialize re-exports them beside its CSV code.
+
+Inside recorded_digests(), read_bytes records the SHA-256 of every file it
+reads, so that a command can name the exact bytes its result came from (see
+`evaluate`'s group_fit.json) without every reader passing them up.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import InputError
+
+# the files of a model bundle (blr.save_bundle), named here so that a command
+# can hash a bundle without importing blr
+MODEL_FILE = "model.json"
+REGIONS_FILE = "regions.json"
+
+# the record of the innermost recorded_digests() of this context, if any
+_recording: contextvars.ContextVar[dict[Path, str] | None] = contextvars.ContextVar(
+    "_recording", default=None
+)
 
 
 def _plain(obj: Any) -> Any:
@@ -37,9 +53,43 @@ def read_bytes(path: Path) -> bytes:
     if not path.exists():
         raise InputError(f"file not found: {path}")
     try:
-        return path.read_bytes()
+        data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    digests = _recording.get()
+    if digests is not None:
+        import hashlib  # here, so that a command that records none never loads it
+
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+@contextlib.contextmanager
+def recorded_digests() -> Iterator[dict[Path, str]]:
+    """Yield a dict that, until the body ends, takes the SHA-256 hex digest of
+    the bytes of each file read_bytes reads, under the path it was given; a
+    file read twice keeps the digest of its last read.
+
+    The record is held in a context variable, so it sees only the reads of
+    this thread and ends with the body, however it ends.
+    """
+    digests: dict[Path, str] = {}
+    token = _recording.set(digests)
+    try:
+        yield digests
+    finally:
+        _recording.reset(token)
+
+
+def sha256_of(path: Path, data: bytes) -> str:
+    """The SHA-256 hex digest of data, the bytes read_bytes has just read
+    from path: inside recorded_digests() the one it recorded, not taken twice."""
+    digests = _recording.get()
+    if digests is not None and path in digests:
+        return digests[path]
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_text(path: Path) -> str:

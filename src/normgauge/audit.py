@@ -18,17 +18,22 @@ there. ln B(a, 1/2) comes from its asymptotic series at a >= 20, where lgamma
 differences lose digits. Against scipy's 2 * stdtr(df, -|t|), p is within a
 relative 4e-13 for df in [1, 1e7] and |t| up to 1e3 wherever p >= 1e-300, and
 no pair takes more than 62 iterations.
+
+Parity (group_parity) reduces the deviations by group itself. Its EV and
+MSLL are the model's: they arrive as a per-group fit (blr.group_fit of a
+scoring pass, or the same values that `evaluate` wrote to group_fit.json),
+so this module imports nothing from blr.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blr import DeviationMatrix, _explained_variances, _region_major
 from .errors import InputError, NumericalError
 
 DEFAULT_EXTREME_THRESHOLD = 2.0
@@ -329,16 +334,15 @@ def group_parity(
     z_matrix: np.ndarray,
     groups: Sequence[str],
     threshold: float = DEFAULT_EXTREME_THRESHOLD,
-    scored: DeviationMatrix | None = None,
+    fit: Mapping[str, Mapping] | None = None,
 ) -> ParityReport:
     """Per-group parity as reductions over each group's rows.
 
     Mean |Z|, mean Z and the extreme rate pool all of a group's cells of
-    z_matrix. EV and MSLL need the model's scoring pass of the same rows,
-    `scored`: each is the mean over regions of the per-region metric on the
-    group's rows, reduced along the rows of region-major copies, bitwise as
-    explained_variance and np.mean give it for each column alone. Without
-    `scored` they are None.
+    z_matrix. EV and MSLL need the model: `fit` is the per-group fit of its
+    scoring pass of the same rows (blr.group_fit), or the same values read
+    back, and must hold every group with its size. Without `fit` they are
+    None.
     """
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     group_arr = np.asarray(list(groups))
@@ -346,22 +350,17 @@ def group_parity(
         raise InputError(
             f"{group_arr.shape[0]} group labels for {z_matrix.shape[0]} deviation rows"
         )
-    labels = tuple(sorted(set(group_arr.tolist())))
+    sizes = collections.Counter(group_arr.tolist())
+    labels = tuple(sorted(sizes))
+    if fit is not None and {label: g["n"] for label, g in fit.items()} != sizes:
+        raise InputError(f"the per-group fit is not of these rows' groups {dict(sizes)}")
     per_group: dict[str, dict] = {}
     for label in labels:
-        mask = group_arr == label
-        z = z_matrix[mask]
+        z = z_matrix[group_arr == label]
         entry: dict = {"n": int(z.shape[0]), "explained_variance": None, "msll": None}
-        if scored is not None:
-            evs, mslls = [], []
-            for y, yhat, log_loss in _region_major(
-                scored.y, scored.yhat, scored.log_loss, rows=mask
-            ):
-                evs += _explained_variances(y, yhat)
-                mslls.append(np.mean(log_loss, axis=1))
-            evs = [ev for ev in evs if ev is not None]
-            entry["explained_variance"] = float(np.mean(evs)) if evs else None
-            entry["msll"] = float(np.mean(np.concatenate(mslls)))
+        if fit is not None:
+            entry["explained_variance"] = fit[label]["explained_variance"]
+            entry["msll"] = fit[label]["msll"]
         entry["mean_abs_deviation"] = float(np.mean(np.abs(z)))
         entry["mean_deviation"] = float(np.mean(z))
         entry["extreme_rate"] = float(np.mean(np.abs(z) > threshold))

@@ -65,8 +65,10 @@ product per region for the latent mean, and for the posterior variance
 ||L^-1 phi||^2 each region's triangular inverse of its Cholesky factor L
 times the design (_predict_block), so a region's scores do not depend on the
 regions scored beside it; predict_region is the one-region case. The fit
-metrics and the per-group parity reduce the scoring pass along the rows of
-region-major copies, which is bitwise the reduction of each column alone.
+metrics (region_metrics) and the per-group fit (group_fit: each group's n,
+EV and MSLL, which audit's parity takes) reduce the scoring pass along the
+rows of region-major copies, which is bitwise the reduction of each column
+alone.
 Per-region scoring with a general LU solve lives with the tests as the
 scoring pass's oracle.
 """
@@ -80,6 +82,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._textio import MODEL_FILE, REGIONS_FILE
 from ._version import __version__
 from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
@@ -1235,8 +1238,9 @@ class DeviationMatrix:
     to z = warp((y - response_mean) / response_sd); E = y - yhat in response
     units; and log_loss is the per-cell log loss of the model minus that of
     the training-baseline Gaussian, so its column means are the MSLL. y holds
-    the responses, a view of the cohort's when the region orders agree. Fit
-    metrics and parity are reductions of this result over rows and columns.
+    the responses, a view of the cohort's when the region orders agree, and
+    clamped counts the ages clamped to the model's knot range. Fit metrics
+    and parity are reductions of this result over rows and columns.
     """
 
     ids: tuple[str, ...]
@@ -1246,6 +1250,7 @@ class DeviationMatrix:
     yhat: np.ndarray
     log_loss: np.ndarray
     y: np.ndarray
+    clamped: int = 0
 
 
 def _check_regions(model: NormativeModel, cohort: Cohort) -> list[int]:
@@ -1338,6 +1343,7 @@ def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
         yhat=yhats,
         log_loss=log_loss,
         y=responses,
+        clamped=design.clamp_count,
     )
 
 
@@ -1426,8 +1432,38 @@ def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]
     return region_metrics(deviations(model, cohort))
 
 
-MODEL_FILE = "model.json"
-REGIONS_FILE = "regions.json"
+def group_fit(dm: DeviationMatrix, groups: Sequence[str]) -> dict[str, dict]:
+    """Per-group fit quality of a scoring pass, the model half of group_parity.
+
+    groups labels the pass's rows. For each distinct label, in sorted order:
+    its row count n, the mean over regions of the explained variance of its
+    rows (regions whose responses do not vary there are left out; None if
+    none is left) and its MSLL, the mean over regions of each region's mean
+    log loss. Each region's metric is reduced along the rows of a
+    region-major copy (_region_major), bitwise as explained_variance and
+    np.mean give it for the group's rows of that column alone.
+    """
+    group_arr = np.asarray(list(groups))
+    if group_arr.shape[0] != dm.y.shape[0]:
+        raise InputError(
+            f"{group_arr.shape[0]} group labels for {dm.y.shape[0]} scored rows"
+        )
+    fit: dict[str, dict] = {}
+    for label in sorted(set(group_arr.tolist())):
+        mask = group_arr == label
+        evs, mslls = [], []
+        for y, yhat, log_loss in _region_major(dm.y, dm.yhat, dm.log_loss, rows=mask):
+            evs += _explained_variances(y, yhat)
+            mslls.append(np.mean(log_loss, axis=1))
+        evs = [ev for ev in evs if ev is not None]
+        fit[label] = {
+            "n": int(np.count_nonzero(mask)),
+            "explained_variance": float(np.mean(evs)) if evs else None,
+            "msll": float(np.mean(np.concatenate(mslls))),
+        }
+    return fit
+
+
 _BUNDLE_FORMAT = "normgauge-model"
 
 

@@ -463,7 +463,8 @@ def write_clf_metrics(path: str | Path, report: ClassifierReport) -> None:
 def write_roc_points(path: str | Path, report: ClassifierReport) -> None:
     rows = []
     for (cls, fold), (fpr, tpr) in sorted(report.roc_curves.items()):
-        for x_val, y_val in zip(fpr, tpr):
+        # Python floats: format_cell's fast path, where numpy scalars take its slowest
+        for x_val, y_val in zip(fpr.tolist(), tpr.tolist()):
             rows.append([cls, fold, x_val, y_val])
     write_csv(path, ["class", "fold", "fpr", "tpr"], rows)
 

@@ -15,12 +15,20 @@ included, so a command pays at start-up only for what it calls: `classify`
 loads no blr, design, audit, synth or warp, `synth` no blr, and `report`, whose
 statistics are taken in pure Python (_sum), no numpy at all. Importing this
 module loads only the standard library, the exceptions and the JSON helpers.
+
+A pipeline scores its held-out cohort once. `evaluate` writes the per-group
+fit of its scoring pass to group_fit.json with the SHA-256 of the bytes it
+read and of the deviations.csv it wrote; `audit --bundle --features` takes
+EV and MSLL from that file where every recorded digest is that of the file
+it was given, and then loads no blr at all. Otherwise it scores the cohort
+again; the outputs are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
 import importlib.util
 import io
@@ -31,7 +39,16 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ._textio import dump_json, load_json, read_text
+from ._textio import (
+    MODEL_FILE,
+    REGIONS_FILE,
+    dump_json,
+    load_json,
+    read_bytes,
+    read_text,
+    recorded_digests,
+    sha256_of,
+)
 from ._version import __version__
 from .errors import InputError, NormgaugeError, SchemaError
 
@@ -274,13 +291,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .blr import deviations, load_bundle, region_metrics
+    from .blr import deviations, group_fit, load_bundle, region_metrics
     from .cohort import load_cohort
     from .serialize import _unique_ids, write_csv, write_matrix_csvs
 
     cfg = _resolve(args, required=("bundle", "covariates", "features", "out"))
-    model = load_bundle(cfg["bundle"])
-    schema = _schema_from(cfg)
 
     def scored(cohort: Cohort) -> Cohort:
         """The --ids subset of the joined subjects, if given; only its feature
@@ -291,23 +306,120 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         wanted = [line.strip() for line in read_text(path).splitlines() if line.strip()]
         return cohort.subset_by_ids(_unique_ids(path, wanted))
 
-    cohort = load_cohort(cfg["covariates"], cfg["features"], schema, keep=scored)
+    # the digests of the bytes scored, for group_fit.json
+    with recorded_digests() as read:
+        model = load_bundle(cfg["bundle"])
+        schema = _schema_from(cfg)
+        cohort = load_cohort(cfg["covariates"], cfg["features"], schema, keep=scored)
     if cohort.n_subjects == 0:
         raise InputError("no subjects to evaluate")
     dm = deviations(model, cohort)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     ids, regions = list(dm.ids), list(dm.regions)
-    write_matrix_csvs(
+    deviations_sha256, _ = write_matrix_csvs(
         [
             (out / "deviations.csv", ids, regions, dm.Z),
             (out / "errors.csv", ids, regions, dm.E),
         ]
     )
     write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(region_metrics(dm)))
+    digests = {role: read[path] for role, path in _scoring_inputs(cfg).items()}
+    digests["deviations"] = deviations_sha256
+    _write_group_fit(out / _GROUP_FIT_FILE, group_fit(dm, cohort.races()), dm.clamped, digests)
     _write_run_config(out, "evaluate", cfg)
     log.info("scored %d subjects x %d regions", dm.Z.shape[0], dm.Z.shape[1])
     return 0
+
+
+_GROUP_FIT_FILE = "group_fit.json"
+# group_fit.json's format line: a change of its contents takes a new number
+_GROUP_FIT_FORMAT = "normgauge group fit 1"
+
+
+def _scoring_inputs(cfg: dict) -> dict[str, Path]:
+    """The files that evaluate's scoring pass reads, and audit --bundle
+    --features rescores from, by their names in group_fit.json."""
+    bundle = Path(cfg["bundle"])
+    return {
+        "covariates": Path(cfg["covariates"]),
+        "features": Path(cfg["features"]),
+        "model": bundle / MODEL_FILE,
+        "regions": bundle / REGIONS_FILE,
+    }
+
+
+def _write_group_fit(
+    path: Path, fit: dict[str, dict], clamped: int, digests: dict[str, str]
+) -> None:
+    """Write a scoring pass's per-group fit (blr.group_fit) and its count of
+    clamped ages, with the SHA-256 of its inputs and of the deviations.csv
+    written from it, keys sorted.
+
+    A fit with a non-finite value is not written, as JSON cannot hold it;
+    audit then scores again and fails as it always has.
+    """
+    doc = {
+        "clamped": clamped,
+        "format": _GROUP_FIT_FORMAT,
+        "groups": {label: dict(sorted(entry.items())) for label, entry in fit.items()},
+        "sha256": dict(sorted(digests.items())),
+        "version": __version__,
+    }
+    with contextlib.suppress(ValueError):
+        dump_json(doc, path)
+
+
+def _recorded_group_fit(
+    cfg: dict, read: dict[Path, str], sizes: dict[str, int]
+) -> dict[str, dict] | None:
+    """The per-group fit in the group_fit.json beside --deviations, where it
+    was written for exactly these inputs; else None, and audit scores again.
+
+    It is trusted only if its format and package version are this one's, the
+    SHA-256 of every input it records (the bundle's two files, --features,
+    --covariates, --deviations) is that of the file given here, and its
+    groups and their sizes are the audited rows'. read holds the digests of
+    the files already read; the others are read here, and one that cannot be
+    read leaves the error to the scoring pass. A trusted file's count of
+    clamped ages is logged as the scoring pass logs it.
+    """
+    try:
+        doc = json.loads(Path(cfg["deviations"]).with_name(_GROUP_FIT_FILE).read_bytes())
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(doc, dict)
+        or doc.get("format") != _GROUP_FIT_FORMAT
+        or doc.get("version") != __version__
+    ):
+        return None
+    digests = {"deviations": read[Path(cfg["deviations"])]}
+    try:
+        for role, path in _scoring_inputs(cfg).items():
+            digests[role] = read[path] if path in read else sha256_of(path, read_bytes(path))
+    except InputError:
+        return None
+    groups, clamped = doc.get("groups"), doc.get("clamped")
+    if (
+        doc.get("sha256") != digests
+        or type(clamped) is not int
+        or not isinstance(groups, dict)
+        or groups.keys() != sizes.keys()
+    ):
+        return None
+    for label, entry in groups.items():
+        if (
+            not isinstance(entry, dict)
+            or set(entry) != {"explained_variance", "msll", "n"}
+            or entry["n"] != sizes[label]
+            or type(entry["msll"]) is not float
+            or type(entry["explained_variance"]) not in (float, type(None))
+        ):
+            return None
+    if clamped:
+        log.warning("clamped %d age(s) outside the fitted range", clamped)
+    return groups
 
 
 def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
@@ -334,7 +446,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         group_summary,
         significant_fraction,
     )
-    from .blr import deviations, load_bundle
     from .cohort import _join_features, read_covariates
     from .serialize import read_matrix_csv, write_csv
 
@@ -343,12 +454,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     )
     if (cfg["bundle"] is None) != (cfg["features"] is None):
         raise InputError("provide both --bundle and --features or neither")
-    ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"])
-    ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"])
-    if ids_z != ids_e or regions_z != regions_e:
-        raise SchemaError("deviations and errors files disagree on ids or regions")
-    schema = _schema_from(cfg)
-    cov_map, incomplete = read_covariates(Path(cfg["covariates"]), schema)
+    with recorded_digests() as read:
+        ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"])
+        ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"])
+        if ids_z != ids_e or regions_z != regions_e:
+            raise SchemaError("deviations and errors files disagree on ids or regions")
+        schema = _schema_from(cfg)
+        cov_map, incomplete = read_covariates(Path(cfg["covariates"]), schema)
     groups = _races(ids_z, cov_map)
     sizes = collections.Counter(groups)
     contrasts = _parse_contrasts(cfg["contrasts"])
@@ -368,21 +480,25 @@ def cmd_audit(args: argparse.Namespace) -> int:
     threshold = cfg["threshold"]
     # every input is read and every result computed before the first write,
     # so a failed audit leaves no partial output tree behind
-    scored = None
+    fit = None
     if cfg["bundle"] is not None:
-        model = load_bundle(cfg["bundle"])
-        # the covariates read above, not read again; only the scored ids'
-        # feature rows are parsed
-        cohort = _join_features(
-            cov_map, incomplete, Path(cfg["features"]), schema,
-            keep=lambda joined: joined.subset_by_ids(ids_z),
-        )
-        scored = deviations(model, cohort)
-    # a scoring pass holds its rows in sorted-id order, the files need not
+        # EV and MSLL from evaluate's scoring pass, where it was of these inputs
+        fit = _recorded_group_fit(cfg, read, sizes)
+        if fit is None:
+            from .blr import deviations, group_fit, load_bundle
+
+            model = load_bundle(cfg["bundle"])
+            # the covariates read above, not read again; only the scored ids'
+            # feature rows are parsed
+            cohort = _join_features(
+                cov_map, incomplete, Path(cfg["features"]), schema,
+                keep=lambda joined: joined.subset_by_ids(ids_z),
+            )
+            fit = group_fit(deviations(model, cohort), cohort.races())
+    # a scoring pass holds its rows in sorted-id order, and parity reduces the
+    # deviations in that order too, so that its bytes do not follow the file's
     order = sorted(range(len(ids_z)), key=ids_z.__getitem__)
-    parity = group_parity(
-        z_matrix[order], [groups[i] for i in order], threshold, scored
-    )
+    parity = group_parity(z_matrix[order], [groups[i] for i in order], threshold, fit)
 
     summary = group_summary(z_matrix, groups, regions_z, threshold)
     rows = []

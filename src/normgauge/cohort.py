@@ -178,7 +178,11 @@ def read_covariates(
                 raise SchemaError(f"{path}: unknown column '{col}'")
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}: duplicate column in header")
-        pos = {col: header.index(col) for col in header}
+        # each cell by its column's position, None for an absent optional one
+        i_id, i_age, i_sex, i_race, i_site, i_qc = (
+            header.index(col) if col in header else None
+            for col in REQUIRED_COVARIATES + OPTIONAL_COVARIATES
+        )
 
         subjects: dict[str, Subject] = {}
         incomplete = 0
@@ -189,39 +193,33 @@ def read_covariates(
                 raise SchemaError(
                     f"{path} row {line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            cells = {col: row[pos[col]].strip() for col in header}
-            sid = cells["id"]
+            sid = row[i_id].strip()
             if not sid:
                 raise InputError(f"{path} row {line_no}: empty id")
             if sid in subjects:
                 raise InputError(f"{path} row {line_no}: duplicate id '{sid}'")
-            if any(not cells[c] for c in ("age", "sex", "race")):
+            age_text, sex, race = row[i_age].strip(), row[i_sex].strip(), row[i_race].strip()
+            if not (age_text and sex and race):
                 incomplete += 1
                 continue
-            age = _parse_float(cells["age"], path, line_no, "age")
+            age = _parse_float(age_text, path, line_no, "age")
             if age <= 0:
                 raise InputError(
                     f"{path} row {line_no}, column 'age': must be positive, got {age}"
                 )
-            sex = cells["sex"]
             if sex not in schema.sex_labels:
                 raise InputError(
                     f"{path} row {line_no}, column 'sex': "
                     f"'{sex}' not in declared labels {list(schema.sex_labels)}"
                 )
-            race = cells["race"]
             if race not in schema.race_labels:
                 raise InputError(
                     f"{path} row {line_no}, column 'race': "
                     f"'{race}' not in declared labels {list(schema.race_labels)}"
                 )
-            site = cells.get("site") or None
-            qc_raw = cells.get("qc_score") or None
-            qc = (
-                _parse_float(qc_raw, path, line_no, "qc_score")
-                if qc_raw is not None
-                else None
-            )
+            site = (row[i_site].strip() or None) if i_site is not None else None
+            qc_text = row[i_qc].strip() if i_qc is not None else ""
+            qc = _parse_float(qc_text, path, line_no, "qc_score") if qc_text else None
             subjects[sid] = Subject(
                 id=sid, age=age, sex=sex, race=race, site=site, qc_score=qc
             )

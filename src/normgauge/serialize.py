@@ -33,8 +33,9 @@ raw little-endian float64. read_matrix_csv takes a file's matrix from its
 sidecar only where the sidecar is whole and records the digest of the bytes
 it has just read; an edited, reordered or rewritten CSV, or a sidecar that is
 truncated or foreign, is parsed as below with the same result and the same
-errors. A CSV with no sidecar costs no digest, and deleting a sidecar is
-always safe.
+errors. A CSV with no sidecar costs no digest (unless read inside
+_textio.recorded_digests, whose digest the sidecar check then reuses), and
+deleting a sidecar is always safe.
 
 Matrix files are formatted and parsed in one contiguous chunk of rows per
 usable CPU (_chunk_ranges). On Linux with two or more usable CPUs, every
@@ -80,6 +81,7 @@ from ._textio import (  # noqa: F401  (serialize's API)
     load_json,
     read_bytes,
     read_text,
+    sha256_of,
 )
 from .errors import InputError, SchemaError
 
@@ -143,8 +145,9 @@ def write_matrix_csv(
 
 def write_matrix_csvs(
     files: Sequence[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]],
-) -> None:
-    """Write each (path, ids, columns, values) as an id-keyed numeric matrix.
+) -> list[str]:
+    """Write each (path, ids, columns, values) as an id-keyed numeric matrix;
+    return the SHA-256 hex digest of each file's bytes, in order.
 
     Each file holds write_csv's bytes for its header `id,<col>,...` and one
     row per id. The rows of all files are one sequence, cut into one
@@ -176,17 +179,26 @@ def write_matrix_csvs(
     def format_rows(chunk: range) -> list[tuple[int, bytearray]]:
         """(row count, text) of each file's share of the chunk, in file order."""
         texts = []
-        for (_, ids, _, values), start, stop in zip(matrices, starts, starts[1:]):
+        for (_, ids, columns, values), start, stop in zip(matrices, starts, starts[1:]):
             lo, hi = max(chunk.start, start) - start, min(chunk.stop, stop) - start
             if lo < hi:
-                # row by row, so that only the text itself grows with the chunk
+                # row by row, so that only the text itself grows with the chunk.
+                # repr is format_cell's text of every float but NaN, whose
+                # "nan" is emptied, and no number is ever quoted
+                nan = bool(np.isnan(values[lo:hi]).any())
                 text = bytearray()
                 for sid, row in zip(ids[lo:hi], values[lo:hi]):
-                    cells = [format_cell(sid), *map(format_cell, row.tolist())]
-                    text += _csv_line(cells).encode("utf-8")
+                    line = _quoted(format_cell(sid))
+                    if columns:
+                        cells = ",".join(map(repr, row.tolist()))
+                        line += "," + (cells.replace("nan", "") if nan else cells)
+                    elif not line:  # a lone empty id, written "" so it is not a blank line
+                        line = '""'
+                    text += (line + "\n").encode("utf-8")
                 texts.append((hi - lo, text))
         return texts
 
+    digests = []
     chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]))
     with contextlib.closing(chunks):
         pending: collections.deque[tuple[int, bytearray]] = collections.deque()
@@ -208,9 +220,11 @@ def write_matrix_csvs(
                     digest.update(text)
                     unwritten -= rows
                     del text  # written: not held while the next chunk arrives
-            _write_sidecar(sidecar, digest.hexdigest(), ids, columns, values)
+            digests.append(digest.hexdigest())
+            _write_sidecar(sidecar, digests[-1], ids, columns, values)
     if error is not None:
         raise error
+    return digests
 
 
 # the first bytes of a sidecar: a format change takes a new number, so that an
@@ -266,7 +280,7 @@ def _read_sidecar(path: Path, data: bytes) -> tuple[list[str], list[str], np.nda
         except (ValueError, TypeError, KeyError):
             return None
         if (
-            recorded != hashlib.sha256(data).hexdigest()
+            recorded != sha256_of(path, data)
             or type(ids) is not list
             or type(columns) is not list
             or not all(type(text) is str for text in itertools.chain(ids, columns))

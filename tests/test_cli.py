@@ -3,9 +3,11 @@
 import csv
 import filecmp
 import functools
+import hashlib
 import importlib.util
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -109,7 +111,8 @@ class TestPipelineArtifacts:
             "fit": ["model.json", "regions.json", "fit_metrics.csv",
                     "train_ids.txt", "test_ids.txt", "demographics.json",
                     "run_config.json"],
-            "eval": ["deviations.csv", "errors.csv", "metrics.csv", "run_config.json"],
+            "eval": ["deviations.csv", "errors.csv", "metrics.csv", "group_fit.json",
+                     "run_config.json"],
             "audit": ["audit_summary.csv", "audit_tests.csv", "table4.csv",
                       "parity.json", "run_config.json"],
             "clf": ["clf_metrics.csv", "roc_points.csv", "confusion.csv",
@@ -1179,6 +1182,166 @@ class TestAuditParity:
         assert list(out.iterdir()) == []
 
 
+class TestGroupFitReuse:
+    """audit --bundle --features takes EV and MSLL from the group_fit.json
+    that evaluate wrote beside --deviations where it records exactly the
+    files given, and scores the cohort again otherwise. Either way every
+    audit output is the same bytes as with the file deleted."""
+
+    AUDIT_OUTPUTS = ("audit_summary.csv", "audit_tests.csv", "table4.csv", "parity.json")
+
+    @staticmethod
+    def copy_inputs(pipeline, root):
+        """The pipeline's data, bundle and evaluate outputs, copied under root."""
+        for key in ("data", "fit", "eval"):
+            shutil.copytree(pipeline[key], root / key)
+        return {key: root / key for key in ("data", "fit", "eval")}
+
+    @staticmethod
+    def audit(inputs, out, monkeypatch):
+        """Run audit --bundle --features on inputs; its outputs, and whether
+        it loaded the bundle to score the cohort again."""
+        loads = []
+        load_bundle = normgauge.blr.load_bundle
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return load_bundle(*args, **kwargs)
+
+        # the command imports load_bundle from blr only when it scores
+        monkeypatch.setattr(normgauge.blr, "load_bundle", counting)
+        ev, data = inputs["eval"], inputs["data"]
+        assert run_cli(
+            "audit", "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
+            "--covariates", data / "covariates.csv", "--out", out,
+            "--contrasts", "W:A", "W:B", "--bundle", inputs["fit"],
+            "--features", data / "features.csv",
+        ) == 0
+        outputs = {name: (out / name).read_bytes() for name in TestGroupFitReuse.AUDIT_OUTPUTS}
+        return outputs, bool(loads)
+
+    @staticmethod
+    def edit_line(path, k, edit):
+        """Rewrite line k of a text file by edit(cells) on its comma-split cells."""
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[k] = ",".join(edit(lines[k].split(",")))
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    def test_reuse_only_where_every_input_matches(self, pipeline, tmp_path, monkeypatch):
+        inputs = self.copy_inputs(pipeline, tmp_path / "in")
+        group_fit = inputs["eval"] / "group_fit.json"
+        recorded = group_fit.read_bytes()
+        scored_id = (inputs["fit"] / "test_ids.txt").read_text(encoding="utf-8").split()[0]
+        features_line = next(
+            k for k, line in enumerate(
+                (inputs["data"] / "features.csv").read_text(encoding="utf-8").split("\n"))
+            if line.split(",")[0] == scored_id
+        )
+        covariates_line = next(
+            k for k, line in enumerate(
+                (inputs["data"] / "covariates.csv").read_text(encoding="utf-8").split("\n"))
+            if line.split(",")[0] == scored_id
+        )
+
+        def other_bundle():
+            assert run_cli(
+                "fit", "--covariates", inputs["data"] / "covariates.csv",
+                "--features", inputs["data"] / "features.csv", "--out", inputs["fit"],
+                "--default-train-frac", "0.8", "--seed", "3", "--knots", "4",
+            ) == 0
+
+        def feature_cell():
+            (inputs["data"] / "features.csv.cache").unlink()
+            self.edit_line(inputs["data"] / "features.csv", features_line,
+                           lambda cells: [cells[0], repr(float(cells[1]) + 0.5), *cells[2:]])
+
+        def covariates():
+            # an older age for one scored subject: the same groups, another design
+            self.edit_line(inputs["data"] / "covariates.csv", covariates_line,
+                           lambda cells: [cells[0], repr(float(cells[1]) + 7.0), *cells[2:]])
+
+        def row_order():
+            for name in ("deviations.csv", "errors.csv"):
+                path = inputs["eval"] / name
+                lines = path.read_text(encoding="utf-8").splitlines()
+                path.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n",
+                                encoding="utf-8")
+
+        def version():
+            doc = json.loads(recorded)
+            doc["version"] = "0.0.0"
+            group_fit.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+        def truncated():
+            group_fit.write_bytes(recorded[: len(recorded) // 2])
+
+        stale = {
+            "bundle": other_bundle, "feature-cell": feature_cell, "covariates": covariates,
+            "row-order": row_order, "version": version, "truncated": truncated,
+        }
+        present, rescored = self.audit(inputs, tmp_path / "present", monkeypatch)
+        assert not rescored  # the file matches every input
+        group_fit.unlink()
+        deleted, rescored = self.audit(inputs, tmp_path / "deleted", monkeypatch)
+        assert rescored
+        assert present == deleted
+        for name, make_stale in stale.items():
+            shutil.rmtree(tmp_path / "in")
+            inputs = self.copy_inputs(pipeline, tmp_path / "in")
+            make_stale()
+            got, rescored = self.audit(inputs, tmp_path / name / "stale", monkeypatch)
+            assert rescored, name
+            group_fit.unlink()
+            expected, rescored = self.audit(inputs, tmp_path / name / "deleted", monkeypatch)
+            assert rescored, name
+            assert got == expected, name
+            if name in ("bundle", "feature-cell", "covariates"):
+                # scored anew, EV and MSLL move: the recorded values were not used
+                assert got["parity.json"] != deleted["parity.json"], name
+
+    def test_audit_takes_the_recorded_values(self, pipeline, tmp_path, monkeypatch):
+        inputs = self.copy_inputs(pipeline, tmp_path / "in")
+        group_fit = inputs["eval"] / "group_fit.json"
+        doc = json.loads(group_fit.read_bytes())
+        ev = doc["groups"]["A"]["explained_variance"]
+        doc["groups"]["A"]["explained_variance"] = math.nextafter(ev, math.inf)
+        group_fit.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        got, rescored = self.audit(inputs, tmp_path / "out", monkeypatch)
+        assert not rescored
+        parity = json.loads(got["parity.json"])
+        assert parity["per_group"]["A"]["explained_variance"] == math.nextafter(ev, math.inf)
+        assert got["parity.json"] != (pipeline["audit"] / "parity.json").read_bytes()
+
+    def test_group_fit_bytes_do_not_depend_on_paths(self, pipeline, tmp_path):
+        texts = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            inputs = self.copy_inputs(pipeline, root)
+            assert run_cli(
+                "evaluate", "--bundle", inputs["fit"],
+                "--covariates", inputs["data"] / "covariates.csv",
+                "--features", inputs["data"] / "features.csv",
+                "--ids", inputs["fit"] / "test_ids.txt", "--out", root / "out",
+            ) == 0
+            texts.append((root / "out" / "group_fit.json").read_text(encoding="utf-8"))
+        assert texts[0] == texts[1] == (pipeline["eval"] / "group_fit.json").read_text(
+            encoding="utf-8")
+        doc = json.loads(texts[0])
+        assert texts[0] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert str(tmp_path) not in texts[0]
+        assert doc["version"] == normgauge.__version__
+        files = {
+            "covariates": pipeline["data"] / "covariates.csv",
+            "features": pipeline["data"] / "features.csv",
+            "model": pipeline["fit"] / "model.json",
+            "regions": pipeline["fit"] / "regions.json",
+            "deviations": pipeline["eval"] / "deviations.csv",
+        }
+        assert doc["sha256"] == {
+            role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in files.items()
+        }
+        assert set(doc["groups"]) == {"A", "B", "W"}
+
+
 class TestClampWarning:
     def test_logged_once_per_scoring_command(self, pipeline, tmp_path, caplog):
         data, fit, ev = pipeline["data"], tmp_path / "fit", tmp_path / "eval"
@@ -1362,6 +1525,9 @@ class TestImportCost:
                        "normgauge.design"]),
             ("fit", ["normgauge.audit", "normgauge.classify", "normgauge.synth"]),
             ("evaluate", ["normgauge.audit", "normgauge.classify", "normgauge.synth"]),
+            # the fixture's evaluate wrote a group_fit.json of these inputs
+            ("audit", ["normgauge.blr", "normgauge.classify", "normgauge.design",
+                       "normgauge.synth", "normgauge.warp"]),
         ],
     )
     def test_command_loads_no_module_it_does_not_call(self, pipeline, tmp_path, command, unused):
@@ -1480,6 +1646,7 @@ class TestPublicNames:
             "fit_region",
             "generate",
             "group_difference",
+            "group_fit",
             "group_parity",
             "group_summary",
             "load_bundle",

@@ -73,6 +73,11 @@ class TestWriter:
         # csv.writer of Python 3.11 leaves a lone CR bare; it is quoted here
         expected = expected.replace(b"\ncr\rid,", b'\n"cr\rid",')
         assert path.read_bytes() == expected
+        # no columns: each row is its id alone, and the empty id is written ""
+        write_matrix_csv(path, ids, [], np.empty((len(ids), 0)))
+        expected = reference_bytes(["id"], ([sid] for sid in ids))
+        assert b'\n""\n' in expected
+        assert path.read_bytes() == expected.replace(b"\ncr\rid\n", b'\n"cr\rid"\n')
 
     def test_nan_and_none_are_empty_cells(self, tmp_path):
         path = tmp_path / "m.csv"
