@@ -55,7 +55,6 @@ _SOURCES = {
         "Cohort",
         "CohortSchema",
         "SplitSpec",
-        "Subject",
         "demographics_summary",
         "load_cohort",
         "qc_filter",

@@ -87,7 +87,7 @@ from ._version import __version__
 from .cohort import Cohort
 from .design import DesignSchema, ModelConfig, apply_design, fit_design
 from .errors import InputError, NumericalError, SchemaError
-from .serialize import _chunk_ranges, _forked_map, dump_json, load_json
+from .serialize import _chunk_ranges, _forked_iter, dump_json, load_json
 from .warp import WarpParams, _forward, _inverse
 
 log = logging.getLogger(__name__)
@@ -955,16 +955,15 @@ def _fit_regions(
     statistics, and with them its model, are bitwise the same whatever
     columns stand beside it (a reduction along axis 0 of (N, D) is not).
     The regions are cut into one contiguous chunk per usable CPU, and every
-    chunk after the first is fitted in a forked child (serialize._forked_map).
-    Forked chunks run as every forked iteration does: OpenBLAS on one thread,
-    and each chunk held to a usable CPU of its own where it does
-    (serialize._forked_iter). A region's model does not depend on the regions
-    fitted with it, nor on the BLAS thread count, so neither the cut nor the
-    thread count changes a bit. Regions flagged as not converged are reported
-    in one warning at the end. A region whose squared responses overflow,
-    even as a sum, or whose deviations from their mean underflow when
-    squared, cannot be fit in double precision and raises NumericalError
-    before any fit runs.
+    chunk after the first is fitted in a forked child
+    (serialize._forked_iter). Forked chunks run as every forked iteration
+    does: OpenBLAS on one thread, and each chunk held to a usable CPU of its
+    own where it does. A region's model does not depend on the regions fitted
+    with it, nor on the BLAS thread count, so neither the cut nor the thread
+    count changes a bit. Regions flagged as not converged are reported in one
+    warning at the end. A region whose squared responses overflow, even as a
+    sum, or whose deviations from their mean underflow when squared, cannot be
+    fit in double precision and raises NumericalError before any fit runs.
     """
     if not regions:
         raise InputError("no regions to fit: the responses have no region columns")
@@ -993,12 +992,12 @@ def _fit_regions(
     sd = np.sqrt(var)
     y_rows = (y_rows - mean[:, None]) / sd[:, None]
     spectrum = _Spectrum.of(phi)
-    parts = _forked_map(
+    parts = list(_forked_iter(
         lambda chunk: _fit_block(
             spectrum, y_rows[chunk], mean[chunk], sd[chunk], [regions[d] for d in chunk]
         ),
         _chunk_ranges(len(regions)),
-    )
+    ))
     flagged = [note for _, notes in parts for note in notes]
     if flagged:
         log.warning(
@@ -1197,7 +1196,7 @@ def fit_normative(
     Regions are independent models that share the design's eigenbasis. The
     regions are cut into one contiguous chunk per usable CPU (one chunk
     unless on Linux with no other Python thread running), and every chunk
-    after the first is fitted in a forked child (see serialize._forked_map).
+    after the first is fitted in a forked child (see serialize._forked_iter).
     Within a chunk, all identity-warp fits run together as one batched fixed
     point, then all regions whose identity residuals fail the normality
     screen run their free-warp fits together as one batched Newton solve.
@@ -1321,7 +1320,7 @@ def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     their count is logged here, once per pass, as a warning.
     """
     cols = _check_regions(model, cohort)
-    design = apply_design(cohort.subjects, model.schema)
+    design = apply_design(cohort, model.schema)
     if design.clamp_count:
         log.warning("clamped %d age(s) outside the fitted range", design.clamp_count)
     phi_t = np.ascontiguousarray(design.values.T)

@@ -14,7 +14,7 @@ per-class AUC from the raw one-vs-rest scores.
 The binary fits of all folds are independent: each depends only on its
 fold's training rows and its class. They run as one sequence of (fold,
 class) pairs cut into one chunk per usable CPU, every chunk after the first
-in a forked child (see _fit_folds and serialize._forked_map), each chunk
+in a forked child (see _fit_folds and serialize._forked_iter), each chunk
 on one BLAS thread and, where OpenBLAS is found, on a usable CPU of its own.
 This process then scores the folds in order, so the report is the same on
 one CPU or many.
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .serialize import _chunk_ranges, _forked_map, write_csv
+from .serialize import _chunk_ranges, _forked_iter, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -172,13 +172,12 @@ def _fit_folds(
 
     The binary fits of all folds are one sequence of (fold, class) pairs, cut
     into one contiguous chunk per usable CPU (serialize._chunk_ranges); every
-    chunk after the first runs in a forked child (serialize._forked_map).
+    chunk after the first runs in a forked child (serialize._forked_iter).
     Forked chunks run as every forked iteration does: OpenBLAS on one thread,
-    and each chunk held to a usable CPU of its own where it does
-    (serialize._forked_iter). A fit depends only on its fold's training rows
-    and its class, and its products split their outputs, not their sums,
-    across BLAS threads, so neither the cut nor the thread count changes a
-    bit.
+    and each chunk held to a usable CPU of its own where it does. A fit
+    depends only on its fold's training rows and its class, and its products
+    split their outputs, not their sums, across BLAS threads, so neither the
+    cut nor the thread count changes a bit.
     """
     fold_classes = []
     for test_idx in test_folds:
@@ -202,7 +201,7 @@ def _fit_folds(
             heads.append(_fit_binary(x_train, target, config.l2_strength))
         return heads, scaling
 
-    parts = _forked_map(fit_chunk, _chunk_ranges(len(pairs)))
+    parts = list(_forked_iter(fit_chunk, _chunk_ranges(len(pairs))))
     heads = iter([head for part_heads, _ in parts for head in part_heads])
     scaling = {fold: s for _, part_scaling in parts for fold, s in part_scaling.items()}
     models = []

@@ -53,7 +53,7 @@ from ._version import __version__
 from .errors import InputError, NormgaugeError, SchemaError
 
 if TYPE_CHECKING:
-    from .cohort import Cohort, CohortSchema, Subject
+    from .cohort import Cohort, CohortSchema
 
 log = logging.getLogger(__name__)
 
@@ -152,15 +152,16 @@ def _parse_fractions(text: str) -> dict[str, float]:
     return out
 
 
-def _races(ids: list[str], cov_map: dict[str, Subject]) -> list[str]:
-    """The race of each scored id, from read_covariates' subjects."""
-    missing = [sid for sid in ids if sid not in cov_map]
+def _races(ids: list[str], covariates: Cohort) -> list[str]:
+    """The race of each scored id, from read_covariates' cohort."""
+    index = {sid: i for i, sid in enumerate(covariates.ids)}
+    missing = [sid for sid in ids if sid not in index]
     if missing:
         raise InputError(
             f"{len(missing)} scored id(s) missing from covariates "
             f"(first few: {missing[:5]})"
         )
-    return [cov_map[sid].race for sid in ids]
+    return [covariates.races[index[sid]] for sid in ids]
 
 
 def _metrics_rows(metrics) -> list[list]:
@@ -326,7 +327,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(region_metrics(dm)))
     digests = {role: read[path] for role, path in _scoring_inputs(cfg).items()}
     digests["deviations"] = deviations_sha256
-    _write_group_fit(out / _GROUP_FIT_FILE, group_fit(dm, cohort.races()), dm.clamped, digests)
+    _write_group_fit(out / _GROUP_FIT_FILE, group_fit(dm, cohort.races), dm.clamped, digests)
     _write_run_config(out, "evaluate", cfg)
     log.info("scored %d subjects x %d regions", dm.Z.shape[0], dm.Z.shape[1])
     return 0
@@ -460,8 +461,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if ids_z != ids_e or regions_z != regions_e:
             raise SchemaError("deviations and errors files disagree on ids or regions")
         schema = _schema_from(cfg)
-        cov_map, incomplete = read_covariates(Path(cfg["covariates"]), schema)
-    groups = _races(ids_z, cov_map)
+        covariates, incomplete = read_covariates(Path(cfg["covariates"]), schema)
+    groups = _races(ids_z, covariates)
     sizes = collections.Counter(groups)
     contrasts = _parse_contrasts(cfg["contrasts"])
     for g1, g2 in contrasts:
@@ -491,10 +492,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
             # the covariates read above, not read again; only the scored ids'
             # feature rows are parsed
             cohort = _join_features(
-                cov_map, incomplete, Path(cfg["features"]), schema,
+                covariates, incomplete, Path(cfg["features"]),
                 keep=lambda joined: joined.subset_by_ids(ids_z),
             )
-            fit = group_fit(deviations(model, cohort), cohort.races())
+            fit = group_fit(deviations(model, cohort), cohort.races)
     # a scoring pass holds its rows in sorted-id order, and parity reduces the
     # deviations in that order too, so that its bytes do not follow the file's
     order = sorted(range(len(ids_z)), key=ids_z.__getitem__)
@@ -601,8 +602,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "matplotlib is required to render roc.svg (install the 'plots' extra)"
         )
     ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"])
-    cov_map, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
-    labels = _races(ids, cov_map)
+    covariates, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
+    labels = _races(ids, covariates)
     clf_config = ClassifierConfig(
         l2_strength=cfg["l2"],
         n_folds=cfg["folds"],

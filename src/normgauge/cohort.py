@@ -1,14 +1,21 @@
-"""Cohort data model: subjects, responses, CSV I/O, QC filtering, splits.
+"""Cohort data model: covariate columns, responses, CSV I/O, QC filtering, splits.
+
+A Cohort holds one column per covariate, as each audit reads one covariate
+across all rows: ids; ages, a read-only float array; sexes, races and sites,
+tuples with None for a missing site; and qc_scores, a read-only float array
+with NaN for a missing score. responses[i] is the row of ids[i].
 
 Covariates CSV contract: header `id,age,sex,race[,site][,qc_score]`; site and
 qc_score are optional columns. Features CSV contract: header `id,<region>,...`
 with one numeric column per region. Subjects present in only one file are
 dropped (counted in a warning); rows missing a required covariate value
-are likewise dropped and counted. A cohort's subjects are always held in
-sorted-id order, which is the canonical order for every downstream output.
+are likewise dropped and counted. A cohort read from files holds its
+subjects in sorted-id order, which is the canonical order for every
+downstream output.
 
-The join needs only the features file's ids, so load_cohort can hand the
-joined subjects, as a Cohort with no regions, to a `keep` function (QC and the
+read_covariates gives the covariates as a Cohort with no regions. The join
+needs only the features file's ids, so load_cohort can hand the joined
+subjects, as a Cohort with no regions, to a `keep` function (QC and the
 split for `fit`, the --ids subset for `evaluate`) and parse the feature rows of
 the subjects it keeps, and no others. A cell of a row not kept is never parsed
 or checked; every row's id and cell count still is.
@@ -17,10 +24,12 @@ or checked; every row's id and cell count still is.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -44,75 +53,86 @@ class CohortSchema:
     race_labels: tuple[str, ...] = ("A", "B", "W")
 
 
-@dataclass(frozen=True)
-class Subject:
-    id: str
-    age: float
-    sex: str
-    race: str
-    site: str | None = None
-    qc_score: float | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Cohort:
-    """Aligned subjects and responses; responses[i, d] belongs to subjects[i]."""
+    """Covariate columns and responses in one row order (see the module
+    docstring); row i of each belongs to ids[i]. sites and qc_scores default
+    to all missing. A cohort of covariates alone has regions () and responses
+    of shape (n, 0)."""
 
-    subjects: tuple[Subject, ...]
+    ids: tuple[str, ...]
+    ages: np.ndarray
+    sexes: tuple[str, ...]
+    races: tuple[str, ...]
+    sites: tuple[str | None, ...] | None = None
+    qc_scores: np.ndarray | None = None
     regions: tuple[str, ...]
     responses: np.ndarray
     schema: CohortSchema = field(default_factory=CohortSchema)
 
     def __post_init__(self) -> None:
+        n = len(self.ids)
+        columns = {
+            "ids": tuple(self.ids),
+            "ages": np.array(self.ages, dtype=float),
+            "sexes": tuple(self.sexes),
+            "races": tuple(self.races),
+            "sites": (None,) * n if self.sites is None else tuple(self.sites),
+            "qc_scores": np.full(n, np.nan)
+            if self.qc_scores is None
+            else np.array(self.qc_scores, dtype=float),
+        }
+        for name, column in columns.items():
+            shape = column.shape if isinstance(column, np.ndarray) else (len(column),)
+            if shape != (n,):
+                raise SchemaError(f"{name} column of shape {shape} does not match {n} ids")
         responses = np.asarray(self.responses, dtype=float)
-        if responses.shape != (len(self.subjects), len(self.regions)):
+        if responses.shape != (n, len(self.regions)):
             raise SchemaError(
                 f"responses shape {responses.shape} does not match "
-                f"{len(self.subjects)} subjects x {len(self.regions)} regions"
+                f"{n} subjects x {len(self.regions)} regions"
             )
         if responses.size and not np.all(np.isfinite(responses)):
             raise InputError("responses contain non-finite values")
         if len(set(self.regions)) != len(self.regions):
             raise SchemaError("duplicate region names")
-        ids = [s.id for s in self.subjects]
-        if len(set(ids)) != len(ids):
+        if len(set(self.ids)) != n:
             raise InputError("duplicate subject ids")
-        responses = responses.copy()
-        responses.setflags(write=False)
-        object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        object.__setattr__(self, "regions", tuple(self.regions))
+        columns.update(regions=tuple(self.regions), responses=responses.copy())
+        for name, column in columns.items():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
 
     @property
     def n_regions(self) -> int:
         return len(self.regions)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.subjects)
-
-    def ages(self) -> np.ndarray:
-        return np.array([s.age for s in self.subjects], dtype=float)
-
-    def races(self) -> tuple[str, ...]:
-        return tuple(s.race for s in self.subjects)
-
     def subset(self, indices: Sequence[int]) -> "Cohort":
         """New cohort from a subset of rows, preserving canonical order."""
         idx = sorted(int(i) for i in indices)
+
+        def take(column: tuple) -> tuple:
+            return tuple(column[i] for i in idx)
+
         return Cohort(
-            subjects=tuple(self.subjects[i] for i in idx),
+            ids=take(self.ids),
+            ages=self.ages[idx],
+            sexes=take(self.sexes),
+            races=take(self.races),
+            sites=take(self.sites),
+            qc_scores=self.qc_scores[idx],
             regions=self.regions,
             responses=self.responses[idx],
             schema=self.schema,
         )
 
     def subset_by_ids(self, ids: Sequence[str]) -> "Cohort":
-        index = {s.id: i for i, s in enumerate(self.subjects)}
+        index = {sid: i for i, sid in enumerate(self.ids)}
         missing = [sid for sid in ids if sid not in index]
         if missing:
             raise InputError(
@@ -122,22 +142,18 @@ class Cohort:
         return self.subset([index[sid] for sid in ids])
 
     def content_hash(self) -> str:
-        """Order-stable SHA-256 over all subject fields and response bytes."""
-        h = hashlib.sha256()
-        for s in self.subjects:
-            h.update(
-                "|".join(
-                    [
-                        s.id,
-                        repr(s.age),
-                        s.sex,
-                        s.race,
-                        s.site or "",
-                        "" if s.qc_score is None else repr(s.qc_score),
-                    ]
-                ).encode()
-            )
-            h.update(b"\n")
+        """Order-stable SHA-256 over every covariate and the response bytes:
+        one `id|age|sex|race|site|qc_score` line per row, a missing site or
+        qc_score empty, then the region names and the responses."""
+        rows = zip(
+            self.ids,
+            map(repr, self.ages.tolist()),
+            self.sexes,
+            self.races,
+            (site or "" for site in self.sites),
+            ("" if math.isnan(q) else repr(q) for q in self.qc_scores.tolist()),
+        )
+        h = hashlib.sha256("".join("|".join(row) + "\n" for row in rows).encode())
         h.update(",".join(self.regions).encode())
         h.update(np.ascontiguousarray(self.responses, dtype=float).tobytes())
         return h.hexdigest()
@@ -157,10 +173,9 @@ def _parse_float(cell: str, path: Path, line_no: int, column: str) -> float:
     return value
 
 
-def read_covariates(
-    path: Path, schema: CohortSchema
-) -> tuple[dict[str, Subject], int]:
-    """Parse a covariates CSV into id -> Subject plus an incomplete-row count.
+def read_covariates(path: Path, schema: CohortSchema) -> tuple[Cohort, int]:
+    """Parse a covariates CSV into a Cohort with no regions, in sorted-id
+    order, plus the count of rows dropped for a missing required covariate.
 
     A missing file, or one that is not UTF-8, raises InputError naming it.
     """
@@ -184,7 +199,8 @@ def read_covariates(
             for col in REQUIRED_COVARIATES + OPTIONAL_COVARIATES
         )
 
-        subjects: dict[str, Subject] = {}
+        rows: list[tuple] = []
+        seen: set[str] = set()
         incomplete = 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -196,7 +212,7 @@ def read_covariates(
             sid = row[i_id].strip()
             if not sid:
                 raise InputError(f"{path} row {line_no}: empty id")
-            if sid in subjects:
+            if sid in seen:
                 raise InputError(f"{path} row {line_no}: duplicate id '{sid}'")
             age_text, sex, race = row[i_age].strip(), row[i_sex].strip(), row[i_race].strip()
             if not (age_text and sex and race):
@@ -219,11 +235,24 @@ def read_covariates(
                 )
             site = (row[i_site].strip() or None) if i_site is not None else None
             qc_text = row[i_qc].strip() if i_qc is not None else ""
-            qc = _parse_float(qc_text, path, line_no, "qc_score") if qc_text else None
-            subjects[sid] = Subject(
-                id=sid, age=age, sex=sex, race=race, site=site, qc_score=qc
-            )
-    return subjects, incomplete
+            qc = _parse_float(qc_text, path, line_no, "qc_score") if qc_text else math.nan
+            seen.add(sid)
+            rows.append((sid, age, sex, race, site, qc))
+    # ids are unique, so the sort compares ids alone
+    rows.sort()
+    ids, ages, sexes, races, sites, qc_scores = zip(*rows) if rows else ((),) * 6
+    covariates = Cohort(
+        ids=ids,
+        ages=ages,
+        sexes=sexes,
+        races=races,
+        sites=sites,
+        qc_scores=qc_scores,
+        regions=(),
+        responses=np.empty((len(ids), 0)),
+        schema=schema,
+    )
+    return covariates, incomplete
 
 
 def load_cohort(
@@ -244,18 +273,17 @@ def load_cohort(
         raise InputError(f"file not found: {cov_path}")
     if not feat_path.exists():
         raise InputError(f"file not found: {feat_path}")
-    subjects, incomplete = read_covariates(cov_path, schema)
-    return _join_features(subjects, incomplete, feat_path, schema, keep)
+    covariates, incomplete = read_covariates(cov_path, schema)
+    return _join_features(covariates, incomplete, feat_path, keep)
 
 
 def _join_features(
-    subjects: dict[str, Subject],
+    covariates: Cohort,
     incomplete: int,
     feat_path: Path,
-    schema: CohortSchema,
     keep: Callable[[Cohort], Cohort] | None = None,
 ) -> Cohort:
-    """Join read_covariates' subjects to a features CSV on id, warning of the
+    """Join read_covariates' cohort to a features CSV on id, warning of the
     subjects dropped and of the incomplete covariate rows.
 
     The join needs only the features file's ids. keep, where given, maps the
@@ -268,52 +296,41 @@ def _join_features(
     def rows(feat_ids: list[str]) -> list[int]:
         nonlocal joined
         feat_index = {sid: i for i, sid in enumerate(feat_ids)}
-        common = sorted(set(subjects) & set(feat_index))
-        unmatched = (len(subjects) - len(common)) + (len(feat_ids) - len(common))
+        common = [i for i, sid in enumerate(covariates.ids) if sid in feat_index]
+        unmatched = (covariates.n_subjects - len(common)) + (len(feat_ids) - len(common))
         if unmatched:
             log.warning(
                 "dropped %d subject(s) present in only one input file", unmatched
             )
         if incomplete:
             log.warning("dropped %d row(s) with missing required covariates", incomplete)
-        joined = Cohort(
-            subjects=tuple(subjects[sid] for sid in common),
-            regions=(),
-            responses=np.empty((len(common), 0)),
-            schema=schema,
-        )
+        joined = covariates.subset(common)
         if keep is not None:
             joined = keep(joined)
-        return [feat_index[s.id] for s in joined.subjects]
+        return [feat_index[sid] for sid in joined.ids]
 
     _, regions, values = read_matrix_csv(feat_path, rows)
     if values.size and not np.all(np.isfinite(values)):
         raise InputError(f"{feat_path}: non-finite feature values")
-    return Cohort(
-        subjects=joined.subjects, regions=tuple(regions), responses=values, schema=schema
-    )
+    return dataclasses.replace(joined, regions=tuple(regions), responses=values)
 
 
 def save_cohort(
     cohort: Cohort, covariates_path: str | Path, features_path: str | Path
 ) -> None:
-    """Write the two canonical CSVs; load_cohort(save_cohort(c)) round-trips exactly."""
-    has_site = any(s.site is not None for s in cohort.subjects)
-    has_qc = any(s.qc_score is not None for s in cohort.subjects)
+    """Write the two canonical CSVs; load_cohort(save_cohort(c)) round-trips exactly.
+
+    The site and qc_score columns are written where any subject has one."""
     header = list(REQUIRED_COVARIATES)
-    if has_site:
+    columns = [cohort.ids, cohort.ages.tolist(), cohort.sexes, cohort.races]
+    if any(site is not None for site in cohort.sites):
         header.append("site")
-    if has_qc:
+        columns.append(cohort.sites)
+    if not np.all(np.isnan(cohort.qc_scores)):
         header.append("qc_score")
-    rows = []
-    for s in cohort.subjects:
-        row: list = [s.id, s.age, s.sex, s.race]
-        if has_site:
-            row.append(s.site)
-        if has_qc:
-            row.append(s.qc_score)
-        rows.append(row)
-    write_csv(covariates_path, header, rows)
+        # a NaN, a missing qc_score, is written as an empty cell
+        columns.append(cohort.qc_scores.tolist())
+    write_csv(covariates_path, header, zip(*columns))
     write_matrix_csv(features_path, list(cohort.ids), list(cohort.regions), cohort.responses)
 
 
@@ -321,14 +338,14 @@ def qc_filter(cohort: Cohort, min_qc: float | None) -> Cohort:
     """Keep subjects with qc_score >= min_qc; threshold ties are kept."""
     if min_qc is None:
         return cohort
-    missing = [s.id for s in cohort.subjects if s.qc_score is None]
-    if missing:
+    missing = np.flatnonzero(np.isnan(cohort.qc_scores))
+    if missing.size:
         raise InputError(
-            f"qc filtering requested but {len(missing)} subject(s) have no qc_score "
-            f"(first few: {missing[:5]})"
+            f"qc filtering requested but {missing.size} subject(s) have no qc_score "
+            f"(first few: {[cohort.ids[i] for i in missing[:5]]})"
         )
-    keep = [i for i, s in enumerate(cohort.subjects) if s.qc_score >= min_qc]
-    if not keep:
+    keep = np.flatnonzero(cohort.qc_scores >= min_qc)
+    if not keep.size:
         log.warning("qc filter at %s removed every subject", min_qc)
     return cohort.subset(keep)
 
@@ -363,16 +380,15 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     from a seeded stream keyed by (seed, group index in sorted label order),
     so it is independent of the other groups.
     """
-    groups: dict[str, list[int]] = {}
-    for i, s in enumerate(cohort.subjects):
-        groups.setdefault(s.race, []).append(i)
+    races = np.array(cohort.races, dtype=object)
+    labels = sorted(set(cohort.races))
     for label in spec.fractions:
-        if label not in groups:
+        if label not in labels:
             raise InputError(f"train fraction given for absent race label '{label}'")
 
     train_idx: list[int] = []
-    for gi, label in enumerate(sorted(groups)):
-        members = groups[label]
+    for gi, label in enumerate(labels):
+        members = np.flatnonzero(races == label)
         frac = spec.fractions.get(label, spec.default_fraction)
         if frac is None:
             raise InputError(f"no train fraction for race label '{label}'")
@@ -382,14 +398,14 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
             k = 1
         k = min(k, len(members))
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, gi]))
-        order = [int(i) for i in rng.permutation(members)]
-        train_idx.extend(order[:k])
+        train_idx.extend(rng.permutation(members)[:k].tolist())
         if k == len(members):
             log.warning("race group '%s' has an empty test split", label)
 
-    train_set = set(train_idx)
-    test_idx = [i for i in range(cohort.n_subjects) if i not in train_set]
-    if not test_idx:
+    in_test = np.ones(cohort.n_subjects, dtype=bool)
+    in_test[train_idx] = False
+    test_idx = np.flatnonzero(in_test)
+    if not test_idx.size:
         log.warning("test split is empty")
     return cohort.subset(train_idx), cohort.subset(test_idx)
 
@@ -397,12 +413,10 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
 def demographics_summary(cohort: Cohort) -> dict:
     """Counts and percentages used for cohort description tables."""
     n = cohort.n_subjects
-    ages = cohort.ages()
-    sex_counts: dict[str, int] = {label: 0 for label in cohort.schema.sex_labels}
-    race_counts: dict[str, int] = {label: 0 for label in cohort.schema.race_labels}
-    for s in cohort.subjects:
-        sex_counts[s.sex] = sex_counts.get(s.sex, 0) + 1
-        race_counts[s.race] = race_counts.get(s.race, 0) + 1
+    ages = cohort.ages
+    # the declared labels first, then any other in order of first appearance
+    sex_counts = {**dict.fromkeys(cohort.schema.sex_labels, 0), **Counter(cohort.sexes)}
+    race_counts = {**dict.fromkeys(cohort.schema.race_labels, 0), **Counter(cohort.races)}
     pct = lambda c: (100.0 * c / n) if n else 0.0
     return {
         "n": n,

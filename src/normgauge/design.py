@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import Cohort, Subject
+from .cohort import Cohort
 from .errors import InputError, SchemaError
 
 ALLOWED_COVARIATE_SETS = (
@@ -227,44 +227,40 @@ def spline_basis(ages: np.ndarray, schema: DesignSchema) -> tuple[np.ndarray, in
     return basis, clamp_count
 
 
-def apply_design(subjects: Sequence[Subject], schema: DesignSchema) -> DesignMatrix:
-    """Expand subjects into design rows under a fitted schema.
+def apply_design(cohort: Cohort, schema: DesignSchema) -> DesignMatrix:
+    """Expand a cohort's covariates into design rows under a fitted schema.
 
     Ages outside the knot range are clamped (spline and linear column alike)
     and counted in clamp_count; the warning about them comes from
     blr.deviations, once per scoring pass. Unseen site or race levels raise a
     schema error naming them.
     """
-    ages = np.array([s.age for s in subjects], dtype=float)
-    basis, clamp_count = spline_basis(ages, schema)
+    basis, clamp_count = spline_basis(cohort.ages, schema)
     cols = [basis]
     if schema.include_linear_age:
-        cols.append(np.clip(ages, schema.knot_lo, schema.knot_hi)[:, None])
-    sex = np.array(
-        [1.0 if s.sex == schema.sex_positive_label else 0.0 for s in subjects]
-    )
-    cols.append(sex[:, None])
-
+        cols.append(np.clip(cohort.ages, schema.knot_lo, schema.knot_hi)[:, None])
+    cols.append(_indicators(cohort.sexes, (schema.sex_positive_label,)))
     if schema.site_reference is not None:
         known = {schema.site_reference, *schema.site_levels}
-        unseen = sorted({str(s.site) for s in subjects if s.site not in known})
+        unseen = sorted({str(site) for site in set(cohort.sites) - known})
         if unseen:
             raise SchemaError(f"unseen site level(s): {unseen}")
-        for level in schema.site_levels:
-            cols.append(
-                np.array([1.0 if s.site == level else 0.0 for s in subjects])[:, None]
-            )
+        cols.append(_indicators(cohort.sites, schema.site_levels))
     if schema.race_reference is not None:
         known = {schema.race_reference, *schema.race_levels}
-        unseen = sorted({s.race for s in subjects if s.race not in known})
+        unseen = sorted(set(cohort.races) - known)
         if unseen:
             raise SchemaError(f"unseen race level(s): {unseen}")
-        for level in schema.race_levels:
-            cols.append(
-                np.array([1.0 if s.race == level else 0.0 for s in subjects])[:, None]
-            )
+        cols.append(_indicators(cohort.races, schema.race_levels))
     values = np.hstack(cols)
     return DesignMatrix(values=values, schema=schema, clamp_count=clamp_count)
+
+
+def _indicators(column: Sequence[str | None], levels: Sequence[str]) -> np.ndarray:
+    """The (N, len(levels)) one-hot columns of a label column: 1.0 where a
+    row holds the level, else 0.0."""
+    labels = np.array(column, dtype=object)[:, None]
+    return (labels == np.array(levels, dtype=object)).astype(float)
 
 
 def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:
@@ -275,7 +271,7 @@ def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:
     if basis_cfg.knot_range is not None:
         lo, hi = basis_cfg.knot_range
     else:
-        ages = cohort.ages()
+        ages = cohort.ages
         lo, hi = float(ages.min()), float(ages.max())
     if not lo < hi:
         raise InputError(f"degenerate age range [{lo}, {hi}]")
@@ -288,13 +284,13 @@ def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:
     site_reference = None
     site_levels: tuple[str, ...] = ()
     if "site" in config.covariates:
-        missing = [s.id for s in cohort.subjects if s.site is None]
+        missing = [sid for sid, site in zip(cohort.ids, cohort.sites) if site is None]
         if missing:
             raise InputError(
                 f"site covariate requested but {len(missing)} subject(s) have no site "
                 f"(first few: {missing[:5]})"
             )
-        observed = sorted({str(s.site) for s in cohort.subjects})
+        observed = sorted(set(cohort.sites))
         site_reference = observed[0]
         site_levels = tuple(observed[1:])
 
@@ -319,4 +315,4 @@ def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:
         race_reference=race_reference,
         race_levels=race_levels,
     )
-    return apply_design(cohort.subjects, schema)
+    return apply_design(cohort, schema)

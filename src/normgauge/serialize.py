@@ -382,12 +382,6 @@ def _chunk_ranges(n: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _forked_map(fn: Callable[[Any], Any], parts: Sequence) -> list:
-    """[fn(part) for part in parts], the parts after the first in forked
-    children; see _forked_iter."""
-    return list(_forked_iter(fn, parts))
-
-
 def _set_cpus(cpus: set[int]) -> None:
     """Hold this thread to the given CPUs, where the system lets it."""
     with contextlib.suppress(OSError):
@@ -532,7 +526,7 @@ def read_matrix_csv(
     first comma, and each row must hold as many commas as the header has
     columns; the scan keeps offsets into the text, not copies of its lines.
     The chosen rows are cut into one chunk per usable CPU, and np.loadtxt
-    parses each, every chunk after the first in a forked child (_forked_map);
+    parses each, every chunk after the first in a forked child (_forked_iter);
     it accepts a subset of what float() accepts and returns the same doubles.
     Any other file, or one with a ragged row or a chunk np.loadtxt rejects,
     is read whole by csv.reader and its chosen rows parsed with float()
@@ -559,10 +553,10 @@ def read_matrix_csv(
         if lines is not None:
             ids = [body[start:comma] for start, comma, _ in lines]
             chosen = _chosen_rows(path, ids, rows)
-            parts = _forked_map(
+            parts = list(_forked_iter(
                 lambda part: _parse_rows(body, [lines[k] for k in part]),
                 [chosen[r.start:r.stop] for r in _chunk_ranges(len(chosen))],
-            )
+            ))
             if all(part is not None for part in parts):
                 values = np.concatenate(parts) if parts else np.empty((0, len(columns)))
                 return _chosen_ids(path, ids, chosen, rows), columns, values

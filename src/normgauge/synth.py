@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cohort import Cohort, CohortSchema, Subject
+from .cohort import Cohort, CohortSchema
 from .errors import InputError
 from .warp import WarpParams, warp_inverse
 
@@ -141,28 +141,19 @@ class SynthSpec:
 def generate(spec: SynthSpec) -> tuple[Cohort, dict]:
     """Generate the cohort plus a truth dict echoing every resolved parameter."""
     groups = sorted(spec.n_per_group)
-    n_total = sum(int(spec.n_per_group[g]) for g in groups)
+    sizes = [int(spec.n_per_group[g]) for g in groups]
+    n_total = sum(sizes)
     root = np.random.SeedSequence(spec.seed)
     streams = root.spawn(1 + spec.n_regions)
     demo_rng = np.random.default_rng(streams[0])
 
-    subjects: list[Subject] = []
-    for g in groups:
-        n_g = int(spec.n_per_group[g])
-        ages = demo_rng.uniform(spec.age_range[0], spec.age_range[1], n_g)
-        for i in range(n_g):
-            subjects.append(
-                Subject(
-                    id=f"{g}{i:05d}",
-                    age=float(ages[i]),
-                    sex="F" if i % 2 == 0 else "M",
-                    race=g,
-                )
-            )
-
-    ages = np.array([s.age for s in subjects])
-    is_male = np.array([1.0 if s.sex == "M" else 0.0 for s in subjects])
-    race_arr = np.array([s.race for s in subjects])
+    ages = np.concatenate(
+        [demo_rng.uniform(spec.age_range[0], spec.age_range[1], n_g) for n_g in sizes]
+    )
+    # each row's index within its group, which names it and sets its sex
+    within = np.concatenate([np.arange(n_g) for n_g in sizes])
+    race_arr = np.repeat(groups, sizes)
+    is_male = (within % 2).astype(float)
     responses = np.empty((n_total, spec.n_regions))
     for d in range(spec.n_regions):
         rng = np.random.default_rng(streams[1 + d])
@@ -178,7 +169,10 @@ def generate(spec: SynthSpec) -> tuple[Cohort, dict]:
 
     schema = CohortSchema(race_labels=tuple(groups))
     cohort = Cohort(
-        subjects=tuple(subjects),
+        ids=tuple(f"{g}{i:05d}" for g, i in zip(race_arr.tolist(), within.tolist())),
+        ages=ages,
+        sexes=tuple("M" if male else "F" for male in is_male.tolist()),
+        races=tuple(race_arr.tolist()),
         regions=spec.region_names,
         responses=responses,
         schema=schema,

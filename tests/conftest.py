@@ -37,7 +37,7 @@ def _force_cpus(request, monkeypatch, cpus):
 
 @pytest.fixture(params=["forked", "in-process"])
 def forks(request, monkeypatch):
-    """Force one path of serialize._forked_map through its CPU probe.
+    """Force one path of serialize._forked_iter through its CPU probe.
 
     Returns the list of child pids that os.fork handed to the caller, and
     whether the forked path was forced.

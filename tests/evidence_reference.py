@@ -146,7 +146,7 @@ class CholeskyEvidence:
 
 def reference_deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     """The scoring pass of deviations, one region at a time."""
-    phi = apply_design(cohort.subjects, model.schema).values
+    phi = apply_design(cohort, model.schema).values
     columns = [cohort.regions.index(r) for r in model.region_names]
     responses = cohort.responses[:, columns]
     z_scores, errors, yhats, log_loss = (np.empty(responses.shape) for _ in range(4))

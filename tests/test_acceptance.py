@@ -227,7 +227,7 @@ def _table4_run(include_race):
     covariates = ("age", "sex", "race") if include_race else ("age", "sex")
     model = fit_normative(train, ModelConfig(covariates=covariates), workers=4)
     dm = deviations(model, test)
-    races = list(test.races())
+    races = list(test.races)
     group_means = {
         g: float(dm.Z[np.asarray(races) == g].mean()) for g in ("A", "B", "W")
     }
@@ -285,7 +285,7 @@ def test_criterion_7_race_prediction():
         train, ModelConfig(covariates=("age", "sex", "race")), workers=4
     )
     dm = deviations(model, test)
-    labels = list(test.races())
+    labels = list(test.races)
     report = cross_validate(dm.Z, labels)
     macro_auc = report.macro_mean("auc")
     null_auc = permutation_null_auc(dm.Z, labels, n_permutations=5, seed=1)

@@ -11,7 +11,6 @@ from normgauge import (
     InputError,
     ModelConfig,
     NumericalError,
-    Subject,
     SynthSpec,
     WarpParams,
     bh_fdr,
@@ -39,17 +38,15 @@ def make_race_cohort(rng, n_per_race, d=2, shift=None):
     if shift:
         for i, race in enumerate(races):
             responses[i] += shift.get(race, 0.0)
-    subjects = tuple(
-        Subject(
-            id=f"s{i:05d}",
-            age=float(ages[i]),
-            sex="F" if i % 2 == 0 else "M",
-            race=races[i],
-        )
-        for i in range(n)
-    )
     regions = tuple(f"r{k}" for k in range(d))
-    return Cohort(subjects=subjects, regions=regions, responses=responses)
+    return Cohort(
+        ids=tuple(f"s{i:05d}" for i in range(n)),
+        ages=ages,
+        sexes=tuple("F" if i % 2 == 0 else "M" for i in range(n)),
+        races=races,
+        regions=regions,
+        responses=responses,
+    )
 
 
 class TestGroupSummary:
@@ -360,7 +357,7 @@ class TestParityReport:
         rng = np.random.default_rng(17)
         model, test = self.fit_and_split(rng, 800, {"A": 1000, "W": 1000})
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races(), fit=group_fit(dm, test.races()))
+        report = group_parity(dm.Z, test.races, fit=group_fit(dm, test.races))
         assert report.groups == ("A", "W")
         assert report.gaps["explained_variance"] < 0.05
         assert report.gaps["extreme_rate"] < 0.03
@@ -372,7 +369,7 @@ class TestParityReport:
             rng, 800, {"A": 600, "W": 600}, shift={"A": 0.3}
         )
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races(), fit=group_fit(dm, test.races()))
+        report = group_parity(dm.Z, test.races, fit=group_fit(dm, test.races))
         assert report.per_group["A"]["mean_deviation"] == pytest.approx(1.0, abs=0.2)
         assert report.per_group["W"]["mean_deviation"] == pytest.approx(0.0, abs=0.2)
         assert report.per_group["A"]["msll"] > report.per_group["W"]["msll"]
@@ -382,7 +379,7 @@ class TestParityReport:
         rng = np.random.default_rng(29)
         model, test = self.fit_and_split(rng, 400, {"W": 300})
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races(), fit=group_fit(dm, test.races()))
+        report = group_parity(dm.Z, test.races, fit=group_fit(dm, test.races))
         assert report.groups == ("W",)
         assert report.gaps["explained_variance"] == 0.0
         assert report.gaps["msll"] == 0.0
@@ -393,7 +390,7 @@ class TestParityReport:
         model, test = self.fit_and_split(rng, 300, {"W": 100})
         dm = deviations(model, test)
         with pytest.raises(InputError):
-            group_parity(dm.Z, ["W"] * 5, fit=group_fit(dm, test.races()))
+            group_parity(dm.Z, ["W"] * 5, fit=group_fit(dm, test.races))
         with pytest.raises(InputError):
             group_fit(dm, ["W"] * 5)
 
@@ -401,7 +398,7 @@ class TestParityReport:
         rng = np.random.default_rng(37)
         model, test = self.fit_and_split(rng, 300, {"A": 40, "W": 60})
         dm = deviations(model, test)
-        races = list(test.races())
+        races = list(test.races)
         fit = group_fit(dm, races)
         assert group_parity(dm.Z, races, fit=fit).per_group["A"]["msll"] == fit["A"]["msll"]
         smaller = {**fit, "A": {**fit["A"], "n": 39}}
@@ -431,15 +428,15 @@ class TestParityReport:
                 seed=5,
             )
         )
-        races = np.asarray(cohort.races())
+        races = np.asarray(cohort.races)
         w_rows = np.nonzero(races == "W")[0]
         model = fit_normative(cohort.subset(w_rows[:300]))
         warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
         assert any(warped) == (noise_skew is not None)
         test = cohort.subset(np.setdiff1d(np.arange(cohort.n_subjects), w_rows[:300]))
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races(), 1.5, group_fit(dm, test.races()))
-        test_races = np.asarray(test.races())
+        report = group_parity(dm.Z, test.races, 1.5, group_fit(dm, test.races))
+        test_races = np.asarray(test.races)
         expected = {}
         for label in ("A", "B", "W"):
             sub = test.subset(np.nonzero(test_races == label)[0])

@@ -32,7 +32,6 @@ from normgauge import (
     NormativeModel,
     RegionModel,
     SchemaError,
-    Subject,
     SynthSpec,
     WarpParams,
     apply_design,
@@ -74,11 +73,14 @@ def make_cohort(ages, responses, sexes=None, races=None, regions=None):
     if responses.ndim == 1:
         responses = responses[:, None]
     regions = regions or tuple(f"r{k}" for k in range(responses.shape[1]))
-    subjects = tuple(
-        Subject(id=f"s{i:05d}", age=float(ages[i]), sex=sexes[i], race=races[i])
-        for i in range(n)
+    return Cohort(
+        ids=tuple(f"s{i:05d}" for i in range(n)),
+        ages=ages,
+        sexes=sexes,
+        races=races,
+        regions=tuple(regions),
+        responses=responses,
     )
-    return Cohort(subjects=subjects, regions=tuple(regions), responses=responses)
 
 
 class TestEvidenceValue:
@@ -882,7 +884,7 @@ class TestRegionIndependence:
         for start in (0, 1):
             columns = np.arange(start, cohort.n_regions, 2)
             part = make_cohort(
-                cohort.ages(),
+                cohort.ages,
                 cohort.responses[:, columns],
                 regions=[cohort.regions[d] for d in columns],
             )
@@ -967,10 +969,8 @@ class TestAffineInvariance:
         [(0.0, 1.0), (10.0, 1.0), (100.0, 1.0), (1000.0, 1.0), (0.0, 1000.0), (0.0, 0.001)],
     )
     def test_held_out_z_variance(self, affine_cohort, shift, scale):
-        cohort = Cohort(
-            subjects=affine_cohort.subjects,
-            regions=affine_cohort.regions,
-            responses=affine_cohort.responses * scale + shift,
+        cohort = dataclasses.replace(
+            affine_cohort, responses=affine_cohort.responses * scale + shift
         )
         train = cohort.subset(np.arange(1500))
         test = cohort.subset(np.arange(1500, 3000))
@@ -1016,11 +1016,7 @@ class TestAffineOracle:
 
     @staticmethod
     def scores(cohort, shift, scale):
-        moved = Cohort(
-            subjects=cohort.subjects,
-            regions=cohort.regions,
-            responses=cohort.responses * scale + shift,
-        )
+        moved = dataclasses.replace(cohort, responses=cohort.responses * scale + shift)
         model = fit_normative(moved.subset(np.arange(600)))
         assert all(rm.converged for rm in model.region_models)
         return deviations(model, moved.subset(np.arange(600, 1000)))
@@ -1089,7 +1085,7 @@ class TestPredictRegion:
         warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
         assert any(warped) == (noise_skew is not None)
         held_out = cohort.subset(np.arange(300, 400))
-        phi = apply_design(held_out.subjects, model.schema).values
+        phi = apply_design(held_out, model.schema).values
         for rm in model.region_models:
             oracle = np.einsum(
                 "ij,ji->i", phi, sla.cho_solve((rm.chol_precision, True), phi.T)
@@ -1149,10 +1145,8 @@ class TestDeviations:
 
     def test_region_mismatch_lists_missing(self):
         model, cohort = engineered_model_and_cohort([0.0, 1.0])
-        other = Cohort(
-            subjects=cohort.subjects,
-            regions=("other",),
-            responses=cohort.responses.copy(),
+        other = dataclasses.replace(
+            cohort, regions=("other",), responses=cohort.responses.copy()
         )
         with pytest.raises(SchemaError, match="r0"):
             deviations(model, other)
@@ -1267,11 +1261,11 @@ class TestScoringIndependence:
         assert any(warped) and not all(warped)
         test = cohort.subset(np.arange(cohort.n_subjects)[rows])
         full = deviations(model, test)
-        phi = apply_design(test.subjects, model.schema).values
+        phi = apply_design(test, model.schema).values
         for j, rm in enumerate(model.region_models):
             one = NormativeModel(region_models=(rm,), config=model.config, schema=model.schema)
-            column = Cohort(
-                subjects=test.subjects, regions=(rm.region,), responses=test.responses[:, [j]]
+            column = dataclasses.replace(
+                test, regions=(rm.region,), responses=test.responses[:, [j]]
             )
             alone = deviations(one, column)
             for name in ("Z", "E", "yhat", "log_loss"):
@@ -1345,7 +1339,7 @@ class TestFitMetrics:
         model = fit_normative(cohort.subset(np.arange(250)))
         assert any(not rm.hyperparams.warp.is_identity() for rm in model.region_models)
         test = cohort.subset(np.arange(250, 400))
-        phi = apply_design(test.subjects, model.schema).values
+        phi = apply_design(test, model.schema).values
         metrics = fit_metrics(model, test)
         for j, (rm, got) in enumerate(zip(model.region_models, metrics)):
             y = test.responses[:, j]
@@ -1463,8 +1457,8 @@ class TestNormativeModel:
     def test_region_order_independence(self):
         cohort = self.small_cohort()
         perm = [2, 0, 1]
-        permuted = Cohort(
-            subjects=cohort.subjects,
+        permuted = dataclasses.replace(
+            cohort,
             regions=tuple(cohort.regions[i] for i in perm),
             responses=cohort.responses[:, perm],
         )

@@ -1622,7 +1622,6 @@ class TestPublicNames:
             "RegionPrediction",
             "SchemaError",
             "SplitSpec",
-            "Subject",
             "SynthSpec",
             "WarpParams",
             "WelchResult",
@@ -1683,6 +1682,9 @@ class TestPublicNames:
                 assert getattr(sys.modules[value.__module__], name) is value
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
             normgauge.nope
+        # a cohort holds its subjects as columns, not as row objects
+        with pytest.raises(AttributeError, match="has no attribute 'Subject'"):
+            normgauge.Subject
 
 
 class TestReportStatistics:

@@ -1,5 +1,6 @@
 """Tests for cohort loading, validation, QC filtering, and stratified splits."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -11,8 +12,9 @@ from normgauge import (
     InputError,
     SchemaError,
     SplitSpec,
-    Subject,
+    SynthSpec,
     demographics_summary,
+    generate,
     load_cohort,
     qc_filter,
     save_cohort,
@@ -33,22 +35,27 @@ def write_pair(tmp_path, cov_rows, feat_rows, cov_header="id,age,sex,race", feat
 def make_cohort(n_per_race, seed=0, n_regions=3):
     """Small in-memory cohort with deterministic ages and balanced sexes."""
     rng = np.random.default_rng(seed)
-    subjects = []
+    rows = []
     for race, n in sorted(n_per_race.items()):
         for i in range(n):
-            subjects.append(
-                Subject(
-                    id=f"{race}{i:04d}",
-                    age=float(rng.uniform(20, 70)),
-                    sex="F" if i % 2 == 0 else "M",
-                    race=race,
-                    qc_score=float(rng.uniform(0, 1)),
-                )
-            )
-    subjects.sort(key=lambda s: s.id)
-    responses = rng.normal(0, 1, (len(subjects), n_regions))
+            age, qc = float(rng.uniform(20, 70)), float(rng.uniform(0, 1))
+            rows.append((f"{race}{i:04d}", age, "F" if i % 2 == 0 else "M", race, qc))
+    rows.sort()
+    ids, ages, sexes, races, qc_scores = zip(*rows)
+    responses = rng.normal(0, 1, (len(rows), n_regions))
     regions = tuple(f"r{k}" for k in range(n_regions))
-    return Cohort(subjects=tuple(subjects), regions=regions, responses=responses)
+    return Cohort(
+        ids=ids, ages=ages, sexes=sexes, races=races, qc_scores=qc_scores,
+        regions=regions, responses=responses,
+    )
+
+
+def one_subject(regions, responses):
+    """A one-row cohort: s1, aged 30, F, W, with no site or qc_score."""
+    return Cohort(
+        ids=("s1",), ages=(30.0,), sexes=("F",), races=("W",),
+        regions=regions, responses=responses,
+    )
 
 
 class TestLoadCohort:
@@ -60,7 +67,7 @@ class TestLoadCohort:
         )
         with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
             cohort = load_cohort(cov, feat)
-        assert len(cohort.subjects) == 4
+        assert cohort.n_subjects == 4
         assert cohort.regions == ("r1", "r2")
         assert not caplog.records
         assert cohort.responses.shape == (4, 2)
@@ -73,7 +80,7 @@ class TestLoadCohort:
         )
         with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
             cohort = load_cohort(cov, feat)
-        assert len(cohort.subjects) == 3
+        assert cohort.n_subjects == 3
         assert [r.getMessage() for r in caplog.records] == [
             "dropped 1 subject(s) present in only one input file"
         ]
@@ -138,7 +145,7 @@ class TestLoadCohort:
         )
         schema = CohortSchema(race_labels=("Q", "R"))
         cohort = load_cohort(cov, feat, schema=schema)
-        assert cohort.subjects[0].race == "Q"
+        assert cohort.races[0] == "Q"
 
     def test_incomplete_row_dropped_and_counted(self, tmp_path, caplog):
         cov, feat = write_pair(
@@ -148,7 +155,7 @@ class TestLoadCohort:
         )
         with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
             cohort = load_cohort(cov, feat)
-        assert len(cohort.subjects) == 1
+        assert cohort.n_subjects == 1
         # s2's features have no complete covariates row left to join
         assert [r.getMessage() for r in caplog.records] == [
             "dropped 1 subject(s) present in only one input file",
@@ -160,7 +167,7 @@ class TestLoadCohort:
         rows_feat = ["s2,1.1,2.1", "s1,1.0,2.0"]
         cov, feat = write_pair(tmp_path, rows_cov, rows_feat)
         cohort = load_cohort(cov, feat)
-        assert [s.id for s in cohort.subjects] == ["s1", "s2"]
+        assert list(cohort.ids) == ["s1", "s2"]
         np.testing.assert_array_equal(cohort.responses[0], [1.0, 2.0])
 
     def test_keep_parses_only_the_kept_rows(self, tmp_path, caplog):
@@ -178,7 +185,7 @@ class TestLoadCohort:
         with caplog.at_level(logging.WARNING, logger="normgauge.cohort"):
             cohort = load_cohort(cov, feat, keep=keep)
         # the join and its drop count see every row, the cells of none
-        assert [s.id for s in joined[0].subjects] == ["s1", "s2", "s3", "s4"]
+        assert list(joined[0].ids) == ["s1", "s2", "s3", "s4"]
         assert joined[0].regions == () and joined[0].responses.shape == (4, 0)
         assert [r.getMessage() for r in caplog.records] == [
             "dropped 1 subject(s) present in only one input file"
@@ -211,18 +218,45 @@ class TestLoadCohort:
         assert feat2.read_bytes() == feat.read_bytes()
 
 
+class TestContentHash:
+    """The digest that model.json records as its cohort_hash, pinned so that a
+    change of the cohort's layout cannot move it unseen."""
+
+    def test_synthetic_cohort_digest(self):
+        cohort, _ = generate(SynthSpec(n_per_group={"A": 3, "B": 2}, n_regions=2, seed=7))
+        assert cohort.content_hash() == (
+            "09a6cd89267b254fd2c5afcba414438d28af6a80a612c3920796c990e329d4d8"
+        )
+
+    def test_loaded_cohort_with_blank_site_and_qc_digest(self, tmp_path):
+        cov, feat = write_pair(
+            tmp_path,
+            ["s2,41.5,M,B,x,0.75", "s1,30,F,A,,", "s3,52.25,F,W,y,1e-3"],
+            ["s1,1.0,-2.5", "s2,0.1,3e5", "s3,-0.0,7"],
+            cov_header="id,age,sex,race,site,qc_score",
+        )
+        assert load_cohort(cov, feat).content_hash() == (
+            "54b5340d534c650a5ee947f042f2218a73acf9dd06be750446e191b1f9090b20"
+        )
+
+
 class TestQcFilter:
     def make(self, scores):
-        subjects = tuple(
-            Subject(id=f"s{i+1}", age=30.0 + i, sex="F", race="W", qc_score=q)
-            for i, q in enumerate(scores)
+        n = len(scores)
+        responses = np.arange(n, dtype=float).reshape(-1, 1)
+        return Cohort(
+            ids=tuple(f"s{i+1}" for i in range(n)),
+            ages=30.0 + np.arange(n),
+            sexes=("F",) * n,
+            races=("W",) * n,
+            qc_scores=scores,
+            regions=("r0",),
+            responses=responses,
         )
-        responses = np.arange(len(scores), dtype=float).reshape(-1, 1)
-        return Cohort(subjects=subjects, regions=("r0",), responses=responses)
 
     def test_threshold_keeps_ties(self):
         cohort = qc_filter(self.make([0.9, 0.2, 0.5]), 0.5)
-        assert [s.id for s in cohort.subjects] == ["s1", "s3"]
+        assert list(cohort.ids) == ["s1", "s3"]
 
     def test_none_is_identity(self):
         base = self.make([0.9, 0.2, 0.5])
@@ -231,12 +265,11 @@ class TestQcFilter:
     def test_all_below_gives_empty_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             cohort = qc_filter(self.make([0.1, 0.2]), 0.9)
-        assert len(cohort.subjects) == 0
+        assert cohort.n_subjects == 0
         assert any("qc" in r.message.lower() for r in caplog.records)
 
     def test_missing_score_rejected(self):
-        subjects = (Subject(id="s1", age=30.0, sex="F", race="W"),)
-        cohort = Cohort(subjects=subjects, regions=("r0",), responses=np.zeros((1, 1)))
+        cohort = one_subject(("r0",), np.zeros((1, 1)))
         with pytest.raises(InputError, match="qc"):
             qc_filter(cohort, 0.5)
 
@@ -246,26 +279,26 @@ class TestStratifiedSplit:
         cohort = make_cohort({"A": 50, "B": 30, "W": 20})
         train, test = stratified_split(cohort, SplitSpec(fractions={}, default_fraction=0.8, seed=1))
         test_counts = {}
-        for s in test.subjects:
-            test_counts[s.race] = test_counts.get(s.race, 0) + 1
+        for race in test.races:
+            test_counts[race] = test_counts.get(race, 0) + 1
         assert test_counts == {"A": 10, "B": 6, "W": 4}
-        assert len(train.subjects) + len(test.subjects) == 100
+        assert train.n_subjects + test.n_subjects == 100
 
     def test_asymmetric_fraction_map(self):
         cohort = make_cohort({"A": 100, "B": 100, "W": 100})
         spec = SplitSpec(fractions={"A": 0.02, "B": 0.05, "W": 0.93}, seed=7)
         train, _ = stratified_split(cohort, spec)
         counts = {}
-        for s in train.subjects:
-            counts[s.race] = counts.get(s.race, 0) + 1
+        for race in train.races:
+            counts[race] = counts.get(race, 0) + 1
         assert counts == {"A": 2, "B": 5, "W": 93}
 
     def test_full_train_leaves_empty_test_with_warning(self, caplog):
         cohort = make_cohort({"A": 4, "B": 4, "W": 4})
         with caplog.at_level("WARNING"):
             train, test = stratified_split(cohort, SplitSpec(fractions={}, default_fraction=1.0, seed=0))
-        assert len(test.subjects) == 0
-        assert len(train.subjects) == 12
+        assert test.n_subjects == 0
+        assert train.n_subjects == 12
         assert any("empty" in r.message.lower() for r in caplog.records)
 
     def test_fraction_out_of_range_rejected(self):
@@ -277,8 +310,8 @@ class TestStratifiedSplit:
         spec = SplitSpec(fractions={"A": 0.01, "B": 0.01, "W": 0.01}, seed=0)
         train, _ = stratified_split(cohort, spec)
         counts = {}
-        for s in train.subjects:
-            counts[s.race] = counts.get(s.race, 0) + 1
+        for race in train.races:
+            counts[race] = counts.get(race, 0) + 1
         assert counts == {"A": 1, "B": 1, "W": 1}
 
     def test_same_seed_reproducible(self):
@@ -286,7 +319,7 @@ class TestStratifiedSplit:
         spec = SplitSpec(fractions={}, default_fraction=0.5, seed=123)
         t1, _ = stratified_split(cohort, spec)
         t2, _ = stratified_split(cohort, spec)
-        assert [s.id for s in t1.subjects] == [s.id for s in t2.subjects]
+        assert list(t1.ids) == list(t2.ids)
 
     def test_different_seed_same_counts_different_members(self):
         cohort = make_cohort({"A": 40, "B": 25, "W": 60}, seed=5)
@@ -295,24 +328,24 @@ class TestStratifiedSplit:
 
         def counts(c):
             out = {}
-            for s in c.subjects:
-                out[s.race] = out.get(s.race, 0) + 1
+            for race in c.races:
+                out[race] = out.get(race, 0) + 1
             return out
 
         assert counts(t1) == counts(t2)
-        assert [s.id for s in t1.subjects] != [s.id for s in t2.subjects]
+        assert list(t1.ids) != list(t2.ids)
 
     def test_partition_and_fraction_accuracy(self):
         cohort = make_cohort({"A": 37, "B": 53, "W": 41}, seed=9)
         spec = SplitSpec(fractions={"A": 0.3, "B": 0.61, "W": 0.11}, seed=4)
         train, test = stratified_split(cohort, spec)
-        train_ids = {s.id for s in train.subjects}
-        test_ids = {s.id for s in test.subjects}
+        train_ids = set(train.ids)
+        test_ids = set(test.ids)
         assert train_ids.isdisjoint(test_ids)
-        assert train_ids | test_ids == {s.id for s in cohort.subjects}
+        assert train_ids | test_ids == set(cohort.ids)
         sizes = {"A": 37, "B": 53, "W": 41}
         for race, frac in spec.fractions.items():
-            got = sum(1 for s in train.subjects if s.race == race)
+            got = train.races.count(race)
             assert abs(got / sizes[race] - frac) < 1.0 / sizes[race]
 
     def test_unknown_label_in_fractions_rejected(self):
@@ -323,19 +356,24 @@ class TestStratifiedSplit:
 
 class TestCohortInvariants:
     def test_shape_mismatch_rejected(self):
-        subjects = (Subject(id="s1", age=30.0, sex="F", race="W"),)
         with pytest.raises(SchemaError):
-            Cohort(subjects=subjects, regions=("r0",), responses=np.zeros((2, 1)))
+            one_subject(("r0",), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("column", ["ages", "sexes", "races", "sites", "qc_scores"])
+    def test_column_length_mismatch_rejected(self, column):
+        values = {"ages": (30.0, 40.0), "sexes": ("F", "M"), "races": ("W", "A"),
+                  "sites": ("x", None), "qc_scores": (0.5, np.nan)}[column]
+        cohort = one_subject(("r0",), np.zeros((1, 1)))
+        with pytest.raises(SchemaError, match=f"{column} column of shape \\(2,\\)"):
+            dataclasses.replace(cohort, **{column: values})
 
     def test_duplicate_region_rejected(self):
-        subjects = (Subject(id="s1", age=30.0, sex="F", race="W"),)
         with pytest.raises(SchemaError):
-            Cohort(subjects=subjects, regions=("r0", "r0"), responses=np.zeros((1, 2)))
+            one_subject(("r0", "r0"), np.zeros((1, 2)))
 
     def test_nonfinite_response_rejected(self):
-        subjects = (Subject(id="s1", age=30.0, sex="F", race="W"),)
         with pytest.raises(InputError):
-            Cohort(subjects=subjects, regions=("r0",), responses=np.array([[np.nan]]))
+            one_subject(("r0",), np.array([[np.nan]]))
 
     def test_responses_read_only(self):
         cohort = make_cohort({"W": 3})

@@ -10,7 +10,6 @@ from normgauge import (
     InputError,
     ModelConfig,
     SchemaError,
-    Subject,
     apply_design,
     fit_design,
     spline_basis,
@@ -21,18 +20,16 @@ def build_cohort(ages, sexes=None, races=None, sites=None):
     n = len(ages)
     sexes = sexes or ["F"] * n
     races = races or ["W"] * n
-    subjects = tuple(
-        Subject(
-            id=f"s{i:03d}",
-            age=float(a),
-            sex=sexes[i],
-            race=races[i],
-            site=None if sites is None else sites[i],
-        )
-        for i, a in enumerate(ages)
-    )
     responses = np.zeros((n, 1))
-    return Cohort(subjects=subjects, regions=("r0",), responses=responses)
+    return Cohort(
+        ids=tuple(f"s{i:03d}" for i in range(n)),
+        ages=ages,
+        sexes=sexes,
+        races=races,
+        sites=sites,
+        regions=("r0",),
+        responses=responses,
+    )
 
 
 class TestSplineBasis:
@@ -191,13 +188,13 @@ class TestApplyDesign:
         rng = np.random.default_rng(4)
         cohort = build_cohort(rng.uniform(20, 70, 30), sexes=["M" if i % 3 else "F" for i in range(30)])
         design = fit_design(cohort, ModelConfig())
-        again = apply_design(cohort.subjects, design.schema)
+        again = apply_design(cohort, design.schema)
         np.testing.assert_array_equal(again.values, design.values)
 
     def test_age_at_boundary_identical(self):
         cohort = build_cohort([20.0, 45.0, 70.0])
         design = fit_design(cohort, ModelConfig())
-        probe = (Subject(id="t", age=70.0, sex="F", race="W"),)
+        probe = build_cohort([70.0])
         out = apply_design(probe, design.schema)
         np.testing.assert_array_equal(out.values[0], design.values[2])
         assert out.clamp_count == 0
@@ -205,16 +202,16 @@ class TestApplyDesign:
     def test_age_above_range_clamped_and_counted(self):
         cohort = build_cohort([20.0, 45.0, 70.0])
         design = fit_design(cohort, ModelConfig())
-        probe = (Subject(id="t", age=85.0, sex="F", race="W"),)
+        probe = build_cohort([85.0])
         out = apply_design(probe, design.schema)
-        boundary = apply_design((Subject(id="b", age=70.0, sex="F", race="W"),), design.schema)
+        boundary = apply_design(build_cohort([70.0]), design.schema)
         np.testing.assert_array_equal(out.values, boundary.values)
         assert out.clamp_count == 1
 
     def test_unseen_site_rejected_by_name(self):
         cohort = build_cohort([30.0, 40.0], sites=["u", "v"])
         design = fit_design(cohort, ModelConfig(covariates=("age", "sex", "site")))
-        probe = (Subject(id="t", age=35.0, sex="F", race="W", site="z"),)
+        probe = build_cohort([35.0], sites=["z"])
         with pytest.raises(SchemaError, match="z"):
             apply_design(probe, design.schema)
 
@@ -223,7 +220,7 @@ class TestApplyDesign:
         design = fit_design(cohort, ModelConfig(covariates=("age", "sex", "race")))
         schema2 = type(design.schema).from_dict(design.schema.to_dict())
         assert schema2 == design.schema
-        probe = (Subject(id="t", age=41.5, sex="M", race="B"),)
+        probe = build_cohort([41.5], sexes=["M"], races=["B"])
         np.testing.assert_array_equal(
             apply_design(probe, schema2).values, apply_design(probe, design.schema).values
         )
@@ -259,12 +256,11 @@ class TestValidation:
     def test_race_reference_must_be_declared(self):
         from normgauge import CohortSchema
 
-        subjects = tuple(
-            Subject(id=f"s{i}", age=30.0 + i, sex="F", race=r)
-            for i, r in enumerate(["A", "B"])
-        )
         cohort = Cohort(
-            subjects=subjects,
+            ids=("s0", "s1"),
+            ages=(30.0, 31.0),
+            sexes=("F", "F"),
+            races=("A", "B"),
             regions=("r0",),
             responses=np.zeros((2, 1)),
             schema=CohortSchema(race_labels=("A", "B")),

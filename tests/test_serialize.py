@@ -14,7 +14,7 @@ import pytest
 from normgauge import InputError, SchemaError, serialize
 from normgauge.serialize import (
     _chunk_ranges,
-    _forked_map,
+    _forked_iter,
     _one_blas_thread,
     _openblas_threads,
     _read_csv_rows,
@@ -258,7 +258,7 @@ class TestForkedMap:
     def test_results_in_order_past_the_pipe_buffer(self, forks):
         pids, forked = forks
         # each result pickles to about 2.4 MB, far beyond a pipe's buffer
-        got = _forked_map(lambda k: np.full(300_000, k / 3.0), [0, 1, 2])
+        got = list(_forked_iter(lambda k: np.full(300_000, k / 3.0), [0, 1, 2]))
         assert len(pids) == (2 if forked else 0)
         assert_no_child_left()
         for k, values in enumerate(got):
@@ -268,7 +268,7 @@ class TestForkedMap:
         pids, forked = forks
         # the array reaches the pipe before the lambda fails to pickle, so
         # the caller reads a truncated result before the child exits non-zero
-        got = _forked_map(lambda k: [np.full(300_000, k / 3.0), lambda: k], [0, 1])
+        got = list(_forked_iter(lambda k: [np.full(300_000, k / 3.0), lambda: k], [0, 1]))
         assert len(pids) == (1 if forked else 0)
         assert_no_child_left()
         for k, (values, fn) in enumerate(got):
@@ -281,7 +281,7 @@ class TestForkedMap:
         set_(2)
         try:
             # each part, the caller's included, reports its BLAS thread count
-            got = _forked_map(lambda _: get(), [0, 1])
+            got = list(_forked_iter(lambda _: get(), [0, 1]))
             # forked parts run on one thread; in-process ones at the caller's
             assert got == ([1, 1] if forked else [2, 2])
             assert get() == 2
@@ -305,7 +305,7 @@ class TestForkedMap:
         before = get()
         set_(2)
         try:
-            got = _forked_map(part, [0, 1])
+            got = list(_forked_iter(part, [0, 1]))
         finally:
             set_(before)
         assert got == [(total, 1, {first}), (total, 1, {second})]
@@ -318,7 +318,7 @@ class TestForkedMap:
         monkeypatch.setattr(serialize, "_openblas_threads", lambda: None)
         with _one_blas_thread() as one_thread:
             assert one_thread is False
-        assert _forked_map(lambda _: os.sched_getaffinity(0), [0, 1]) == [usable, usable]
+        assert list(_forked_iter(lambda _: os.sched_getaffinity(0), [0, 1])) == [usable, usable]
         assert_no_child_left()
 
     @two_cpus
@@ -357,7 +357,9 @@ class TestForkedMap:
     def test_a_forked_child_never_forks(self, forks):
         pids, _ = forks
         # each part maps two parts of its own and reports the forks it has seen
-        got = _forked_map(lambda k: (_forked_map(lambda j: j, [0, 1]), len(pids)), [0, 1])
+        got = list(
+            _forked_iter(lambda k: (list(_forked_iter(lambda j: j, [0, 1])), len(pids)), [0, 1])
+        )
         assert got == [([0, 1], 2), ([0, 1], 0)]
         assert len(pids) == 2
         assert_no_child_left()

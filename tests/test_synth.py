@@ -21,7 +21,7 @@ class TestReproducibility:
         c2, truth2 = generate(spec)
         assert c1.content_hash() == c2.content_hash()
         np.testing.assert_array_equal(c1.responses, c2.responses)
-        assert [s.id for s in c1.subjects] == [s.id for s in c2.subjects]
+        assert c1.ids == c2.ids
         assert truth1["seed"] == truth2["seed"]
 
     def test_different_seed_differs(self):
@@ -58,15 +58,15 @@ class TestCohortShape:
     def test_group_counts_and_demographics(self):
         spec = SynthSpec(n_per_group={"A": 13, "B": 8, "W": 21}, n_regions=2, seed=0)
         cohort, _ = generate(spec)
-        races = [s.race for s in cohort.subjects]
+        races = list(cohort.races)
         assert races.count("A") == 13
         assert races.count("B") == 8
         assert races.count("W") == 21
-        ages = cohort.ages()
+        ages = cohort.ages
         assert ages.min() >= 20.0 and ages.max() <= 70.0
-        sexes = {s.sex for s in cohort.subjects}
+        sexes = set(cohort.sexes)
         assert sexes == {"F", "M"}
-        ids = [s.id for s in cohort.subjects]
+        ids = list(cohort.ids)
         assert len(set(ids)) == len(ids)
 
     def test_region_names(self):
@@ -102,7 +102,7 @@ class TestGroupStructure:
             seed=5,
         )
         cohort, _ = generate(spec)
-        races = np.array([s.race for s in cohort.subjects])
+        races = np.array(cohort.races)
         bound = 4.0 * sd / np.sqrt(n)
         for g in ("A", "B", "W"):
             means = cohort.responses[races == g].mean(axis=0)
@@ -120,7 +120,7 @@ class TestGroupStructure:
             seed=6,
         )
         cohort, _ = generate(spec)
-        races = np.array([s.race for s in cohort.subjects])
+        races = np.array(cohort.races)
         bound = 4.0 * sd / np.sqrt(n)
         for g, target in (("A", 1.5), ("B", 1.5), ("W", 2.0)):
             means = cohort.responses[races == g].mean(axis=0)
@@ -138,7 +138,7 @@ class TestGroupStructure:
             seed=8,
         )
         cohort, _ = generate(spec)
-        races = np.array([s.race for s in cohort.subjects])
+        races = np.array(cohort.races)
         gap = cohort.responses[races == "A"].mean(axis=0) - cohort.responses[
             races == "W"
         ].mean(axis=0)
@@ -154,7 +154,7 @@ class TestGroupStructure:
             seed=9,
         )
         cohort, _ = generate(spec)
-        male = np.array([s.sex == "M" for s in cohort.subjects])
+        male = np.array(cohort.sexes) == "M"
         gap = cohort.responses[male, 0].mean() - cohort.responses[~male, 0].mean()
         assert gap == pytest.approx(0.4, abs=0.05)
 
