@@ -53,7 +53,6 @@ class GroupSummary:
     pct_extreme_pos: dict[str, np.ndarray]
     pct_extreme_neg: dict[str, np.ndarray]
     pct_extreme_total: dict[str, np.ndarray]
-    threshold: float
 
 
 def group_summary(
@@ -96,7 +95,6 @@ def group_summary(
         pct_extreme_pos=pos,
         pct_extreme_neg=neg,
         pct_extreme_total=total,
-        threshold=threshold,
     )
 
 
@@ -324,7 +322,6 @@ class ParityReport:
     groups: tuple[str, ...]
     per_group: dict[str, dict]
     gaps: dict[str, float | None]
-    threshold: float
 
 
 _PARITY_METRICS = ("explained_variance", "msll", "mean_abs_deviation", "extreme_rate")
@@ -370,4 +367,4 @@ def group_parity(
     for metric in _PARITY_METRICS:
         vals = [e[metric] for e in per_group.values() if e[metric] is not None]
         gaps[metric] = float(max(vals) - min(vals)) if vals else None
-    return ParityReport(groups=labels, per_group=per_group, gaps=gaps, threshold=threshold)
+    return ParityReport(groups=labels, per_group=per_group, gaps=gaps)

@@ -248,7 +248,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             n_knots=cfg["knots"],
             degree=cfg["degree"],
             knot_range=knot_range,
-            include_linear_age=cfg["include_linear_age"],
         ),
         race_reference_level=cfg["race_reference"],
     )
@@ -883,7 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_race_labels(p)
     p.add_argument("--knots", type=int, default=5)
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--no-linear-age", dest="include_linear_age", action="store_false")
     p.add_argument("--knot-lo", dest="knot_lo", type=float)
     p.add_argument("--knot-hi", dest="knot_hi", type=float)
     p.add_argument("--min-qc", dest="min_qc", type=float)

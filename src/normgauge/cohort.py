@@ -377,17 +377,23 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     """Deterministic per-race split: train gets floor(f * n), at least 1 when f > 0.
 
     Membership within a race group is the first k of a permutation drawn
-    from a seeded stream keyed by (seed, group index in sorted label order),
-    so it is independent of the other groups.
+    from a seeded stream keyed by (seed, the label's index among the declared
+    and present labels in sorted order). So a group's split is independent of
+    the other groups, and stays the same when every member of another
+    declared group is missing.
     """
     races = np.array(cohort.races, dtype=object)
     labels = sorted(set(cohort.races))
+    stream = {
+        label: i
+        for i, label in enumerate(sorted(set(cohort.schema.race_labels) | set(labels)))
+    }
     for label in spec.fractions:
         if label not in labels:
             raise InputError(f"train fraction given for absent race label '{label}'")
 
     train_idx: list[int] = []
-    for gi, label in enumerate(labels):
+    for label in labels:
         members = np.flatnonzero(races == label)
         frac = spec.fractions.get(label, spec.default_fraction)
         if frac is None:
@@ -397,7 +403,7 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
         if frac > 0 and k == 0:
             k = 1
         k = min(k, len(members))
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, gi]))
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream[label]]))
         train_idx.extend(rng.permutation(members)[:k].tolist())
         if k == len(members):
             log.warning("race group '%s' has an empty test split", label)

@@ -9,7 +9,9 @@ recursion (de Boor 1978, *A Practical Guide to Splines*), with its operations
 in the order scipy's `BSpline.design_matrix` runs them, so the columns are
 bitwise equal to scipy's without importing `scipy.interpolate`. Categorical
 covariates enter as one-hot columns with a dropped reference level; sex is a
-single indicator (M = 1).
+single indicator (M = 1). A B-spline of degree >= 1 reproduces every linear
+function of age, so the spline is the whole age term: a linear-age column
+would lie in its span.
 The fitted schema is serializable so train and test expansions are identical.
 """
 
@@ -37,7 +39,6 @@ class BasisConfig:
     n_knots: int = 5
     degree: int = 3
     knot_range: tuple[float, float] | None = None
-    include_linear_age: bool = True
 
     def __post_init__(self) -> None:
         if self.n_knots < 2:
@@ -76,7 +77,6 @@ class ModelConfig:
                 "knot_range": list(self.basis.knot_range)
                 if self.basis.knot_range
                 else None,
-                "include_linear_age": self.basis.include_linear_age,
             },
         }
 
@@ -91,7 +91,6 @@ class ModelConfig:
                 n_knots=int(basis["n_knots"]),
                 degree=int(basis["degree"]),
                 knot_range=tuple(knot_range) if knot_range else None,
-                include_linear_age=bool(basis["include_linear_age"]),
             ),
         )
 
@@ -102,7 +101,6 @@ class DesignSchema:
 
     knots: tuple[float, ...]
     degree: int
-    include_linear_age: bool
     sex_positive_label: str = "M"
     site_reference: str | None = None
     site_levels: tuple[str, ...] = ()
@@ -124,8 +122,6 @@ class DesignSchema:
     @property
     def column_names(self) -> tuple[str, ...]:
         names = [f"age_spline_{i}" for i in range(self.n_spline)]
-        if self.include_linear_age:
-            names.append("age")
         names.append(f"sex_{self.sex_positive_label}")
         names.extend(f"site_{s}" for s in self.site_levels)
         names.extend(f"race_{r}" for r in self.race_levels)
@@ -139,7 +135,6 @@ class DesignSchema:
         return {
             "knots": list(self.knots),
             "degree": self.degree,
-            "include_linear_age": self.include_linear_age,
             "sex_positive_label": self.sex_positive_label,
             "site_reference": self.site_reference,
             "site_levels": list(self.site_levels),
@@ -150,6 +145,11 @@ class DesignSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DesignSchema":
+        if d.get("include_linear_age"):
+            raise SchemaError(
+                "the bundle was fitted with a linear-age column, which this "
+                "version no longer builds; refit it"
+            )
         knots = tuple(float(k) for k in d["knots"])
         degree = int(d["degree"])
         # spline_basis trusts its knots, so a read schema's are checked here
@@ -171,7 +171,6 @@ class DesignSchema:
         return cls(
             knots=knots,
             degree=degree,
-            include_linear_age=bool(d["include_linear_age"]),
             sex_positive_label=d["sex_positive_label"],
             site_reference=d["site_reference"],
             site_levels=tuple(d["site_levels"]),
@@ -185,10 +184,6 @@ class DesignMatrix:
     values: np.ndarray
     schema: DesignSchema
     clamp_count: int = 0
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return self.schema.column_names
 
 
 def spline_basis(ages: np.ndarray, schema: DesignSchema) -> tuple[np.ndarray, int]:
@@ -230,16 +225,13 @@ def spline_basis(ages: np.ndarray, schema: DesignSchema) -> tuple[np.ndarray, in
 def apply_design(cohort: Cohort, schema: DesignSchema) -> DesignMatrix:
     """Expand a cohort's covariates into design rows under a fitted schema.
 
-    Ages outside the knot range are clamped (spline and linear column alike)
-    and counted in clamp_count; the warning about them comes from
-    blr.deviations, once per scoring pass. Unseen site or race levels raise a
+    Ages outside the knot range are clamped to its nearest end before the
+    spline is evaluated, and counted in clamp_count; the warning about them
+    comes from blr.deviations, once per scoring pass. Unseen site or race levels raise a
     schema error naming them.
     """
     basis, clamp_count = spline_basis(cohort.ages, schema)
-    cols = [basis]
-    if schema.include_linear_age:
-        cols.append(np.clip(cohort.ages, schema.knot_lo, schema.knot_hi)[:, None])
-    cols.append(_indicators(cohort.sexes, (schema.sex_positive_label,)))
+    cols = [basis, _indicators(cohort.sexes, (schema.sex_positive_label,))]
     if schema.site_reference is not None:
         known = {schema.site_reference, *schema.site_levels}
         unseen = sorted({str(site) for site in set(cohort.sites) - known})
@@ -309,7 +301,6 @@ def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:
     schema = DesignSchema(
         knots=tuple(float(k) for k in knots),
         degree=basis_cfg.degree,
-        include_linear_age=basis_cfg.include_linear_age,
         site_reference=site_reference,
         site_levels=site_levels,
         race_reference=race_reference,

@@ -340,23 +340,30 @@ class TestSpectralEngine:
     evidence_reference.py."""
 
     @staticmethod
-    def design_and_response(kind):
+    def design_and_response(kind, age_column=False):
+        """A response on a full-rank design or on the default one; with
+        `age_column`, the default design gains its clipped-age column."""
         rng = np.random.default_rng(5)
         n = 300
         if kind == "full-rank":
             phi = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
         else:
             ages = rng.uniform(20, 70, n)
-            phi = fit_design(make_cohort(ages, np.zeros(n)), ModelConfig()).values
+            design = fit_design(make_cohort(ages, np.zeros(n)), ModelConfig())
+            phi = design.values
+            if age_column:
+                clipped = np.clip(ages, design.schema.knot_lo, design.schema.knot_hi)
+                phi = np.column_stack([phi, clipped])
         y = phi @ rng.normal(0.0, 0.5, phi.shape[1]) + rng.normal(0.3, 0.4, n)
         return phi, y
 
     @pytest.mark.parametrize("kind", ["full-rank", "default"])
     def test_matches_cholesky_reference_at_random_theta(self, kind):
-        phi, y = self.design_and_response(kind)
+        phi, y = self.design_and_response(kind, age_column=kind == "default")
         if kind == "default":
-            # the linear-age column lies in the span of the cubic B-splines,
-            # so G has a numerically zero eigenvalue
+            # a user design: the age column lies in the span of the cubic
+            # B-splines, so G has a numerically zero eigenvalue, which
+            # _Spectrum clips at 0
             assert phi.shape[1] == 9 and np.linalg.matrix_rank(phi) == 8
         problem = CholeskyEvidence(phi, y)
         spectrum = _Spectrum.of(phi)
@@ -959,9 +966,9 @@ def affine_cohort():
 class TestAffineInvariance:
     """Shifting or rescaling the responses must not break calibration.
 
-    The default design is rank-deficient; a Cholesky-based fit could stall at
-    its start point on shifted data and still report convergence, leaving
-    held-out Z variances near 0.13.
+    On a rank-deficient design, a Cholesky-based fit could stall at its start
+    point on shifted data and still report convergence, leaving held-out Z
+    variances near 0.13.
     """
 
     @pytest.mark.parametrize(
@@ -1071,7 +1078,8 @@ class TestPredictRegion:
     )
     def test_variance_matches_two_sided_cholesky_solve(self, noise_skew):
         # oracle: phi^T A^-1 phi by scipy's cho_solve, on fitted bundles of the
-        # rank-deficient default design (condition of A up to 6e5 here)
+        # default design (condition of A up to 60 here; see
+        # test_badly_conditioned_bundle for A's above 1e6)
         cohort, _ = generate(
             SynthSpec(
                 n_per_group={"W": 400},
@@ -1197,18 +1205,22 @@ class TestScoringOracle:
         ids=["gauss", "skewed"],
     )
     def test_badly_conditioned_bundle(self, noise_skew):
-        # the cohorts of test_variance_matches_two_sided_cholesky_solve with
-        # less noise, which leaves A worse conditioned
+        # training ages in a narrow band inside a wide knot range leave most
+        # spline columns near zero, and a strong age slope with little noise
+        # makes beta large against alpha: A is badly conditioned
         cohort, _ = generate(
             SynthSpec(
                 n_per_group={"W": 400},
+                age_range=(40.0, 45.0),
                 n_regions=2,
+                curves=np.array([[1.0, 2.0, 0.0, 0.0], [1.0, -1.5, 0.0, 0.0]]),
                 noise_sd=0.1,
                 noise_skew=noise_skew,
                 seed=8,
             )
         )
-        model = fit_normative(cohort.subset(np.arange(300)))
+        config = ModelConfig(basis=BasisConfig(knot_range=(10.0, 90.0)))
+        model = fit_normative(cohort.subset(np.arange(300)), config)
         cond = max(
             np.linalg.cond(rm.chol_precision @ rm.chol_precision.T)
             for rm in model.region_models

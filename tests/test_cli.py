@@ -429,9 +429,9 @@ DEFAULT_OPTIONS = {
     "synth": {"seed": 0},  # the seed of the spec, echoed
     "fit": {
         "covariate_set": "age,sex", "race_reference": "W", "race_labels": "A,B,W",
-        "knots": 5, "degree": 3, "include_linear_age": True, "knot_lo": None,
-        "knot_hi": None, "min_qc": None, "train_frac": None,
-        "default_train_frac": None, "seed": 0, "workers": 1,
+        "knots": 5, "degree": 3, "knot_lo": None, "knot_hi": None,
+        "min_qc": None, "train_frac": None, "default_train_frac": None,
+        "seed": 0, "workers": 1,
     },
     "evaluate": {"ids": None, "race_labels": "A,B,W"},
     "audit": {"q": 0.05, "threshold": 2.0, "bundle": None, "features": None,
@@ -471,8 +471,8 @@ class TestConfigFile:
         [
             # a flag equal to its default still beats the file
             ({"knots": 6}, ["--knots", "5"], {"knots": 5}),
-            ({"include_linear_age": True}, ["--no-linear-age"],
-             {"include_linear_age": False}),
+            ({"covariate_set": "age,sex,race"}, ["--covariate-set", "age,sex"],
+             {"covariate_set": "age,sex"}),
         ],
     )
     def test_default_valued_flag_overrides_config_file(self, pipeline, tmp_path,
@@ -492,6 +492,16 @@ class TestConfigFile:
         )
         assert code == 2
         assert "knotz" in capsys.readouterr().err
+
+    def test_linear_age_config_key_rejected(self, pipeline, tmp_path, capsys):
+        # the option is gone, so a file that sets it names an unknown key
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps({"include_linear_age": False}), encoding="utf-8")
+        out = tmp_path / "x"
+        code = run_cli("fit", "--config", config, *required_flags(pipeline, "fit", out))
+        assert code == 2
+        assert "unknown config key(s) ['include_linear_age']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -764,6 +774,61 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == f"error: {bundle / 'model.json'}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _with_linear_age_keys(pipeline, bundle, value):
+        """A copy of the pipeline's bundle whose model.json records
+        include_linear_age = value, as older bundles do."""
+        shutil.copytree(pipeline["fit"], bundle)
+        meta = json.loads((bundle / "model.json").read_text())
+        meta["design_schema"]["include_linear_age"] = value
+        meta["config"]["basis"]["include_linear_age"] = value
+        (bundle / "model.json").write_text(json.dumps(meta))
+        return bundle
+
+    def _evaluate(self, pipeline, bundle, out):
+        return run_cli(
+            "evaluate",
+            "--bundle", bundle,
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--ids", pipeline["fit"] / "test_ids.txt",
+            "--out", out,
+        )
+
+    def test_bundle_with_linear_age_column_exit_three(self, pipeline, tmp_path, capsys):
+        bundle = self._with_linear_age_keys(pipeline, tmp_path / "bundle", True)
+        assert self._evaluate(pipeline, bundle, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bundle / 'model.json'}: ")
+        assert "linear-age column" in err and "refit" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bundle_without_linear_age_column_scores_as_before(self, pipeline, tmp_path):
+        bundle = self._with_linear_age_keys(pipeline, tmp_path / "bundle", False)
+        assert self._evaluate(pipeline, bundle, tmp_path / "old") == 0
+        assert self._evaluate(pipeline, pipeline["fit"], tmp_path / "new") == 0
+        for name in ("deviations.csv", "errors.csv", "metrics.csv"):
+            assert filecmp.cmp(tmp_path / "old" / name, tmp_path / "new" / name,
+                               shallow=False), name
+        # group_fit.json differs only by the digest of the edited model.json
+        old, new = (json.loads((tmp_path / d / "group_fit.json").read_text())
+                    for d in ("old", "new"))
+        assert old["sha256"].pop("model") != new["sha256"].pop("model")
+        assert old == new
+
+    def test_no_linear_age_flag_exit_two(self, pipeline, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "fit",
+                "--covariates", pipeline["data"] / "covariates.csv",
+                "--features", pipeline["data"] / "features.csv",
+                "--out", tmp_path / "fit",
+                "--no-linear-age",
+            )
+        assert exc.value.code == 2
+        assert "--no-linear-age" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     def test_missing_regions_file_exit_two(self, pipeline, tmp_path, capsys):
         bundle = tmp_path / "bundle"

@@ -348,6 +348,19 @@ class TestStratifiedSplit:
             got = train.races.count(race)
             assert abs(got / sizes[race] - frac) < 1.0 / sizes[race]
 
+    def test_group_split_kept_when_another_declared_group_is_missing(self):
+        # as when --min-qc removes every A subject, or a covariates file has none
+        cohort = make_cohort({"A": 30, "B": 40, "W": 20}, seed=2)
+        without_a = cohort.subset(np.flatnonzero(np.array(cohort.races) != "A"))
+        spec = SplitSpec(fractions={}, default_fraction=0.5, seed=3)
+
+        def b_train(c):
+            train, _ = stratified_split(c, spec)
+            return [sid for sid, race in zip(train.ids, train.races) if race == "B"]
+
+        assert len(b_train(cohort)) == 20
+        assert b_train(without_a) == b_train(cohort)
+
     def test_unknown_label_in_fractions_rejected(self):
         cohort = make_cohort({"A": 5, "B": 5, "W": 5})
         with pytest.raises(InputError, match="X"):

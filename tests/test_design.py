@@ -10,9 +10,13 @@ from normgauge import (
     InputError,
     ModelConfig,
     SchemaError,
+    SplitSpec,
+    SynthSpec,
     apply_design,
     fit_design,
+    generate,
     spline_basis,
+    stratified_split,
 )
 
 
@@ -48,7 +52,7 @@ class TestSplineBasis:
         assert len(spline_names) == 7
 
     def test_column_count_formula(self):
-        # M = (n_knots + degree - 1) + linear age + sex + (levels - 1) dummies
+        # M = (n_knots + degree - 1) + sex + (levels - 1) dummies
         ages = [25.0, 35.0, 45.0, 55.0]
         cohort = build_cohort(
             ages,
@@ -57,9 +61,9 @@ class TestSplineBasis:
             sites=["x", "y", "x", "y"],
         )
         with_site = fit_design(cohort, ModelConfig(covariates=("age", "sex", "site")))
-        assert with_site.values.shape == (4, (5 + 3 - 1) + 1 + 1 + (2 - 1))
+        assert with_site.values.shape == (4, (5 + 3 - 1) + 1 + (2 - 1))
         with_race = fit_design(cohort, ModelConfig(covariates=("age", "sex", "race")))
-        assert with_race.values.shape == (4, (5 + 3 - 1) + 1 + 1 + (3 - 1))
+        assert with_race.values.shape == (4, (5 + 3 - 1) + 1 + (3 - 1))
         assert len(with_race.schema.column_names) == with_race.values.shape[1]
 
     def test_locality(self):
@@ -98,9 +102,9 @@ def oracle_schemas():
     cohort = build_cohort([20.0, 33.3, 70.0])
     schemas = [fit_design(cohort, ModelConfig(basis=b)).schema for b in layouts]
     repeated = (0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0)
-    schemas.append(DesignSchema(knots=repeated, degree=3, include_linear_age=True))
+    schemas.append(DesignSchema(knots=repeated, degree=3))
     jump = (0.0, 0.0, 1.0, 1.0, 2.0, 2.0)
-    schemas.append(DesignSchema(knots=jump, degree=1, include_linear_age=True))
+    schemas.append(DesignSchema(knots=jump, degree=1))
     return schemas
 
 
@@ -175,12 +179,39 @@ class TestEncodings:
         assert "site_u" not in names
         assert "site_v" in names and "site_w" in names
 
-    def test_linear_age_toggle(self):
-        cohort = build_cohort([30.0, 40.0])
-        with_age = fit_design(cohort, ModelConfig())
-        without = fit_design(cohort, ModelConfig(basis=BasisConfig(include_linear_age=False)))
-        assert "age" in with_age.schema.column_names
-        assert "age" not in without.schema.column_names
+
+def criterion_training_cohort(criterion):
+    """The training cohort of acceptance criterion 4, 6 or 7; one region,
+    since a cohort's covariates do not depend on its region count."""
+    if criterion == 4:
+        cohort, _ = generate(SynthSpec(n_per_group={"W": 12000}, n_regions=1, seed=404))
+        return cohort.subset(np.arange(2000))
+    seed, split = {
+        6: (600, SplitSpec(fractions={"A": 0.01, "B": 0.01, "W": 0.93}, seed=6)),
+        7: (700, SplitSpec(fractions={"A": 0.02, "B": 0.05, "W": 0.8}, seed=7)),
+    }[criterion]
+    cohort, _ = generate(
+        SynthSpec(n_per_group={"A": 1000, "B": 1000, "W": 1000}, n_regions=1, seed=seed)
+    )
+    train, _ = stratified_split(cohort, split)
+    return train
+
+
+class TestFullRank:
+    """The spline reproduces every linear function of age, so a linear-age
+    column would add no rank; without one, the design has full column rank."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("covariates", ["age,sex", "age,sex,race"])
+    @pytest.mark.parametrize("criterion", [4, 6, 7])
+    def test_criterion_cohorts(self, criterion, covariates, degree):
+        config = ModelConfig(
+            covariates=tuple(covariates.split(",")), basis=BasisConfig(degree=degree)
+        )
+        design = fit_design(criterion_training_cohort(criterion), config)
+        assert "age" not in design.schema.column_names
+        sv = np.linalg.svd(design.values, compute_uv=False)
+        assert sv[-1] / sv[0] > 0.01
 
 
 class TestApplyDesign:
