@@ -480,6 +480,22 @@ class TestConfigFile:
         cfg = self._fit_with_config(pipeline, tmp_path, file_values, flags)
         assert {key: cfg[key] for key in expected} == expected
 
+    @pytest.mark.parametrize(
+        "file_value, flags",
+        [
+            (False, ["--standardize"]),  # an on/off flag beats the file's false
+            (True, []),  # the file's true stands without the flag
+        ],
+    )
+    def test_on_off_option_from_config_file(self, pipeline, tmp_path, file_value, flags):
+        config = tmp_path / "classify.json"
+        config.write_text(json.dumps({"standardize": file_value}), encoding="utf-8")
+        out = tmp_path / "clf_cfg"
+        code = run_cli("classify", "--config", config, "--folds", "4", *flags,
+                       *required_flags(pipeline, "classify", out))
+        assert code == 0
+        assert json.loads((out / "run_config.json").read_text())["standardize"] is True
+
     def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"knotz": 6}), encoding="utf-8")
