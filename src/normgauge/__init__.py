@@ -42,13 +42,10 @@ _SOURCES = {
         "RegionPrediction",
         "deviations",
         "explained_variance",
-        "fit_metrics",
         "fit_normative",
         "fit_region",
-        "group_fit",
         "load_bundle",
         "predict_region",
-        "region_metrics",
         "save_bundle",
     ),
     "cohort": (

@@ -20,9 +20,9 @@ relative 4e-13 for df in [1, 1e7] and |t| up to 1e3 wherever p >= 1e-300, and
 no pair takes more than 62 iterations.
 
 Parity (group_parity) reduces the deviations by group itself. Its EV and
-MSLL are the model's: they arrive as a per-group fit (blr.group_fit of a
-scoring pass, or the same values that `evaluate` wrote to group_fit.json),
-so this module imports nothing from blr.
+MSLL are the model's: they arrive as a per-group fit (the group_fit of a
+blr.deviations scoring pass, or the same values that `evaluate` wrote to
+group_fit.json), so this module imports nothing from blr.
 """
 
 from __future__ import annotations
@@ -337,9 +337,9 @@ def group_parity(
 
     Mean |Z|, mean Z and the extreme rate pool all of a group's cells of
     z_matrix. EV and MSLL need the model: `fit` is the per-group fit of its
-    scoring pass of the same rows (blr.group_fit), or the same values read
-    back, and must hold every group with its size. Without `fit` they are
-    None.
+    scoring pass of the same rows (DeviationMatrix.group_fit), or the same
+    values read back, and must hold every group with its size. Without
+    `fit` they are None.
     """
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     group_arr = np.asarray(list(groups))

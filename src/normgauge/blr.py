@@ -64,11 +64,11 @@ before the warp and runs the same way: blocks of _SCORE_BLOCK regions, one
 product per region for the latent mean, and for the posterior variance
 ||L^-1 phi||^2 each region's triangular inverse of its Cholesky factor L
 times the design (_predict_block), so a region's scores do not depend on the
-regions scored beside it; predict_region is the one-region case. The fit
-metrics (region_metrics) and the per-group fit (group_fit: each group's n,
-EV and MSLL, which audit's parity takes) reduce the scoring pass along the
-rows of region-major copies, which is bitwise the reduction of each column
-alone.
+regions scored beside it; predict_region is the one-region case. The pass
+reduces each block while it holds it, into the per-region fit metrics and
+the per-group fit (each race's n, EV and MSLL, which audit's parity takes):
+a reduction along the rows of a region-major block is bitwise that of each
+column alone.
 Per-region scoring with a general LU solve lives with the tests as the
 scoring pass's oracle.
 """
@@ -1209,7 +1209,7 @@ def fit_normative(
     it. Regions that did not converge are reported in one warning. A cohort
     with no regions raises InputError. Clamped ages are not reported here:
     deviations counts them for each cohort it scores, so
-    fit_metrics(model, train) reports the training cohort's.
+    deviations(model, train) reports the training cohort's.
     """
     config = config or ModelConfig()
     dm = fit_design(train, config)
@@ -1232,23 +1232,25 @@ def fit_normative(
 class DeviationMatrix:
     """One scoring pass of a cohort against the reference model.
 
-    Columns follow the model's region order. Z = (z - zhat) / sqrt(noise
-    variance + model variance) on the latent scale, where a response y maps
-    to z = warp((y - response_mean) / response_sd); E = y - yhat in response
-    units; and log_loss is the per-cell log loss of the model minus that of
-    the training-baseline Gaussian, so its column means are the MSLL. y holds
-    the responses, a view of the cohort's when the region orders agree, and
-    clamped counts the ages clamped to the model's knot range. Fit metrics
-    and parity are reductions of this result over rows and columns.
+    Columns of Z and E follow the model's region order. Z = (z - zhat) /
+    sqrt(noise variance + model variance) on the latent scale, where a
+    response y maps to z = warp((y - response_mean) / response_sd), and
+    E = y - yhat in response units. metrics holds each region's fit quality
+    (EV, MSLL, and the skew and excess kurtosis of its Z), and group_fit the
+    fit of each race of the cohort, keyed by its label in sorted order: its
+    row count n, the mean over regions of the explained variance of its rows
+    (regions whose responses do not vary there are left out; None if none is
+    left) and its MSLL, the mean over regions of each region's mean log loss.
+    The log loss of a cell is the model's minus that of the training-baseline
+    Gaussian. clamped counts the ages clamped to the model's knot range.
     """
 
     ids: tuple[str, ...]
     regions: tuple[str, ...]
     Z: np.ndarray
     E: np.ndarray
-    yhat: np.ndarray
-    log_loss: np.ndarray
-    y: np.ndarray
+    metrics: list[RegionFitMetrics]
+    group_fit: dict[str, dict]
     clamped: int = 0
 
 
@@ -1286,9 +1288,9 @@ def _log_loss_terms(
 
 def _score_block(
     models: Sequence[RegionModel], phi_t: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Z, E, yhat and log loss (each B, N) of the responses y (B, N), one row
-    per region of `models`, at the design rows phi_t.T; see deviations."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z, E and log loss (each B, N) of the responses y (B, N), one row per
+    region of `models`, at the design rows phi_t.T; see deviations."""
     zhat, model_variance, yhat = _predict_block(models, phi_t)
     mean, sd = _standardization(models)
     z = _warp_rows((y - mean) / sd, [rm.hyperparams.warp for rm in models], inverse=False)
@@ -1301,7 +1303,7 @@ def _score_block(
         np.array([[rm.train_z_mean] for rm in models]),
         np.array([[rm.train_z_var] for rm in models]),
     )
-    return (z - zhat) / np.sqrt(var_pred), y - yhat, yhat, log_loss
+    return (z - zhat) / np.sqrt(var_pred), y - yhat, log_loss
 
 
 def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
@@ -1312,13 +1314,18 @@ def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     it at once (_predict_block: one product per region for zhat, and its
     triangular inverse of the Cholesky factor times the design for the
     posterior variance), warps only its non-identity regions, and writes
-    its columns of the four (N, D) results, so temporaries stay at N times
-    the block. No product mixes regions: a region's columns are bitwise
-    those of a one-region model, and predict_region gives bitwise its zhat,
-    variance and yhat. fit_metrics and parity reduce the result instead of
-    scoring again. Ages outside the model's knot range are clamped, and
-    their count is logged here, once per pass, as a warning.
+    its columns of Z and E, so temporaries stay at N times the block. No
+    product mixes regions: a region's columns are bitwise those of a
+    one-region model, and predict_region gives bitwise its zhat, variance
+    and yhat. While it holds a block, the pass reduces the block's rows
+    into the block's metrics and each race's share of group_fit; a
+    reduction along a contiguous row is bitwise that of the column alone.
+    Ages outside the model's knot range are clamped, and their count is
+    logged here, once per pass, as a warning. A cohort with no subjects,
+    whose metrics are undefined, raises InputError.
     """
+    if cohort.n_subjects == 0:
+        raise InputError("no subjects to score")
     cols = _check_regions(model, cohort)
     design = apply_design(cohort, model.schema)
     if design.clamp_count:
@@ -1327,48 +1334,64 @@ def deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatrix:
     responses = cohort.responses
     if cols != list(range(cohort.n_regions)):
         responses = responses[:, cols]
-    results = tuple(np.empty(responses.shape) for _ in range(4))
+    races = np.array(cohort.races, dtype=object)
+    masks = {label: races == label for label in sorted(set(cohort.races))}
+    z_scores, errors = np.empty(responses.shape), np.empty(responses.shape)
+    evs, mslls, moments = [], [], []
+    group_evs = {label: [] for label in masks}
+    group_mslls = {label: [] for label in masks}
     for start in range(0, responses.shape[1], _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
         y = np.ascontiguousarray(responses[:, block].T)
-        for out, rows in zip(results, _score_block(model.region_models[block], phi_t, y)):
-            out[:, block] = rows.T
-    z_scores, errors, yhats, log_loss = results
+        z, e, log_loss = _score_block(model.region_models[block], phi_t, y)
+        z_scores[:, block], errors[:, block] = z.T, e.T
+        evs += _explained_variances(y, e)
+        mslls += np.mean(log_loss, axis=1).tolist()
+        moments += _skew_kurtosis(z)
+        for label, mask in masks.items():
+            # a boolean index along axis 1 is not C-contiguous, and a
+            # reduction along its rows would round differently
+            y_g, e_g, log_loss_g = (np.ascontiguousarray(a[:, mask]) for a in (y, e, log_loss))
+            group_evs[label] += _explained_variances(y_g, e_g)
+            group_mslls[label] += np.mean(log_loss_g, axis=1).tolist()
+    metrics = [
+        RegionFitMetrics(
+            region=region, explained_variance=ev, msll=msll, skew=skew, kurtosis=kurtosis
+        )
+        for region, ev, msll, (skew, kurtosis) in zip(model.region_names, evs, mslls, moments)
+    ]
+    group_fit = {}
+    for label, mask in masks.items():
+        varying = [ev for ev in group_evs[label] if ev is not None]
+        group_fit[label] = {
+            "n": int(np.count_nonzero(mask)),
+            "explained_variance": float(np.mean(varying)) if varying else None,
+            "msll": float(np.mean(group_mslls[label])),
+        }
     return DeviationMatrix(
         ids=cohort.ids,
         regions=model.region_names,
         Z=z_scores,
         E=errors,
-        yhat=yhats,
-        log_loss=log_loss,
-        y=responses,
+        metrics=metrics,
+        group_fit=group_fit,
         clamped=design.clamp_count,
     )
 
 
-def _region_major(*columns: np.ndarray, rows=slice(None)):
-    """Region-major copies of `rows` of the (N, D) arrays `columns`, a block
-    of _SCORE_BLOCK regions at a time: yields each block's list of
-    contiguous (B, rows) arrays. A reduction along their rows is bitwise that
-    of the same column alone; one along the columns of an (N, D) array is
-    not."""
-    for start in range(0, columns[0].shape[1], _SCORE_BLOCK):
-        block = slice(start, start + _SCORE_BLOCK)
-        yield [np.ascontiguousarray(a[rows, block].T) for a in columns]
-
-
-def _explained_variances(y: np.ndarray, yhat: np.ndarray) -> list[float | None]:
-    """explained_variance of each row of y and yhat (B, n)."""
+def _explained_variances(y: np.ndarray, residual: np.ndarray) -> list[float | None]:
+    """explained_variance of each row of y and its residual y - yhat (B, n)."""
     var_y = np.var(y, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ev = 1.0 - np.var(y - yhat, axis=1) / var_y
+        ev = 1.0 - np.var(residual, axis=1) / var_y
     return [None if v == 0.0 else float(e) for v, e in zip(var_y, ev)]
 
 
 def explained_variance(y: np.ndarray, yhat: np.ndarray) -> float | None:
     """1 - Var(y - yhat)/Var(y) with population variances; None when Var(y) = 0."""
     y = np.asarray(y, dtype=float)
-    return _explained_variances(y[None, :], np.asarray(yhat, dtype=float)[None, :])[0]
+    residual = y - np.asarray(yhat, dtype=float)
+    return _explained_variances(y[None, :], residual[None, :])[0]
 
 
 @dataclass
@@ -1401,66 +1424,6 @@ def _skew_kurtosis(z: np.ndarray) -> list[tuple[float, float]]:
             else:
                 out.append((float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)))
     return out
-
-
-def region_metrics(dm: DeviationMatrix) -> list[RegionFitMetrics]:
-    """Per-region fit quality: EV, MSLL, and Z-moment diagnostics.
-
-    Each field is a reduction of one column of the scoring pass, taken
-    along the rows of a region-major copy (_region_major).
-    """
-    evs, mslls, moments = [], [], []
-    for y, yhat, log_loss, z in _region_major(dm.y, dm.yhat, dm.log_loss, dm.Z):
-        evs += _explained_variances(y, yhat)
-        mslls += np.mean(log_loss, axis=1).tolist()
-        moments += _skew_kurtosis(z)
-    return [
-        RegionFitMetrics(
-            region=region,
-            explained_variance=ev,
-            msll=msll,
-            skew=skew,
-            kurtosis=kurtosis,
-        )
-        for region, ev, msll, (skew, kurtosis) in zip(dm.regions, evs, mslls, moments)
-    ]
-
-
-def fit_metrics(model: NormativeModel, cohort: Cohort) -> list[RegionFitMetrics]:
-    """Per-region fit quality on a cohort: region_metrics of one deviations() pass."""
-    return region_metrics(deviations(model, cohort))
-
-
-def group_fit(dm: DeviationMatrix, groups: Sequence[str]) -> dict[str, dict]:
-    """Per-group fit quality of a scoring pass, the model half of group_parity.
-
-    groups labels the pass's rows. For each distinct label, in sorted order:
-    its row count n, the mean over regions of the explained variance of its
-    rows (regions whose responses do not vary there are left out; None if
-    none is left) and its MSLL, the mean over regions of each region's mean
-    log loss. Each region's metric is reduced along the rows of a
-    region-major copy (_region_major), bitwise as explained_variance and
-    np.mean give it for the group's rows of that column alone.
-    """
-    group_arr = np.asarray(list(groups))
-    if group_arr.shape[0] != dm.y.shape[0]:
-        raise InputError(
-            f"{group_arr.shape[0]} group labels for {dm.y.shape[0]} scored rows"
-        )
-    fit: dict[str, dict] = {}
-    for label in sorted(set(group_arr.tolist())):
-        mask = group_arr == label
-        evs, mslls = [], []
-        for y, yhat, log_loss in _region_major(dm.y, dm.yhat, dm.log_loss, rows=mask):
-            evs += _explained_variances(y, yhat)
-            mslls.append(np.mean(log_loss, axis=1))
-        evs = [ev for ev in evs if ev is not None]
-        fit[label] = {
-            "n": int(np.count_nonzero(mask)),
-            "explained_variance": float(np.mean(evs)) if evs else None,
-            "msll": float(np.mean(np.concatenate(mslls))),
-        }
-    return fit
 
 
 _BUNDLE_FORMAT = "normgauge-model"

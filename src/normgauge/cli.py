@@ -198,7 +198,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from .blr import fit_metrics, fit_normative, save_bundle
+    from .blr import deviations, fit_normative, save_bundle
     from .cohort import (
         SplitSpec,
         demographics_summary,
@@ -254,7 +254,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = fit_normative(
         train, model_config, workers=cfg["workers"], seed=cfg["seed"]
     )
-    metrics = fit_metrics(model, train)
+    metrics = deviations(model, train).metrics
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -291,7 +291,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .blr import deviations, group_fit, load_bundle, region_metrics
+    from .blr import deviations, load_bundle
     from .cohort import load_cohort
     from .serialize import _unique_ids, write_csv, write_matrix_csvs
 
@@ -311,8 +311,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model = load_bundle(cfg["bundle"])
         schema = _schema_from(cfg)
         cohort = load_cohort(cfg["covariates"], cfg["features"], schema, keep=scored)
-    if cohort.n_subjects == 0:
-        raise InputError("no subjects to evaluate")
     dm = deviations(model, cohort)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -323,10 +321,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             (out / "errors.csv", ids, regions, dm.E),
         ]
     )
-    write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(region_metrics(dm)))
+    write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(dm.metrics))
     digests = {role: read[path] for role, path in _scoring_inputs(cfg).items()}
     digests["deviations"] = deviations_sha256
-    _write_group_fit(out / _GROUP_FIT_FILE, group_fit(dm, cohort.races), dm.clamped, digests)
+    _write_group_fit(out / _GROUP_FIT_FILE, dm.group_fit, dm.clamped, digests)
     _write_run_config(out, "evaluate", cfg)
     log.info("scored %d subjects x %d regions", dm.Z.shape[0], dm.Z.shape[1])
     return 0
@@ -352,9 +350,9 @@ def _scoring_inputs(cfg: dict) -> dict[str, Path]:
 def _write_group_fit(
     path: Path, fit: dict[str, dict], clamped: int, digests: dict[str, str]
 ) -> None:
-    """Write a scoring pass's per-group fit (blr.group_fit) and its count of
-    clamped ages, with the SHA-256 of its inputs and of the deviations.csv
-    written from it, keys sorted.
+    """Write a scoring pass's per-group fit (DeviationMatrix.group_fit) and
+    its count of clamped ages, with the SHA-256 of its inputs and of the
+    deviations.csv written from it, keys sorted.
 
     A fit with a non-finite value is not written, as JSON cannot hold it;
     audit then scores again and fails as it always has.
@@ -485,7 +483,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         # EV and MSLL from evaluate's scoring pass, where it was of these inputs
         fit = _recorded_group_fit(cfg, read, sizes)
         if fit is None:
-            from .blr import deviations, group_fit, load_bundle
+            from .blr import deviations, load_bundle
 
             model = load_bundle(cfg["bundle"])
             # the covariates read above, not read again; only the scored ids'
@@ -494,7 +492,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 covariates, incomplete, Path(cfg["features"]),
                 keep=lambda joined: joined.subset_by_ids(ids_z),
             )
-            fit = group_fit(deviations(model, cohort), cohort.races)
+            fit = deviations(model, cohort).group_fit
     # a scoring pass holds its rows in sorted-id order, and parity reduces the
     # deviations in that order too, so that its bytes do not follow the file's
     order = sorted(range(len(ids_z)), key=ids_z.__getitem__)

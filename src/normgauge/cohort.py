@@ -57,8 +57,9 @@ class CohortSchema:
 class Cohort:
     """Covariate columns and responses in one row order (see the module
     docstring); row i of each belongs to ids[i]. sites and qc_scores default
-    to all missing. A cohort of covariates alone has regions () and responses
-    of shape (n, 0)."""
+    to all missing. Every sex and race must be one of the schema's declared
+    labels. A cohort of covariates alone has regions () and responses of
+    shape (n, 0)."""
 
     ids: tuple[str, ...]
     ages: np.ndarray
@@ -98,6 +99,15 @@ class Cohort:
             raise SchemaError("duplicate region names")
         if len(set(self.ids)) != n:
             raise InputError("duplicate subject ids")
+        for name, column, declared in (
+            ("sex", columns["sexes"], self.schema.sex_labels),
+            ("race", columns["races"], self.schema.race_labels),
+        ):
+            undeclared = sorted(set(column) - set(declared))
+            if undeclared:
+                raise InputError(
+                    f"{name} label(s) {undeclared} not in declared labels {list(declared)}"
+                )
         columns.update(regions=tuple(self.regions), responses=responses.copy())
         for name, column in columns.items():
             if isinstance(column, np.ndarray):
@@ -378,16 +388,13 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
 
     Membership within a race group is the first k of a permutation drawn
     from a seeded stream keyed by (seed, the label's index among the declared
-    and present labels in sorted order). So a group's split is independent of
-    the other groups, and stays the same when every member of another
-    declared group is missing.
+    labels in sorted order). So a group's split is independent of the other
+    groups, and stays the same when every member of another declared group
+    is missing.
     """
     races = np.array(cohort.races, dtype=object)
     labels = sorted(set(cohort.races))
-    stream = {
-        label: i
-        for i, label in enumerate(sorted(set(cohort.schema.race_labels) | set(labels)))
-    }
+    stream = {label: i for i, label in enumerate(sorted(cohort.schema.race_labels))}
     for label in spec.fractions:
         if label not in labels:
             raise InputError(f"train fraction given for absent race label '{label}'")
@@ -420,9 +427,10 @@ def demographics_summary(cohort: Cohort) -> dict:
     """Counts and percentages used for cohort description tables."""
     n = cohort.n_subjects
     ages = cohort.ages
-    # the declared labels first, then any other in order of first appearance
-    sex_counts = {**dict.fromkeys(cohort.schema.sex_labels, 0), **Counter(cohort.sexes)}
-    race_counts = {**dict.fromkeys(cohort.schema.race_labels, 0), **Counter(cohort.races)}
+    # in the order of the declared labels, which hold every label present
+    sexes, races = Counter(cohort.sexes), Counter(cohort.races)
+    sex_counts = {label: sexes[label] for label in cohort.schema.sex_labels}
+    race_counts = {label: races[label] for label in cohort.schema.race_labels}
     pct = lambda c: (100.0 * c / n) if n else 0.0
     return {
         "n": n,

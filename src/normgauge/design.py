@@ -8,8 +8,8 @@ and the clamp count is reported. The basis is evaluated in numpy by de Boor's
 recursion (de Boor 1978, *A Practical Guide to Splines*), with its operations
 in the order scipy's `BSpline.design_matrix` runs them, so the columns are
 bitwise equal to scipy's without importing `scipy.interpolate`. Categorical
-covariates enter as one-hot columns with a dropped reference level; sex is a
-single indicator (M = 1). A B-spline of degree >= 1 reproduces every linear
+covariates enter as one-hot columns, one per level present in the training
+cohort, with a dropped reference level; sex is a single indicator (M = 1). A B-spline of degree >= 1 reproduces every linear
 function of age, so the spline is the whole age term: a linear-age column
 would lie in its span.
 The fitted schema is serializable so train and test expansions are identical.
@@ -289,14 +289,15 @@ def fit_design(cohort: Cohort, config: ModelConfig) -> DesignMatrix:
     race_reference = None
     race_levels: tuple[str, ...] = ()
     if "race" in config.covariates:
-        labels = sorted(cohort.schema.race_labels)
-        if config.race_reference_level not in labels:
+        # like site, the levels are those present, so no column is all zero
+        present = sorted(set(cohort.races))
+        if config.race_reference_level not in present:
             raise InputError(
                 f"race reference level '{config.race_reference_level}' "
-                f"not in declared labels {labels}"
+                f"absent from the training cohort, which holds {present}"
             )
         race_reference = config.race_reference_level
-        race_levels = tuple(l for l in labels if l != race_reference)
+        race_levels = tuple(l for l in present if l != race_reference)
 
     schema = DesignSchema(
         knots=tuple(float(k) for k in knots),

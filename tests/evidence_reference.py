@@ -15,20 +15,25 @@ reference_deviations scores a cohort one region at a time, as deviations did
 before it scored blocks of regions: the posterior variance from a general LU
 solve against the Cholesky factor, and each column standardized by its
 region's response mean and SD, then warped by warp_forward and warp_inverse.
+Its metrics and per-group fit come from explained_variance, np.mean and
+scipy.stats over each column, or over a group's rows of each column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import stats
 
 from normgauge import (
     Cohort,
     DeviationMatrix,
     Hyperparams,
     NormativeModel,
+    RegionFitMetrics,
     WarpParams,
     apply_design,
+    explained_variance,
     warp_forward,
     warp_inverse,
 )
@@ -165,12 +170,32 @@ def reference_deviations(model: NormativeModel, cohort: Cohort) -> DeviationMatr
             2.0 * rm.train_z_var
         )
         log_loss[:, j] = model_ll - base_ll
+    metrics = [
+        RegionFitMetrics(
+            region=rm.region,
+            explained_variance=explained_variance(responses[:, j], yhats[:, j]),
+            msll=float(np.mean(log_loss[:, j])),
+            skew=float(stats.skew(z_scores[:, j])),
+            kurtosis=float(stats.kurtosis(z_scores[:, j])),
+        )
+        for j, rm in enumerate(model.region_models)
+    ]
+    races = np.asarray(cohort.races)
+    group_fit = {}
+    for label in sorted(set(cohort.races)):
+        rows = races == label
+        evs = [explained_variance(y[rows], yhat[rows]) for y, yhat in zip(responses.T, yhats.T)]
+        evs = [ev for ev in evs if ev is not None]
+        group_fit[label] = {
+            "n": int(np.count_nonzero(rows)),
+            "explained_variance": float(np.mean(evs)) if evs else None,
+            "msll": float(np.mean([np.mean(column[rows]) for column in log_loss.T])),
+        }
     return DeviationMatrix(
         ids=cohort.ids,
         regions=model.region_names,
         Z=z_scores,
         E=errors,
-        yhat=yhats,
-        log_loss=log_loss,
-        y=responses,
+        metrics=metrics,
+        group_fit=group_fit,
     )

@@ -15,11 +15,9 @@ from normgauge import (
     WarpParams,
     bh_fdr,
     deviations,
-    fit_metrics,
     fit_normative,
     generate,
     group_difference,
-    group_fit,
     group_parity,
     group_summary,
     significant_fraction,
@@ -357,7 +355,7 @@ class TestParityReport:
         rng = np.random.default_rng(17)
         model, test = self.fit_and_split(rng, 800, {"A": 1000, "W": 1000})
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, fit=group_fit(dm, test.races))
+        report = group_parity(dm.Z, test.races, fit=dm.group_fit)
         assert report.groups == ("A", "W")
         assert report.gaps["explained_variance"] < 0.05
         assert report.gaps["extreme_rate"] < 0.03
@@ -369,7 +367,7 @@ class TestParityReport:
             rng, 800, {"A": 600, "W": 600}, shift={"A": 0.3}
         )
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, fit=group_fit(dm, test.races))
+        report = group_parity(dm.Z, test.races, fit=dm.group_fit)
         assert report.per_group["A"]["mean_deviation"] == pytest.approx(1.0, abs=0.2)
         assert report.per_group["W"]["mean_deviation"] == pytest.approx(0.0, abs=0.2)
         assert report.per_group["A"]["msll"] > report.per_group["W"]["msll"]
@@ -379,7 +377,7 @@ class TestParityReport:
         rng = np.random.default_rng(29)
         model, test = self.fit_and_split(rng, 400, {"W": 300})
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, fit=group_fit(dm, test.races))
+        report = group_parity(dm.Z, test.races, fit=dm.group_fit)
         assert report.groups == ("W",)
         assert report.gaps["explained_variance"] == 0.0
         assert report.gaps["msll"] == 0.0
@@ -390,16 +388,14 @@ class TestParityReport:
         model, test = self.fit_and_split(rng, 300, {"W": 100})
         dm = deviations(model, test)
         with pytest.raises(InputError):
-            group_parity(dm.Z, ["W"] * 5, fit=group_fit(dm, test.races))
-        with pytest.raises(InputError):
-            group_fit(dm, ["W"] * 5)
+            group_parity(dm.Z, ["W"] * 5, fit=dm.group_fit)
 
     def test_fit_of_other_groups_rejected(self):
         rng = np.random.default_rng(37)
         model, test = self.fit_and_split(rng, 300, {"A": 40, "W": 60})
         dm = deviations(model, test)
         races = list(test.races)
-        fit = group_fit(dm, races)
+        fit = dm.group_fit
         assert group_parity(dm.Z, races, fit=fit).per_group["A"]["msll"] == fit["A"]["msll"]
         smaller = {**fit, "A": {**fit["A"], "n": 39}}
         missing = {"W": fit["W"]}
@@ -435,13 +431,13 @@ class TestParityReport:
         assert any(warped) == (noise_skew is not None)
         test = cohort.subset(np.setdiff1d(np.arange(cohort.n_subjects), w_rows[:300]))
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, 1.5, group_fit(dm, test.races))
+        report = group_parity(dm.Z, test.races, 1.5, dm.group_fit)
         test_races = np.asarray(test.races)
         expected = {}
         for label in ("A", "B", "W"):
             sub = test.subset(np.nonzero(test_races == label)[0])
-            metrics = fit_metrics(model, sub)
-            z = deviations(model, sub).Z
+            sub_dm = deviations(model, sub)
+            metrics, z = sub_dm.metrics, sub_dm.Z
             expected[label] = {
                 "n": sub.n_subjects,
                 "explained_variance": float(

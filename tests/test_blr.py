@@ -25,7 +25,6 @@ from scipy.stats import multivariate_normal
 from normgauge import (
     BasisConfig,
     Cohort,
-    DeviationMatrix,
     Hyperparams,
     InputError,
     ModelConfig,
@@ -38,13 +37,11 @@ from normgauge import (
     deviations,
     explained_variance,
     fit_design,
-    fit_metrics,
     fit_normative,
     fit_region,
     generate,
     load_bundle,
     predict_region,
-    region_metrics,
     save_bundle,
     warp_forward,
     warp_inverse,
@@ -1151,6 +1148,12 @@ class TestDeviations:
         np.testing.assert_allclose(dev.Z, 0.0, atol=1e-15)
         np.testing.assert_allclose(dev.E, 0.0, atol=1e-15)
 
+    def test_empty_cohort_rejected(self):
+        # the metrics of no rows are undefined
+        model, cohort = engineered_model_and_cohort([0.0, 1.0])
+        with pytest.raises(InputError, match="no subjects"):
+            deviations(model, cohort.subset([]))
+
     def test_region_mismatch_lists_missing(self):
         model, cohort = engineered_model_and_cohort([0.0, 1.0])
         other = dataclasses.replace(
@@ -1163,13 +1166,15 @@ class TestDeviations:
 class TestScoringOracle:
     """deviations scores blocks of regions through triangular inverses of the
     Cholesky factors. Oracle: the former per-region scoring with a general LU
-    solve (evidence_reference.reference_deviations), which Z, E, yhat and the
-    log loss must match within 1e-12 absolute."""
+    solve (evidence_reference.reference_deviations), which Z, E, and each
+    region's and each group's EV and MSLL must match within 1e-12 absolute.
+    Skew and kurtosis are functions of Z alone; TestZMomentsMatchScipy checks
+    them."""
 
     @staticmethod
     def assert_matches_oracle(model, cohort, z_atol=1e-12):
         got, expected = deviations(model, cohort), reference_deviations(model, cohort)
-        for name in ("Z", "E", "yhat", "log_loss"):
+        for name in ("Z", "E"):
             np.testing.assert_allclose(
                 getattr(got, name),
                 getattr(expected, name),
@@ -1177,6 +1182,17 @@ class TestScoringOracle:
                 atol=z_atol if name == "Z" else 1e-12,
                 err_msg=name,
             )
+        np.testing.assert_allclose(
+            *([(m.explained_variance, m.msll) for m in dm.metrics] for dm in (got, expected)),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        assert got.group_fit.keys() == expected.group_fit.keys()
+        for label, entry in got.group_fit.items():
+            reference = expected.group_fit[label]
+            assert entry["n"] == reference["n"]
+            for key in ("explained_variance", "msll"):
+                assert entry[key] == pytest.approx(reference[key], rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "noise_skew",
@@ -1280,20 +1296,58 @@ class TestScoringIndependence:
                 test, regions=(rm.region,), responses=test.responses[:, [j]]
             )
             alone = deviations(one, column)
-            for name in ("Z", "E", "yhat", "log_loss"):
+            for name in ("Z", "E"):
                 np.testing.assert_array_equal(
                     getattr(alone, name)[:, 0], getattr(full, name)[:, j], err_msg=name
                 )
+            assert alone.metrics[0].region == full.metrics[j].region
+            # as floats, a missing EV is NaN, and NaN matches NaN
+            np.testing.assert_array_equal(
+                *(
+                    np.array([m.explained_variance, m.msll, m.skew, m.kurtosis], dtype=float)
+                    for m in (alone.metrics[0], full.metrics[j])
+                )
+            )
             pred = predict_region(rm, phi)
-            y = (test.responses[:, j] - rm.response_mean) / rm.response_sd
-            z = warp_forward(y, rm.hyperparams.warp)
+            y = test.responses[:, j]
+            z = warp_forward((y - rm.response_mean) / rm.response_sd, rm.hyperparams.warp)
             var_pred = pred.noise_variance + pred.model_variance
             np.testing.assert_array_equal((z - pred.zhat) / np.sqrt(var_pred), full.Z[:, j])
-            np.testing.assert_array_equal(pred.yhat, full.yhat[:, j])
-            np.testing.assert_array_equal(
-                blr._log_loss_terms(z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var),
-                full.log_loss[:, j],
+            np.testing.assert_array_equal(y - pred.yhat, full.E[:, j])
+
+
+class TestGroupFit:
+    def test_interleaved_races_match_per_column_reduction(self):
+        # Reference: each region's EV and mean log loss over a group's rows of
+        # its column alone, from predict_region and the public functions.
+        # The races interleave irregularly in row order, so every group's
+        # rows are scattered through each block of the pass.
+        model, cohort = TestScoringIndependence.model_and_cohort()
+        races = np.random.default_rng(5).choice(["A", "B", "W"], cohort.n_subjects)
+        cohort = dataclasses.replace(cohort, races=tuple(races.tolist()))
+        phi = apply_design(cohort, model.schema).values
+        evs, mslls = {label: [] for label in "ABW"}, {label: [] for label in "ABW"}
+        for j, rm in enumerate(model.region_models):
+            y = cohort.responses[:, j]
+            pred = predict_region(rm, phi)
+            z = warp_forward((y - rm.response_mean) / rm.response_sd, rm.hyperparams.warp)
+            var_pred = pred.noise_variance + pred.model_variance
+            log_loss = blr._log_loss_terms(
+                z, pred.zhat, var_pred, rm.train_z_mean, rm.train_z_var
             )
+            for label in "ABW":
+                rows = races == label
+                evs[label].append(explained_variance(y[rows], pred.yhat[rows]))
+                mslls[label].append(np.mean(log_loss[rows]))
+        expected = {
+            label: {
+                "n": int(np.count_nonzero(races == label)),
+                "explained_variance": float(np.mean(evs[label])),
+                "msll": float(np.mean(mslls[label])),
+            }
+            for label in "ABW"
+        }
+        assert deviations(model, cohort).group_fit == expected
 
 
 class TestFitMetrics:
@@ -1319,7 +1373,7 @@ class TestFitMetrics:
     def test_symmetric_z_moments(self):
         # Z column [-1, 0, 1]: skew 0, excess kurtosis (2/3)/(4/9) - 3 = -1.5
         model, cohort = engineered_model_and_cohort([-1.0, 0.0, 1.0])
-        metrics = fit_metrics(model, cohort)[0]
+        metrics = deviations(model, cohort).metrics[0]
         assert metrics.skew == pytest.approx(0.0, abs=1e-12)
         assert metrics.kurtosis == pytest.approx(-1.5, abs=1e-9)
 
@@ -1330,7 +1384,7 @@ class TestFitMetrics:
         y = 0.5 + 0.03 * ages + rng.normal(0, 0.2, n)
         cohort = make_cohort(ages, y)
         model = fit_normative(cohort, ModelConfig())
-        metrics = fit_metrics(model, cohort)[0]
+        metrics = deviations(model, cohort).metrics[0]
         assert metrics.explained_variance > 0.7
         assert metrics.msll < -0.5
         assert abs(metrics.skew) < 0.3
@@ -1352,7 +1406,7 @@ class TestFitMetrics:
         assert any(not rm.hyperparams.warp.is_identity() for rm in model.region_models)
         test = cohort.subset(np.arange(250, 400))
         phi = apply_design(test, model.schema).values
-        metrics = fit_metrics(model, test)
+        metrics = deviations(model, test).metrics
         for j, (rm, got) in enumerate(zip(model.region_models, metrics)):
             y = test.responses[:, j]
             pred = predict_region(rm, phi)
@@ -1369,7 +1423,7 @@ class TestFitMetrics:
 
 
 class TestZMomentsMatchScipy:
-    """region_metrics skew and kurtosis are bitwise scipy.stats.skew/kurtosis."""
+    """The metrics' skew and kurtosis are bitwise scipy.stats.skew/kurtosis."""
 
     @staticmethod
     def scipy_moments(column):
@@ -1401,24 +1455,15 @@ class TestZMomentsMatchScipy:
         warped = [not rm.hyperparams.warp.is_identity() for rm in model.region_models]
         assert any(warped) == (noise_skew is not None)
         dm = deviations(model, cohort.subset(np.arange(300, 500)))
-        for j, got in enumerate(region_metrics(dm)):
+        for j, got in enumerate(dm.metrics):
             expected = self.scipy_moments(dm.Z[:, j])
             self.assert_same((got.skew, got.kurtosis), expected)
 
     @staticmethod
     def column_metrics(column):
-        n = column.size
-        dm = DeviationMatrix(
-            ids=tuple(f"s{i}" for i in range(n)),
-            regions=("r0",),
-            Z=column[:, None],
-            E=np.zeros((n, 1)),
-            yhat=np.zeros((n, 1)),
-            log_loss=np.zeros((n, 1)),
-            y=np.ones((n, 1)),
-        )
-        (metrics,) = region_metrics(dm)
-        return metrics.skew, metrics.kurtosis
+        # the moments of one row of Z, as deviations reduces each row of a block
+        (moments,) = blr._skew_kurtosis(np.ascontiguousarray(column)[None, :])
+        return moments
 
     def test_constant_columns_are_nan(self):
         for column in (np.full(40, 0.7), np.zeros(5), np.array([3.0]), np.full(9, -1e300)):

@@ -579,6 +579,37 @@ class TestRaceIncludedFit:
         model_doc = json.loads((out / "model.json").read_text())
         assert model_doc["design_schema"]["race_reference"] == "W"
 
+    def fit(self, pipeline, out, fractions):
+        return run_cli(
+            "fit",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", out,
+            "--covariate-set", "age,sex,race",
+            "--train-frac", fractions,
+        )
+
+    def test_race_absent_from_training_has_no_level(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "fit_race"
+        assert self.fit(pipeline, out, "A=0,B=0.8,W=0.8") == 0
+        from normgauge import load_bundle
+
+        assert load_bundle(out).schema.race_levels == ("B",)
+        # an A subject has no level to score with
+        code = run_cli(
+            "evaluate",
+            "--bundle", out,
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--features", pipeline["data"] / "features.csv",
+            "--out", tmp_path / "eval",
+        )
+        assert code == 3
+        assert "unseen race level(s): ['A']" in capsys.readouterr().err
+
+    def test_reference_absent_from_training_exit_two(self, pipeline, tmp_path, capsys):
+        assert self.fit(pipeline, tmp_path / "fit_race", "A=0.8,B=0.8,W=0") == 2
+        assert "race reference level 'W'" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_features_file_exit_two(self, pipeline, tmp_path, capsys):
@@ -1721,19 +1752,16 @@ class TestPublicNames:
             "evaluate_holdout",
             "explained_variance",
             "fit_design",
-            "fit_metrics",
             "fit_normative",
             "fit_region",
             "generate",
             "group_difference",
-            "group_fit",
             "group_parity",
             "group_summary",
             "load_bundle",
             "load_cohort",
             "predict_region",
             "qc_filter",
-            "region_metrics",
             "roc_points",
             "save_bundle",
             "save_cohort",

@@ -380,6 +380,14 @@ class TestCohortInvariants:
         with pytest.raises(SchemaError, match=f"{column} column of shape \\(2,\\)"):
             dataclasses.replace(cohort, **{column: values})
 
+    @pytest.mark.parametrize("column, label", [("sexes", "X"), ("races", "Q")])
+    def test_undeclared_label_rejected(self, column, label):
+        # as read_covariates rejects it, so a cohort built in code holds only
+        # the labels that the split's streams and the summaries are keyed by
+        cohort = one_subject(("r0",), np.zeros((1, 1)))
+        with pytest.raises(InputError, match=f"'{label}'"):
+            dataclasses.replace(cohort, **{column: (label,)})
+
     def test_duplicate_region_rejected(self):
         with pytest.raises(SchemaError):
             one_subject(("r0", "r0"), np.zeros((1, 2)))

@@ -213,6 +213,17 @@ class TestFullRank:
         sv = np.linalg.svd(design.values, compute_uv=False)
         assert sv[-1] / sv[0] > 0.01
 
+    def test_race_absent_from_training(self):
+        # race levels are the races present in training, as site levels are
+        # the sites present: with every A subject removed, no race_A column
+        # is left all zero
+        train = criterion_training_cohort(7)
+        without_a = train.subset(np.flatnonzero(np.array(train.races) != "A"))
+        design = fit_design(without_a, ModelConfig(covariates=("age", "sex", "race")))
+        assert design.schema.race_levels == ("B",)
+        sv = np.linalg.svd(design.values, compute_uv=False)
+        assert sv[-1] / sv[0] > 0.01
+
 
 class TestApplyDesign:
     def test_reproduces_training_matrix_exactly(self):
