@@ -152,6 +152,13 @@ def _parse_fractions(text: str) -> dict[str, float]:
     return out
 
 
+def _by_id(ids: list[str]) -> list[int]:
+    """Every row of a matrix file, in sorted-id order: read_matrix_csv's rows
+    for audit and classify, so that their outputs follow the ids, not the
+    file's row order (a scoring pass holds its rows in that order too)."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
+
+
 def _races(ids: list[str], covariates: Cohort) -> list[str]:
     """The race of each scored id, from read_covariates' cohort."""
     index = {sid: i for i, sid in enumerate(covariates.ids)}
@@ -452,9 +459,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     )
     if (cfg["bundle"] is None) != (cfg["features"] is None):
         raise InputError("provide both --bundle and --features or neither")
+    q = cfg["q"]
+    if not 0.0 < q < 1.0:
+        raise InputError(f"--q must be in (0, 1), got {q}")
     with recorded_digests() as read:
-        ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"])
-        ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"])
+        ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"], _by_id)
+        ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"], _by_id)
         if ids_z != ids_e or regions_z != regions_e:
             raise SchemaError("deviations and errors files disagree on ids or regions")
         schema = _schema_from(cfg)
@@ -474,7 +484,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 g1, g2, sizes[g1], sizes[g2],
             )
 
-    q = cfg["q"]
     threshold = cfg["threshold"]
     # every input is read and every result computed before the first write,
     # so a failed audit leaves no partial output tree behind
@@ -493,10 +502,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 keep=lambda joined: joined.subset_by_ids(ids_z),
             )
             fit = deviations(model, cohort).group_fit
-    # a scoring pass holds its rows in sorted-id order, and parity reduces the
-    # deviations in that order too, so that its bytes do not follow the file's
-    order = sorted(range(len(ids_z)), key=ids_z.__getitem__)
-    parity = group_parity(z_matrix[order], [groups[i] for i in order], threshold, fit)
+    parity = group_parity(z_matrix, groups, threshold, fit)
 
     summary = group_summary(z_matrix, groups, regions_z, threshold)
     rows = []
@@ -598,7 +604,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise InputError(
             "matplotlib is required to render roc.svg (install the 'plots' extra)"
         )
-    ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"])
+    ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"], _by_id)
     covariates, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
     labels = _races(ids, covariates)
     clf_config = ClassifierConfig(

@@ -935,6 +935,20 @@ class TestExitCodes:
         assert code == 2
         assert "'Q'" in capsys.readouterr().err
 
+    # checked before any file is read, the missing ones here included, and
+    # whether or not some contrast is testable
+    @pytest.mark.parametrize("q", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_fdr_level_out_of_range_exit_two(self, tmp_path, capsys, q):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "out"
+        code = run_cli(
+            "audit", "--deviations", missing, "--errors", missing,
+            "--covariates", missing, "--out", out, "--contrasts", "W:A", "--q", q,
+        )
+        assert code == 2
+        assert f"error: --q must be in (0, 1), got {float(q)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_train_fraction_exit_two(self, pipeline, tmp_path, capsys):
         out = tmp_path / "fit"
         code = run_cli(
@@ -1249,25 +1263,38 @@ class TestAuditParity:
         assert bare["gaps"]["msll"] is None
 
     def test_row_order_of_the_matrices_does_not_matter(self, pipeline, tmp_path):
-        # the scoring pass of --bundle holds its rows in sorted-id order; the
-        # files' rows, reversed here, must be matched to them by id
+        # audit and classify read the matrices' rows in sorted-id order, the
+        # order evaluate writes and a scoring pass of --bundle holds; the
+        # rows, shuffled alike in both files here, are matched to it by id,
+        # so every reduction, Welch test and fold sees the same rows in the
+        # same order and each output is the same bytes
         for name in ("deviations.csv", "errors.csv"):
-            lines = (pipeline["eval"] / name).read_text(encoding="utf-8").splitlines()
-            text = "\n".join([lines[0], *reversed(lines[1:])]) + "\n"
+            header, *rows = (pipeline["eval"] / name).read_text(encoding="utf-8").splitlines()
+            # one seed and one length: the same shuffle of both files
+            order = np.random.default_rng(0).permutation(len(rows))
+            text = "\n".join([header, *(rows[k] for k in order)]) + "\n"
             (tmp_path / name).write_text(text, encoding="utf-8")
         code = run_cli(
             "audit",
             "--deviations", tmp_path / "deviations.csv",
             "--errors", tmp_path / "errors.csv",
             "--covariates", pipeline["data"] / "covariates.csv",
-            "--out", tmp_path / "out",
+            "--out", tmp_path / "audit",
             "--contrasts", "W:A", "W:B",
             "--bundle", pipeline["fit"],
             "--features", pipeline["data"] / "features.csv",
         )
         assert code == 0
-        reversed_rows = json.loads((tmp_path / "out" / "parity.json").read_text())
-        assert reversed_rows == json.loads((pipeline["audit"] / "parity.json").read_text())
+        code = run_cli(
+            "classify",
+            "--deviations", tmp_path / "deviations.csv",
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", tmp_path / "clf",
+            "--folds", "4",
+        )
+        assert code == 0
+        for name in ("audit", "clf"):
+            assert _outputs(tmp_path / name) == _outputs(pipeline[name]), name
 
     @pytest.mark.parametrize("given", ["--bundle", "--features"])
     def test_half_given_model_exit_two(self, pipeline, tmp_path, capsys, given):

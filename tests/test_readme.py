@@ -6,7 +6,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def library_example() -> str:
-    """The first python block under `## Library`, cut as the CI workflow cuts it."""
+    """The first python block under `## Library`."""
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library\n", 1)[1]
     return section.split("```python\n", 1)[1].split("\n```", 1)[0]
