@@ -62,8 +62,8 @@ def group_summary(
     threshold: float = DEFAULT_EXTREME_THRESHOLD,
 ) -> GroupSummary:
     """Summarize deviations per group; proportions count |Z| beyond threshold."""
-    if threshold <= 0:
-        raise InputError(f"extreme threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise InputError(f"extreme threshold must be finite and positive, got {threshold}")
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     groups = list(groups)
     if len(groups) != z_matrix.shape[0]:

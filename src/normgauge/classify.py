@@ -23,6 +23,7 @@ one CPU or many.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -58,10 +59,12 @@ class ClassifierConfig:
     standardize: bool = False
 
     def __post_init__(self) -> None:
-        if self.l2_strength < 0:
-            raise InputError(f"l2_strength must be >= 0, got {self.l2_strength}")
+        if not 0 <= self.l2_strength < math.inf:
+            raise InputError(f"l2_strength must be finite and >= 0, got {self.l2_strength}")
         if self.n_folds < 2:
             raise InputError(f"n_folds must be >= 2, got {self.n_folds}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -300,7 +300,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .blr import deviations, load_bundle
     from .cohort import load_cohort
-    from .serialize import _unique_ids, write_csv, write_matrix_csvs
+    from .serialize import _unique_ids, write_csv, write_matrix_csv
 
     cfg = _resolve(args, required=("bundle", "covariates", "features", "out"))
 
@@ -322,12 +322,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     ids, regions = list(dm.ids), list(dm.regions)
-    deviations_sha256, _ = write_matrix_csvs(
-        [
-            (out / "deviations.csv", ids, regions, dm.Z),
-            (out / "errors.csv", ids, regions, dm.E),
-        ]
-    )
+    deviations_sha256 = write_matrix_csv(out / "deviations.csv", ids, regions, dm.Z)
+    write_matrix_csv(out / "errors.csv", ids, regions, dm.E)
     write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(dm.metrics))
     digests = {role: read[path] for role, path in _scoring_inputs(cfg).items()}
     digests["deviations"] = deviations_sha256
@@ -462,6 +458,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     q = cfg["q"]
     if not 0.0 < q < 1.0:
         raise InputError(f"--q must be in (0, 1), got {q}")
+    threshold = cfg["threshold"]
+    if not 0.0 < threshold < math.inf:
+        raise InputError(f"--threshold must be finite and positive, got {threshold}")
     with recorded_digests() as read:
         ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"], _by_id)
         ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"], _by_id)
@@ -484,7 +483,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 g1, g2, sizes[g1], sizes[g2],
             )
 
-    threshold = cfg["threshold"]
     # every input is read and every result computed before the first write,
     # so a failed audit leaves no partial output tree behind
     fit = None

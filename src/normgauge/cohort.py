@@ -43,13 +43,14 @@ log = logging.getLogger(__name__)
 
 REQUIRED_COVARIATES = ("id", "age", "sex", "race")
 OPTIONAL_COVARIATES = ("site", "qc_score")
+# sex is binary-coded
+SEX_LABELS = ("F", "M")
 
 
 @dataclass(frozen=True)
 class CohortSchema:
-    """Declared categorical label sets. Race is extensible; sex is binary-coded."""
+    """Declared race labels; sex labels are always SEX_LABELS."""
 
-    sex_labels: tuple[str, ...] = ("F", "M")
     race_labels: tuple[str, ...] = ("A", "B", "W")
 
 
@@ -57,9 +58,9 @@ class CohortSchema:
 class Cohort:
     """Covariate columns and responses in one row order (see the module
     docstring); row i of each belongs to ids[i]. sites and qc_scores default
-    to all missing. Every sex and race must be one of the schema's declared
-    labels. A cohort of covariates alone has regions () and responses of
-    shape (n, 0)."""
+    to all missing. Every sex must be one of SEX_LABELS and every race one of
+    the schema's declared labels. A cohort of covariates alone has regions ()
+    and responses of shape (n, 0)."""
 
     ids: tuple[str, ...]
     ages: np.ndarray
@@ -100,7 +101,7 @@ class Cohort:
         if len(set(self.ids)) != n:
             raise InputError("duplicate subject ids")
         for name, column, declared in (
-            ("sex", columns["sexes"], self.schema.sex_labels),
+            ("sex", columns["sexes"], SEX_LABELS),
             ("race", columns["races"], self.schema.race_labels),
         ):
             undeclared = sorted(set(column) - set(declared))
@@ -233,10 +234,10 @@ def read_covariates(path: Path, schema: CohortSchema) -> tuple[Cohort, int]:
                 raise InputError(
                     f"{path} row {line_no}, column 'age': must be positive, got {age}"
                 )
-            if sex not in schema.sex_labels:
+            if sex not in SEX_LABELS:
                 raise InputError(
                     f"{path} row {line_no}, column 'sex': "
-                    f"'{sex}' not in declared labels {list(schema.sex_labels)}"
+                    f"'{sex}' not in declared labels {list(SEX_LABELS)}"
                 )
             if race not in schema.race_labels:
                 raise InputError(
@@ -381,6 +382,8 @@ class SplitSpec:
             raise InputError(
                 f"default train fraction must be in [0, 1], got {self.default_fraction}"
             )
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
@@ -429,7 +432,7 @@ def demographics_summary(cohort: Cohort) -> dict:
     ages = cohort.ages
     # in the order of the declared labels, which hold every label present
     sexes, races = Counter(cohort.sexes), Counter(cohort.races)
-    sex_counts = {label: sexes[label] for label in cohort.schema.sex_labels}
+    sex_counts = {label: sexes[label] for label in SEX_LABELS}
     race_counts = {label: races[label] for label in cohort.schema.race_labels}
     pct = lambda c: (100.0 * c / n) if n else 0.0
     return {

@@ -17,6 +17,7 @@ The fitted schema is serializable so train and test expansions are identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,8 +46,11 @@ class BasisConfig:
             raise InputError(f"n_knots must be >= 2, got {self.n_knots}")
         if self.degree < 1:
             raise InputError(f"degree must be >= 1, got {self.degree}")
-        if self.knot_range is not None and not self.knot_range[0] < self.knot_range[1]:
-            raise InputError(f"degenerate knot range {self.knot_range}")
+        if self.knot_range is not None:
+            if not all(map(math.isfinite, self.knot_range)):
+                raise InputError(f"knot range must be finite, got {self.knot_range}")
+            if not self.knot_range[0] < self.knot_range[1]:
+                raise InputError(f"degenerate knot range {self.knot_range}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ a short or long row anywhere still fails, but a cell of a row not chosen is
 never parsed.
 
 Sidecars. So that a matrix this package wrote is parsed only once,
-write_matrix_csvs writes `<file>.cache` beside each matrix CSV that reads
+write_matrix_csv writes `<file>.cache` beside each matrix CSV that reads
 back as it was given (ids and column names unique as text, no NaN) and
 deletes any old one beside any other. It holds the SHA-256 of the CSV's bytes,
 hashed as they are written, the ids and columns as text, and the values as
@@ -41,22 +41,20 @@ Matrix files are formatted and parsed in one contiguous chunk of rows per
 usable CPU (_chunk_ranges). On Linux with two or more usable CPUs, every
 chunk after the first runs in a forked child (_forked_iter) while the caller
 runs the first; elsewhere, or while another Python thread runs, the one chunk
-runs in-process. write_matrix_csvs cuts the rows of all its files as one
-sequence and writes each file's header and then the chunks' text in order.
-read_matrix_csv finds every row by offsets into the text, cuts the rows it
-parses, parses each chunk with np.loadtxt, and reads the whole file serially
-if any chunk fails. The same helpers split the region fits of blr and the
-(fold, class) binary fits of classify. Every forked iteration runs one way:
-OpenBLAS runs on one thread while it lasts, and each part is held to a
-usable CPU of its own, but only where OpenBLAS is found and runs on one
-thread (_forked_iter). No option selects either way, a forked child never
-forks again, and the cut changes no byte written, no value read and no error
-raised.
+runs in-process. write_matrix_csv writes one file: its header and then
+each chunk's text in order, as it arrives. read_matrix_csv finds every row
+by offsets into the text, cuts the rows it parses, parses each chunk with
+np.loadtxt, and reads the whole file serially if any chunk fails. The same
+helpers split the region fits of blr and the (fold, class) binary fits of
+classify. Every forked iteration runs one way: OpenBLAS runs on one thread
+while it lasts, and each part is held to a usable CPU of its own, but only
+where OpenBLAS is found and runs on one thread (_forked_iter). No option
+selects either way, a forked child never forks again, and the cut changes no
+byte written, no value read and no error raised.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import ctypes
@@ -135,96 +133,58 @@ def write_matrix_csv(
     ids: Sequence[str],
     columns: Sequence[str],
     values: np.ndarray,
-) -> None:
-    """Write an id-keyed numeric matrix: header `id,<col>,...`, one row per id.
+) -> str:
+    """Write an id-keyed numeric matrix: header `id,<col>,...`, one row per id;
+    return the SHA-256 hex digest of the file's bytes.
 
-    This is write_matrix_csvs of one file.
+    The file holds write_csv's bytes for that header and rows. Where values
+    do not match the ids and columns, ValueError is raised before anything is
+    written. The rows are cut into one contiguous chunk per usable CPU
+    (_chunk_ranges), each chunk formats its rows to text, every chunk after
+    the first in a forked child (_forked_iter), and this process writes the
+    header and then each chunk's text as it arrives, hashing the bytes as it
+    writes them. Any older sidecar is deleted as the file is opened, and the
+    new one (_write_sidecar) follows the last row.
     """
-    write_matrix_csvs([(path, ids, columns, values)])
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(ids), len(columns)):
+        raise ValueError(
+            f"matrix shape {values.shape} does not match "
+            f"{len(ids)} ids x {len(columns)} columns"
+        )
 
+    def format_rows(chunk: range) -> bytearray:
+        # row by row, so that only the text itself grows with the chunk.
+        # repr is format_cell's text of every float but NaN, whose "nan" is
+        # emptied, and no number is ever quoted
+        lo, hi = chunk.start, chunk.stop
+        nan = bool(np.isnan(values[lo:hi]).any())
+        text = bytearray()
+        for sid, row in zip(ids[lo:hi], values[lo:hi]):
+            line = _quoted(format_cell(sid))
+            if columns:
+                cells = ",".join(map(repr, row.tolist()))
+                line += "," + (cells.replace("nan", "") if nan else cells)
+            elif not line:  # a lone empty id, written "" so it is not a blank line
+                line = '""'
+            text += (line + "\n").encode("utf-8")
+        return text
 
-def write_matrix_csvs(
-    files: Sequence[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]],
-) -> list[str]:
-    """Write each (path, ids, columns, values) as an id-keyed numeric matrix;
-    return the SHA-256 hex digest of each file's bytes, in order.
-
-    Each file holds write_csv's bytes for its header `id,<col>,...` and one
-    row per id. The rows of all files are one sequence, cut into one
-    contiguous chunk per usable CPU (_chunk_ranges). Each chunk formats its
-    rows to text, every chunk after the first in a forked child
-    (_forked_iter), and this process writes each file's header and then the
-    chunks' text in order, each chunk as it arrives. Once a file is written,
-    its sidecar follows (_write_sidecar); any older sidecar is deleted as the
-    file is opened. Where a file's values do not match its ids and columns,
-    the files before it are written and then its ValueError is raised, as
-    writing the files one by one would.
-    """
-    matrices: list[tuple[str | Path, Sequence[str], Sequence[str], np.ndarray]] = []
-    error = None  # a bad file's error, raised once the files before it are written
-    for path, ids, columns, values in files:
-        try:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (len(ids), len(columns)):
-                raise ValueError(
-                    f"matrix shape {values.shape} does not match "
-                    f"{len(ids)} ids x {len(columns)} columns"
-                )
-        except (TypeError, ValueError) as exc:
-            error = exc
-            break
-        matrices.append((path, ids, columns, values))
-    starts = list(itertools.accumulate((len(ids) for _, ids, _, _ in matrices), initial=0))
-
-    def format_rows(chunk: range) -> list[tuple[int, bytearray]]:
-        """(row count, text) of each file's share of the chunk, in file order."""
-        texts = []
-        for (_, ids, columns, values), start, stop in zip(matrices, starts, starts[1:]):
-            lo, hi = max(chunk.start, start) - start, min(chunk.stop, stop) - start
-            if lo < hi:
-                # row by row, so that only the text itself grows with the chunk.
-                # repr is format_cell's text of every float but NaN, whose
-                # "nan" is emptied, and no number is ever quoted
-                nan = bool(np.isnan(values[lo:hi]).any())
-                text = bytearray()
-                for sid, row in zip(ids[lo:hi], values[lo:hi]):
-                    line = _quoted(format_cell(sid))
-                    if columns:
-                        cells = ",".join(map(repr, row.tolist()))
-                        line += "," + (cells.replace("nan", "") if nan else cells)
-                    elif not line:  # a lone empty id, written "" so it is not a blank line
-                        line = '""'
-                    text += (line + "\n").encode("utf-8")
-                texts.append((hi - lo, text))
-        return texts
-
-    digests = []
-    chunks = _forked_iter(format_rows, _chunk_ranges(starts[-1]))
-    with contextlib.closing(chunks):
-        pending: collections.deque[tuple[int, bytearray]] = collections.deque()
-        for path, ids, columns, values in matrices:
-            sidecar = _sidecar_path(path)
-            digest = hashlib.sha256()
-            with open(path, "wb") as fh:
-                # a sidecar of the file's old bytes goes before any new byte lands
-                sidecar.unlink(missing_ok=True)
-                header = _csv_line([format_cell(v) for v in ["id", *columns]]).encode("utf-8")
-                fh.write(header)
-                digest.update(header)
-                unwritten = len(ids)
-                while unwritten:
-                    if not pending:
-                        pending.extend(next(chunks))
-                    rows, text = pending.popleft()
-                    fh.write(text)
-                    digest.update(text)
-                    unwritten -= rows
-                    del text  # written: not held while the next chunk arrives
-            digests.append(digest.hexdigest())
-            _write_sidecar(sidecar, digests[-1], ids, columns, values)
-    if error is not None:
-        raise error
-    return digests
+    sidecar = _sidecar_path(path)
+    digest = hashlib.sha256()
+    chunks = _forked_iter(format_rows, _chunk_ranges(len(ids)))
+    with contextlib.closing(chunks), open(path, "wb") as fh:
+        # a sidecar of the file's old bytes goes before any new byte lands
+        sidecar.unlink(missing_ok=True)
+        header = _csv_line([format_cell(v) for v in ["id", *columns]]).encode("utf-8")
+        fh.write(header)
+        digest.update(header)
+        for text in chunks:
+            fh.write(text)
+            digest.update(text)
+            del text  # written: not held while the next chunk arrives
+    _write_sidecar(sidecar, digest.hexdigest(), ids, columns, values)
+    return digest.hexdigest()
 
 
 # the first bytes of a sidecar: a format change takes a new number, so that an
@@ -517,7 +477,7 @@ def read_matrix_csv(
     so a short or long row anywhere raises, but a cell of a row not chosen is
     never parsed. Without rows, every row is parsed, in file order.
 
-    Where the file's sidecar (written by write_matrix_csvs) records the
+    Where the file's sidecar (written by write_matrix_csv) records the
     SHA-256 of the bytes just read, the ids, columns and values are taken
     from it and nothing is parsed: those bytes parse to exactly them. Any
     other file is parsed as follows.

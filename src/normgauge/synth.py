@@ -65,6 +65,8 @@ class SynthSpec:
             raise InputError(f"n_regions must be >= 1, got {self.n_regions}")
         if self.noise_sd <= 0:
             raise InputError(f"noise_sd must be positive, got {self.noise_sd}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         curves = self.curves
         if curves is None:
             curves = default_curves(self.n_regions, self.seed)

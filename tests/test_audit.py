@@ -78,8 +78,9 @@ class TestGroupSummary:
             )
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(InputError):
-            group_summary(self.worked, ["g"] * 4, threshold=0.0)
+        for threshold in (0.0, np.nan, np.inf):
+            with pytest.raises(InputError):
+                group_summary(self.worked, ["g"] * 4, threshold=threshold)
         with pytest.raises(InputError):
             group_summary(self.worked, ["g"] * 3)
 

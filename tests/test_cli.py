@@ -949,6 +949,56 @@ class TestExitCodes:
         assert f"error: --q must be in (0, 1), got {float(q)}" in capsys.readouterr().err
         assert not out.exists()
 
+    # a numeric flag value the command cannot use is an input error, raised
+    # before the first output file is written
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_audit_threshold_not_finite_exit_two(self, pipeline, tmp_path, capsys, threshold):
+        out = tmp_path / "out"
+        code = run_cli("audit", *required_flags(pipeline, "audit", out), "--threshold", threshold)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --threshold must be finite and positive, got {float(threshold)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--l2", "nan"], "l2_strength must be finite and >= 0, got nan"),
+            (["--l2", "inf"], "l2_strength must be finite and >= 0, got inf"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=["l2-nan", "l2-inf", "seed"],
+    )
+    def test_classify_unusable_number_exit_two(self, pipeline, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = run_cli("classify", *required_flags(pipeline, "classify", out), *flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--knot-lo", "20", "--knot-hi", "inf"], "knot range must be finite, got (20.0, inf)"),
+            (["--seed", "-1", "--default-train-frac", "0.8"], "seed must be >= 0, got -1"),
+        ],
+        ids=["knot-inf", "split-seed"],
+    )
+    def test_fit_unusable_number_exit_two(self, pipeline, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = run_cli("fit", *required_flags(pipeline, "fit", out), *flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_synth_negative_seed_exit_two(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("synth", *required_flags(pipeline, "synth", out), "--seed", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_repeated_train_fraction_exit_two(self, pipeline, tmp_path, capsys):
         out = tmp_path / "fit"
         code = run_cli(

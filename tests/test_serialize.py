@@ -25,7 +25,6 @@ from normgauge.serialize import (
     read_matrix_csv,
     write_csv,
     write_matrix_csv,
-    write_matrix_csvs,
 )
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -47,7 +46,7 @@ def write_text(path, text):
 
 
 def drop_sidecar(path):
-    """Delete the sidecar that write_matrix_csvs wrote beside path, so that a
+    """Delete the sidecar that write_matrix_csv wrote beside path, so that a
     read of path runs the parser."""
     _sidecar_path(path).unlink()
     return path
@@ -181,18 +180,21 @@ class TestLoadJson:
 
 
 class TestWriteMatrixCsvs:
+    """Matrix CSVs, each written by one write_matrix_csv call that returns
+    the digest of its bytes."""
+
     def test_bytes_match_sequential_writes(self, tmp_path, forks):
         pids, forked = forks
-        files = matrix_files(tmp_path)
-        write_matrix_csvs(files)
-        # one row chunk per usable CPU: the second of the fixture's two CPUs
-        # formats the later half of all files' rows
-        assert len(pids) == (1 if forked else 0)
-        assert_no_child_left()
-        reference = tmp_path / "reference.csv"
-        for path, ids, columns, values in files:
-            write_matrix_csv(reference, ids, columns, values)
-            assert path.read_bytes() == reference.read_bytes()
+        for path, ids, columns, values in matrix_files(tmp_path):
+            forked_before = len(pids)
+            digest = write_matrix_csv(path, ids, columns, values)
+            # one row chunk per usable CPU: the second of the fixture's two
+            # CPUs formats the later half of the file's rows
+            assert len(pids) - forked_before == (1 if forked else 0)
+            assert_no_child_left()
+            data = path.read_bytes()
+            assert data == reference_bytes(["id", *columns], matrix_rows(ids, values))
+            assert digest == hashlib.sha256(data).hexdigest()
 
     @pytest.mark.parametrize(
         "broken",
@@ -205,24 +207,27 @@ class TestWriteMatrixCsvs:
         ids=["missing-directory", "shape-mismatch"],
     )
     def test_failing_child_raises_the_sequential_error(self, tmp_path, forks, broken):
+        pids, _ = forks
         files = matrix_files(tmp_path)
         files[1] = broken(*files[1])
-        with pytest.raises(Exception) as sequential:
+        write_matrix_csv(*files[0])
+        forked_before = len(pids)
+        with pytest.raises((FileNotFoundError, ValueError)) as got:
             write_matrix_csv(*files[1])
-        with pytest.raises(Exception) as got:
-            write_matrix_csvs(files)
-        assert type(got.value) is type(sequential.value)
-        assert str(got.value) == str(sequential.value)
+        if isinstance(got.value, ValueError):
+            assert str(got.value) == "matrix shape (3, 4) does not match 3 ids x 3 columns"
+        # the error comes before any row is formatted or any byte written
+        assert len(pids) == forked_before
+        assert not files[1][0].exists() and not _sidecar_path(files[1][0]).exists()
         assert files[0][0].is_file()
         assert_no_child_left()
 
     def test_caller_error_leaves_no_child(self, tmp_path, forks):
         pids, _ = forks
-        files = matrix_files(tmp_path)
-        files[0] = (tmp_path / "missing" / "z.csv", *files[0][1:])
+        path, ids, columns, values = matrix_files(tmp_path)[0]
         with pytest.raises(FileNotFoundError):
-            write_matrix_csvs(files)
-        # the first file is opened before any row is formatted
+            write_matrix_csv(tmp_path / "missing" / "z.csv", ids, columns, values)
+        # the file is opened before any row is formatted
         assert pids == []
         assert_no_child_left()
 
@@ -233,7 +238,8 @@ class TestWriteMatrixCsvs:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            write_matrix_csvs(matrix_files(tmp_path))
+            for file in matrix_files(tmp_path):
+                write_matrix_csv(*file)
         finally:
             release.set()
             thread.join()
@@ -388,10 +394,13 @@ class TestRowChunks:
         files = matrix_files(tmp_path)
         if not comma_id:
             files = [(path, ["s1", "a b", "s3"], *rest) for path, _, *rest in files]
-        write_matrix_csvs(files)
-        assert len(pids) == cpus - 1
         for path, ids, columns, values in files:
+            forked = len(pids)
+            digest = write_matrix_csv(path, ids, columns, values)
+            # three rows: one chunk to each CPU
+            assert len(pids) - forked == cpus - 1
             assert path.read_bytes() == reference_bytes(["id", *columns], matrix_rows(ids, values))
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
             # NaN is written as an empty cell, which the reader rejects; as
             # `nan` text it reads back
             readable = tmp_path / "readable.csv"
@@ -415,9 +424,10 @@ class TestRowChunks:
              rng.normal(size=(rows, 2)))
             for name, rows in (("a", 0), ("b", n_rows), ("c", 0))
         ]
-        write_matrix_csvs(files)
-        assert len(pids) == max(min(cpus, n_rows) - 1, 0)
         for path, ids, _, values in files:
+            forked = len(pids)
+            write_matrix_csv(path, ids, columns, values)
+            assert len(pids) - forked == max(min(cpus, len(ids)) - 1, 0)
             assert path.read_bytes() == reference_bytes(["id", *columns], matrix_rows(ids, values))
             forked = len(pids)
             got_ids, got_columns, got = read_matrix_csv(drop_sidecar(path))
@@ -797,7 +807,7 @@ SIDECAR_CASES = sidecar_cases()
 
 
 class TestSidecar:
-    """write_matrix_csvs writes `<file>.cache` beside each matrix CSV that
+    """write_matrix_csv writes `<file>.cache` beside each matrix CSV that
     reads back as written, and read_matrix_csv takes the matrix from it only
     while it records the digest of the CSV's bytes: a read with the sidecar
     gives what the same read gives without it, error included."""
@@ -933,10 +943,11 @@ class TestSidecar:
         # no NaN, so that each reads back and has a sidecar
         files = [(path, ids, columns, np.nan_to_num(values, nan=0.5))
                  for path, ids, columns, values in files]
-        write_matrix_csvs(files)
         for path, ids, columns, values in files:
+            digest = write_matrix_csv(path, ids, columns, values)
             blob = _sidecar_path(path).read_bytes()
             magic, meta, payload = blob.split(b"\n", 2)
+            assert json.loads(meta)["csv_sha256"] == digest
             assert magic + b"\n" == serialize._SIDECAR_MAGIC
             assert json.loads(meta) == {
                 "columns": columns,
