@@ -150,8 +150,8 @@ def test_split_fit(tmp_path):
     """The bundle is the same bytes whether fit splits its regions across
     forked children or not. A region's fit depends only on its own column,
     so the odd regions, fitted together and one at a time, match their
-    entries in the full fit, and so do their columns of deviations.csv and
-    errors.csv when each bundle is evaluated."""
+    entries in the full fit, and so do their rows of metrics.csv and their
+    columns of deviations.csv and errors.csv when each bundle is evaluated."""
     spec = {"n_per_group": {"A": 30, "B": 30, "W": 140}, "n_regions": 6, **SKEW, "seed": 0}
     (tmp_path / "skewed.json").write_text(json.dumps(spec), encoding="utf-8")
     data = tmp_path / "data"
@@ -176,20 +176,20 @@ def test_split_fit(tmp_path):
     full = tmp_path / "fit"
     for name, how in VARIANTS.items():
         fit(name, data / "features.csv", **how)
-        same_bytes(full, tmp_path / name, ["model.json", "regions.json", "fit_metrics.csv"])
+        same_bytes(full, tmp_path / name, ["model.json", "regions.json"])
+    for name, path in features.items():
+        run("evaluate", "--bundle", tmp_path / name, "--covariates", data / "covariates.csv",
+            "--features", path, "--ids", full / "test_ids.txt", "--out", tmp_path / name / "eval")
 
     def by_region(bundle):
         regions = json.loads((bundle / "regions.json").read_text(encoding="utf-8"))["regions"]
-        with open(bundle / "fit_metrics.csv", newline="", encoding="utf-8") as fh:
+        with open(bundle / "eval" / "metrics.csv", newline="", encoding="utf-8") as fh:
             metrics = {row[0]: row for row in csv.reader(fh)}
         return {r["region"]: (r, metrics[r["region"]]) for r in regions}
 
     warps = [entry["hyperparams"]["warp"] for entry, _ in by_region(full).values()]
     assert sum(w["epsilon"] != 0 or w["log_delta"] != 0 for w in warps) >= 2
     assert len(kept) == 4
-    for name, path in features.items():
-        run("evaluate", "--bundle", tmp_path / name, "--covariates", data / "covariates.csv",
-            "--features", path, "--ids", full / "test_ids.txt", "--out", tmp_path / name / "eval")
 
     def columns(path):
         with open(path, newline="", encoding="utf-8") as fh:

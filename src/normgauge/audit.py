@@ -55,6 +55,11 @@ class GroupSummary:
     pct_extreme_total: dict[str, np.ndarray]
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < math.inf:
+        raise InputError(f"extreme threshold must be finite and positive, got {threshold}")
+
+
 def group_summary(
     z_matrix: np.ndarray,
     groups: Sequence[str],
@@ -62,8 +67,7 @@ def group_summary(
     threshold: float = DEFAULT_EXTREME_THRESHOLD,
 ) -> GroupSummary:
     """Summarize deviations per group; proportions count |Z| beyond threshold."""
-    if not 0 < threshold < math.inf:
-        raise InputError(f"extreme threshold must be finite and positive, got {threshold}")
+    _check_threshold(threshold)
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     groups = list(groups)
     if len(groups) != z_matrix.shape[0]:
@@ -339,8 +343,9 @@ def group_parity(
     z_matrix. EV and MSLL need the model: `fit` is the per-group fit of its
     scoring pass of the same rows (DeviationMatrix.group_fit), or the same
     values read back, and must hold every group with its size. Without
-    `fit` they are None.
+    `fit` they are None. The threshold must be finite and positive.
     """
+    _check_threshold(threshold)
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     group_arr = np.asarray(list(groups))
     if group_arr.shape[0] != z_matrix.shape[0]:

@@ -1206,13 +1206,15 @@ def fit_normative(
     fits). Every product is taken row by row, so each region's model is
     bitwise that of fit_region on its column alone, for any cut. No option selects the cut. `workers`
     is accepted for compatibility and ignored; results never depended on
-    it. Regions that did not converge are reported in one warning. A cohort
-    with no regions raises InputError. Clamped ages are not reported here:
-    deviations counts them for each cohort it scores, so
-    deviations(model, train) reports the training cohort's.
+    it. Regions that did not converge are reported in one warning, and
+    training ages outside a given knot range in another, as deviations
+    reports them for a cohort it scores. A cohort with no regions raises
+    InputError.
     """
     config = config or ModelConfig()
     dm = fit_design(train, config)
+    if dm.clamp_count:
+        log.warning("clamped %d age(s) outside the fitted range", dm.clamp_count)
     region_models = _fit_regions(dm.values, train.responses, train.regions)
     provenance = {
         "cohort_hash": train.content_hash(),

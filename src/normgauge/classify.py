@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .serialize import _chunk_ranges, _forked_iter, write_csv
+from .serialize import _chunk_ranges, _forked_iter, _quoted, format_cell, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -463,12 +463,17 @@ def write_clf_metrics(path: str | Path, report: ClassifierReport) -> None:
 
 
 def write_roc_points(path: str | Path, report: ClassifierReport) -> None:
-    rows = []
-    for (cls, fold), (fpr, tpr) in sorted(report.roc_curves.items()):
-        # Python floats: format_cell's fast path, where numpy scalars take its slowest
-        for x_val, y_val in zip(fpr.tolist(), tpr.tolist()):
-            rows.append([cls, fold, x_val, y_val])
-    write_csv(path, ["class", "fold", "fpr", "tpr"], rows)
+    """write_csv's bytes for the rows (class, fold, fpr, tpr) of every curve,
+    formatted a whole line at a time: the class and fold text once per curve,
+    then the repr of each point. repr is format_cell's text of every float
+    but NaN, and roc_points gives no NaN."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("class,fold,fpr,tpr\n")
+        for (cls, fold), (fpr, tpr) in sorted(report.roc_curves.items()):
+            prefix = f"{_quoted(format_cell(cls))},{format_cell(fold)},"
+            fh.write("".join(
+                f"{prefix}{x!r},{y!r}\n" for x, y in zip(fpr.tolist(), tpr.tolist())
+            ))
 
 
 def write_confusion(path: str | Path, report: ClassifierReport) -> None:
@@ -478,43 +483,3 @@ def write_confusion(path: str | Path, report: ClassifierReport) -> None:
     ]
     write_csv(path, header, rows)
 
-
-def render_roc_svg(report: ClassifierReport, path: str | Path) -> None:
-    """Fold curves thin and light, per-class mean curve thick and dark."""
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        raise InputError(
-            "matplotlib is required to render roc.svg (install the 'plots' extra)"
-        ) from None
-    fig, ax = plt.subplots(figsize=(5.5, 5.0))
-    cmap = plt.get_cmap("tab10")
-    grid = np.linspace(0.0, 1.0, 101)
-    for ci, cls in enumerate(report.classes):
-        color = cmap(ci % 10)
-        interped = []
-        for fold in range(report.n_folds):
-            curve = report.roc_curves.get((cls, fold))
-            if curve is None:
-                continue
-            fpr, tpr = curve
-            ax.plot(fpr, tpr, color=color, alpha=0.3, linewidth=0.9)
-            interped.append(np.interp(grid, fpr, tpr))
-        if interped:
-            mean_auc = report.class_mean("auc", cls)
-            ax.plot(
-                grid,
-                np.mean(interped, axis=0),
-                color=color,
-                linewidth=2.5,
-                label=f"{cls} (AUC {mean_auc:.3f})",
-            )
-    ax.plot([0, 1], [0, 1], linestyle="--", color="grey", linewidth=0.8)
-    ax.set_xlabel("false positive rate")
-    ax.set_ylabel("true positive rate")
-    ax.legend(loc="lower right")
-    fig.tight_layout()
-    fig.savefig(path, metadata={"Date": None})
-    plt.close(fig)

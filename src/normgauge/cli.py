@@ -30,7 +30,6 @@ import argparse
 import collections
 import contextlib
 import csv
-import importlib.util
 import io
 import json
 import logging
@@ -171,15 +170,6 @@ def _races(ids: list[str], covariates: Cohort) -> list[str]:
     return [covariates.races[index[sid]] for sid in ids]
 
 
-def _metrics_rows(metrics) -> list[list]:
-    return [
-        [m.region, m.explained_variance, m.msll, m.skew, m.kurtosis] for m in metrics
-    ]
-
-
-_METRICS_HEADER = ["region", "explained_variance", "msll", "skew", "kurtosis"]
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     from .cohort import save_cohort
     from .synth import SynthSpec, generate
@@ -205,7 +195,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from .blr import deviations, fit_normative, save_bundle
+    from .blr import fit_normative, save_bundle
     from .cohort import (
         SplitSpec,
         demographics_summary,
@@ -214,9 +204,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         stratified_split,
     )
     from .design import BasisConfig, ModelConfig
-    from .serialize import write_csv
 
     cfg = _resolve(args, required=("covariates", "features", "out"))
+    if cfg["seed"] < 0:  # recorded in the bundle even where no split draws from it
+        raise InputError(f"seed must be >= 0, got {cfg['seed']}")
     schema = _schema_from(cfg)
     test = None
 
@@ -261,7 +252,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = fit_normative(
         train, model_config, workers=cfg["workers"], seed=cfg["seed"]
     )
-    metrics = deviations(model, train).metrics
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -269,9 +259,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     created = [out / "model.json", out / "regions.json"]
     try:
         save_bundle(model, out)
-        path = out / "fit_metrics.csv"
-        write_csv(path, _METRICS_HEADER, _metrics_rows(metrics))
-        created.append(path)
         for name, part in (("train_ids.txt", train), ("test_ids.txt", test)):
             path = out / name
             path.write_text("".join(f"{sid}\n" for sid in part.ids), encoding="utf-8")
@@ -324,7 +311,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ids, regions = list(dm.ids), list(dm.regions)
     deviations_sha256 = write_matrix_csv(out / "deviations.csv", ids, regions, dm.Z)
     write_matrix_csv(out / "errors.csv", ids, regions, dm.E)
-    write_csv(out / "metrics.csv", _METRICS_HEADER, _metrics_rows(dm.metrics))
+    write_csv(
+        out / "metrics.csv",
+        ["region", "explained_variance", "msll", "skew", "kurtosis"],
+        [[m.region, m.explained_variance, m.msll, m.skew, m.kurtosis] for m in dm.metrics],
+    )
     digests = {role: read[path] for role, path in _scoring_inputs(cfg).items()}
     digests["deviations"] = deviations_sha256
     _write_group_fit(out / _GROUP_FIT_FILE, dm.group_fit, dm.clamped, digests)
@@ -588,7 +579,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ClassifierConfig,
         cross_validate,
         evaluate_holdout,
-        render_roc_svg,
         write_clf_metrics,
         write_confusion,
         write_roc_points,
@@ -597,11 +587,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .serialize import read_matrix_csv
 
     cfg = _resolve(args, required=("deviations", "covariates", "out"))
-    if cfg["svg"] and importlib.util.find_spec("matplotlib") is None:
-        # fail before any output is written, not after the cross-validation
-        raise InputError(
-            "matplotlib is required to render roc.svg (install the 'plots' extra)"
-        )
     ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"], _by_id)
     covariates, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
     labels = _races(ids, covariates)
@@ -622,8 +607,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     write_clf_metrics(out / "clf_metrics.csv", report)
     write_roc_points(out / "roc_points.csv", report)
     write_confusion(out / "confusion.csv", report)
-    if cfg["svg"]:
-        render_roc_svg(report, out / "roc.svg")
     _write_run_config(out, "classify", cfg)
     log.info(
         "macro AUC %.3f over %d classes", report.macro_mean("auc"), len(report.classes)
@@ -727,13 +710,15 @@ def _demographics_section(path: Path | None) -> list[str]:
     return lines
 
 
-def _fit_section(path: Path | None) -> list[str]:
+def _fit_section(run_dir: Path, path: Path | None) -> list[str]:
+    """The per-region metrics of evaluate's scoring pass, named by their path
+    in the run directory."""
     lines = ["## 2. Model fit", ""]
     if path is None:
-        lines += ["_fit metrics not found; section skipped._", ""]
+        lines += ["_metrics.csv not found; section skipped._", ""]
         return lines
     rows = _read_csv_dicts(path)
-    lines.append(f"{len(rows)} regions ({path.name}).")
+    lines.append(f"{len(rows)} regions ({path.relative_to(run_dir).as_posix()}).")
     lines.append("")
     lines.append("| Metric | Mean | Median | Min | Max |")
     lines.append("|---|---|---|---|---|")
@@ -834,12 +819,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise InputError(f"run directory not found: {run_dir}")
     out_path = Path(cfg["out"]) if cfg["out"] else run_dir / "report.md"
 
-    fit_metrics_path = _find_artifact(run_dir, "fit_metrics.csv") or _find_artifact(
-        run_dir, "metrics.csv"
-    )
     lines = ["# Normative modeling report", ""]
     lines += _demographics_section(_find_artifact(run_dir, "demographics.json"))
-    lines += _fit_section(fit_metrics_path)
+    lines += _fit_section(run_dir, _find_artifact(run_dir, "metrics.csv"))
     lines += _audit_section(
         _find_artifact(run_dir, "table4.csv"), _find_artifact(run_dir, "parity.json")
     )
@@ -927,7 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--svg", action="store_true")
     add_race_labels(p)
     p.set_defaults(func=cmd_classify)
 

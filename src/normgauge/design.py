@@ -231,8 +231,9 @@ def apply_design(cohort: Cohort, schema: DesignSchema) -> DesignMatrix:
 
     Ages outside the knot range are clamped to its nearest end before the
     spline is evaluated, and counted in clamp_count; the warning about them
-    comes from blr.deviations, once per scoring pass. Unseen site or race levels raise a
-    schema error naming them.
+    comes from blr.fit_normative for a training cohort and from
+    blr.deviations, once per scoring pass, for a scored one. Unseen site or
+    race levels raise a schema error naming them.
     """
     basis, clamp_count = spline_basis(cohort.ages, schema)
     cols = [basis, _indicators(cohort.sexes, (schema.sex_positive_label,))]

@@ -404,6 +404,12 @@ class TestParityReport:
             with pytest.raises(InputError, match="not of these rows' groups"):
                 group_parity(dm.Z, races, fit=other)
 
+    def test_bad_threshold_rejected(self):
+        # as group_summary rejects it; a NaN threshold counted no cell extreme
+        for threshold in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="finite and positive"):
+                group_parity(np.zeros((4, 2)), ["a", "a", "b", "b"], threshold)
+
     @pytest.mark.parametrize(
         "noise_skew",
         [None, WarpParams(epsilon=0.5, log_delta=-0.3)],

@@ -16,7 +16,12 @@ from normgauge import (
     stratified_folds,
 )
 from normgauge import classify, serialize
-from normgauge.classify import evaluate_holdout, write_clf_metrics, write_confusion
+from normgauge.classify import (
+    evaluate_holdout,
+    write_clf_metrics,
+    write_confusion,
+    write_roc_points,
+)
 
 
 def blob_data(rng, n_per_class, centers, sd=1.0):
@@ -497,3 +502,21 @@ class TestReportFiles:
         for row in conf[1:]:
             cells = row.split(",")
             assert sum(float(c) for c in cells[1:]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_roc_points_are_write_csv_bytes(self, tmp_path):
+        # a label with a comma and a quote is quoted, as write_csv quotes it
+        rng = np.random.default_rng(15)
+        x, labels = blob_data(
+            rng, {'A, "x"': 20, "W": 20}, {'A, "x"': (-1.0,), "W": (1.0,)}
+        )
+        report = cross_validate(x, labels, ClassifierConfig(n_folds=4))
+        rows = [
+            [cls, fold, fx, ty]
+            for (cls, fold), (fpr, tpr) in sorted(report.roc_curves.items())
+            for fx, ty in zip(fpr.tolist(), tpr.tolist())
+        ]
+        serialize.write_csv(tmp_path / "expected.csv", ["class", "fold", "fpr", "tpr"], rows)
+        write_roc_points(tmp_path / "roc_points.csv", report)
+        got = (tmp_path / "roc_points.csv").read_bytes()
+        assert got == (tmp_path / "expected.csv").read_bytes()
+        assert b'\n"A, ""x""",0,0.0,0.0\n' in got

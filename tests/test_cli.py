@@ -4,7 +4,6 @@ import csv
 import filecmp
 import functools
 import hashlib
-import importlib.util
 import json
 import logging
 import math
@@ -108,9 +107,8 @@ class TestPipelineArtifacts:
     def test_expected_files_exist(self, pipeline):
         expected = {
             "data": ["covariates.csv", "features.csv", "truth.json", "run_config.json"],
-            "fit": ["model.json", "regions.json", "fit_metrics.csv",
-                    "train_ids.txt", "test_ids.txt", "demographics.json",
-                    "run_config.json"],
+            "fit": ["model.json", "regions.json", "train_ids.txt", "test_ids.txt",
+                    "demographics.json", "run_config.json"],
             "eval": ["deviations.csv", "errors.csv", "metrics.csv", "group_fit.json",
                      "run_config.json"],
             "audit": ["audit_summary.csv", "audit_tests.csv", "table4.csv",
@@ -122,6 +120,8 @@ class TestPipelineArtifacts:
             for name in names:
                 assert (pipeline[key] / name).is_file(), f"{key}/{name}"
         assert (pipeline["root"] / "report.md").is_file()
+        # evaluate scores a cohort; fit writes no metrics of its own
+        assert not (pipeline["fit"] / "fit_metrics.csv").exists()
 
     def test_split_sizes(self, pipeline):
         train = (pipeline["fit"] / "train_ids.txt").read_text().split()
@@ -174,6 +174,8 @@ class TestPipelineArtifacts:
         assert "## 3. Subgroup audit" in text
         assert "## 4. Attribute prediction from deviations" in text
         assert "skipped" not in text
+        # section 2 shows the held-out metrics and names the file it read
+        assert "\n4 regions (eval/metrics.csv).\n" in text
 
     def test_run_config_echoes_resolved_options(self, pipeline):
         cfg = json.loads((pipeline["fit"] / "run_config.json").read_text())
@@ -185,6 +187,8 @@ class TestPipelineArtifacts:
 
 class TestEvaluateOnTrain:
     def test_metrics_match_fit_exactly(self, pipeline, tmp_path):
+        # the in-sample metrics: the bytes of the fit_metrics.csv that fit
+        # wrote for this cohort before that file was deleted
         out = tmp_path / "train_eval"
         assert (
             run_cli(
@@ -197,9 +201,9 @@ class TestEvaluateOnTrain:
             )
             == 0
         )
-        assert (out / "metrics.csv").read_bytes() == (
-            pipeline["fit"] / "fit_metrics.csv"
-        ).read_bytes()
+        assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
+            "b3e1450a4976666dd92caf88e79978260b3e08291d434fde99092d56704b9516"
+        )
 
     def test_ids_file_is_read_as_utf8(self, pipeline, tmp_path):
         # the ids file is UTF-8 as fit writes it, whatever the locale; with
@@ -260,7 +264,7 @@ class TestDeterminism:
         )
         assert out.returncode == 0, out.stderr
         assert "Warning" not in out.stderr and "fork" not in out.stderr
-        for name in ("model.json", "regions.json", "fit_metrics.csv"):
+        for name in ("model.json", "regions.json"):
             assert (tmp_path / "fit" / name).read_bytes() == (
                 pipeline["fit"] / name
             ).read_bytes()
@@ -282,10 +286,10 @@ class TestDeterminism:
                 == 0
             )
             outs.append(out)
-        for name in ("model.json", "regions.json", "fit_metrics.csv",
+        for name in ("model.json", "regions.json",
                      "train_ids.txt", "test_ids.txt", "demographics.json"):
             assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
-        for name in ("model.json", "regions.json", "fit_metrics.csv"):
+        for name in ("model.json", "regions.json"):
             assert filecmp.cmp(outs[0] / name, pipeline["fit"] / name, shallow=False)
 
     def test_synth_rerun_byte_identical(self, pipeline, tmp_path):
@@ -395,15 +399,17 @@ class TestClassifyOptions:
         assert [(r["class"], r["fold"]) for r in rows] == [("A", "0"), ("B", "0"), ("W", "0")]
 
     def test_svg(self, pipeline, tmp_path, capsys):
+        # the option is gone: as a flag or a config key it is unknown
         out = tmp_path / "clf_svg"
-        code = self.classify(pipeline, out, "--folds", "4", "--svg")
-        if importlib.util.find_spec("matplotlib") is None:
-            assert code == 2
-            assert "install the 'plots' extra" in capsys.readouterr().err
-            assert not out.exists() or not any(out.iterdir())
-        else:
-            assert code == 0
-            assert (out / "roc.svg").stat().st_size > 0
+        with pytest.raises(SystemExit) as exc:
+            self.classify(pipeline, out, "--svg")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        config = tmp_path / "svg.json"
+        config.write_text(json.dumps({"svg": True}), encoding="utf-8")
+        assert self.classify(pipeline, out, "--config", config) == 2
+        assert "unknown config key(s) ['svg']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def required_flags(pipeline, command, out):
@@ -437,7 +443,7 @@ DEFAULT_OPTIONS = {
     "audit": {"q": 0.05, "threshold": 2.0, "bundle": None, "features": None,
               "race_labels": "A,B,W"},
     "classify": {"folds": 5, "l2": 1.0, "seed": 0, "standardize": False,
-                 "holdout_fraction": None, "svg": False, "race_labels": "A,B,W"},
+                 "holdout_fraction": None, "race_labels": "A,B,W"},
 }
 
 
@@ -982,8 +988,9 @@ class TestExitCodes:
         [
             (["--knot-lo", "20", "--knot-hi", "inf"], "knot range must be finite, got (20.0, inf)"),
             (["--seed", "-1", "--default-train-frac", "0.8"], "seed must be >= 0, got -1"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
-        ids=["knot-inf", "split-seed"],
+        ids=["knot-inf", "split-seed", "seed"],
     )
     def test_fit_unusable_number_exit_two(self, pipeline, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -1573,7 +1580,7 @@ class TestClampWarning:
             assert len(clamped) == 1, command
 
     def test_fit_logged_once(self, pipeline, tmp_path, caplog):
-        # fit scores its training cohort on the design it fitted on
+        # fit counts the training ages its design clamped
         data = pipeline["data"]
         with caplog.at_level(logging.WARNING, logger="normgauge"):
             assert (
@@ -1750,12 +1757,9 @@ class TestReportResilience:
     def test_missing_audit_noted_but_exit_zero(self, pipeline, tmp_path):
         run_dir = tmp_path / "partial"
         run_dir.mkdir()
-        fit_dir = run_dir / "fit"
-        fit_dir.mkdir()
-        for name in ("fit_metrics.csv", "demographics.json"):
-            fit_dir.joinpath(name).write_bytes(
-                (pipeline["fit"] / name).read_bytes()
-            )
+        for key, name in (("eval", "metrics.csv"), ("fit", "demographics.json")):
+            run_dir.joinpath(key).mkdir()
+            run_dir.joinpath(key, name).write_bytes((pipeline[key] / name).read_bytes())
         out = tmp_path / "report.md"
         assert run_cli("report", "--run-dir", run_dir, "--out", out) == 0
         text = out.read_text()
@@ -1768,7 +1772,7 @@ class TestReportResilience:
         assert "ghost" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name", ["fit/fit_metrics.csv", "audit/table4.csv", "audit/parity.json",
+        "name", ["eval/metrics.csv", "audit/table4.csv", "audit/parity.json",
                  "clf/clf_metrics.csv"]
     )
     def test_artifact_not_utf8_exit_two(self, pipeline, tmp_path, capsys, name):
