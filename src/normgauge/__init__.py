@@ -23,14 +23,11 @@ from ._version import __version__
 # each public name, by the submodule that defines it
 _SOURCES = {
     "audit": (
-        "GroupSummary",
-        "ParityReport",
+        "AuditTables",
         "WelchResult",
+        "audit_tables",
         "bh_fdr",
         "group_difference",
-        "group_parity",
-        "group_summary",
-        "significant_fraction",
         "t_two_sided_p",
     ),
     "blr": (

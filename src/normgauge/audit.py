@@ -1,5 +1,11 @@
 """Subgroup audits: extreme-deviation summaries, Welch tests, FDR, parity.
 
+audit_tables is the audit: from deviations Z, errors E and each row's group it
+returns every table `normgauge audit` writes, the per-group extreme rates,
+the per-region Welch tests with their FDR flags, Table 4's % of significant
+regions and the per-group parity, from one pass over the groups' rows.
+group_difference, bh_fdr and t_two_sided_p are its steps.
+
 Group comparisons use Welch's unequal-variance two-sample t statistic with
 Welch-Satterthwaite degrees of freedom; subgroup sizes here are routinely very
 unbalanced, which is exactly where the pooled-variance test misbehaves.
@@ -19,8 +25,8 @@ differences lose digits. Against scipy's 2 * stdtr(df, -|t|), p is within a
 relative 4e-13 for df in [1, 1e7] and |t| up to 1e3 wherever p >= 1e-300, and
 no pair takes more than 62 iterations.
 
-Parity (group_parity) reduces the deviations by group itself. Its EV and
-MSLL are the model's: they arrive as a per-group fit (the group_fit of a
+The parity's mean |Z|, mean Z and extreme rate are reductions of Z. Its EV
+and MSLL are the model's: they arrive as a per-group fit (the group_fit of a
 blr.deviations scoring pass, or the same values that `evaluate` wrote to
 group_fit.json), so this module imports nothing from blr.
 """
@@ -28,6 +34,7 @@ group_fit.json), so this module imports nothing from blr.
 from __future__ import annotations
 
 import collections
+import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -36,70 +43,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
-DEFAULT_EXTREME_THRESHOLD = 2.0
-
-
-@dataclass
-class GroupSummary:
-    """Per group x region: mean deviation and extreme-score proportions.
-
-    The groups are the distinct labels of the rows, in sorted order.
-    """
-
-    groups: tuple[str, ...]
-    regions: tuple[str, ...]
-    group_sizes: dict[str, int]
-    mean_deviation: dict[str, np.ndarray]
-    pct_extreme_pos: dict[str, np.ndarray]
-    pct_extreme_neg: dict[str, np.ndarray]
-    pct_extreme_total: dict[str, np.ndarray]
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0 < threshold < math.inf:
-        raise InputError(f"extreme threshold must be finite and positive, got {threshold}")
-
-
-def group_summary(
-    z_matrix: np.ndarray,
-    groups: Sequence[str],
-    regions: Sequence[str] | None = None,
-    threshold: float = DEFAULT_EXTREME_THRESHOLD,
-) -> GroupSummary:
-    """Summarize deviations per group; proportions count |Z| beyond threshold."""
-    _check_threshold(threshold)
-    z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
-    groups = list(groups)
-    if len(groups) != z_matrix.shape[0]:
-        raise InputError(
-            f"{len(groups)} group labels for {z_matrix.shape[0]} deviation rows"
-        )
-    if regions is None:
-        regions = tuple(f"region_{i}" for i in range(z_matrix.shape[1]))
-    labels = tuple(sorted(set(groups)))
-
-    sizes: dict[str, int] = {}
-    mean_dev: dict[str, np.ndarray] = {}
-    pos: dict[str, np.ndarray] = {}
-    neg: dict[str, np.ndarray] = {}
-    total: dict[str, np.ndarray] = {}
-    group_arr = np.asarray(groups)
-    for label in labels:
-        rows = z_matrix[group_arr == label]
-        sizes[label] = rows.shape[0]
-        mean_dev[label] = rows.mean(axis=0)
-        pos[label] = np.mean(rows > threshold, axis=0)
-        neg[label] = np.mean(rows < -threshold, axis=0)
-        total[label] = pos[label] + neg[label]
-    return GroupSummary(
-        groups=labels,
-        regions=tuple(regions),
-        group_sizes=sizes,
-        mean_deviation=mean_dev,
-        pct_extreme_pos=pos,
-        pct_extreme_neg=neg,
-        pct_extreme_total=total,
-    )
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -308,68 +252,135 @@ def bh_fdr(p_values: np.ndarray, q: float = 0.05) -> np.ndarray:
     return p <= cutoff
 
 
-def significant_fraction(flags: np.ndarray) -> float:
-    """Share of testable regions flagged; exactly flagged / total."""
-    flags = np.asarray(flags, dtype=bool)
-    if flags.size == 0:
-        return float("nan")
-    return float(np.count_nonzero(flags)) / flags.size
-
-
 @dataclass
-class ParityReport:
-    """Per-group aggregate performance plus max-min gaps across groups.
+class AuditTables:
+    """Every table of a subgroup audit, as `normgauge audit` writes them.
 
-    A metric no group has (EV and MSLL without a model) has gap None.
+    summary, tests and table4 are each a (header, rows) pair, the contents of
+    audit_summary.csv, audit_tests.csv and table4.csv; parity is the whole
+    parity.json document.
     """
 
-    groups: tuple[str, ...]
-    per_group: dict[str, dict]
-    gaps: dict[str, float | None]
+    summary: tuple[tuple[str, ...], list[list]]
+    tests: tuple[tuple[str, ...], list[list]]
+    table4: tuple[tuple[str, ...], list[list]]
+    parity: dict
 
 
 _PARITY_METRICS = ("explained_variance", "msll", "mean_abs_deviation", "extreme_rate")
 
 
-def group_parity(
-    z_matrix: np.ndarray,
+def audit_tables(
+    z: np.ndarray,
+    e: np.ndarray,
     groups: Sequence[str],
-    threshold: float = DEFAULT_EXTREME_THRESHOLD,
+    regions: Sequence[str],
+    contrasts: Sequence[tuple[str, str]],
+    q: float = 0.05,
+    threshold: float = 2.0,
     fit: Mapping[str, Mapping] | None = None,
-) -> ParityReport:
-    """Per-group parity as reductions over each group's rows.
+) -> AuditTables:
+    """The audit of deviations z and errors e (subjects x regions) by group.
 
-    Mean |Z|, mean Z and the extreme rate pool all of a group's cells of
-    z_matrix. EV and MSLL need the model: `fit` is the per-group fit of its
-    scoring pass of the same rows (DeviationMatrix.group_fit), or the same
-    values read back, and must hold every group with its size. Without
-    `fit` they are None. The threshold must be finite and positive.
+    Per group, in sorted order: each region's mean deviation and the shares
+    of its Z beyond +threshold and below -threshold (audit_summary), and the
+    group's parity entry, whose mean |Z|, mean Z and extreme rate pool all of
+    the group's cells. Per metric (Z, then E) and contrast: each region's
+    Welch t, p and BH-FDR flag at level q over the testable regions (tests),
+    and Table 4's % of testable regions flagged, empty where none is
+    testable (table4). A contrast with a group of fewer than two members is
+    untestable, and one warning says so, whatever the number of metrics.
+
+    EV and MSLL need the model: `fit` is the per-group fit of its scoring
+    pass of the same rows (DeviationMatrix.group_fit), or the same values
+    read back, and must hold every group with its size. Without `fit` they
+    are None. The threshold must be finite and positive, q in (0, 1), every
+    contrast's groups among the labels, and there must be a region.
     """
-    _check_threshold(threshold)
-    z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
-    group_arr = np.asarray(list(groups))
-    if group_arr.shape[0] != z_matrix.shape[0]:
+    if not 0 < threshold < math.inf:
+        raise InputError(f"extreme threshold must be finite and positive, got {threshold}")
+    if not 0.0 < q < 1.0:
+        raise InputError(f"FDR level must be in (0, 1), got {q}")
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    e = np.atleast_2d(np.asarray(e, dtype=float))
+    regions = list(regions)
+    if not regions:
+        raise InputError("the deviation matrix has no region columns")
+    if z.shape != e.shape or z.shape[1] != len(regions):
         raise InputError(
-            f"{group_arr.shape[0]} group labels for {z_matrix.shape[0]} deviation rows"
+            f"deviations {z.shape}, errors {e.shape} and {len(regions)} regions disagree"
         )
+    group_arr = np.asarray(list(groups))
+    if group_arr.shape[0] != z.shape[0]:
+        raise InputError(f"{group_arr.shape[0]} group labels for {z.shape[0]} deviation rows")
     sizes = collections.Counter(group_arr.tolist())
-    labels = tuple(sorted(sizes))
+    for g1, g2 in contrasts:
+        for g in (g1, g2):
+            if g not in sizes:
+                raise InputError(f"contrast group '{g}' absent from the scored cohort")
+        if min(sizes[g1], sizes[g2]) < 2:
+            log.warning(
+                "contrast %s vs %s untestable: group sizes %d and %d",
+                g1, g2, sizes[g1], sizes[g2],
+            )
     if fit is not None and {label: g["n"] for label, g in fit.items()} != sizes:
         raise InputError(f"the per-group fit is not of these rows' groups {dict(sizes)}")
-    per_group: dict[str, dict] = {}
-    for label in labels:
-        z = z_matrix[group_arr == label]
-        entry: dict = {"n": int(z.shape[0]), "explained_variance": None, "msll": None}
-        if fit is not None:
-            entry["explained_variance"] = fit[label]["explained_variance"]
-            entry["msll"] = fit[label]["msll"]
-        entry["mean_abs_deviation"] = float(np.mean(np.abs(z)))
-        entry["mean_deviation"] = float(np.mean(z))
-        entry["extreme_rate"] = float(np.mean(np.abs(z) > threshold))
-        per_group[label] = entry
 
+    summary: list[list] = []
+    per_group: dict[str, dict] = {}
+    for label in sorted(sizes):
+        rows = z[group_arr == label]
+        pos = np.mean(rows > threshold, axis=0)
+        neg = np.mean(rows < -threshold, axis=0)
+        summary.extend(
+            [label, region, rows.shape[0], *cells]
+            for region, *cells in zip(regions, rows.mean(axis=0), pos, neg, pos + neg)
+        )
+        abs_rows = np.abs(rows)
+        per_group[label] = {
+            "n": int(rows.shape[0]),
+            "explained_variance": None if fit is None else fit[label]["explained_variance"],
+            "msll": None if fit is None else fit[label]["msll"],
+            "mean_abs_deviation": float(np.mean(abs_rows)),
+            "mean_deviation": float(np.mean(rows)),
+            "extreme_rate": float(np.mean(abs_rows > threshold)),
+        }
     gaps: dict[str, float | None] = {}
     for metric in _PARITY_METRICS:
-        vals = [e[metric] for e in per_group.values() if e[metric] is not None]
+        vals = [entry[metric] for entry in per_group.values() if entry[metric] is not None]
         gaps[metric] = float(max(vals) - min(vals)) if vals else None
-    return ParityReport(groups=labels, per_group=per_group, gaps=gaps)
+
+    tests: list[list] = []
+    table4: list[list] = []
+    for metric, values in (("deviation", z), ("error", e)):
+        for contrast in contrasts:
+            welch = group_difference(values, group_arr, contrast)
+            testable = welch.testable
+            flags = np.zeros(len(regions), dtype=bool)
+            pct = math.nan
+            if testable.any():
+                flags[testable] = bh_fdr(welch.p[testable], q)
+                pct = 100.0 * (np.count_nonzero(flags) / np.count_nonzero(testable))
+            label = f"{contrast[0]}:{contrast[1]}"
+            tests.extend(
+                [label, metric, region, t, p, int(flag)]
+                for region, t, p, flag in zip(regions, welch.t, welch.p, flags)
+            )
+            table4.append([label, metric, pct])
+
+    return AuditTables(
+        summary=(
+            ("group", "region", "n", "mean_deviation",
+             "pct_extreme_pos", "pct_extreme_neg", "pct_extreme_total"),
+            summary,
+        ),
+        tests=(("contrast", "metric", "region", "t", "p", "fdr_flag"), tests),
+        table4=(("contrast", "metric", "pct_significant"), table4),
+        parity={
+            "threshold": threshold,
+            "q": q,
+            "method": {"test": "welch_two_sample", "correction": "benjamini_hochberg"},
+            "per_group": per_group,
+            "gaps": gaps,
+        },
+    )

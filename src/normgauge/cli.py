@@ -52,6 +52,8 @@ from ._version import __version__
 from .errors import InputError, NormgaugeError, SchemaError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .cohort import Cohort, CohortSchema
 
 log = logging.getLogger(__name__)
@@ -151,11 +153,24 @@ def _parse_fractions(text: str) -> dict[str, float]:
     return out
 
 
-def _by_id(ids: list[str]) -> list[int]:
-    """Every row of a matrix file, in sorted-id order: read_matrix_csv's rows
-    for audit and classify, so that their outputs follow the ids, not the
-    file's row order (a scoring pass holds its rows in that order too)."""
-    return sorted(range(len(ids)), key=ids.__getitem__)
+def _read_scores(path: str) -> tuple[list[str], list[str], np.ndarray]:
+    """A deviations or errors matrix for audit and classify, its rows in
+    sorted-id order, so that their outputs follow the ids, not the file's
+    row order (a scoring pass holds its rows in that order too).
+
+    A non-finite cell raises InputError naming the file, as a non-finite
+    feature value does, so the command that reads it writes nothing.
+    """
+    import numpy as np
+
+    from .serialize import read_matrix_csv
+
+    ids, regions, values = read_matrix_csv(
+        path, lambda ids: sorted(range(len(ids)), key=ids.__getitem__)
+    )
+    if not np.isfinite(values).all():
+        raise InputError(f"{path}: non-finite values")
+    return ids, regions, values
 
 
 def _races(ids: list[str], covariates: Cohort) -> list[str]:
@@ -429,17 +444,9 @@ def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .audit import (
-        bh_fdr,
-        group_difference,
-        group_parity,
-        group_summary,
-        significant_fraction,
-    )
+    from .audit import audit_tables
     from .cohort import _join_features, read_covariates
-    from .serialize import read_matrix_csv, write_csv
+    from .serialize import write_csv
 
     cfg = _resolve(
         args, required=("deviations", "errors", "covariates", "out", "contrasts")
@@ -453,33 +460,21 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if not 0.0 < threshold < math.inf:
         raise InputError(f"--threshold must be finite and positive, got {threshold}")
     with recorded_digests() as read:
-        ids_z, regions_z, z_matrix = read_matrix_csv(cfg["deviations"], _by_id)
-        ids_e, regions_e, e_matrix = read_matrix_csv(cfg["errors"], _by_id)
+        ids_z, regions_z, z_matrix = _read_scores(cfg["deviations"])
+        ids_e, regions_e, e_matrix = _read_scores(cfg["errors"])
         if ids_z != ids_e or regions_z != regions_e:
             raise SchemaError("deviations and errors files disagree on ids or regions")
         schema = _schema_from(cfg)
         covariates, incomplete = read_covariates(Path(cfg["covariates"]), schema)
     groups = _races(ids_z, covariates)
-    sizes = collections.Counter(groups)
     contrasts = _parse_contrasts(cfg["contrasts"])
-    for g1, g2 in contrasts:
-        for g in (g1, g2):
-            if g not in sizes:
-                raise InputError(f"contrast group '{g}' absent from the scored cohort")
-        # group_difference gives such a contrast NaN in every region, for each
-        # metric; it is reported once
-        if min(sizes[g1], sizes[g2]) < 2:
-            log.warning(
-                "contrast %s vs %s untestable: group sizes %d and %d",
-                g1, g2, sizes[g1], sizes[g2],
-            )
 
     # every input is read and every result computed before the first write,
     # so a failed audit leaves no partial output tree behind
     fit = None
     if cfg["bundle"] is not None:
         # EV and MSLL from evaluate's scoring pass, where it was of these inputs
-        fit = _recorded_group_fit(cfg, read, sizes)
+        fit = _recorded_group_fit(cfg, read, collections.Counter(groups))
         if fit is None:
             from .blr import deviations, load_bundle
 
@@ -491,85 +486,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 keep=lambda joined: joined.subset_by_ids(ids_z),
             )
             fit = deviations(model, cohort).group_fit
-    parity = group_parity(z_matrix, groups, threshold, fit)
-
-    summary = group_summary(z_matrix, groups, regions_z, threshold)
-    rows = []
-    for label in summary.groups:
-        for j, region in enumerate(summary.regions):
-            rows.append(
-                [
-                    label,
-                    region,
-                    summary.group_sizes[label],
-                    summary.mean_deviation[label][j],
-                    summary.pct_extreme_pos[label][j],
-                    summary.pct_extreme_neg[label][j],
-                    summary.pct_extreme_total[label][j],
-                ]
-            )
-    test_rows = []
-    table4_rows = []
-    for metric_name, matrix in (("deviation", z_matrix), ("error", e_matrix)):
-        for contrast in contrasts:
-            welch = group_difference(matrix, groups, contrast)
-            flags = np.zeros(len(regions_z), dtype=bool)
-            testable = welch.testable
-            if testable.any():
-                flags[testable] = bh_fdr(welch.p[testable], q)
-                pct = 100.0 * significant_fraction(flags[testable])
-            else:
-                pct = float("nan")
-            contrast_label = f"{contrast[0]}:{contrast[1]}"
-            for j, region in enumerate(regions_z):
-                test_rows.append(
-                    [
-                        contrast_label,
-                        metric_name,
-                        region,
-                        welch.t[j],
-                        welch.p[j],
-                        int(flags[j]),
-                    ]
-                )
-            table4_rows.append([contrast_label, metric_name, pct])
+    tables = audit_tables(
+        z_matrix, e_matrix, groups, regions_z, contrasts, q, threshold, fit
+    )
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "audit_summary.csv",
-        [
-            "group",
-            "region",
-            "n",
-            "mean_deviation",
-            "pct_extreme_pos",
-            "pct_extreme_neg",
-            "pct_extreme_total",
-        ],
-        rows,
-    )
-    write_csv(
-        out / "audit_tests.csv",
-        ["contrast", "metric", "region", "t", "p", "fdr_flag"],
-        test_rows,
-    )
-    write_csv(
-        out / "table4.csv", ["contrast", "metric", "pct_significant"], table4_rows
-    )
-    dump_json(
-        {
-            "threshold": threshold,
-            "q": q,
-            "method": {
-                "test": "welch_two_sample",
-                "correction": "benjamini_hochberg",
-            },
-            "per_group": parity.per_group,
-            "gaps": parity.gaps,
-        },
-        out / "parity.json",
-    )
+    write_csv(out / "audit_summary.csv", *tables.summary)
+    write_csv(out / "audit_tests.csv", *tables.tests)
+    write_csv(out / "table4.csv", *tables.table4)
+    dump_json(tables.parity, out / "parity.json")
     _write_run_config(out, "audit", cfg)
     return 0
 
@@ -584,10 +510,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         write_roc_points,
     )
     from .cohort import read_covariates
-    from .serialize import read_matrix_csv
 
     cfg = _resolve(args, required=("deviations", "covariates", "out"))
-    ids, _regions, z_matrix = read_matrix_csv(cfg["deviations"], _by_id)
+    ids, _regions, z_matrix = _read_scores(cfg["deviations"])
     covariates, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
     labels = _races(ids, covariates)
     clf_config = ClassifierConfig(

@@ -25,6 +25,7 @@ from normgauge import (
     SplitSpec,
     SynthSpec,
     WarpParams,
+    audit_tables,
     bh_fdr,
     cross_validate,
     deviations,
@@ -32,7 +33,6 @@ from normgauge import (
     generate,
     group_difference,
     roc_points,
-    significant_fraction,
     stratified_split,
     warp_forward,
     warp_inverse,
@@ -231,14 +231,16 @@ def _table4_run(include_race):
     group_means = {
         g: float(dm.Z[np.asarray(races) == g].mean()) for g in ("A", "B", "W")
     }
-    pct = {}
     for g in ("A", "B"):
         welch = group_difference(dm.Z, races, ("W", g))
         # the numpy t tail against scipy's, at every (t, df) of the audit
         want = 2.0 * stdtr(welch.df, -np.abs(welch.t))
         np.testing.assert_allclose(welch.p, want, rtol=1e-12, atol=0)
-        flags = bh_fdr(welch.p[welch.testable], q=0.05)
-        pct[g] = significant_fraction(flags)
+    # Table 4: % of FDR-significant regions per contrast, in deviations
+    _, table4 = audit_tables(
+        dm.Z, dm.E, races, test.regions, [("W", "A"), ("W", "B")], q=0.05
+    ).table4
+    pct = {contrast[-1]: value for contrast, metric, value in table4 if metric == "deviation"}
     return group_means, pct
 
 
@@ -250,16 +252,16 @@ def test_criterion_6_table4_pattern():
         assert -2.2 < blind_means[g] < -1.8, f"race-blind mean Z[{g}] {blind_means[g]:.3f}"
         assert abs(incl_means[g]) < 0.1, f"race-included mean Z[{g}] {incl_means[g]:.3f}"
         assert incl_pct[g] < blind_pct[g], (
-            f"% significant for {g}: included {incl_pct[g]:.3f} "
-            f"not below blind {blind_pct[g]:.3f}"
+            f"% significant for {g}: included {incl_pct[g]:.1f} "
+            f"not below blind {blind_pct[g]:.1f}"
         )
     assert abs(blind_means["W"]) < 0.1, f"race-blind mean Z[W] {blind_means['W']:.3f}"
-    assert blind_pct["A"] > 0.5 and blind_pct["B"] > 0.5
+    assert blind_pct["A"] > 50.0 and blind_pct["B"] > 50.0
     return (
         f"blind mean Z A/B {blind_means['A']:.2f}/{blind_means['B']:.2f}, "
         f"included {incl_means['A']:.3f}/{incl_means['B']:.3f}; "
-        f"%sig blind {100 * blind_pct['A']:.0f}/{100 * blind_pct['B']:.0f}, "
-        f"included {100 * incl_pct['A']:.0f}/{100 * incl_pct['B']:.0f}"
+        f"%sig blind {blind_pct['A']:.0f}/{blind_pct['B']:.0f}, "
+        f"included {incl_pct['A']:.0f}/{incl_pct['B']:.0f}"
     )
 
 

@@ -13,14 +13,12 @@ from normgauge import (
     NumericalError,
     SynthSpec,
     WarpParams,
+    audit_tables,
     bh_fdr,
     deviations,
     fit_normative,
     generate,
     group_difference,
-    group_parity,
-    group_summary,
-    significant_fraction,
     t_two_sided_p,
 )
 from normgauge import audit
@@ -47,42 +45,76 @@ def make_race_cohort(rng, n_per_race, d=2, shift=None):
     )
 
 
-class TestGroupSummary:
+def summary_rows(z, groups, threshold=2.0):
+    """audit_tables' audit_summary rows of z, keyed by (group, region)."""
+    z = np.asarray(z, dtype=float)
+    regions = [f"r{j}" for j in range(z.shape[1])]
+    header, rows = audit_tables(z, z, groups, regions, [], threshold=threshold).summary
+    return {(row[0], row[1]): dict(zip(header, row)) for row in rows}
+
+
+class TestSummaryTable:
     worked = np.array([[2.5], [-2.1], [0.3], [1.9]])
 
     def test_worked_extreme_rates_default_threshold(self):
-        out = group_summary(self.worked, ["g"] * 4, threshold=2.0)
-        assert out.pct_extreme_pos["g"][0] == 0.25
-        assert out.pct_extreme_neg["g"][0] == 0.25
-        assert out.pct_extreme_total["g"][0] == 0.5
-        assert out.mean_deviation["g"][0] == pytest.approx(0.65, abs=1e-15)
+        out = summary_rows(self.worked, ["g"] * 4, threshold=2.0)[("g", "r0")]
+        assert out["n"] == 4
+        assert out["pct_extreme_pos"] == 0.25
+        assert out["pct_extreme_neg"] == 0.25
+        assert out["pct_extreme_total"] == 0.5
+        assert out["mean_deviation"] == pytest.approx(0.65, abs=1e-15)
 
     def test_worked_extreme_rates_low_threshold(self):
         # 0.3 is not beyond the threshold 0.3: strictly greater counts
-        out = group_summary(self.worked, ["g"] * 4, threshold=0.3)
-        assert out.pct_extreme_total["g"][0] == 0.75
+        out = summary_rows(self.worked, ["g"] * 4, threshold=0.3)[("g", "r0")]
+        assert out["pct_extreme_total"] == 0.75
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(30, 4))
         labels = list(np.where(rng.random(30) < 0.5, "A", "W"))
-        base = group_summary(z, labels)
+        base = summary_rows(z, labels)
         perm = rng.permutation(30)
-        shuffled = group_summary(z[perm], [labels[i] for i in perm])
-        for g in base.groups:
-            np.testing.assert_allclose(
-                base.mean_deviation[g], shuffled.mean_deviation[g], atol=1e-14
+        shuffled = summary_rows(z[perm], [labels[i] for i in perm])
+        assert list(base) == list(shuffled) == [
+            (g, f"r{j}") for g in ("A", "W") for j in range(4)
+        ]
+        for key, row in base.items():
+            assert row["mean_deviation"] == pytest.approx(
+                shuffled[key]["mean_deviation"], abs=1e-14
             )
-            np.testing.assert_array_equal(
-                base.pct_extreme_total[g], shuffled.pct_extreme_total[g]
-            )
+            assert row["pct_extreme_total"] == shuffled[key]["pct_extreme_total"]
 
     def test_bad_inputs_rejected(self):
         for threshold in (0.0, np.nan, np.inf):
             with pytest.raises(InputError):
-                group_summary(self.worked, ["g"] * 4, threshold=threshold)
+                summary_rows(self.worked, ["g"] * 4, threshold=threshold)
         with pytest.raises(InputError):
-            group_summary(self.worked, ["g"] * 3)
+            summary_rows(self.worked, ["g"] * 3)
+
+
+class TestAuditTables:
+    def test_no_region_rejected(self):
+        # parity would be the mean of no cells, which parity.json cannot hold
+        z = np.zeros((4, 0))
+        with pytest.raises(InputError, match="no region columns"):
+            audit_tables(z, z, ["a", "a", "b", "b"], [], [("a", "b")])
+
+    def test_absent_contrast_group_rejected(self):
+        z = np.zeros((4, 1))
+        with pytest.raises(InputError, match="contrast group 'c' absent"):
+            audit_tables(z, z, ["a", "a", "b", "b"], ["r0"], [("a", "c")])
+
+    def test_bad_fdr_level_rejected(self):
+        # checked even where no contrast is tested
+        z = np.zeros((4, 1))
+        for q in (0.0, 1.0, np.nan):
+            with pytest.raises(InputError, match="FDR level"):
+                audit_tables(z, z, ["a", "a", "b", "b"], ["r0"], [], q=q)
+
+    def test_errors_of_another_shape_rejected(self):
+        with pytest.raises(InputError, match="disagree"):
+            audit_tables(np.zeros((4, 2)), np.zeros((4, 1)), ["a"] * 4, ["r0", "r1"], [])
 
 
 class TestGroupDifference:
@@ -329,21 +361,47 @@ class TestBhFdr:
         assert bh_fdr(np.zeros(0)).size == 0
 
 
+def table4_pct(flagged, regions, groups=("a", "a", "b", "b")):
+    """Table 4's value for a:b over `regions` regions with exactly `flagged`
+    of them certain differences (p = 0) and the rest perfect nulls (p = 1)."""
+    z = np.zeros((len(groups), regions))
+    z[[g == "b" for g in groups], :flagged] = 1.0
+    _, rows = audit_tables(
+        z, z, list(groups), [f"r{j}" for j in range(regions)], [("a", "b")]
+    ).table4
+    assert [row[:2] for row in rows] == [["a:b", "deviation"], ["a:b", "error"]]
+    assert rows[0][2] == rows[1][2] or math.isnan(rows[0][2])
+    return rows[0][2]
+
+
 class TestSignificantFraction:
+    """Table 4's % of testable regions flagged, exactly 100 * (flagged / testable)."""
+
     def test_exact_fraction(self):
-        assert significant_fraction([True, False, True, False]) == 0.5
-        flags = np.zeros(148, dtype=bool)
-        flags[:3] = True
-        assert significant_fraction(flags) == 3 / 148
+        assert table4_pct(2, 4) == 50.0
+        assert table4_pct(3, 148) == 100.0 * (3 / 148)
 
     def test_none_flagged(self):
-        assert significant_fraction(np.zeros(7, dtype=bool)) == 0.0
+        assert table4_pct(0, 7) == 0.0
 
-    def test_empty_is_nan(self):
-        assert math.isnan(significant_fraction(np.zeros(0, dtype=bool)))
+    def test_empty_is_nan(self, caplog):
+        # one member of a: no region is testable, and one warning says so
+        with caplog.at_level("WARNING", logger="normgauge"):
+            assert math.isnan(table4_pct(0, 3, groups=("a", "b", "b")))
+        assert [r.getMessage() for r in caplog.records] == [
+            "contrast a vs b untestable: group sizes 1 and 2"
+        ]
 
 
-class TestParityReport:
+def parity_of(dm, cohort, races=None, threshold=2.0, fit=None):
+    """The parity.json document of audit_tables for a scoring pass."""
+    races = cohort.races if races is None else races
+    return audit_tables(
+        dm.Z, dm.E, races, cohort.regions, [], threshold=threshold, fit=fit
+    ).parity
+
+
+class TestParityTable:
     def fit_and_split(self, rng, n_train, n_test_per_race, shift=None):
         train = make_race_cohort(rng, {"W": n_train})
         model = fit_normative(
@@ -356,10 +414,10 @@ class TestParityReport:
         rng = np.random.default_rng(17)
         model, test = self.fit_and_split(rng, 800, {"A": 1000, "W": 1000})
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, fit=dm.group_fit)
-        assert report.groups == ("A", "W")
-        assert report.gaps["explained_variance"] < 0.05
-        assert report.gaps["extreme_rate"] < 0.03
+        report = parity_of(dm, test, fit=dm.group_fit)
+        assert list(report["per_group"]) == ["A", "W"]
+        assert report["gaps"]["explained_variance"] < 0.05
+        assert report["gaps"]["extreme_rate"] < 0.03
 
     def test_shifted_group_detected(self):
         rng = np.random.default_rng(23)
@@ -368,28 +426,29 @@ class TestParityReport:
             rng, 800, {"A": 600, "W": 600}, shift={"A": 0.3}
         )
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, fit=dm.group_fit)
-        assert report.per_group["A"]["mean_deviation"] == pytest.approx(1.0, abs=0.2)
-        assert report.per_group["W"]["mean_deviation"] == pytest.approx(0.0, abs=0.2)
-        assert report.per_group["A"]["msll"] > report.per_group["W"]["msll"]
-        assert report.gaps["msll"] > 0.0
+        report = parity_of(dm, test, fit=dm.group_fit)
+        per_group = report["per_group"]
+        assert per_group["A"]["mean_deviation"] == pytest.approx(1.0, abs=0.2)
+        assert per_group["W"]["mean_deviation"] == pytest.approx(0.0, abs=0.2)
+        assert per_group["A"]["msll"] > per_group["W"]["msll"]
+        assert report["gaps"]["msll"] > 0.0
 
     def test_single_group_gaps_zero(self):
         rng = np.random.default_rng(29)
         model, test = self.fit_and_split(rng, 400, {"W": 300})
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, fit=dm.group_fit)
-        assert report.groups == ("W",)
-        assert report.gaps["explained_variance"] == 0.0
-        assert report.gaps["msll"] == 0.0
-        assert report.gaps["extreme_rate"] == 0.0
+        report = parity_of(dm, test, fit=dm.group_fit)
+        assert list(report["per_group"]) == ["W"]
+        assert report["gaps"]["explained_variance"] == 0.0
+        assert report["gaps"]["msll"] == 0.0
+        assert report["gaps"]["extreme_rate"] == 0.0
 
     def test_label_length_mismatch(self):
         rng = np.random.default_rng(31)
         model, test = self.fit_and_split(rng, 300, {"W": 100})
         dm = deviations(model, test)
         with pytest.raises(InputError):
-            group_parity(dm.Z, ["W"] * 5, fit=dm.group_fit)
+            parity_of(dm, test, races=["W"] * 5, fit=dm.group_fit)
 
     def test_fit_of_other_groups_rejected(self):
         rng = np.random.default_rng(37)
@@ -397,18 +456,19 @@ class TestParityReport:
         dm = deviations(model, test)
         races = list(test.races)
         fit = dm.group_fit
-        assert group_parity(dm.Z, races, fit=fit).per_group["A"]["msll"] == fit["A"]["msll"]
+        assert parity_of(dm, test, fit=fit)["per_group"]["A"]["msll"] == fit["A"]["msll"]
         smaller = {**fit, "A": {**fit["A"], "n": 39}}
         missing = {"W": fit["W"]}
         for other in (smaller, missing):
             with pytest.raises(InputError, match="not of these rows' groups"):
-                group_parity(dm.Z, races, fit=other)
+                parity_of(dm, test, races=races, fit=other)
 
     def test_bad_threshold_rejected(self):
-        # as group_summary rejects it; a NaN threshold counted no cell extreme
+        # a NaN threshold would count no cell extreme
+        z = np.zeros((4, 2))
         for threshold in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InputError, match="finite and positive"):
-                group_parity(np.zeros((4, 2)), ["a", "a", "b", "b"], threshold)
+                audit_tables(z, z, ["a", "a", "b", "b"], ["r0", "r1"], [], threshold=threshold)
 
     @pytest.mark.parametrize(
         "noise_skew",
@@ -438,7 +498,7 @@ class TestParityReport:
         assert any(warped) == (noise_skew is not None)
         test = cohort.subset(np.setdiff1d(np.arange(cohort.n_subjects), w_rows[:300]))
         dm = deviations(model, test)
-        report = group_parity(dm.Z, test.races, 1.5, dm.group_fit)
+        report = parity_of(dm, test, threshold=1.5, fit=dm.group_fit)
         test_races = np.asarray(test.races)
         expected = {}
         for label in ("A", "B", "W"):
@@ -455,9 +515,8 @@ class TestParityReport:
                 "mean_deviation": float(np.mean(z)),
                 "extreme_rate": float(np.mean(np.abs(z) > 1.5)),
             }
-        assert report.groups == ("A", "B", "W")
-        for label in report.groups:
-            assert report.per_group[label] == expected[label], label
-        for metric, gap in report.gaps.items():
+        assert list(report["per_group"]) == ["A", "B", "W"]
+        assert report["per_group"] == expected
+        for metric, gap in report["gaps"].items():
             vals = [e[metric] for e in expected.values()]
             assert gap == max(vals) - min(vals), metric

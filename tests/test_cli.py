@@ -246,6 +246,49 @@ class TestEvaluateOnTrain:
             ).read_bytes()
 
 
+class TestAuditBytes:
+    """The four audit tables of the pipeline, pinned by their SHA-256 as the
+    audit wrote them when the CLI assembled its tables itself; only
+    parity.json depends on the model (EV and MSLL)."""
+
+    DIGESTS = {
+        "audit_summary.csv": "877fa510f1a7a918f66278b895de4b20f6751126d8adf953bdb02adf33807539",
+        "audit_tests.csv": "40e578a68f2d3527b33ecc706ba7efffca8f2810e33c5e987af2e6bc6cf9a383",
+        "table4.csv": "b82d014f8a7b5538ced649a247f1b22367c4189da3633159a30bb12fce2e846a",
+    }
+
+    @staticmethod
+    def digests(out):
+        return {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("audit_summary.csv", "audit_tests.csv", "table4.csv", "parity.json")
+        }
+
+    def test_with_model(self, pipeline):
+        assert self.digests(pipeline["audit"]) == {
+            **self.DIGESTS,
+            "parity.json": "084993a3c6cd1cb53a21e522ebed62c25661b0dda22bd44feb7bc130ecbb8d97",
+        }
+
+    def test_without_model(self, pipeline, tmp_path):
+        out = tmp_path / "audit"
+        assert (
+            run_cli(
+                "audit",
+                "--deviations", pipeline["eval"] / "deviations.csv",
+                "--errors", pipeline["eval"] / "errors.csv",
+                "--covariates", pipeline["data"] / "covariates.csv",
+                "--out", out,
+                "--contrasts", "W:A", "W:B",
+            )
+            == 0
+        )
+        assert self.digests(out) == {
+            **self.DIGESTS,
+            "parity.json": "a1dd892ccf0bd18bbc78e18c9d52246cbe64d6eb612595e14d58bf0f745062f8",
+        }
+
+
 class TestDeterminism:
     def test_forked_fit_warns_nothing(self, pipeline, tmp_path, monkeypatch):
         # with BLAS threads left to the library, the regions are still fitted
@@ -1124,6 +1167,60 @@ class TestExitCodes:
         assert f"duplicate id '{repeated}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    @pytest.mark.parametrize(
+        "command, name",
+        [("audit", "deviations"), ("audit", "errors"), ("classify", "deviations")],
+    )
+    def test_non_finite_matrix_cell_exit_two(
+        self, pipeline, tmp_path, capsys, command, name, cell
+    ):
+        # rejected as a non-finite feature value is, before anything is written
+        matrices = {}
+        for key in ("deviations", "errors"):
+            matrices[key] = tmp_path / f"{key}.csv"
+            shutil.copyfile(pipeline["eval"] / f"{key}.csv", matrices[key])
+        header, first, *rest = matrices[name].read_text(encoding="utf-8").splitlines()
+        sid, _, cells = first.partition(",")
+        spoiled = f"{sid},{cell},{cells.partition(',')[2]}"
+        matrices[name].write_text("\n".join([header, spoiled, *rest]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        common = (
+            "--deviations", matrices["deviations"],
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", out,
+        )
+        if command == "audit":
+            code = run_cli(
+                "audit", *common, "--errors", matrices["errors"], "--contrasts", "W:A"
+            )
+        else:
+            code = run_cli("classify", *common, "--folds", "3")
+        assert code == 2
+        assert f"error: {matrices[name]}: non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_audit_matrix_without_regions_exit_two(self, pipeline, tmp_path, capsys):
+        matrices = {}
+        for name in ("deviations", "errors"):
+            lines = (pipeline["eval"] / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+            matrices[name] = tmp_path / f"{name}.csv"
+            matrices[name].write_text(
+                "".join(line.split(",")[0] + "\n" for line in lines), encoding="utf-8"
+            )
+        out = tmp_path / "out"
+        code = run_cli(
+            "audit",
+            "--deviations", matrices["deviations"],
+            "--errors", matrices["errors"],
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--out", out,
+            "--contrasts", "W:A",
+        )
+        assert code == 2
+        assert "the deviation matrix has no region columns" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _outputs(root):
     """Every file under root but run_config.json, by path relative to root."""
@@ -1793,6 +1890,7 @@ class TestPublicNames:
     def test_exported_names(self):
         # an export is a deliberate edit of this list
         assert normgauge.__all__ == [
+            "AuditTables",
             "BasisConfig",
             "ClassifierConfig",
             "ClassifierReport",
@@ -1801,7 +1899,6 @@ class TestPublicNames:
             "DesignMatrix",
             "DesignSchema",
             "DeviationMatrix",
-            "GroupSummary",
             "Hyperparams",
             "InputError",
             "ModelConfig",
@@ -1809,7 +1906,6 @@ class TestPublicNames:
             "NormgaugeError",
             "NumericalError",
             "OvrLogisticModel",
-            "ParityReport",
             "RegionFitMetrics",
             "RegionModel",
             "RegionPrediction",
@@ -1820,6 +1916,7 @@ class TestPublicNames:
             "WelchResult",
             "apply_design",
             "audit",
+            "audit_tables",
             "bh_fdr",
             "blr",
             "classify",
@@ -1837,8 +1934,6 @@ class TestPublicNames:
             "fit_region",
             "generate",
             "group_difference",
-            "group_parity",
-            "group_summary",
             "load_bundle",
             "load_cohort",
             "predict_region",
@@ -1847,7 +1942,6 @@ class TestPublicNames:
             "save_bundle",
             "save_cohort",
             "serialize",
-            "significant_fraction",
             "spline_basis",
             "stratified_folds",
             "stratified_split",
