@@ -3,12 +3,12 @@
     python -m pytest invariance
 
 Each test runs the commands as `python -m normgauge.cli` in subprocesses and
-compares the files they write. On Linux with two or more usable CPUs, fit's
-regions, the matrix CSVs' row chunks and classify's binary fits run in
-forked children, each on one BLAS thread; under `taskset -c 0` they run
-in-process at the BLAS library's thread count, and with
-OPENBLAS_NUM_THREADS=1 everything runs on one BLAS thread. The module fails,
-rather than skips, on a host where the forked paths would not run. It needs
+compares the files they write; one also calls main() in its own process. On
+Linux with two or more usable CPUs, fit's regions, the matrix CSVs' row
+chunks and classify's binary fits run in forked children, each on one BLAS
+thread; under `taskset -c 0` they run in-process at the BLAS library's
+thread count, and with OPENBLAS_NUM_THREADS=1 everything runs on one BLAS
+thread. The module fails, rather than skips, on a host where the forked paths would not run. It needs
 no scipy, and takes about 20 s on two CPUs.
 """
 
@@ -54,6 +54,23 @@ def forked_host():
     assert len(os.sched_getaffinity(0)) >= 2, "2 or more usable CPUs are needed to fork"
 
 
+def pipeline_stages(root):
+    """The argv of synth, fit, evaluate, audit, classify and report, run from
+    root / "spec.json" and writing under root."""
+    data, fit, ev = root / "data", root / "fit", root / "eval"
+    yield "synth", "--spec", root / "spec.json", "--out", data
+    yield ("fit", "--covariates", data / "covariates.csv", "--features", data / "features.csv",
+           "--out", fit, "--default-train-frac", "0.8")
+    yield ("evaluate", "--bundle", fit, "--covariates", data / "covariates.csv",
+           "--features", data / "features.csv", "--ids", fit / "test_ids.txt", "--out", ev)
+    yield ("audit", "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
+           "--covariates", data / "covariates.csv", "--contrasts", "W:A", "W:B",
+           "--bundle", fit, "--features", data / "features.csv", "--out", root / "audit")
+    yield ("classify", "--deviations", ev / "deviations.csv",
+           "--covariates", data / "covariates.csv", "--folds", "4", "--out", root / "clf")
+    yield "report", "--run-dir", root
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth, fit, evaluate, audit, classify and report, each exiting 0."""
@@ -61,18 +78,8 @@ def pipeline(tmp_path_factory):
     spec = {"n_per_group": {"A": 30, "B": 30, "W": 140}, "n_regions": 4,
             "noise_sd": 0.25, "seed": 0}
     (root / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
-    data, fit, ev = root / "data", root / "fit", root / "eval"
-    run("synth", "--spec", root / "spec.json", "--out", data)
-    run("fit", "--covariates", data / "covariates.csv", "--features", data / "features.csv",
-        "--out", fit, "--default-train-frac", "0.8")
-    run("evaluate", "--bundle", fit, "--covariates", data / "covariates.csv",
-        "--features", data / "features.csv", "--ids", fit / "test_ids.txt", "--out", ev)
-    run("audit", "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
-        "--covariates", data / "covariates.csv", "--contrasts", "W:A", "W:B",
-        "--bundle", fit, "--features", data / "features.csv", "--out", root / "audit")
-    run("classify", "--deviations", ev / "deviations.csv",
-        "--covariates", data / "covariates.csv", "--folds", "4", "--out", root / "clf")
-    run("report", "--run-dir", root)
+    for argv in pipeline_stages(root):
+        run(*argv)
     return root
 
 
@@ -101,6 +108,28 @@ def test_pipeline(pipeline):
             "--out", pipeline / out)
         same_bytes(pipeline / "eval", pipeline / out,
                    ["deviations.csv", "errors.csv", "metrics.csv", *names])
+
+
+def test_in_process(pipeline, tmp_path):
+    """The pipeline's commands called as main() in this process write the same
+    bytes as the command processes, every file but run_config.json."""
+    from normgauge.cli import main
+
+    shutil.copy(pipeline / "spec.json", tmp_path / "spec.json")
+    for argv in pipeline_stages(tmp_path):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    def outputs(root, tops):
+        return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))
+                if path.is_file() and path.name != "run_config.json"
+                and path.relative_to(root).parts[0] in tops}
+
+    # the pipeline's own files; other tests add runs beside them
+    tops = {path.name for path in tmp_path.iterdir()}
+    assert {"data", "fit", "eval", "audit", "clf", "report.md"} <= tops
+    got, want = outputs(tmp_path, tops), outputs(pipeline, tops)
+    assert got.keys() == want.keys()
+    assert [path for path in got if got[path] != want[path]] == []
 
 
 def test_imports_and_unused_rows(pipeline, tmp_path):

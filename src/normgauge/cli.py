@@ -22,14 +22,27 @@ read and of the deviations.csv it wrote; `audit --bundle --features` takes
 EV and MSLL from that file where every recorded digest is that of the file
 it was given, and then loads no blr at all. Otherwise it scores the cohort
 again; the outputs are the same bytes either way.
+
+Importing this module registers gc.freeze as an exit hook, so a command's
+process skips the interpreter's shutdown collections: at exit every live
+object moves to the permanent generation, which they do not visit. Nothing
+changes while a command runs, and an in-process `main` freezes nothing. It
+is safe because every file the package writes is closed by a `with` block,
+so no output waits on a collection (a test pins that no command leaves a
+file to the collector); forked children end in os._exit and never run it;
+logging.shutdown and the flush of the standard streams still run; and
+objects freed by their reference counts are still freed. Only cyclic
+garbage left at exit skips its finalizers.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import collections
 import contextlib
 import csv
+import gc
 import io
 import json
 import logging
@@ -57,6 +70,8 @@ if TYPE_CHECKING:
     from .cohort import Cohort, CohortSchema
 
 log = logging.getLogger(__name__)
+# at exit, move every live object out of the shutdown collections' reach
+atexit.register(gc.freeze)
 
 
 class _ConfigFile(argparse.Action):
@@ -158,8 +173,8 @@ def _read_scores(path: str) -> tuple[list[str], list[str], np.ndarray]:
     sorted-id order, so that their outputs follow the ids, not the file's
     row order (a scoring pass holds its rows in that order too).
 
-    A non-finite cell raises InputError naming the file, as a non-finite
-    feature value does, so the command that reads it writes nothing.
+    A matrix with no region columns or with a non-finite cell raises
+    InputError naming the file, so the command that reads it writes nothing.
     """
     import numpy as np
 
@@ -168,6 +183,8 @@ def _read_scores(path: str) -> tuple[list[str], list[str], np.ndarray]:
     ids, regions, values = read_matrix_csv(
         path, lambda ids: sorted(range(len(ids)), key=ids.__getitem__)
     )
+    if not regions:
+        raise InputError(f"{path}: no region columns")
     if not np.isfinite(values).all():
         raise InputError(f"{path}: non-finite values")
     return ids, regions, values

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import functools
+import gc
 import hashlib
 import json
 import logging
@@ -1200,7 +1201,8 @@ class TestExitCodes:
         assert f"error: {matrices[name]}: non-finite values" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_audit_matrix_without_regions_exit_two(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["audit", "classify"])
+    def test_matrix_without_regions_exit_two(self, pipeline, tmp_path, capsys, command):
         matrices = {}
         for name in ("deviations", "errors"):
             lines = (pipeline["eval"] / f"{name}.csv").read_text(encoding="utf-8").splitlines()
@@ -1209,16 +1211,19 @@ class TestExitCodes:
                 "".join(line.split(",")[0] + "\n" for line in lines), encoding="utf-8"
             )
         out = tmp_path / "out"
-        code = run_cli(
-            "audit",
+        common = (
             "--deviations", matrices["deviations"],
-            "--errors", matrices["errors"],
             "--covariates", pipeline["data"] / "covariates.csv",
             "--out", out,
-            "--contrasts", "W:A",
         )
+        if command == "audit":
+            code = run_cli(
+                "audit", *common, "--errors", matrices["errors"], "--contrasts", "W:A"
+            )
+        else:
+            code = run_cli("classify", *common, "--folds", "3")
         assert code == 2
-        assert "the deviation matrix has no region columns" in capsys.readouterr().err
+        assert f"{matrices['deviations']}: no region columns" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1848,6 +1853,85 @@ class TestImportCost:
             for r in json.loads((tmp_path / "fit" / "regions.json").read_text())["regions"]
         ]
         assert not all(WarpParams.from_dict(w).is_identity() for w in warps)
+
+
+# registers an exit handler before the CLI does, runs one command and exits
+# with its code; atexit runs handlers last in, first out, so this one runs
+# after the CLI's and prints the freeze count that the CLI's left
+_EXIT_PROBE = """
+import atexit, gc, json, sys
+atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))
+from normgauge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestExitHook:
+    """A command's process moves every live object to the permanent
+    generation at exit, so the shutdown collections skip them; an in-process
+    main freezes nothing."""
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_process_exits_frozen(self, pipeline, tmp_path, code):
+        run_dir = pipeline["root"] if code == 0 else tmp_path / "missing"
+        out = _python(
+            "-c", _EXIT_PROBE, "report", "--run-dir", run_dir, "--out", tmp_path / "report.md"
+        )
+        assert out.returncode == code, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) > 0
+
+    def test_in_process_main_freezes_nothing(self, pipeline, tmp_path):
+        before = gc.get_freeze_count()
+        argv = TestImportCost.argv(pipeline, tmp_path, "classify")
+        assert run_cli("classify", *argv) == 0
+        assert run_cli("report", "--run-dir", tmp_path / "missing") == 2
+        assert gc.get_freeze_count() == before
+
+
+class TestClosesWhatItOpens:
+    """Every command closes each file it opens, failed commands included, so
+    that no output waits on a garbage collection to be flushed: the exit hook
+    leaves none to run."""
+
+    def test_no_command_leaves_a_file_to_the_collector(self, tmp_path, monkeypatch):
+        caught = []
+        monkeypatch.setattr(sys, "unraisablehook", caught.append)
+
+        def check(code, *argv):
+            # an unclosed file warns where it is freed: at once, or in the collection
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                assert run_cli(*argv) == code, argv
+                gc.collect()
+
+        data, fit, ev = tmp_path / "data", tmp_path / "fit", tmp_path / "eval"
+        matrices = ("--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv")
+        covariates = ("--covariates", data / "covariates.csv")
+        features = ("--features", data / "features.csv")
+        check(0, "synth", "--spec", write_spec(tmp_path / "spec.json"), "--out", data)
+        check(0, "fit", *covariates, *features, "--default-train-frac", "0.8", "--out", fit)
+        check(0, "evaluate", "--bundle", fit, *covariates, *features,
+              "--ids", fit / "test_ids.txt", "--out", ev)
+        check(0, "audit", *matrices, *covariates, "--contrasts", "W:A", "W:B",
+              "--bundle", fit, *features, "--out", tmp_path / "audit")
+        check(0, "audit", *matrices, *covariates, "--contrasts", "W:A",
+              "--out", tmp_path / "audit-plain")
+        check(0, "classify", "--deviations", ev / "deviations.csv", *covariates,
+              "--folds", "4", "--out", tmp_path / "clf")
+        check(0, "report", "--run-dir", tmp_path)
+        # a matrix of ids alone, read and then rejected
+        lines = (ev / "deviations.csv").read_text(encoding="utf-8").splitlines()
+        ids = tmp_path / "ids.csv"
+        ids.write_text("".join(line.split(",")[0] + "\n" for line in lines), encoding="utf-8")
+        check(2, "audit", "--deviations", ids, "--errors", ids, *covariates,
+              "--contrasts", "W:A", "--out", tmp_path / "audit-ids")
+        # a features file whose first region the bundle does not know
+        renamed = tmp_path / "renamed.csv"
+        text = (data / "features.csv").read_text(encoding="utf-8")
+        renamed.write_text(text.replace("region_000", "region_zzz", 1), encoding="utf-8")
+        check(3, "evaluate", "--bundle", fit, *covariates, "--features", renamed,
+              "--out", tmp_path / "eval-renamed")
+        assert caught == []
 
 
 class TestReportResilience:
