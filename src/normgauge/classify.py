@@ -11,13 +11,19 @@ with t in {-1, +1} and the bias b unpenalized, minimized by damped Newton steps
 by class order). Evaluation is stratified k-fold cross-validation with
 per-class AUC from the raw one-vs-rest scores.
 
-The binary fits of all folds are independent: each depends only on its
-fold's training rows and its class. They run as one sequence of (fold,
-class) pairs cut into one chunk per usable CPU, every chunk after the first
-in a forked child (see _fit_folds and serialize._forked_iter), each chunk
-on one BLAS thread and, where OpenBLAS is found, on a usable CPU of its own.
-This process then scores the folds in order, so the report is the same on
-one CPU or many.
+The binary fits run in two rounds of (fold, class) pairs. The first fits
+fold 0's pairs from zero. The second fits every other fold's, each started
+from fold 0's converged fit of its class where lambda > 0: there the loss is
+strictly convex, so the start changes only how many steps reach its one
+optimum, and the folds share most of their training rows, so it starts near
+it (on the paper workload 65 Newton steps over 15 fits instead of 124). At
+lambda = 0 every fit starts from zero. Each round is cut into one chunk per
+usable CPU, every chunk after the first in a forked child (see _fit_folds
+and serialize._forked_iter), each chunk on one BLAS thread and, where
+OpenBLAS is found, on a usable CPU of its own. The second round depends only
+on the first round's fits, which are the same bits on any number of CPUs,
+and this process then scores the folds in order, so the report is the same
+on one CPU or many.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .serialize import _chunk_ranges, _forked_iter, _quoted, format_cell, write_csv
 
 log = logging.getLogger(__name__)
@@ -79,19 +85,24 @@ class OvrLogisticModel:
 
 
 def _fit_binary(
-    x: np.ndarray, target: np.ndarray, lam: float
+    x: np.ndarray, target: np.ndarray, lam: float, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, bool]:
     """Weights, bias and whether max |gradient| fell to _GTOL.
 
-    Damped Newton from zero: each step solves H s = g, with H formed as the
-    syrk xs^T xs plus the ridge, and is halved until the loss does not rise
-    by more than its rounding error. At lam = 0 the Hessian can be singular
-    (collinear features), so the fit runs in an orthonormal basis of the row
-    space of the bias-augmented features, found once: the loss depends on
-    the weights only through that space, the Hessian there is nonsingular,
-    and each step is the minimum-norm one. On separable data the loss then
-    falls geometrically and the gradient test stops the fit at finite
-    weights.
+    Damped Newton from start (the weights, bias last; None is zero): each
+    step solves H s = g, with H formed as the syrk xs^T xs plus the ridge,
+    and is halved until the loss does not rise by more than its rounding
+    error. At lam > 0 the loss is strictly convex, so its optimum is unique
+    and the start changes only how many steps reach it. A Hessian that is
+    singular all the same (a ridge lost to rounding) raises NumericalError.
+    At lam = 0 the Hessian can be singular (collinear features), so the fit
+    runs in an orthonormal basis of the row space of the bias-augmented
+    features, found once: the loss depends on the weights only through that
+    space, the Hessian there is nonsingular, and each step is the
+    minimum-norm one. On separable data the loss then falls geometrically
+    and the gradient test stops the fit at finite weights; that stopping
+    point depends on where the fit starts, so at lam = 0 it starts from
+    zero whatever start is.
     """
     n, d = x.shape
     xb = np.column_stack([x, np.ones(n)])
@@ -118,7 +129,7 @@ def _fit_binary(
         full = grad if basis is None else basis @ grad
         return loss, grad, -(softplus_pos + softplus_neg), float(np.max(np.abs(full)))
 
-    wb = np.zeros(k)
+    wb = start if start is not None and basis is None else np.zeros(k)
     loss, grad, log_weight, grad_max = evaluate(wb)
     converged = False
     for _ in range(_MAX_ITER):
@@ -128,7 +139,13 @@ def _fit_binary(
         xs = xb * np.exp(0.5 * log_weight)[:, None]
         hess = xs.T @ xs
         hess.flat[:: k + 1] += ridge
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                f"a logistic fit's Newton Hessian is singular at --l2 {lam!r}; "
+                "collinear features need a larger --l2"
+            ) from None
         for _ in range(_MAX_HALVINGS):
             cand = wb - step
             cand_loss, cand_grad, cand_log_weight, cand_grad_max = evaluate(cand)
@@ -173,14 +190,19 @@ def _fit_folds(
     """Per test-index array, the one-vs-rest model fitted on the rows outside
     it and how many of its binary fits did not converge.
 
-    The binary fits of all folds are one sequence of (fold, class) pairs, cut
-    into one contiguous chunk per usable CPU (serialize._chunk_ranges); every
-    chunk after the first runs in a forked child (serialize._forked_iter).
-    Forked chunks run as every forked iteration does: OpenBLAS on one thread,
-    and each chunk held to a usable CPU of its own where it does. A fit
-    depends only on its fold's training rows and its class, and its products
-    split their outputs, not their sums, across BLAS threads, so neither the
-    cut nor the thread count changes a bit.
+    The binary fits run as (fold, class) pairs in two rounds. The first fits
+    fold 0's pairs from zero; the second fits every other fold's, each from
+    fold 0's fit of its class where that converged (_fit_binary uses a start
+    only at l2 > 0). The folds share most of their training rows, so that
+    start lies near each optimum. Each round is cut into one contiguous
+    chunk per usable CPU (serialize._chunk_ranges), and every chunk after
+    the first runs in a forked child (serialize._forked_iter). Forked chunks
+    run as every forked iteration does: OpenBLAS on one thread, and each
+    chunk held to a usable CPU of its own where it does. A fit depends only
+    on its fold's training rows, its class and, in the second round, the
+    first round's results, and its products split their outputs, not their
+    sums, across BLAS threads, so neither the cut nor the thread count
+    changes a bit.
     """
     fold_classes = []
     for test_idx in test_folds:
@@ -190,23 +212,43 @@ def _fit_folds(
         fold_classes.append(classes)
     pairs = [(fold, cls) for fold, classes in enumerate(fold_classes) for cls in classes]
 
-    def fit_chunk(chunk: range) -> tuple[list[tuple[np.ndarray, float, bool]], dict]:
-        """The weights, bias and convergence flag of each pair in chunk, and
-        the feature means and scales of each fold it reaches."""
-        heads, scaling = [], {}
-        for fold, cls in (pairs[i] for i in chunk):
-            if fold not in scaling:  # the pairs of one fold are adjacent
-                x_train, y_train, means, scales = _training_rows(
-                    x, labels, test_folds[fold], config.standardize
-                )
-                scaling[fold] = means, scales
-            target = np.where(y_train == cls, 1.0, -1.0)
-            heads.append(_fit_binary(x_train, target, config.l2_strength))
-        return heads, scaling
+    def fit_round(
+        todo: list[tuple[int, str]], starts: dict[str, np.ndarray]
+    ) -> tuple[list[tuple[np.ndarray, float, bool]], dict]:
+        """The weights, bias and convergence flag of each pair in todo, each
+        fitted from the start of its class (zero where none), and the feature
+        means and scales of each fold it reaches."""
 
-    parts = list(_forked_iter(fit_chunk, _chunk_ranges(len(pairs))))
-    heads = iter([head for part_heads, _ in parts for head in part_heads])
-    scaling = {fold: s for _, part_scaling in parts for fold, s in part_scaling.items()}
+        def fit_chunk(chunk: range) -> tuple[list[tuple[np.ndarray, float, bool]], dict]:
+            heads, scaling = [], {}
+            for fold, cls in (todo[i] for i in chunk):
+                if fold not in scaling:  # the pairs of one fold are adjacent
+                    x_train, y_train, means, scales = _training_rows(
+                        x, labels, test_folds[fold], config.standardize
+                    )
+                    scaling[fold] = means, scales
+                target = np.where(y_train == cls, 1.0, -1.0)
+                heads.append(
+                    _fit_binary(x_train, target, config.l2_strength, starts.get(cls))
+                )
+            return heads, scaling
+
+        parts = list(_forked_iter(fit_chunk, _chunk_ranges(len(todo))))
+        return (
+            [head for part_heads, _ in parts for head in part_heads],
+            {fold: s for _, part_scaling in parts for fold, s in part_scaling.items()},
+        )
+
+    first = len(fold_classes[0])
+    heads, scaling = fit_round(pairs[:first], {})
+    starts = {
+        cls: np.r_[weights, bias]
+        for cls, (weights, bias, converged) in zip(fold_classes[0], heads)
+        if converged
+    }
+    rest_heads, rest_scaling = fit_round(pairs[first:], starts)
+    heads = iter(heads + rest_heads)
+    scaling |= rest_scaling
     models = []
     for fold, classes in enumerate(fold_classes):
         weights, intercepts, converged = zip(*(next(heads) for _ in classes))

@@ -51,6 +51,15 @@ def logistic_loss_grad(wb, x, target, lam):
     return loss, np.r_[x.T @ coeff + lam * w, np.sum(coeff)]
 
 
+def min_curvature(wb, x, target, lam):
+    """The least eigenvalue of the binary fit's Hessian at wb, bias last."""
+    xb = np.column_stack([x, np.ones(len(x))])
+    p = expit(target * (xb @ wb))
+    hess = (xb * (p * (1.0 - p))[:, None]).T @ xb
+    hess += np.diag(np.r_[np.full(x.shape[1], lam), 0.0])
+    return float(np.linalg.eigvalsh(hess)[0])
+
+
 def fit_ovr(x, labels, config):
     """The one-vs-rest model and its count of binary fits that did not converge."""
     return classify._fit_folds(x, np.asarray(labels), [np.array([], dtype=int)], config)[0]
@@ -265,6 +274,75 @@ class TestNewtonMatchesLbfgs:
             assert np.max(np.abs(logistic_loss_grad(got, *args)[1])) <= 1e-6
 
 
+class TestWarmStartMatchesCold:
+    """Oracle: each fold after the first, fitted from fold 0's fit of its
+    class as cross-validation fits it, reaches the fit from zero and the
+    L-BFGS-B optimum on that fold's own training rows."""
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("l2", [1.0, 1e-3])
+    def test_folds_after_the_first(self, l2, standardize):
+        rng = np.random.default_rng(16)
+        x, labels = blob_data(
+            rng,
+            {"A": 30, "B": 40, "W": 60},
+            {"A": (-1.0, 0.5, 0.0), "B": (1.0, -0.5, 0.0), "W": (0.0, 0.0, 1.0)},
+        )
+        x[:, 2] = 40.0 * x[:, 2] + 7.0
+        labels = np.asarray(labels)
+        config = ClassifierConfig(l2_strength=l2, standardize=standardize)
+        folds = stratified_folds(labels, config.n_folds, config.seed)
+        models = classify._fit_folds(x, labels, folds, config)
+        rows = [classify._training_rows(x, labels, f, standardize)[:2] for f in folds]
+        for ci, cls in enumerate(models[0][0].classes):
+            x0, y0 = rows[0]
+            w0, b0, converged = classify._fit_binary(x0, np.where(y0 == cls, 1.0, -1.0), l2)
+            assert converged
+            for (model, unconverged), (x_train, y_train) in zip(models[1:], rows[1:]):
+                assert unconverged == 0
+                target = np.where(y_train == cls, 1.0, -1.0)
+                args = (x_train, target, l2)
+                warm = classify._fit_binary(*args, np.r_[w0, b0])
+                cold = classify._fit_binary(*args)
+                warm, cold = np.r_[warm[0], warm[1]], np.r_[cold[0], cold[1]]
+                # the fit cross-validation made is the warm one
+                np.testing.assert_array_equal(
+                    warm, np.r_[model.weights[ci], model.intercepts[ci]]
+                )
+                # both stop once no gradient entry exceeds _GTOL, so they lie
+                # within 2 sqrt(k) _GTOL / (least Hessian eigenvalue) of each other
+                gap = 2 * np.sqrt(cold.size) * classify._GTOL / min_curvature(cold, *args)
+                assert np.linalg.norm(warm - cold) <= gap
+                oracle = minimize(
+                    logistic_loss_grad, np.zeros(x.shape[1] + 1), args=args, jac=True,
+                    method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-10},
+                ).x
+                for got in (warm, cold):
+                    assert np.max(np.abs(got - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+                    assert np.max(np.abs(logistic_loss_grad(got, *args)[1])) <= 1e-6
+
+    def test_no_start_from_unconverged_or_unpenalized_fits(self, monkeypatch):
+        # a fold-0 fit cut short by the step cap is no start, and at l2 = 0,
+        # where a fit's stopping point depends on its start, none is used
+        rng = np.random.default_rng(17)
+        x, labels = blob_data(
+            rng, {"A": 30, "W": 40}, {"A": (-1.0, 0.5), "W": (1.0, -0.5)}
+        )
+        labels = np.asarray(labels)
+        folds = stratified_folds(labels, 5, 0)
+        for l2, max_iter in ((1.0, 1), (0.0, classify._MAX_ITER)):
+            config = ClassifierConfig(l2_strength=l2)
+            monkeypatch.setattr(classify, "_MAX_ITER", max_iter)
+            models = classify._fit_folds(x, labels, folds, config)
+            for (model, _), test_idx in zip(models, folds):
+                x_train, y_train = classify._training_rows(x, labels, test_idx, False)[:2]
+                for ci, cls in enumerate(model.classes):
+                    target = np.where(y_train == cls, 1.0, -1.0)
+                    w, b, _ = classify._fit_binary(x_train, target, l2)
+                    np.testing.assert_array_equal(model.weights[ci], w)
+                    assert model.intercepts[ci] == b
+
+
 class TestNonConvergenceWarning:
     """Each call logs one record that counts its fits that did not converge."""
 
@@ -304,21 +382,28 @@ def report_bytes(report):
     return [a.tobytes() for a in arrays], curves
 
 
+def fork_count(cpus, rounds):
+    """How many children the rounds of (fold, class) pairs fork on cpus usable
+    CPUs: one per chunk after the first, and a round of no pairs none."""
+    return sum(min(cpus, pairs) - 1 for pairs in rounds if pairs)
+
+
 class TestForkedFits:
-    """The binary fits of all folds run in one contiguous chunk of (fold,
-    class) pairs per usable CPU; the report is bitwise the in-process one."""
+    """The binary fits run in two rounds of (fold, class) pairs, fold 0's and
+    then the other folds', each cut into one contiguous chunk per usable CPU;
+    the report is bitwise the in-process one."""
 
     @pytest.mark.parametrize(
-        "call, config, pairs",
+        "call, config, rounds",
         [
-            (cross_validate, ClassifierConfig(), 15),
-            (cross_validate, ClassifierConfig(l2_strength=0.0), 15),
-            (cross_validate, ClassifierConfig(standardize=True), 15),
-            (evaluate_holdout, ClassifierConfig(), 3),
+            (cross_validate, ClassifierConfig(), (3, 12)),
+            (cross_validate, ClassifierConfig(l2_strength=0.0), (3, 12)),
+            (cross_validate, ClassifierConfig(standardize=True), (3, 12)),
+            (evaluate_holdout, ClassifierConfig(), (3, 0)),
         ],
         ids=["defaults", "l2-zero", "standardize", "holdout"],
     )
-    def test_report_matches_in_process(self, monkeypatch, usable_cpus, call, config, pairs):
+    def test_report_matches_in_process(self, monkeypatch, usable_cpus, call, config, rounds):
         pids, cpus = usable_cpus
         rng = np.random.default_rng(21)
         x, labels = blob_data(
@@ -328,7 +413,7 @@ class TestForkedFits:
         )
         x[:, 2] = 30.0 * x[:, 2] + 4.0
         got = call(x, labels, config)
-        assert len(pids) == min(cpus, pairs) - 1
+        assert len(pids) == fork_count(cpus, rounds)
         monkeypatch.setattr(serialize, "_fork_slots", lambda: 1)
         want = call(x, labels, config)
         assert got.classes == want.classes
@@ -360,7 +445,7 @@ class TestForkedFits:
             assert get() == 2
         finally:
             set_(before)
-        assert len(pids) == min(cpus, 10) - 1
+        assert len(pids) == fork_count(cpus, (2, 8))
 
 
 class TestCrossValidate:

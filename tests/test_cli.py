@@ -290,6 +290,49 @@ class TestAuditBytes:
         }
 
 
+class TestClassifyBytes:
+    """The three classify outputs of the pipeline, and of an unpenalized and
+    a holdout run on its files, pinned by their SHA-256 as classify wrote them
+    when every binary fit started from zero. At l2 > 0 a start changes only
+    how many Newton steps reach the unique optimum; at l2 = 0, and in a
+    holdout's one fold, every fit still starts from zero."""
+
+    NAMES = ("clf_metrics.csv", "roc_points.csv", "confusion.csv")
+
+    @staticmethod
+    def digests(out):
+        return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in TestClassifyBytes.NAMES]
+
+    def test_pipeline(self, pipeline):
+        assert self.digests(pipeline["clf"]) == [
+            "51411fa16800a7f5144b50bbeef9d195542cb68395571804609906200455cf8d",
+            "49e03071e310e3883204b6397c532b7be1b8609276747a4cc57670dcae221ed4",
+            "de399a20c79c1fb94856cc8be46f06810ad0b4b7cc6b34bdc79cbf9e5a3d941b",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            (("--l2", "0"), [
+                "f3812cb97568580f63549ce9ff6b19e51740e91672e878b439f84dbd0096244b",
+                "0b9eb1156e932404eda9c8cc33b5e0c5b6aa7eb218e9ef37c88721cf0ef9cc11",
+                "cd2e261061713a7198148bccf1e5f2dc0fa49fb153916f82836b930d349fc33f",
+            ]),
+            (("--holdout-fraction", "0.3"), [
+                "6ee7d7c436de36c754b74eba181eb28f968fe8ec3198e43b5df194a03f32401c",
+                "63025db9af14b4c8e166f70c7fe0bf1b115178986276ac6e521dee2afde6b356",
+                "b6783bc74640cf7cd21b9c8c23d67fb53cfdac1b30149a93ae29addb396e65d7",
+            ]),
+        ],
+        ids=["l2-zero", "holdout"],
+    )
+    def test_from_zero(self, pipeline, tmp_path, flags, want):
+        out = tmp_path / "clf"
+        assert run_cli("classify", *required_flags(pipeline, "classify", out), *flags) == 0
+        assert self.digests(out) == want
+
+
 class TestDeterminism:
     def test_forked_fit_warns_nothing(self, pipeline, tmp_path, monkeypatch):
         # with BLAS threads left to the library, the regions are still fitted
@@ -714,6 +757,28 @@ class TestExitCodes:
         assert code == 4
         assert "region 'huge'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_singular_logistic_hessian_exit_four(self, pipeline, tmp_path, capsys):
+        # a constant column repeats the bias column, and a ridge of 1e-300 is
+        # lost to rounding on the Hessian's diagonal
+        lines = (pipeline["eval"] / "deviations.csv").read_text(encoding="utf-8").splitlines()
+        deviations = tmp_path / "deviations.csv"
+        deviations.write_text(
+            "".join(f"{line},{'const' if i == 0 else '1.0'}\n" for i, line in enumerate(lines)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "clf"
+        out.mkdir()
+        code = run_cli(
+            "classify",
+            "--deviations", deviations,
+            "--covariates", pipeline["data"] / "covariates.csv",
+            "--l2", "1e-300",
+            "--out", out,
+        )
+        assert code == 4
+        assert "singular at --l2 1e-300" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_failed_bundle_write_leaves_no_bundle(self, pipeline, tmp_path, monkeypatch):
         write_json = normgauge.blr.dump_json
