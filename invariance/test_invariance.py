@@ -134,8 +134,8 @@ def test_in_process(pipeline, tmp_path):
 
 def test_imports_and_unused_rows(pipeline, tmp_path):
     """Each command loads only the modules it runs: report no numpy and no
-    blr, classify no blr, and audit --bundle --features no blr where
-    evaluate's group_fit.json matches its inputs. fit parses only its
+    blr, classify no blr, and audit --bundle --features no blr, as it takes
+    EV and MSLL from evaluate's group_fit.json. fit parses only its
     training rows, so a non-numeric cell in a held-out row leaves its bundle
     unchanged, and evaluate, which parses that row, exits 2 naming it."""
     data, fit, ev = pipeline / "data", pipeline / "fit", pipeline / "eval"
@@ -236,9 +236,10 @@ def test_row_chunked(tmp_path):
     """synth, evaluate, audit and classify write the same bytes whether their
     matrix rows and binary fits run in forked chunks or not, the sidecars and
     evaluate's group_fit.json included. A reading stage takes a matrix from
-    its sidecar, and audit its EV and MSLL from group_fit.json; with these
-    deleted before each stage, or with the two sidecars of evaluate swapped,
-    so that neither matches its CSV, the outputs are again the same bytes."""
+    its sidecar; with the sidecars deleted before each stage, or with the two
+    sidecars of evaluate swapped, so that neither matches its CSV, the
+    outputs are again the same bytes. audit takes its EV and MSLL from
+    group_fit.json, a required input, so that file is kept."""
     spec = {"n_per_group": {"A": 40, "B": 40, "W": 170}, "n_regions": 7,
             "noise_sd": 0.25, "seed": 1}
     (tmp_path / "rows.json").write_text(json.dumps(spec), encoding="utf-8")
@@ -270,8 +271,8 @@ def test_row_chunked(tmp_path):
             run(*argv, **how)
     uncached, stale = tmp_path / "uncached", tmp_path / "stale"
     for argv in stages(uncached):
-        for path in [*uncached.glob("*/*.cache"), uncached / "eval" / "group_fit.json"]:
-            path.unlink(missing_ok=True)
+        for path in uncached.glob("*/*.cache"):
+            path.unlink()
         run(*argv)
     for argv in stages(stale):
         if argv[0] == "audit":

@@ -26,9 +26,10 @@ relative 4e-13 for df in [1, 1e7] and |t| up to 1e3 wherever p >= 1e-300, and
 no pair takes more than 62 iterations.
 
 The parity's mean |Z|, mean Z and extreme rate are reductions of Z. Its EV
-and MSLL are the model's: they arrive as a per-group fit (the group_fit of a
-blr.deviations scoring pass, or the same values that `evaluate` wrote to
-group_fit.json), so this module imports nothing from blr.
+and MSLL are the model's: they arrive as a per-group fit, the group_fit of
+the blr.deviations scoring pass that produced Z (`normgauge audit` reads it
+from the group_fit.json that `evaluate` wrote), so this module imports
+nothing from blr.
 """
 
 from __future__ import annotations

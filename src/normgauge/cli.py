@@ -19,9 +19,9 @@ module loads only the standard library, the exceptions and the JSON helpers.
 A pipeline scores its held-out cohort once. `evaluate` writes the per-group
 fit of its scoring pass to group_fit.json with the SHA-256 of the bytes it
 read and of the deviations.csv it wrote; `audit --bundle --features` takes
-EV and MSLL from that file where every recorded digest is that of the file
-it was given, and then loads no blr at all. Otherwise it scores the cohort
-again; the outputs are the same bytes either way.
+EV and MSLL from that file and from nowhere else, so it loads no blr. A file
+that does not record exactly the files audit was given exits 3: run
+`evaluate` again.
 
 Importing this module registers gc.freeze as an exit hook, so a command's
 process skips the interpreter's shutdown collections: at exit every live
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import collections
 import contextlib
 import csv
 import gc
@@ -362,8 +361,8 @@ _GROUP_FIT_FORMAT = "normgauge group fit 1"
 
 
 def _scoring_inputs(cfg: dict) -> dict[str, Path]:
-    """The files that evaluate's scoring pass reads, and audit --bundle
-    --features rescores from, by their names in group_fit.json."""
+    """The files that evaluate's scoring pass reads, by their names in
+    group_fit.json; audit checks that each is the file it was given."""
     bundle = Path(cfg["bundle"])
     return {
         "covariates": Path(cfg["covariates"]),
@@ -381,7 +380,7 @@ def _write_group_fit(
     deviations.csv written from it, keys sorted.
 
     A fit with a non-finite value is not written, as JSON cannot hold it;
-    audit then scores again and fails as it always has.
+    audit --bundle --features then exits 2 for the missing file.
     """
     doc = {
         "clamped": clamped,
@@ -394,53 +393,54 @@ def _write_group_fit(
         dump_json(doc, path)
 
 
-def _recorded_group_fit(
-    cfg: dict, read: dict[Path, str], sizes: dict[str, int]
-) -> dict[str, dict] | None:
-    """The per-group fit in the group_fit.json beside --deviations, where it
-    was written for exactly these inputs; else None, and audit scores again.
+def _recorded_group_fit(cfg: dict, read: dict[Path, str]) -> dict[str, dict]:
+    """The per-group fit in the group_fit.json beside --deviations, which
+    evaluate wrote from its scoring pass of exactly the files given here.
 
-    It is trusted only if its format and package version are this one's, the
-    SHA-256 of every input it records (the bundle's two files, --features,
-    --covariates, --deviations) is that of the file given here, and its
-    groups and their sizes are the audited rows'. read holds the digests of
-    the files already read; the others are read here, and one that cannot be
-    read leaves the error to the scoring pass. A trusted file's count of
-    clamped ages is logged as the scoring pass logs it.
+    The file and each input it records are read first, by read_bytes, so one
+    that is missing or cannot be read raises InputError naming it. A file
+    that is not JSON, whose format or package version is not this one's,
+    whose SHA-256 of an input (the bundle's two files, --features,
+    --covariates, --deviations) is not that of the file given here, or whose
+    entries are not of the shape evaluate writes raises SchemaError naming
+    the check. read holds the digests of the files already read. The groups
+    and their sizes are audit_tables' to check. The count of clamped ages is
+    logged as the scoring pass logged it.
     """
+    path = Path(cfg["deviations"]).with_name(_GROUP_FIT_FILE)
+    data = read_bytes(path)
+    inputs = {**_scoring_inputs(cfg), "deviations": Path(cfg["deviations"])}
+    digests = {
+        role: read[given] if given in read else sha256_of(given, read_bytes(given))
+        for role, given in sorted(inputs.items())
+    }
+
+    def stale(why: str) -> SchemaError:
+        return SchemaError(f"{path}: {why}; run evaluate again on these inputs")
+
     try:
-        doc = json.loads(Path(cfg["deviations"]).with_name(_GROUP_FIT_FILE).read_bytes())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(doc, dict)
-        or doc.get("format") != _GROUP_FIT_FORMAT
-        or doc.get("version") != __version__
-    ):
-        return None
-    digests = {"deviations": read[Path(cfg["deviations"])]}
-    try:
-        for role, path in _scoring_inputs(cfg).items():
-            digests[role] = read[path] if path in read else sha256_of(path, read_bytes(path))
-    except InputError:
-        return None
+        doc = json.loads(data)
+    except ValueError:
+        raise stale("not valid JSON") from None
+    if not isinstance(doc, dict) or doc.get("format") != _GROUP_FIT_FORMAT:
+        raise stale(f"format is not '{_GROUP_FIT_FORMAT}'")
+    if doc.get("version") != __version__:
+        raise stale(f"written by version {doc.get('version')}, not {__version__}")
+    recorded = doc.get("sha256")
+    for role, digest in digests.items():
+        if not isinstance(recorded, dict) or recorded.get(role) != digest:
+            raise stale(f"recorded {role} SHA-256 does not match {inputs[role]}")
     groups, clamped = doc.get("groups"), doc.get("clamped")
-    if (
-        doc.get("sha256") != digests
-        or type(clamped) is not int
-        or not isinstance(groups, dict)
-        or groups.keys() != sizes.keys()
-    ):
-        return None
+    if type(clamped) is not int or not isinstance(groups, dict):
+        raise stale("malformed 'clamped' or 'groups'")
     for label, entry in groups.items():
         if (
             not isinstance(entry, dict)
             or set(entry) != {"explained_variance", "msll", "n"}
-            or entry["n"] != sizes[label]
             or type(entry["msll"]) is not float
             or type(entry["explained_variance"]) not in (float, type(None))
         ):
-            return None
+            raise stale(f"malformed entry for group '{label}'")
     if clamped:
         log.warning("clamped %d age(s) outside the fitted range", clamped)
     return groups
@@ -462,7 +462,7 @@ def _parse_contrasts(raw: list[str]) -> list[tuple[str, str]]:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from .audit import audit_tables
-    from .cohort import _join_features, read_covariates
+    from .cohort import read_covariates
     from .serialize import write_csv
 
     cfg = _resolve(
@@ -482,27 +482,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if ids_z != ids_e or regions_z != regions_e:
             raise SchemaError("deviations and errors files disagree on ids or regions")
         schema = _schema_from(cfg)
-        covariates, incomplete = read_covariates(Path(cfg["covariates"]), schema)
+        covariates, _ = read_covariates(Path(cfg["covariates"]), schema)
     groups = _races(ids_z, covariates)
     contrasts = _parse_contrasts(cfg["contrasts"])
 
     # every input is read and every result computed before the first write,
     # so a failed audit leaves no partial output tree behind
-    fit = None
-    if cfg["bundle"] is not None:
-        # EV and MSLL from evaluate's scoring pass, where it was of these inputs
-        fit = _recorded_group_fit(cfg, read, collections.Counter(groups))
-        if fit is None:
-            from .blr import deviations, load_bundle
-
-            model = load_bundle(cfg["bundle"])
-            # the covariates read above, not read again; only the scored ids'
-            # feature rows are parsed
-            cohort = _join_features(
-                covariates, incomplete, Path(cfg["features"]),
-                keep=lambda joined: joined.subset_by_ids(ids_z),
-            )
-            fit = deviations(model, cohort).group_fit
+    # EV and MSLL from evaluate's scoring pass of these inputs
+    fit = _recorded_group_fit(cfg, read) if cfg["bundle"] is not None else None
     tables = audit_tables(
         z_matrix, e_matrix, groups, regions_z, contrasts, q, threshold, fit
     )
@@ -837,8 +824,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contrasts", nargs="+", help="pairs like W:A W:B")
     p.add_argument("--q", type=float, default=0.05, help="FDR level")
     p.add_argument("--threshold", type=float, default=2.0, help="|Z| extreme threshold")
-    p.add_argument("--bundle", help="optional bundle for per-group EV/MSLL")
-    p.add_argument("--features", help="optional features CSV for per-group EV/MSLL")
+    p.add_argument("--bundle", help="optional: the bundle evaluate scored with, "
+                   "for per-group EV/MSLL from its group_fit.json")
+    p.add_argument("--features", help="optional: the features CSV evaluate scored, "
+                   "for per-group EV/MSLL from its group_fit.json")
     add_race_labels(p)
     p.set_defaults(func=cmd_audit)
 

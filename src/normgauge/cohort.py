@@ -274,8 +274,11 @@ def load_cohort(
 ) -> Cohort:
     """Inner-join covariates and features on id; canonical sorted-id order.
 
-    keep, where given, chooses the subjects whose feature rows are parsed;
-    see _join_features.
+    Warns of the subjects dropped and of the incomplete covariate rows. The
+    join needs only the features file's ids. keep, where given, maps the
+    joined subjects, as a Cohort with no regions, to the cohort of those
+    whose feature rows are wanted; only their rows are parsed and checked,
+    and the cohort returned holds them.
     """
     schema = schema or CohortSchema()
     cov_path, feat_path = Path(covariates_path), Path(features_path)
@@ -285,23 +288,6 @@ def load_cohort(
     if not feat_path.exists():
         raise InputError(f"file not found: {feat_path}")
     covariates, incomplete = read_covariates(cov_path, schema)
-    return _join_features(covariates, incomplete, feat_path, keep)
-
-
-def _join_features(
-    covariates: Cohort,
-    incomplete: int,
-    feat_path: Path,
-    keep: Callable[[Cohort], Cohort] | None = None,
-) -> Cohort:
-    """Join read_covariates' cohort to a features CSV on id, warning of the
-    subjects dropped and of the incomplete covariate rows.
-
-    The join needs only the features file's ids. keep, where given, maps the
-    joined subjects, as a Cohort with no regions, to the cohort of those whose
-    feature rows are wanted; only their rows are parsed and checked, and the
-    cohort returned holds them.
-    """
     joined: Cohort | None = None
 
     def rows(feat_ids: list[str]) -> list[int]:

@@ -59,7 +59,7 @@ class SynthSpec:
             if int(n) < 1:
                 raise InputError(f"group '{label}' must have n >= 1, got {n}")
         lo, hi = self.age_range
-        if not lo < hi or lo <= 0:
+        if not 0 < lo < hi < np.inf:
             raise InputError(f"invalid age range {self.age_range}")
         if self.n_regions < 1:
             raise InputError(f"n_regions must be >= 1, got {self.n_regions}")
@@ -76,19 +76,27 @@ class SynthSpec:
                 f"curves must have shape ({self.n_regions}, 4), got {curves.shape}"
             )
         object.__setattr__(self, "curves", curves)
-        sex = np.broadcast_to(
-            np.asarray(self.sex_offsets, dtype=float), (self.n_regions,)
-        ).copy()
+        sex = self._per_region(self.sex_offsets, "sex_offsets")
         object.__setattr__(self, "sex_offsets", sex)
         resolved: dict[str, np.ndarray] = {}
         for label in self.n_per_group:
             raw = self.group_offsets.get(label, 0.0)
-            vec = np.broadcast_to(np.asarray(raw, dtype=float), (self.n_regions,)).copy()
-            resolved[label] = vec
+            resolved[label] = self._per_region(raw, f"group_offsets['{label}']")
         for label in self.group_offsets:
             if label not in self.n_per_group:
                 raise InputError(f"offset given for unknown group '{label}'")
         object.__setattr__(self, "group_offsets", resolved)
+
+    def _per_region(self, value, name: str) -> np.ndarray:
+        """A number, or one per region, as one number per region."""
+        value = np.asarray(value, dtype=float)
+        try:
+            return np.broadcast_to(value, (self.n_regions,)).copy()
+        except ValueError:
+            raise InputError(
+                f"{name} must be a number or {self.n_regions} numbers, "
+                f"got shape {value.shape}"
+            ) from None
 
     @property
     def region_names(self) -> tuple[str, ...]:
@@ -110,34 +118,47 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        try:
-            n_per_group = {str(k): int(v) for k, v in d["n_per_group"].items()}
-        except KeyError:
-            raise InputError("spec is missing 'n_per_group'") from None
-        skew = d.get("noise_skew")
-        offsets = {
-            str(k): (
-                np.asarray(v, dtype=float)
-                if isinstance(v, (list, tuple, np.ndarray))
-                else float(v)
-            )
-            for k, v in d.get("group_offsets", {}).items()
-        }
-        sex_offsets = d.get("sex_offsets", 0.0)
-        if isinstance(sex_offsets, (list, tuple, np.ndarray)):
-            sex_offsets = np.asarray(sex_offsets, dtype=float)
-        curves = d.get("curves")
-        return cls(
-            n_per_group=n_per_group,
-            age_range=tuple(float(v) for v in d.get("age_range", (20.0, 70.0))),
-            n_regions=int(d.get("n_regions", 10)),
-            curves=np.asarray(curves, dtype=float) if curves is not None else None,
-            sex_offsets=sex_offsets,
-            group_offsets=offsets,
-            noise_sd=float(d.get("noise_sd", 0.25)),
-            noise_skew=WarpParams.from_dict(skew) if skew else None,
-            seed=int(d.get("seed", 0)),
-        )
+        """The spec of a JSON object; a key it omits takes its default, and
+        one that is missing or malformed raises InputError naming it."""
+        if "n_per_group" not in d:
+            raise InputError("spec is missing 'n_per_group'")
+        fields = {}
+        for key, parse in _SPEC_KEYS.items():
+            if key in d:
+                try:
+                    fields[key] = parse(d[key])
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise InputError(
+                        f"spec key '{key}' is malformed ({type(exc).__name__}: {exc})"
+                    ) from None
+        return cls(**fields)
+
+
+def _offsets(value) -> np.ndarray | float:
+    """A number, or a list of per-region numbers, as sex_offsets or one
+    group's entry of group_offsets."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return np.asarray(value, dtype=float)
+    return float(value)
+
+
+def _age_range(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+# each key SynthSpec.from_dict reads, and how its JSON value becomes the field
+_SPEC_KEYS = {
+    "n_per_group": lambda v: {str(k): int(n) for k, n in v.items()},
+    "age_range": _age_range,
+    "n_regions": int,
+    "curves": lambda v: None if v is None else np.asarray(v, dtype=float),
+    "sex_offsets": _offsets,
+    "group_offsets": lambda v: {str(k): _offsets(x) for k, x in v.items()},
+    "noise_sd": float,
+    "noise_skew": lambda v: WarpParams.from_dict(v) if v else None,
+    "seed": int,
+}
 
 
 def generate(spec: SynthSpec) -> tuple[Cohort, dict]:

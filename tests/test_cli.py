@@ -257,6 +257,14 @@ class TestAuditBytes:
         "audit_tests.csv": "40e578a68f2d3527b33ecc706ba7efffca8f2810e33c5e987af2e6bc6cf9a383",
         "table4.csv": "b82d014f8a7b5538ced649a247f1b22367c4189da3633159a30bb12fce2e846a",
     }
+    WITH_MODEL = {
+        **DIGESTS,
+        "parity.json": "084993a3c6cd1cb53a21e522ebed62c25661b0dda22bd44feb7bc130ecbb8d97",
+    }
+    BARE = {
+        **DIGESTS,
+        "parity.json": "a1dd892ccf0bd18bbc78e18c9d52246cbe64d6eb612595e14d58bf0f745062f8",
+    }
 
     @staticmethod
     def digests(out):
@@ -266,10 +274,7 @@ class TestAuditBytes:
         }
 
     def test_with_model(self, pipeline):
-        assert self.digests(pipeline["audit"]) == {
-            **self.DIGESTS,
-            "parity.json": "084993a3c6cd1cb53a21e522ebed62c25661b0dda22bd44feb7bc130ecbb8d97",
-        }
+        assert self.digests(pipeline["audit"]) == self.WITH_MODEL
 
     def test_without_model(self, pipeline, tmp_path):
         out = tmp_path / "audit"
@@ -284,10 +289,7 @@ class TestAuditBytes:
             )
             == 0
         )
-        assert self.digests(out) == {
-            **self.DIGESTS,
-            "parity.json": "a1dd892ccf0bd18bbc78e18c9d52246cbe64d6eb612595e14d58bf0f745062f8",
-        }
+        assert self.digests(out) == self.BARE
 
 
 class TestClassifyBytes:
@@ -1115,6 +1117,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_per_group": ["A"]}, "spec key 'n_per_group' is malformed (AttributeError"),
+            ({"n_regions": "x"}, "spec key 'n_regions' is malformed (ValueError"),
+            ({"noise_skew": {"epsilon": "a", "log_delta": 0.0}},
+             "spec key 'noise_skew' is malformed (ValueError"),
+            ({"age_range": [20, 40, 60]}, "spec key 'age_range' is malformed (ValueError"),
+            ({"age_range": [20, math.inf]}, "invalid age range (20.0, inf)"),
+            ({"sex_offsets": [0.1, 0.2]}, "sex_offsets must be a number or 4 numbers"),
+        ],
+        ids=["groups-list", "regions-text", "skew-text", "age-triple", "age-infinite",
+             "sex-offsets-short"],
+    )
+    def test_synth_malformed_spec_exit_two(self, tmp_path, capsys, overrides, message):
+        spec = write_spec(tmp_path / "spec.json", **overrides)
+        out = tmp_path / "out"
+        assert run_cli("synth", "--spec", spec, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_repeated_train_fraction_exit_two(self, pipeline, tmp_path, capsys):
         out = tmp_path / "fit"
         code = run_cli(
@@ -1423,8 +1448,8 @@ class TestAuditParity:
         )
 
     def test_covariates_read_once(self, pipeline, tmp_path, monkeypatch):
-        # the scored ids' races and the cohort scored for EV and MSLL share
-        # one read of the covariates file
+        # the scored ids' races and the covariates digest that the group
+        # fit's check compares share one read of the covariates file
         calls = []
         read_covariates = normgauge.cohort.read_covariates
 
@@ -1441,8 +1466,7 @@ class TestAuditParity:
         for name in ("audit_summary.csv", "audit_tests.csv", "table4.csv", "parity.json"):
             assert (out / name).read_bytes() == (pipeline["audit"] / name).read_bytes()
 
-    @pytest.mark.parametrize("model", [False, True], ids=["bare", "with-model"])
-    def test_untestable_contrast_logged_once(self, pipeline, tmp_path, caplog, model):
+    def test_untestable_contrast_logged_once(self, pipeline, tmp_path, caplog):
         # one A row among the scored ids: W vs A is untestable for both metrics
         with open(pipeline["data"] / "covariates.csv", newline="", encoding="utf-8") as fh:
             race = {row["id"]: row["race"] for row in csv.DictReader(fh)}
@@ -1454,14 +1478,12 @@ class TestAuditParity:
             matrices[name] = tmp_path / f"{name}.csv"
             matrices[name].write_text("\n".join(kept) + "\n", encoding="utf-8")
         n_w = sum(race[line.split(",")[0]] == "W" for line in kept[1:])
-        extra = ["--bundle", pipeline["fit"], "--features", pipeline["data"] / "features.csv"]
         with caplog.at_level(logging.WARNING, logger="normgauge"):
             code = run_cli(
                 "audit",
                 "--deviations", matrices["deviations"], "--errors", matrices["errors"],
                 "--covariates", pipeline["data"] / "covariates.csv",
                 "--out", tmp_path / "audit", "--contrasts", "W:A", "W:B",
-                *(extra if model else []),
             )
         assert code == 0
         untestable = [r.getMessage() for r in caplog.records if "untestable" in r.getMessage()]
@@ -1488,10 +1510,11 @@ class TestAuditParity:
 
     def test_row_order_of_the_matrices_does_not_matter(self, pipeline, tmp_path):
         # audit and classify read the matrices' rows in sorted-id order, the
-        # order evaluate writes and a scoring pass of --bundle holds; the
-        # rows, shuffled alike in both files here, are matched to it by id,
-        # so every reduction, Welch test and fold sees the same rows in the
-        # same order and each output is the same bytes
+        # order evaluate writes; the rows, shuffled alike in both files here,
+        # are matched to it by id, so every reduction, Welch test and fold
+        # sees the same rows in the same order and each output is the same
+        # bytes. The shuffled files are not the deviations.csv that a group
+        # fit records, so the audit runs without --bundle.
         for name in ("deviations.csv", "errors.csv"):
             header, *rows = (pipeline["eval"] / name).read_text(encoding="utf-8").splitlines()
             # one seed and one length: the same shuffle of both files
@@ -1505,8 +1528,6 @@ class TestAuditParity:
             "--covariates", pipeline["data"] / "covariates.csv",
             "--out", tmp_path / "audit",
             "--contrasts", "W:A", "W:B",
-            "--bundle", pipeline["fit"],
-            "--features", pipeline["data"] / "features.csv",
         )
         assert code == 0
         code = run_cli(
@@ -1517,8 +1538,8 @@ class TestAuditParity:
             "--folds", "4",
         )
         assert code == 0
-        for name in ("audit", "clf"):
-            assert _outputs(tmp_path / name) == _outputs(pipeline[name]), name
+        assert TestAuditBytes.digests(tmp_path / "audit") == TestAuditBytes.BARE
+        assert _outputs(tmp_path / "clf") == _outputs(pipeline["clf"])
 
     @pytest.mark.parametrize("given", ["--bundle", "--features"])
     def test_half_given_model_exit_two(self, pipeline, tmp_path, capsys, given):
@@ -1547,11 +1568,10 @@ class TestAuditParity:
 
 class TestGroupFitReuse:
     """audit --bundle --features takes EV and MSLL from the group_fit.json
-    that evaluate wrote beside --deviations where it records exactly the
-    files given, and scores the cohort again otherwise. Either way every
-    audit output is the same bytes as with the file deleted."""
-
-    AUDIT_OUTPUTS = ("audit_summary.csv", "audit_tests.csv", "table4.csv", "parity.json")
+    that evaluate wrote beside --deviations, and from nowhere else: blr is
+    never imported. A file that does not record exactly the files given, or
+    is not one evaluate wrote, exits 3; a missing one exits 2. Either way
+    audit writes nothing."""
 
     @staticmethod
     def copy_inputs(pipeline, root):
@@ -1562,26 +1582,18 @@ class TestGroupFitReuse:
 
     @staticmethod
     def audit(inputs, out, monkeypatch):
-        """Run audit --bundle --features on inputs; its outputs, and whether
-        it loaded the bundle to score the cohort again."""
-        loads = []
-        load_bundle = normgauge.blr.load_bundle
-
-        def counting(*args, **kwargs):
-            loads.append(args)
-            return load_bundle(*args, **kwargs)
-
-        # the command imports load_bundle from blr only when it scores
-        monkeypatch.setattr(normgauge.blr, "load_bundle", counting)
+        """Run audit --bundle --features on inputs into out, made empty
+        first, with any import of normgauge.blr failing; its exit code."""
+        out.mkdir(parents=True)
         ev, data = inputs["eval"], inputs["data"]
-        assert run_cli(
-            "audit", "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
-            "--covariates", data / "covariates.csv", "--out", out,
-            "--contrasts", "W:A", "W:B", "--bundle", inputs["fit"],
-            "--features", data / "features.csv",
-        ) == 0
-        outputs = {name: (out / name).read_bytes() for name in TestGroupFitReuse.AUDIT_OUTPUTS}
-        return outputs, bool(loads)
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "normgauge.blr", None)
+            return run_cli(
+                "audit", "--deviations", ev / "deviations.csv", "--errors", ev / "errors.csv",
+                "--covariates", data / "covariates.csv", "--out", out,
+                "--contrasts", "W:A", "W:B", "--bundle", inputs["fit"],
+                "--features", data / "features.csv",
+            )
 
     @staticmethod
     def edit_line(path, k, edit):
@@ -1590,7 +1602,7 @@ class TestGroupFitReuse:
         lines[k] = ",".join(edit(lines[k].split(",")))
         path.write_text("\n".join(lines), encoding="utf-8")
 
-    def test_reuse_only_where_every_input_matches(self, pipeline, tmp_path, monkeypatch):
+    def test_reuse_only_where_every_input_matches(self, pipeline, tmp_path, monkeypatch, capsys):
         inputs = self.copy_inputs(pipeline, tmp_path / "in")
         group_fit = inputs["eval"] / "group_fit.json"
         recorded = group_fit.read_bytes()
@@ -1638,29 +1650,33 @@ class TestGroupFitReuse:
         def truncated():
             group_fit.write_bytes(recorded[: len(recorded) // 2])
 
+        # each stale file, and the check that its message names
         stale = {
-            "bundle": other_bundle, "feature-cell": feature_cell, "covariates": covariates,
-            "row-order": row_order, "version": version, "truncated": truncated,
+            "bundle": (other_bundle, "recorded model SHA-256 does not match"),
+            "feature-cell": (feature_cell, "recorded features SHA-256 does not match"),
+            "covariates": (covariates, "recorded covariates SHA-256 does not match"),
+            "row-order": (row_order, "recorded deviations SHA-256 does not match"),
+            "version": (version, "written by version 0.0.0"),
+            "truncated": (truncated, "not valid JSON"),
         }
-        present, rescored = self.audit(inputs, tmp_path / "present", monkeypatch)
-        assert not rescored  # the file matches every input
-        group_fit.unlink()
-        deleted, rescored = self.audit(inputs, tmp_path / "deleted", monkeypatch)
-        assert rescored
-        assert present == deleted
-        for name, make_stale in stale.items():
+        assert self.audit(inputs, tmp_path / "fresh", monkeypatch) == 0
+        assert TestAuditBytes.digests(tmp_path / "fresh") == TestAuditBytes.WITH_MODEL
+        for name, (make_stale, check) in stale.items():
             shutil.rmtree(tmp_path / "in")
             inputs = self.copy_inputs(pipeline, tmp_path / "in")
             make_stale()
-            got, rescored = self.audit(inputs, tmp_path / name / "stale", monkeypatch)
-            assert rescored, name
-            group_fit.unlink()
-            expected, rescored = self.audit(inputs, tmp_path / name / "deleted", monkeypatch)
-            assert rescored, name
-            assert got == expected, name
-            if name in ("bundle", "feature-cell", "covariates"):
-                # scored anew, EV and MSLL move: the recorded values were not used
-                assert got["parity.json"] != deleted["parity.json"], name
+            capsys.readouterr()
+            assert self.audit(inputs, tmp_path / name, monkeypatch) == 3, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {group_fit}: {check}"), (name, err)
+            assert err.endswith("; run evaluate again on these inputs\n"), (name, err)
+            assert list((tmp_path / name).iterdir()) == [], name
+        shutil.rmtree(tmp_path / "in")
+        inputs = self.copy_inputs(pipeline, tmp_path / "in")
+        group_fit.unlink()
+        assert self.audit(inputs, tmp_path / "deleted", monkeypatch) == 2
+        assert capsys.readouterr().err == f"error: file not found: {group_fit}\n"
+        assert list((tmp_path / "deleted").iterdir()) == []
 
     def test_audit_takes_the_recorded_values(self, pipeline, tmp_path, monkeypatch):
         inputs = self.copy_inputs(pipeline, tmp_path / "in")
@@ -1669,11 +1685,11 @@ class TestGroupFitReuse:
         ev = doc["groups"]["A"]["explained_variance"]
         doc["groups"]["A"]["explained_variance"] = math.nextafter(ev, math.inf)
         group_fit.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        got, rescored = self.audit(inputs, tmp_path / "out", monkeypatch)
-        assert not rescored
-        parity = json.loads(got["parity.json"])
+        assert self.audit(inputs, tmp_path / "out", monkeypatch) == 0
+        got = (tmp_path / "out" / "parity.json").read_bytes()
+        parity = json.loads(got)
         assert parity["per_group"]["A"]["explained_variance"] == math.nextafter(ev, math.inf)
-        assert got["parity.json"] != (pipeline["audit"] / "parity.json").read_bytes()
+        assert got != (pipeline["audit"] / "parity.json").read_bytes()
 
     def test_group_fit_bytes_do_not_depend_on_paths(self, pipeline, tmp_path):
         texts = []
