@@ -248,11 +248,9 @@ def test_row_chunked(tmp_path):
     run("fit", "--covariates", tmp_path / "fit-data" / "covariates.csv",
         "--features", tmp_path / "fit-data" / "features.csv",
         "--default-train-frac", "0.8", "--out", fit)
-    # defaults, the unpenalized basis path, a holdout, and folds started from
-    # fold 0's fits on features each fold standardizes by its own rows
-    classify = {"clf": (), "clf-l2": ("--l2", "0", "--standardize"),
-                "clf-holdout": ("--holdout-fraction", "0.3"),
-                "clf-std": ("--standardize",)}
+    # defaults, whose folds start from fold 0's fits, and the unpenalized
+    # basis path, where every fit starts from zero
+    classify = {"clf": (), "clf-l2": ("--l2", "0")}
 
     def stages(root):
         data, ev = root / "data", root / "eval"

@@ -61,7 +61,6 @@ _SOURCES = {
         "OvrLogisticModel",
         "cross_validate",
         "decision_scores",
-        "evaluate_holdout",
         "roc_points",
         "stratified_folds",
     ),

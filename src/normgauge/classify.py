@@ -9,7 +9,8 @@ module measures that with one-vs-rest L2-regularized logistic regression:
 with t in {-1, +1} and the bias b unpenalized, minimized by damped Newton steps
 (see _fit_binary). Decisions take the argmax over per-class scores (ties broken
 by class order). Evaluation is stratified k-fold cross-validation with
-per-class AUC from the raw one-vs-rest scores.
+per-class AUC from the raw one-vs-rest scores. The features are the deviation
+scores as written: calibrated Z is already on unit scale, so none is rescaled.
 
 The binary fits run in two rounds of (fold, class) pairs. The first fits
 fold 0's pairs from zero. The second fits every other fold's, each started
@@ -53,16 +54,16 @@ _LOSS_ROUNDING = 16 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """L2 strength, fold count, fold seed, and whether features are z-scored.
+    """L2 strength, fold count and fold seed.
 
-    Each setting maps to one `normgauge classify` flag (--l2, --folds, --seed,
-    --standardize); the optimizer's iteration cap is fixed.
+    Each setting maps to one `normgauge classify` flag (--l2, --folds,
+    --seed); the optimizer's iteration cap is fixed. The features are used
+    as given: deviation scores are already on unit scale.
     """
 
     l2_strength: float = 1.0
     n_folds: int = 5
     seed: int = 0
-    standardize: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.l2_strength < math.inf:
@@ -80,8 +81,6 @@ class OvrLogisticModel:
     classes: tuple[str, ...]
     weights: np.ndarray
     intercepts: np.ndarray
-    feature_means: np.ndarray | None = None
-    feature_scales: np.ndarray | None = None
 
 
 def _fit_binary(
@@ -166,21 +165,6 @@ def _fit_binary(
     return wb[:d], float(wb[d]), converged
 
 
-def _training_rows(
-    x: np.ndarray, labels: np.ndarray, test_idx: np.ndarray, standardize: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The rows outside test_idx, z-scored by their own means and scales when
-    standardize is set, their labels, and those means and scales (else None)."""
-    x, labels = np.delete(x, test_idx, axis=0), np.delete(labels, test_idx)
-    means = scales = None
-    if standardize:
-        means = x.mean(axis=0)
-        scales = x.std(axis=0)
-        scales = np.where(scales == 0.0, 1.0, scales)
-        x = (x - means) / scales
-    return x, labels, means, scales
-
-
 def _fit_folds(
     x: np.ndarray,
     labels: np.ndarray,
@@ -214,69 +198,50 @@ def _fit_folds(
 
     def fit_round(
         todo: list[tuple[int, str]], starts: dict[str, np.ndarray]
-    ) -> tuple[list[tuple[np.ndarray, float, bool]], dict]:
+    ) -> list[tuple[np.ndarray, float, bool]]:
         """The weights, bias and convergence flag of each pair in todo, each
-        fitted from the start of its class (zero where none), and the feature
-        means and scales of each fold it reaches."""
+        fitted from the start of its class (zero where none)."""
 
-        def fit_chunk(chunk: range) -> tuple[list[tuple[np.ndarray, float, bool]], dict]:
-            heads, scaling = [], {}
+        def fit_chunk(chunk: range) -> list[tuple[np.ndarray, float, bool]]:
+            heads, train_fold = [], None
             for fold, cls in (todo[i] for i in chunk):
-                if fold not in scaling:  # the pairs of one fold are adjacent
-                    x_train, y_train, means, scales = _training_rows(
-                        x, labels, test_folds[fold], config.standardize
-                    )
-                    scaling[fold] = means, scales
+                if fold != train_fold:  # the pairs of one fold are adjacent
+                    train_fold = fold
+                    x_train = np.delete(x, test_folds[fold], axis=0)
+                    y_train = np.delete(labels, test_folds[fold])
                 target = np.where(y_train == cls, 1.0, -1.0)
                 heads.append(
                     _fit_binary(x_train, target, config.l2_strength, starts.get(cls))
                 )
-            return heads, scaling
+            return heads
 
-        parts = list(_forked_iter(fit_chunk, _chunk_ranges(len(todo))))
-        return (
-            [head for part_heads, _ in parts for head in part_heads],
-            {fold: s for _, part_scaling in parts for fold, s in part_scaling.items()},
-        )
+        return [
+            head
+            for part in _forked_iter(fit_chunk, _chunk_ranges(len(todo)))
+            for head in part
+        ]
 
     first = len(fold_classes[0])
-    heads, scaling = fit_round(pairs[:first], {})
+    heads = fit_round(pairs[:first], {})
     starts = {
         cls: np.r_[weights, bias]
         for cls, (weights, bias, converged) in zip(fold_classes[0], heads)
         if converged
     }
-    rest_heads, rest_scaling = fit_round(pairs[first:], starts)
-    heads = iter(heads + rest_heads)
-    scaling |= rest_scaling
+    heads = iter(heads + fit_round(pairs[first:], starts))
     models = []
-    for fold, classes in enumerate(fold_classes):
+    for classes in fold_classes:
         weights, intercepts, converged = zip(*(next(heads) for _ in classes))
-        means, scales = scaling[fold]
         model = OvrLogisticModel(
-            classes=classes,
-            weights=np.array(weights),
-            intercepts=np.array(intercepts),
-            feature_means=means,
-            feature_scales=scales,
+            classes=classes, weights=np.array(weights), intercepts=np.array(intercepts)
         )
         models.append((model, converged.count(False)))
     return models
 
 
-def _warn_unconverged(unconverged: int, fits: int) -> None:
-    if unconverged:
-        log.warning(
-            "%d of %d logistic fits stopped without convergence", unconverged, fits
-        )
-
-
 def decision_scores(model: OvrLogisticModel, x: np.ndarray) -> np.ndarray:
     """Raw per-class scores w_c^T x + b_c, shape (n, n_classes)."""
-    x = np.asarray(x, dtype=float)
-    if model.feature_means is not None:
-        x = (x - model.feature_means) / model.feature_scales
-    return x @ model.weights.T + model.intercepts
+    return np.asarray(x, dtype=float) @ model.weights.T + model.intercepts
 
 
 def stratified_folds(
@@ -382,18 +347,29 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _report(
-    x: np.ndarray,
-    labels: np.ndarray,
-    classes: tuple[str, ...],
-    test_folds: list[np.ndarray],
-    config: ClassifierConfig,
+def cross_validate(
+    x: np.ndarray, labels: Sequence[str], config: ClassifierConfig | None = None
 ) -> ClassifierReport:
-    """Fit on all rows outside each test-index array and score that array.
+    """Stratified k-fold evaluation of the one-vs-rest classifier.
 
-    Each array is one fold column of the report.
+    Each fold's model is fitted on the rows outside it and scored on its
+    rows; the report has one column per fold (see stratified_folds).
     """
-    shape = (len(classes), len(test_folds))
+    config = config or ClassifierConfig()
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(list(labels))
+    classes = tuple(sorted(set(labels.tolist())))
+    if len(classes) < 2:
+        raise InputError("need at least 2 classes to cross-validate")
+    for cls in classes:
+        count = int(np.sum(labels == cls))
+        if count < config.n_folds:
+            raise InputError(
+                f"class '{cls}' has {count} members, fewer than "
+                f"{config.n_folds} folds"
+            )
+    test_folds = stratified_folds(labels, config.n_folds, config.seed)
+    shape = (len(classes), config.n_folds)
     auc, precision, recall, f_score = (np.full(shape, np.nan) for _ in range(4))
     roc: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     counts = np.zeros((len(classes), len(classes)), dtype=int)
@@ -420,10 +396,13 @@ def _report(
                 log.warning("fold %d: class '%s' missing from test set", fold, cls)
         for true_label, pred_label in zip(test_labels, preds):
             counts[classes.index(true_label), classes.index(pred_label)] += 1
-    _warn_unconverged(unconverged, fits)
+    if unconverged:
+        log.warning(
+            "%d of %d logistic fits stopped without convergence", unconverged, fits
+        )
     return ClassifierReport(
         classes=classes,
-        n_folds=len(test_folds),
+        n_folds=config.n_folds,
         auc=auc,
         precision=precision,
         recall=recall,
@@ -432,59 +411,6 @@ def _report(
         confusion_counts=counts,
         confusion_pooled=_normalize_rows(counts),
     )
-
-
-def cross_validate(
-    x: np.ndarray, labels: Sequence[str], config: ClassifierConfig | None = None
-) -> ClassifierReport:
-    """Stratified k-fold evaluation of the one-vs-rest classifier.
-
-    The report has one column per fold (see stratified_folds).
-    """
-    config = config or ClassifierConfig()
-    labels = np.asarray(list(labels))
-    classes = tuple(sorted(set(labels.tolist())))
-    if len(classes) < 2:
-        raise InputError("need at least 2 classes to cross-validate")
-    for cls in classes:
-        count = int(np.sum(labels == cls))
-        if count < config.n_folds:
-            raise InputError(
-                f"class '{cls}' has {count} members, fewer than "
-                f"{config.n_folds} folds"
-            )
-    folds = stratified_folds(labels, config.n_folds, config.seed)
-    return _report(np.asarray(x, dtype=float), labels, classes, folds, config)
-
-
-def evaluate_holdout(
-    x: np.ndarray,
-    labels: Sequence[str],
-    config: ClassifierConfig | None = None,
-    test_fraction: float = 0.2,
-) -> ClassifierReport:
-    """Single stratified holdout evaluation; report has one fold column.
-
-    The holdout is the one test-index array of the same report builder that
-    cross_validate uses. Each class gives floor(test_fraction * size) of its
-    members, at least one and at most size - 1, so that every class keeps a
-    training row, drawn by its own stream keyed on (seed, class index).
-    """
-    config = config or ClassifierConfig()
-    if not (0.0 < test_fraction < 1.0):
-        raise InputError(f"test fraction must be in (0, 1), got {test_fraction}")
-    labels = np.asarray(list(labels))
-    classes = tuple(sorted(set(labels.tolist())))
-    test_parts = []
-    for ci, cls in enumerate(classes):
-        idx = np.nonzero(labels == cls)[0]
-        if idx.size < 2:
-            raise InputError(f"class '{cls}' has fewer than 2 members")
-        k = min(max(1, int(np.floor(test_fraction * idx.size + 1e-9))), idx.size - 1)
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, ci]))
-        test_parts.append(rng.permutation(idx)[:k])
-    test_idx = np.array(sorted(int(i) for i in np.concatenate(test_parts)))
-    return _report(np.asarray(x, dtype=float), labels, classes, [test_idx], config)
 
 
 def write_clf_metrics(path: str | Path, report: ClassifierReport) -> None:

@@ -102,14 +102,10 @@ def _typed(action: argparse.Action, value):
     """A config value as its flag would set it; ValueError if no flag could."""
     if value is None and action.default is None:
         return None
-    if action.nargs == 0:  # on/off flags take only true or false
-        if isinstance(value, bool):
-            return value
-    elif action.nargs == "+":
-        if isinstance(value, list) and value:
-            return [_typed_text(action, v) for v in value]
-    else:
+    if action.nargs != "+":
         return _typed_text(action, value)
+    if isinstance(value, list) and value:
+        return [_typed_text(action, v) for v in value]
     raise ValueError(value)
 
 
@@ -508,7 +504,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .classify import (
         ClassifierConfig,
         cross_validate,
-        evaluate_holdout,
         write_clf_metrics,
         write_confusion,
         write_roc_points,
@@ -520,17 +515,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     covariates, _ = read_covariates(Path(cfg["covariates"]), _schema_from(cfg))
     labels = _races(ids, covariates)
     clf_config = ClassifierConfig(
-        l2_strength=cfg["l2"],
-        n_folds=cfg["folds"],
-        seed=cfg["seed"],
-        standardize=cfg["standardize"],
+        l2_strength=cfg["l2"], n_folds=cfg["folds"], seed=cfg["seed"]
     )
-    if cfg["holdout_fraction"] is not None:
-        report = evaluate_holdout(
-            z_matrix, labels, clf_config, test_fraction=cfg["holdout_fraction"]
-        )
-    else:
-        report = cross_validate(z_matrix, labels, clf_config)
+    report = cross_validate(z_matrix, labels, clf_config)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_clf_metrics(out / "clf_metrics.csv", report)
@@ -838,8 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
     add_race_labels(p)
     p.set_defaults(func=cmd_classify)
 

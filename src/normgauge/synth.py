@@ -63,8 +63,10 @@ class SynthSpec:
             raise InputError(f"invalid age range {self.age_range}")
         if self.n_regions < 1:
             raise InputError(f"n_regions must be >= 1, got {self.n_regions}")
-        if self.noise_sd <= 0:
-            raise InputError(f"noise_sd must be positive, got {self.noise_sd}")
+        if not 0 < self.noise_sd < np.inf:
+            raise InputError(
+                f"noise_sd must be positive and finite, got {self.noise_sd}"
+            )
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         curves = self.curves
@@ -119,9 +121,14 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
         """The spec of a JSON object; a key it omits takes its default, and
-        one that is missing or malformed raises InputError naming it."""
+        one that is missing, unknown or malformed raises InputError naming it.
+        region_names, which to_dict writes, is derived, so it is read only to
+        check that it matches."""
         if "n_per_group" not in d:
             raise InputError("spec is missing 'n_per_group'")
+        unknown = sorted(set(d) - set(_SPEC_KEYS) - {"region_names"})
+        if unknown:
+            raise InputError(f"spec has unknown key(s) {unknown}")
         fields = {}
         for key, parse in _SPEC_KEYS.items():
             if key in d:
@@ -131,7 +138,10 @@ class SynthSpec:
                     raise InputError(
                         f"spec key '{key}' is malformed ({type(exc).__name__}: {exc})"
                     ) from None
-        return cls(**fields)
+        spec = cls(**fields)
+        if "region_names" in d and d["region_names"] != list(spec.region_names):
+            raise InputError("spec key 'region_names' does not match n_regions")
+        return spec
 
 
 def _offsets(value) -> np.ndarray | float:

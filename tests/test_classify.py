@@ -16,12 +16,7 @@ from normgauge import (
     stratified_folds,
 )
 from normgauge import classify, serialize
-from normgauge.classify import (
-    evaluate_holdout,
-    write_clf_metrics,
-    write_confusion,
-    write_roc_points,
-)
+from normgauge.classify import write_clf_metrics, write_confusion, write_roc_points
 
 
 def blob_data(rng, n_per_class, centers, sd=1.0):
@@ -249,8 +244,7 @@ class TestNewtonMatchesLbfgs:
     """Oracle: scipy's L-BFGS-B on the same loss, run far past the fit's
     tolerance, reaches the same weights."""
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_weights_and_gradient(self, standardize):
+    def test_weights_and_gradient(self):
         rng = np.random.default_rng(15)
         x, labels = blob_data(
             rng,
@@ -258,10 +252,8 @@ class TestNewtonMatchesLbfgs:
             {"A": (-1.0, 0.5, 0.0), "B": (1.0, -0.5, 0.0), "W": (0.0, 0.0, 1.0)},
         )
         x[:, 2] = 40.0 * x[:, 2] + 7.0
-        config = ClassifierConfig(l2_strength=0.5, standardize=standardize)
+        config = ClassifierConfig(l2_strength=0.5)
         model = fit_ovr(x, labels, config)[0]
-        if standardize:
-            x = (x - model.feature_means) / model.feature_scales
         for ci, cls in enumerate(model.classes):
             target = np.where(np.asarray(labels) == cls, 1.0, -1.0)
             args = (x, target, config.l2_strength)
@@ -279,9 +271,8 @@ class TestWarmStartMatchesCold:
     class as cross-validation fits it, reaches the fit from zero and the
     L-BFGS-B optimum on that fold's own training rows."""
 
-    @pytest.mark.parametrize("standardize", [False, True])
     @pytest.mark.parametrize("l2", [1.0, 1e-3])
-    def test_folds_after_the_first(self, l2, standardize):
+    def test_folds_after_the_first(self, l2):
         rng = np.random.default_rng(16)
         x, labels = blob_data(
             rng,
@@ -290,10 +281,10 @@ class TestWarmStartMatchesCold:
         )
         x[:, 2] = 40.0 * x[:, 2] + 7.0
         labels = np.asarray(labels)
-        config = ClassifierConfig(l2_strength=l2, standardize=standardize)
+        config = ClassifierConfig(l2_strength=l2)
         folds = stratified_folds(labels, config.n_folds, config.seed)
         models = classify._fit_folds(x, labels, folds, config)
-        rows = [classify._training_rows(x, labels, f, standardize)[:2] for f in folds]
+        rows = [(np.delete(x, f, axis=0), np.delete(labels, f)) for f in folds]
         for ci, cls in enumerate(models[0][0].classes):
             x0, y0 = rows[0]
             w0, b0, converged = classify._fit_binary(x0, np.where(y0 == cls, 1.0, -1.0), l2)
@@ -335,7 +326,8 @@ class TestWarmStartMatchesCold:
             monkeypatch.setattr(classify, "_MAX_ITER", max_iter)
             models = classify._fit_folds(x, labels, folds, config)
             for (model, _), test_idx in zip(models, folds):
-                x_train, y_train = classify._training_rows(x, labels, test_idx, False)[:2]
+                x_train = np.delete(x, test_idx, axis=0)
+                y_train = np.delete(labels, test_idx)
                 for ci, cls in enumerate(model.classes):
                     target = np.where(y_train == cls, 1.0, -1.0)
                     w, b, _ = classify._fit_binary(x_train, target, l2)
@@ -346,15 +338,7 @@ class TestWarmStartMatchesCold:
 class TestNonConvergenceWarning:
     """Each call logs one record that counts its fits that did not converge."""
 
-    @pytest.mark.parametrize(
-        "call, fits",
-        [
-            (cross_validate, 15),
-            (evaluate_holdout, 3),
-        ],
-        ids=["cross_validate", "evaluate_holdout"],
-    )
-    def test_one_record_per_call(self, monkeypatch, caplog, forks, call, fits):
+    def test_one_record_per_call(self, monkeypatch, caplog, forks):
         # forked, the counts come back from the children
         pids, forked = forks
         monkeypatch.setattr(classify, "_MAX_ITER", 1)
@@ -365,9 +349,9 @@ class TestNonConvergenceWarning:
             {"A": (-1.0, 0.0), "B": (1.0, 0.0), "W": (0.0, 1.0)},
         )
         with caplog.at_level(logging.WARNING, logger="normgauge.classify"):
-            call(x, labels)
+            cross_validate(x, labels)
         assert [r.getMessage() for r in caplog.records] == [
-            f"{fits} of {fits} logistic fits stopped without convergence"
+            "15 of 15 logistic fits stopped without convergence"
         ]
         assert bool(pids) == forked
 
@@ -394,16 +378,11 @@ class TestForkedFits:
     the report is bitwise the in-process one."""
 
     @pytest.mark.parametrize(
-        "call, config, rounds",
-        [
-            (cross_validate, ClassifierConfig(), (3, 12)),
-            (cross_validate, ClassifierConfig(l2_strength=0.0), (3, 12)),
-            (cross_validate, ClassifierConfig(standardize=True), (3, 12)),
-            (evaluate_holdout, ClassifierConfig(), (3, 0)),
-        ],
-        ids=["defaults", "l2-zero", "standardize", "holdout"],
+        "config",
+        [ClassifierConfig(), ClassifierConfig(l2_strength=0.0)],
+        ids=["defaults", "l2-zero"],
     )
-    def test_report_matches_in_process(self, monkeypatch, usable_cpus, call, config, rounds):
+    def test_report_matches_in_process(self, monkeypatch, usable_cpus, config):
         pids, cpus = usable_cpus
         rng = np.random.default_rng(21)
         x, labels = blob_data(
@@ -412,10 +391,10 @@ class TestForkedFits:
             {"A": (-0.6, 0.3, 0.0), "B": (0.6, -0.3, 0.0), "W": (0.0, 0.0, 0.5)},
         )
         x[:, 2] = 30.0 * x[:, 2] + 4.0
-        got = call(x, labels, config)
-        assert len(pids) == fork_count(cpus, rounds)
+        got = cross_validate(x, labels, config)
+        assert len(pids) == fork_count(cpus, (3, 12))
         monkeypatch.setattr(serialize, "_fork_slots", lambda: 1)
-        want = call(x, labels, config)
+        want = cross_validate(x, labels, config)
         assert got.classes == want.classes
         assert report_bytes(got) == report_bytes(want)
 
@@ -499,16 +478,6 @@ class TestCrossValidate:
         with pytest.raises(InputError):
             cross_validate(np.zeros((10, 2)), ["W"] * 10)
 
-    def test_standardization_invariant_to_feature_scale(self):
-        rng = np.random.default_rng(6)
-        x, labels = blob_data(
-            rng, {"A": 30, "W": 30}, {"A": (-1.0, 0.0), "W": (1.0, 0.0)}
-        )
-        config = ClassifierConfig(standardize=True)
-        base = cross_validate(x, labels, config)
-        scaled = cross_validate(x * 1024.0, labels, config)
-        np.testing.assert_array_equal(base.auc, scaled.auc)
-
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(8)
         x, labels = blob_data(
@@ -538,36 +507,6 @@ class TestPermutationNull:
         labels = ["A"] * 50 + ["W"] * 50
         mean_auc = permutation_null_auc(x, labels, n_permutations=20, seed=1)
         assert 0.45 <= mean_auc <= 0.55
-
-
-class TestHoldout:
-    def test_stratified_test_counts_and_metrics(self):
-        rng = np.random.default_rng(12)
-        x, labels = blob_data(
-            rng,
-            {"A": 20, "B": 30, "W": 50},
-            {"A": (-2.0, 0.0), "B": (2.0, 0.0), "W": (0.0, 2.0)},
-            sd=0.5,
-        )
-        report = evaluate_holdout(x, labels, test_fraction=0.2)
-        assert report.n_folds == 1
-        assert report.confusion_counts.sum() == 4 + 6 + 10
-        assert np.isfinite(report.auc).all()
-        assert report.macro_mean("auc") > 0.95
-
-    def test_every_class_keeps_a_training_row(self):
-        # at a fraction this close to 1, floor(f * 2 + 1e-9) is the whole
-        # 2-member class; the cap leaves it one training row
-        rng = np.random.default_rng(13)
-        labels = ["A"] * 2 + ["B"] * 5 + ["W"] * 5
-        x = rng.normal(size=(len(labels), 3))
-        report = evaluate_holdout(x, labels, test_fraction=1 - 4e-10)
-        assert report.classes == ("A", "B", "W")
-        np.testing.assert_array_equal(report.confusion_counts.sum(axis=1), [1, 4, 4])
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(InputError):
-            evaluate_holdout(np.zeros((10, 1)), ["A", "W"] * 5, test_fraction=1.0)
 
 
 class TestReportFiles:

@@ -293,11 +293,11 @@ class TestAuditBytes:
 
 
 class TestClassifyBytes:
-    """The three classify outputs of the pipeline, and of an unpenalized and
-    a holdout run on its files, pinned by their SHA-256 as classify wrote them
-    when every binary fit started from zero. At l2 > 0 a start changes only
-    how many Newton steps reach the unique optimum; at l2 = 0, and in a
-    holdout's one fold, every fit still starts from zero."""
+    """The three classify outputs of the pipeline, and of an unpenalized run
+    on its files, pinned by their SHA-256 as classify wrote them when every
+    binary fit started from zero. At l2 > 0 a start changes only how many
+    Newton steps reach the unique optimum; at l2 = 0 every fit still starts
+    from zero."""
 
     NAMES = ("clf_metrics.csv", "roc_points.csv", "confusion.csv")
 
@@ -321,13 +321,8 @@ class TestClassifyBytes:
                 "0b9eb1156e932404eda9c8cc33b5e0c5b6aa7eb218e9ef37c88721cf0ef9cc11",
                 "cd2e261061713a7198148bccf1e5f2dc0fa49fb153916f82836b930d349fc33f",
             ]),
-            (("--holdout-fraction", "0.3"), [
-                "6ee7d7c436de36c754b74eba181eb28f968fe8ec3198e43b5df194a03f32401c",
-                "63025db9af14b4c8e166f70c7fe0bf1b115178986276ac6e521dee2afde6b356",
-                "b6783bc74640cf7cd21b9c8c23d67fb53cfdac1b30149a93ae29addb396e65d7",
-            ]),
         ],
-        ids=["l2-zero", "holdout"],
+        ids=["l2-zero"],
     )
     def test_from_zero(self, pipeline, tmp_path, flags, want):
         out = tmp_path / "clf"
@@ -444,48 +439,31 @@ class TestClassifyOptions:
             *flags,
         )
 
-    def test_holdout_fraction_one_fold_per_class(self, pipeline, tmp_path):
-        outs = [tmp_path / "clf_a", tmp_path / "clf_b"]
-        for out in outs:
-            assert self.classify(pipeline, out, "--holdout-fraction", "0.2") == 0
-        with open(outs[0] / "clf_metrics.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["class"], r["fold"]) for r in rows] == [
-            ("A", "0"), ("B", "0"), ("W", "0")
-        ]
-        for name in ("clf_metrics.csv", "roc_points.csv", "confusion.csv"):
-            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
-
-    def test_holdout_fraction_near_one_keeps_every_class(self, tmp_path):
-        # floor(f * 2 + 1e-9) at this f is the whole 2-member class A; the
-        # fold's model then lacked A and the report raised a traceback
-        labels = ["A"] * 2 + ["B"] * 5 + ["W"] * 5
-        ids = [f"s{i:02d}" for i in range(len(labels))]
-        rng = np.random.default_rng(0)
-        covariates = tmp_path / "covariates.csv"
-        covariates.write_text(
-            "id,age,sex,race\n"
-            + "".join(f"{sid},{40 + i},F,{g}\n" for i, (sid, g) in enumerate(zip(ids, labels))),
-            encoding="utf-8",
-        )
-        deviations = tmp_path / "deviations.csv"
-        values = rng.normal(size=(len(ids), 2)).tolist()
-        deviations.write_text(
-            "id,region_000,region_001\n"
-            + "".join(f"{sid},{a!r},{b!r}\n" for sid, (a, b) in zip(ids, values)),
-            encoding="utf-8",
-        )
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (("--standardize",), None, "unrecognized arguments: --standardize"),
+            (("--holdout-fraction", "0.2"), None,
+             "unrecognized arguments: --holdout-fraction 0.2"),
+            ((), {"standardize": True}, "unknown config key(s) ['standardize']"),
+        ],
+        ids=["standardize", "holdout-fraction", "standardize-config"],
+    )
+    def test_removed_modes_exit_two(self, pipeline, tmp_path, capsys, flags, config,
+                                    message):
+        # cross-validation on the deviations as written is the one evaluation
         out = tmp_path / "clf"
-        result = _python(
-            "-m", "normgauge.cli", "classify", "--deviations", deviations,
-            "--covariates", covariates, "--out", out,
-            "--holdout-fraction", repr(1 - 4e-10),
-        )
-        assert result.returncode == 0, result.stderr
-        assert "Traceback" not in result.stderr
-        with open(out / "clf_metrics.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["class"], r["fold"]) for r in rows] == [("A", "0"), ("B", "0"), ("W", "0")]
+        if config is not None:
+            path = tmp_path / "classify.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            flags = ("--config", path)
+        try:
+            code = self.classify(pipeline, out, *flags)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_svg(self, pipeline, tmp_path, capsys):
         # the option is gone: as a flag or a config key it is unknown
@@ -531,8 +509,7 @@ DEFAULT_OPTIONS = {
     "evaluate": {"ids": None, "race_labels": "A,B,W"},
     "audit": {"q": 0.05, "threshold": 2.0, "bundle": None, "features": None,
               "race_labels": "A,B,W"},
-    "classify": {"folds": 5, "l2": 1.0, "seed": 0, "standardize": False,
-                 "holdout_fraction": None, "race_labels": "A,B,W"},
+    "classify": {"folds": 5, "l2": 1.0, "seed": 0, "race_labels": "A,B,W"},
 }
 
 
@@ -575,22 +552,6 @@ class TestConfigFile:
         cfg = self._fit_with_config(pipeline, tmp_path, file_values, flags)
         assert {key: cfg[key] for key in expected} == expected
 
-    @pytest.mark.parametrize(
-        "file_value, flags",
-        [
-            (False, ["--standardize"]),  # an on/off flag beats the file's false
-            (True, []),  # the file's true stands without the flag
-        ],
-    )
-    def test_on_off_option_from_config_file(self, pipeline, tmp_path, file_value, flags):
-        config = tmp_path / "classify.json"
-        config.write_text(json.dumps({"standardize": file_value}), encoding="utf-8")
-        out = tmp_path / "clf_cfg"
-        code = run_cli("classify", "--config", config, "--folds", "4", *flags,
-                       *required_flags(pipeline, "classify", out))
-        assert code == 0
-        assert json.loads((out / "run_config.json").read_text())["standardize"] is True
-
     def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"knotz": 6}), encoding="utf-8")
@@ -617,7 +578,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("classify", "standardize", "false"),
+            ("classify", "folds", "five"),
             ("fit", "knots", [3]),
             ("audit", "q", "high"),
         ],
@@ -1127,9 +1088,14 @@ class TestExitCodes:
             ({"age_range": [20, 40, 60]}, "spec key 'age_range' is malformed (ValueError"),
             ({"age_range": [20, math.inf]}, "invalid age range (20.0, inf)"),
             ({"sex_offsets": [0.1, 0.2]}, "sex_offsets must be a number or 4 numbers"),
+            ({"n_region": 3, "noise_SD": 0.5},
+             "spec has unknown key(s) ['n_region', 'noise_SD']"),
+            ({"noise_sd": math.nan}, "noise_sd must be positive and finite, got nan"),
+            ({"region_names": ["region_000"]},
+             "spec key 'region_names' does not match n_regions"),
         ],
         ids=["groups-list", "regions-text", "skew-text", "age-triple", "age-infinite",
-             "sex-offsets-short"],
+             "sex-offsets-short", "unknown-keys", "noise-nan", "region-names"],
     )
     def test_synth_malformed_spec_exit_two(self, tmp_path, capsys, overrides, message):
         spec = write_spec(tmp_path / "spec.json", **overrides)
@@ -2092,7 +2058,6 @@ class TestPublicNames:
             "design",
             "deviations",
             "errors",
-            "evaluate_holdout",
             "explained_variance",
             "fit_design",
             "fit_normative",
