@@ -13,6 +13,8 @@ no scipy, and takes about 20 s on two CPUs.
 """
 
 import csv
+import hashlib
+import io
 import json
 import os
 import re
@@ -20,6 +22,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 # the in-process paths: one usable CPU, or one BLAS thread
@@ -45,6 +48,26 @@ def same_bytes(a, b, names):
     """Each named file holds the same bytes under directory a as under b."""
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), (a / name, b / name)
+
+
+def repr_matrix(path):
+    """The matrix CSV at path holds what csv.writer writes for the repr of
+    each value of its sidecar, read per the layout that serialize documents:
+    a magic line, a line of JSON with the ids, the columns and the CSV's
+    SHA-256, then the values as little-endian float64 in row-major order."""
+    with open(f"{path}.cache", "rb") as fh:
+        assert fh.readline() == b"normgauge matrix sidecar 1\n", path
+        meta = json.loads(fh.readline())
+        values = np.frombuffer(fh.read(), dtype="<f8")
+    ids, columns = meta["ids"], meta["columns"]
+    data = path.read_bytes()
+    assert meta["csv_sha256"] == hashlib.sha256(data).hexdigest(), path
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["id", *columns])
+    out.writerows([sid, *map(repr, row)]
+                  for sid, row in zip(ids, values.reshape(len(ids), len(columns)).tolist()))
+    assert data == buf.getvalue().encode("utf-8"), path
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -239,7 +262,9 @@ def test_row_chunked(tmp_path):
     its sidecar; with the sidecars deleted before each stage, or with the two
     sidecars of evaluate swapped, so that neither matches its CSV, the
     outputs are again the same bytes. audit takes its EV and MSLL from
-    group_fit.json, a required input, so that file is kept."""
+    group_fit.json, a required input, so that file is kept. Each matrix CSV,
+    in each run that keeps its sidecar, holds the repr of its sidecar's
+    values (repr_matrix)."""
     spec = {"n_per_group": {"A": 40, "B": 40, "W": 170}, "n_regions": 7,
             "noise_sd": 0.25, "seed": 1}
     (tmp_path / "rows.json").write_text(json.dumps(spec), encoding="utf-8")
@@ -292,13 +317,20 @@ def test_row_chunked(tmp_path):
             "eval/errors.csv.cache", "eval/group_fit.json"])
     for other in (uncached, stale):
         same_bytes(default, other, outputs)
+    # the float text of every matrix written, against repr independently of
+    # the package
+    for name in ("default", *VARIANTS):
+        for matrix in ("data/features.csv", "eval/deviations.csv", "eval/errors.csv"):
+            repr_matrix(tmp_path / name / matrix)
 
 
 def test_affine_copies(tmp_path):
     """Each region is fitted on its column standardized by its training mean
-    and SD, so the fit and evaluation of a x1e5 copy and of a +1e3 copy of
-    the features give every Z of the unscaled run to within 1e-6, the budget
-    of the affine oracle in tests/test_blr.py."""
+    and SD, so the fit and evaluation of a x1e5 copy, a x1e-6 copy and a
+    +1e3 copy of the features give every Z of the unscaled run to within
+    1e-6, the budget of the affine oracle in tests/test_blr.py. Every
+    deviations.csv and errors.csv holds the repr of its values; the x1e-6
+    copy's errors are written in e-notation."""
     spec = {"n_per_group": {"A": 30, "B": 30, "W": 140}, "n_regions": 4, **SKEW, "seed": 2}
     (tmp_path / "affine.json").write_text(json.dumps(spec), encoding="utf-8")
     data = tmp_path / "data"
@@ -306,7 +338,8 @@ def test_affine_copies(tmp_path):
     with open(data / "features.csv", newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     features = {"features": data / "features.csv"}
-    for name, move in (("scaled", lambda v: v * 1e5), ("shifted", lambda v: v + 1e3)):
+    for name, move in (("scaled", lambda v: v * 1e5), ("shrunk", lambda v: v * 1e-6),
+                       ("shifted", lambda v: v + 1e3)):
         features[name] = tmp_path / f"{name}.csv"
         with open(features[name], "w", newline="", encoding="utf-8") as fh:
             out = csv.writer(fh, lineterminator="\n")
@@ -327,8 +360,11 @@ def test_affine_copies(tmp_path):
     regions = json.loads((tmp_path / "fit-features" / "regions.json").read_text())["regions"]
     assert sum(r["hyperparams"]["warp"] != {"epsilon": 0.0, "log_delta": 0.0}
                for r in regions) >= 1
+    for name in features:
+        repr_matrix(tmp_path / f"eval-{name}" / "deviations.csv")
+        repr_matrix(tmp_path / f"eval-{name}" / "errors.csv")
     header, ids, unit = deviations("features")
-    for name in ("scaled", "shifted"):
+    for name in ("scaled", "shrunk", "shifted"):
         got_header, got_ids, got = deviations(name)
         assert (got_header, got_ids) == (header, ids), name
         worst = max(abs(a - b) for row, ref in zip(got, unit) for a, b in zip(row, ref))

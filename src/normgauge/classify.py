@@ -29,6 +29,7 @@ on one CPU or many.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .serialize import _chunk_ranges, _forked_iter, _quoted, format_cell, write_csv
+from .serialize import (
+    _chunk_ranges,
+    _float_rows,
+    _forked_iter,
+    _quoted,
+    format_cell,
+    write_csv,
+)
 
 log = logging.getLogger(__name__)
 
@@ -432,16 +440,14 @@ def write_clf_metrics(path: str | Path, report: ClassifierReport) -> None:
 
 def write_roc_points(path: str | Path, report: ClassifierReport) -> None:
     """write_csv's bytes for the rows (class, fold, fpr, tpr) of every curve,
-    formatted a whole line at a time: the class and fold text once per curve,
-    then the repr of each point. repr is format_cell's text of every float
-    but NaN, and roc_points gives no NaN."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("class,fold,fpr,tpr\n")
+    formatted a curve at a time by serialize._float_rows, with the class and
+    fold text as each row's prefix. _float_rows writes format_cell's text of
+    every float, and roc_points gives no NaN."""
+    with open(path, "wb") as fh:
+        fh.write(b"class,fold,fpr,tpr\n")
         for (cls, fold), (fpr, tpr) in sorted(report.roc_curves.items()):
-            prefix = f"{_quoted(format_cell(cls))},{format_cell(fold)},"
-            fh.write("".join(
-                f"{prefix}{x!r},{y!r}\n" for x, y in zip(fpr.tolist(), tpr.tolist())
-            ))
+            prefix = f"{_quoted(format_cell(cls))},{format_cell(fold)},".encode("utf-8")
+            fh.write(_float_rows(np.column_stack([fpr, tpr]), itertools.repeat(prefix)))
 
 
 def write_confusion(path: str | Path, report: ClassifierReport) -> None:

@@ -10,6 +10,16 @@ in JSON and in CSV alike, is written as repr() writes it: the shortest text
 that reads back to the same IEEE-754 double. Nothing here writes timestamps or
 other run-dependent noise.
 
+Float text. The cells of a matrix CSV (write_matrix_csv) and of classify's
+ROC points are formatted by _float_rows, a block of cells at a time, and its
+bytes are exactly `",".join(map(repr, row))` with NaN emptied. A cell that
+repr writes in fixed notation (1e-4 <= |x| < 1e16) takes an exact vectorized
+path: its shortest round-trip digits are found in integer and double
+arithmetic whose every step is exact (_shortest_digits), and laid out with
+the sign, the '.' and any zero padding as repr lays them out. A cell outside
+that range, or one the exact path cannot decide, is repr's own text
+(_repr_cells). The bytes are the same either way; only the time differs.
+
 CSV contract. Written files are what `csv.writer` (lineterminator "\n")
 writes for the `format_cell` text of each cell: a missing value or NaN is an
 empty cell, and only a cell containing a comma, a double quote, a CR or an LF
@@ -18,7 +28,7 @@ is quoted. The one difference is a cell that holds a CR but no LF: Python
 is quoted like any other line break. `read_matrix_csv` accepts what
 `csv.reader` splits and what `float()` parses: blank lines are skipped, CRLF
 and quoted cells are allowed, and `1_0` or ` 1.5 ` parse as float() parses
-them. Rows are formatted a whole row and parsed a whole chunk of rows at a
+them. Rows are formatted a block of rows and parsed a whole chunk of rows at a
 time, not cell by cell. A reader may choose the rows it parses (the rows
 argument): every row's id and cell count is still read, so a repeated id or
 a short or long row anywhere still fails, but a cell of a row not chosen is
@@ -141,10 +151,13 @@ def write_matrix_csv(
     do not match the ids and columns, ValueError is raised before anything is
     written. The rows are cut into one contiguous chunk per usable CPU
     (_chunk_ranges), each chunk formats its rows to text, every chunk after
-    the first in a forked child (_forked_iter), and this process writes the
-    header and then each chunk's text as it arrives, hashing the bytes as it
-    writes them. Any older sidecar is deleted as the file is opened, and the
-    new one (_write_sidecar) follows the last row.
+    the first in a forked child (_forked_iter). A chunk's cells are made by
+    _float_rows a block at a time (see Float text above): each is repr's
+    text of its value, NaN empty, the same bytes as a repr of each cell
+    gives. This process writes the header and then each chunk's text as it
+    arrives, hashing the bytes as it writes them. Any older sidecar is
+    deleted as the file is opened, and the new one (_write_sidecar) follows
+    the last row.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(ids), len(columns)):
@@ -154,21 +167,14 @@ def write_matrix_csv(
         )
 
     def format_rows(chunk: range) -> bytearray:
-        # row by row, so that only the text itself grows with the chunk.
-        # repr is format_cell's text of every float but NaN, whose "nan" is
-        # emptied, and no number is ever quoted
-        lo, hi = chunk.start, chunk.stop
-        nan = bool(np.isnan(values[lo:hi]).any())
-        text = bytearray()
-        for sid, row in zip(ids[lo:hi], values[lo:hi]):
-            line = _quoted(format_cell(sid))
-            if columns:
-                cells = ",".join(map(repr, row.tolist()))
-                line += "," + (cells.replace("nan", "") if nan else cells)
-            elif not line:  # a lone empty id, written "" so it is not a blank line
-                line = '""'
-            text += (line + "\n").encode("utf-8")
-        return text
+        # _float_rows writes format_cell's text of every float, and no number
+        # is ever quoted
+        sids = [_quoted(format_cell(sid)) for sid in ids[chunk.start:chunk.stop]]
+        if columns:
+            prefixes = [(sid + ",").encode("utf-8") for sid in sids]
+            return _float_rows(values[chunk.start:chunk.stop], prefixes)
+        # a lone empty id is written "" so that it is not a blank line
+        return bytearray("".join((sid or '""') + "\n" for sid in sids).encode("utf-8"))
 
     sidecar = _sidecar_path(path)
     digest = hashlib.sha256()
@@ -185,6 +191,208 @@ def write_matrix_csv(
             del text  # written: not held while the next chunk arrives
     _write_sidecar(sidecar, digest.hexdigest(), ids, columns, values)
     return digest.hexdigest()
+
+
+# cells formatted at a time by _float_rows: its temporaries stay a few MB
+_BLOCK_CELLS = 1 << 14
+# 10**q for q = 0..22, each an exact double, and its Veltkamp split into two
+# halves of at most 26 significant bits (Dekker 1971)
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 2.0**27 + 1
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_INT_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_DIGIT_RANKS = np.arange(1, 18, dtype=np.uint8)
+_LAYOUTS = 40
+
+
+def _float_rows(values: np.ndarray, prefixes: Iterable[bytes]) -> bytearray:
+    """The UTF-8 bytes of `prefix + ",".join(map(repr, row)) + "\\n"` for each
+    row of the 2-D float array values (with at least one column) and its
+    prefix, a NaN cell written empty.
+
+    The rows are formatted _BLOCK_CELLS cells at a time (a row at least), by
+    _float_cells."""
+    values = np.asarray(values, dtype=np.float64)
+    rows, cols = values.shape
+    step = max(1, _BLOCK_CELLS // cols)
+    prefixes = iter(prefixes)
+    text = bytearray()
+    for start in range(0, rows, step):
+        cells = _float_cells(np.ravel(values[start:start + step]))
+        for k, prefix in zip(range(0, len(cells), cols), prefixes):
+            text += prefix
+            text += b",".join(cells[k:k + cols])
+            text += b"\n"
+    return text
+
+
+def _repr_cells(values: np.ndarray) -> list[bytes]:
+    """repr's text of each value, as bytes: _float_cells' fallback."""
+    return [repr(v).encode("ascii") for v in values.tolist()]
+
+
+def _float_cells(x: np.ndarray) -> list[bytes]:
+    """repr's text of each value of the 1-D float64 array x, as bytes, and
+    b"" for NaN.
+
+    A finite x with 1e-4 <= |x| < 1e16, where repr writes fixed notation, and
+    whose significand is not a power of two, where the gap to the double
+    below is half the gap above, takes the exact vectorized path of
+    _shortest_digits. The digits are then laid out as repr lays them out:
+    the sign, the digits with the '.' after the units digit, zeros between
+    the '.' and the first digit of a number under 1, the integer part padded
+    with zeros, and ".0" where no digit follows the '.'. Every other value,
+    and every cell that _shortest_digits cannot decide, is repr's own text
+    (_repr_cells).
+    """
+    bits = x.view(np.int64)
+    mag = np.abs(x)
+    fast = (mag >= 1e-4) & (mag < 1e16) & ((bits & (1 << 52) - 1) != 0)
+    slow = np.flatnonzero(~fast & ~np.isnan(x))
+    fast = np.flatnonzero(fast)
+    digits, exp10, count, exact = _shortest_digits(mag[fast], bits[fast])
+    # the cells by layout, one of 20 exponents (-4..15) times 2 signs, and
+    # the undecided ones last
+    layout = ((exp10 + 4) * 2 + (bits[fast] < 0)).astype(np.uint8)
+    layout[~exact] = _LAYOUTS
+    order = np.argsort(layout, kind="stable")
+    bounds = np.searchsorted(layout[order], np.arange(_LAYOUTS + 1)).tolist()
+    # the characters of the digits, a row per cell in sorted order: the
+    # padding zeros count as written up to the units digit and one digit
+    # after the '.', and the characters past those written are NUL
+    chars = _digit_chars(digits[order])
+    written = np.where(exp10 >= 0, np.maximum(count, exp10 + 2), count)[order].astype(np.uint8)
+    np.multiply(chars, _DIGIT_RANKS[:, None] <= written, out=chars, casting="unsafe")
+    chars = chars.T
+    # the text of each cell, NUL-padded, laid out a (exp10, sign) group at a
+    # time: the cells of a group are a slice of the sorted order
+    text = np.zeros((bounds[_LAYOUTS], 24), dtype=np.uint8)
+    for group in range(_LAYOUTS):
+        rows = slice(bounds[group], bounds[group + 1])
+        if rows.start == rows.stop:
+            continue
+        e, sign = divmod(group, 2)
+        e -= 4
+        if sign:
+            text[rows, 0] = ord("-")
+        if e >= 0:
+            text[rows, sign:sign + e + 1] = chars[rows, :e + 1]
+            text[rows, sign + e + 1] = ord(".")
+            text[rows, sign + e + 2:sign + 18] = chars[rows, e + 1:]
+        else:
+            text[rows, sign:sign - e + 1] = ord("0")
+            text[rows, sign + 1] = ord(".")
+            text[rows, sign - e + 1:sign - e + 18] = chars[rows]
+    cells = np.zeros(len(x), dtype="S24")
+    cells[fast[order[:bounds[_LAYOUTS]]]] = text.view("S24").ravel()
+    cells = cells.tolist()  # numpy drops each cell's trailing NULs
+    slow = np.concatenate([slow, fast[order[bounds[_LAYOUTS]:]]])
+    for k, cell in zip(slow.tolist(), _repr_cells(x[slow])):
+        cells[k] = cell
+    return cells
+
+
+def _digit_chars(digits: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each int64 in [10**16, 10**17), as ASCII in a
+    (17, n) uint8 array, the leading digit in row 0.
+
+    The digits below the leading one are split into two 8-digit halves,
+    each into 4-digit quads and each quad into 2-digit pairs, in the
+    narrowest unsigned type that holds each part."""
+    chars = np.empty((17, len(digits)), dtype=np.uint8)
+    head = digits // 10**16
+    chars[0] = head
+    tail = digits - head * 10**16
+    upper = tail // 10**8
+    for j, half in ((1, upper), (9, tail - upper * 10**8)):
+        half = half.astype(np.uint32)
+        quads = half // 10000
+        for i, quad in ((j, quads), (j + 4, half - quads * 10000)):
+            quad = quad.astype(np.uint16)
+            pairs = quad // 100
+            for row, pair in ((i, pairs), (i + 2, quad - pairs * 100)):
+                tens = pair * 103 >> 10  # pair // 10, exact below 179
+                chars[row] = tens
+                chars[row + 1] = pair - tens * 10
+    chars += ord("0")
+    return chars
+
+
+def _shortest_digits(
+    mag: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of each double x of bits, with mag = |x| in [1e-4, 1e16)
+    and a significand that is not a power of two: (digits, exp10, count,
+    exact), where x is digits * 10**(exp10 - 16) written to count significant
+    digits (digits is an int64 of 17 digits, padded with zeros), for each x
+    where exact holds.
+
+    repr writes the fewest digits that read back to x, and of those the
+    nearest to x (Steele & White 1990; Adams 2018). Here V = mag * 10**q, q
+    = 16 - exp10 in [1, 20], is formed exactly as hi + lo by Dekker's
+    two-product (10**q is an exact double), with N = floor(V) in [10**16,
+    10**17). The n-digit candidate is C, the integer nearest V / 10**k, k = 17
+    - n. It reads back to x where |C * 10**k - V| < h, half x's ulp times
+    10**q, and at equality only where x's significand is even (round half to
+    even). Both sides are exact doubles: h is 5**q times a power of two, and
+    where the gap is under 32, it is a multiple of 2**(E + q) >= 2**-46, x =
+    m * 2**E, so it needs at most 51 bits. 17 digits always read back (h >
+    0.55), and where n digits do, n + 1 do too, so count is the least n that
+    does. exact is False where that is not decided here: N out of range, a
+    tie between two nearest candidates, or a carry of the digits to 10**n.
+    """
+    exp10 = np.floor(np.log10(mag))
+    q = np.clip(16 - exp10, 0, 22).astype(np.intp)
+    hi = mag * _POW10[q]
+    off = np.flatnonzero((hi < 1e16) | (hi >= 1e17))  # log10 rounded across a power of ten
+    if off.size:
+        q[off] += hi[off] < 1e16
+        q[off] -= hi[off] >= 1e17
+        hi = mag * _POW10[q]
+    # Dekker's two-product: mag * 10**q == hi + lo exactly
+    split = mag * _SPLITTER
+    mag_hi = split - (split - mag)
+    mag_lo = mag - mag_hi
+    pow_hi, pow_lo = _POW10_HI[q], _POW10_LO[q]
+    lo = ((mag_hi * pow_hi - hi) + mag_hi * pow_lo + mag_lo * pow_hi) + mag_lo * pow_lo
+    floor_lo = np.floor(lo)
+    int_lo = floor_lo.astype(np.int64)
+    whole = hi.astype(np.int64) + int_lo  # N; V - N = lo - floor_lo, in [0, 1)
+    fraction = (lo != floor_lo).astype(np.int64)
+    # half an ulp of x is 2**(biased exponent - 1076), a normal double here
+    half_ulp = _POW10[q] * ((bits >> 52 & 0x7FF) - 53 << 52).view(np.float64)
+    even = (bits & 1) == 0
+    exact = (whole >= 10**16) & (whole < 10**17)
+    # 17 digits: the integer nearest V; V - N == 0.5 is a tie
+    digits = whole + (lo > floor_lo + 0.5)
+    exact &= lo != floor_lo + 0.5
+    dropped = np.zeros(len(mag), dtype=np.intp)  # k = 17 - count
+    active = np.arange(len(mag))
+    for k in range(1, 17):
+        step = 10**k
+        base, low, ulp, frac = whole[active], lo[active], half_ulp[active], fraction[active]
+        quotient = base // step
+        # twice the remainder of N, plus one where V is not an integer
+        twice = (base - quotient * step) * 2 + frac
+        candidate = quotient + (twice > step)
+        # |C * 10**k - V|, as |(C * 10**k - N + floor(lo)) - lo|
+        gap = np.abs((candidate * step - base + int_lo[active]).astype(np.float64) - low)
+        reads_back = (gap < ulp) | ((gap == ulp) & even[active])
+        if k == 1:
+            # V = N ends in 5: two nearest candidates
+            tie = twice == step
+            exact[active[tie & reads_back]] = False
+            reads_back &= ~tie
+        passed = np.flatnonzero(reads_back)
+        active = active[passed]
+        if not active.size:
+            break
+        digits[active] = candidate[passed]
+        dropped[active] = k
+    digits *= _INT_POW10[dropped]
+    exact &= digits < 10**17
+    return digits, 16 - q, 17 - dropped, exact
 
 
 # the first bytes of a sidecar: a format change takes a new number, so that an

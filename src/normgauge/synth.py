@@ -152,6 +152,14 @@ def _offsets(value) -> np.ndarray | float:
     return float(value)
 
 
+def _count(value) -> int:
+    """A JSON integer, as n_per_group's counts, n_regions and seed: a bool, a
+    string or a number with a fraction is rejected, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _age_range(value) -> tuple[float, float]:
     lo, hi = value
     return float(lo), float(hi)
@@ -159,15 +167,15 @@ def _age_range(value) -> tuple[float, float]:
 
 # each key SynthSpec.from_dict reads, and how its JSON value becomes the field
 _SPEC_KEYS = {
-    "n_per_group": lambda v: {str(k): int(n) for k, n in v.items()},
+    "n_per_group": lambda v: {str(k): _count(n) for k, n in v.items()},
     "age_range": _age_range,
-    "n_regions": int,
+    "n_regions": _count,
     "curves": lambda v: None if v is None else np.asarray(v, dtype=float),
     "sex_offsets": _offsets,
     "group_offsets": lambda v: {str(k): _offsets(x) for k, x in v.items()},
     "noise_sd": float,
     "noise_skew": lambda v: WarpParams.from_dict(v) if v else None,
-    "seed": int,
+    "seed": _count,
 }
 
 

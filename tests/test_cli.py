@@ -1093,9 +1093,26 @@ class TestExitCodes:
             ({"noise_sd": math.nan}, "noise_sd must be positive and finite, got nan"),
             ({"region_names": ["region_000"]},
              "spec key 'region_names' does not match n_regions"),
+            # a count or seed is a JSON integer: none of these is truncated
+            ({"n_per_group": {"A": 5.9, "B": 4}},
+             "spec key 'n_per_group' is malformed (ValueError: expected an integer, got 5.9)"),
+            ({"n_per_group": {"A": True, "B": 4}},
+             "spec key 'n_per_group' is malformed (ValueError: expected an integer, got True)"),
+            ({"n_per_group": {"A": "5", "B": 4}},
+             "spec key 'n_per_group' is malformed (ValueError: expected an integer, got '5')"),
+            ({"n_regions": 2.7},
+             "spec key 'n_regions' is malformed (ValueError: expected an integer, got 2.7)"),
+            ({"n_regions": True},
+             "spec key 'n_regions' is malformed (ValueError: expected an integer, got True)"),
+            ({"seed": 1.5}, "spec key 'seed' is malformed (ValueError: expected an integer, got 1.5)"),
+            ({"seed": False},
+             "spec key 'seed' is malformed (ValueError: expected an integer, got False)"),
+            ({"seed": "1"}, "spec key 'seed' is malformed (ValueError: expected an integer, got '1')"),
         ],
         ids=["groups-list", "regions-text", "skew-text", "age-triple", "age-infinite",
-             "sex-offsets-short", "unknown-keys", "noise-nan", "region-names"],
+             "sex-offsets-short", "unknown-keys", "noise-nan", "region-names",
+             "count-fraction", "count-bool", "count-text", "regions-fraction", "regions-bool",
+             "seed-fraction", "seed-bool", "seed-text"],
     )
     def test_synth_malformed_spec_exit_two(self, tmp_path, capsys, overrides, message):
         spec = write_spec(tmp_path / "spec.json", **overrides)

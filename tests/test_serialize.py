@@ -153,6 +153,84 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def repr_rows(values, prefixes):
+    """The oracle of serialize._float_rows: repr of each cell, NaN empty."""
+    return b"".join(
+        prefix + ",".join(map(repr, row)).replace("nan", "").encode("ascii") + b"\n"
+        for prefix, row in zip(prefixes, values.tolist())
+    )
+
+
+def float_text_cases(rng):
+    """About a million doubles that try repr's corner cases: random bit
+    patterns, wide magnitudes, short decimals and their neighbours, halfway
+    ties, powers of ten, the edges of fixed notation and integers."""
+    def sign(n):
+        return rng.choice([-1.0, 1.0], n)
+
+    bits = rng.integers(0, 2**64, 170_000, dtype=np.uint64).view(np.float64)
+    short = rng.integers(-10**7, 10**7, 30_000) / 10.0 ** rng.integers(0, 12, 30_000)
+    powers = 10.0 ** np.arange(-20, 24)
+    # 200 ulps either side of 1e-4 and 1e16, the bounds of fixed notation,
+    # and of two powers of ten between them
+    edges = np.concatenate([
+        edge + np.arange(-200, 201) * np.spacing(edge) for edge in (1e-4, 1e16, 0.001, 1e15)
+    ])
+    return np.concatenate([
+        bits,
+        rng.lognormal(0.0, 8.0, 170_000) * sign(170_000),
+        10.0 ** rng.uniform(-300, 300, 120_000) * sign(120_000),
+        *(short + k * np.spacing(short) for k in range(-3, 4)),
+        # ties: x.5 at the 17th digit, and dyadic fractions with long tails
+        rng.integers(10**15, 9 * 10**15, 50_000) + 0.5,
+        rng.integers(1, 10**6, 50_000) / 2.0 ** rng.integers(1, 40, 50_000) * sign(50_000),
+        *(powers + k * np.spacing(powers) for k in (-1, 0, 1)),
+        edges, -edges,
+        rng.integers(-2**53, 2**53, 110_000).astype(np.float64),
+        rng.integers(-1000, 1000, 20_000).astype(np.float64),
+        rng.normal(size=100_000),
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+         np.inf, -np.inf, np.nan, 0.1, 0.5, 100.0, 2.0**53, 2.0**53 + 2, 1e-5, 1e17],
+    ])
+
+
+class TestFloatText:
+    """serialize._float_rows writes repr's bytes, whichever path a cell takes."""
+
+    def test_matches_repr(self):
+        values = float_text_cases(np.random.default_rng(38))
+        assert values.size >= 10**6
+        # 148 columns: blocks of 110 rows, the last of them short
+        values = np.concatenate([values, np.full(-values.size % 148, np.nan)]).reshape(-1, 148)
+        assert len(values) % (serialize._BLOCK_CELLS // 148) != 0
+        prefixes = [f"s{i},".encode() for i in range(len(values))]
+        assert serialize._float_rows(values, prefixes) == repr_rows(values, prefixes)
+        # a row wider than a block, and a column
+        wide = values.reshape(1, -1)[:, :serialize._BLOCK_CELLS + 7]
+        assert serialize._float_rows(wide, [b""]) == repr_rows(wide, [b""])
+        column = values[:500, :1]
+        assert serialize._float_rows(column, [b"x,"] * 500) == repr_rows(column, [b"x,"] * 500)
+
+    def test_fast_path_formats_normal_cells(self, monkeypatch):
+        values = np.random.default_rng(0).normal(size=(300, 148))
+        fallback = []
+        repr_cells = serialize._repr_cells
+
+        def counted(cells):
+            fallback.append(len(cells))
+            return repr_cells(cells)
+
+        monkeypatch.setattr(serialize, "_repr_cells", counted)
+        prefixes = [b"id,"] * len(values)
+        assert serialize._float_rows(values, prefixes) == repr_rows(values, prefixes)
+        assert sum(fallback) <= 0.01 * values.size, sum(fallback)
+        # outside fixed notation, and at a significand that is a power of
+        # two, the fallback writes the cell
+        fallback.clear()
+        serialize._float_rows(np.array([[1e-5, 0.0, 0.5]]), [b""])
+        assert sum(fallback) == 3
+
+
 class TestDumpJson:
     @pytest.mark.parametrize(
         "obj, error",
